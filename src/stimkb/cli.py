@@ -78,24 +78,17 @@ def _query_output(ws, q, fmt):
 
 def _cmd_query(args):
     ws = load_snapshot(args.snapshot)
+    default_limit = ws.limit if ws.limit is not None else retrieval.DEFAULT_LIMIT
     try:
-        q = retrieval.parse_query(args.query)
+        q = retrieval.parse_query(args.query, default_limit)
     except QueryError as e:
         caret = ""
         if e.position is not None:
             caret = "\n" + args.query + "\n" + " " * e.position + "^"
         print(f"query error: {e}{caret}", file=sys.stderr)
         return EXIT_USAGE
-    if q.mode == retrieval.MODE_RANK and ws.limit is not None and args_limit_unset(q):
-        q.limit = ws.limit
     sys.stdout.write(_query_output(ws, q, args.format))
     return EXIT_OK
-
-
-def args_limit_unset(q):
-    # parse_query always fills limit for rank mode; the snapshot default
-    # only applies when the query used the grammar default.
-    return q.limit == retrieval.DEFAULT_LIMIT
 
 
 def _parse_eval_queries(text):
@@ -184,6 +177,23 @@ def _cmd_stats(args):
     return EXIT_OK
 
 
+def _int_at_least(low):
+    """An argparse type: an integer no smaller than `low`."""
+
+    def convert(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}"
+            )
+        return value
+
+    return convert
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="stimkb",
@@ -214,17 +224,17 @@ def build_parser():
     p.add_argument("--measures",
                    default="inclusion,levenshtein,pathlen,wupalmer")
     p.add_argument("--schemes", default="keyword,concept")
-    p.add_argument("--candidates", type=int, default=100)
-    p.add_argument("--retries", type=int, default=5)
+    p.add_argument("--candidates", type=_int_at_least(1), default=100)
+    p.add_argument("--retries", type=_int_at_least(0), default=5)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sequence", help="build a presentation sequence")
     p.add_argument("--snapshot", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--duration", type=int, required=True)
-    p.add_argument("--isi", type=int, default=0)
+    p.add_argument("--count", type=_int_at_least(1), required=True)
+    p.add_argument("--duration", type=_int_at_least(1), required=True)
+    p.add_argument("--isi", type=_int_at_least(0), default=0)
     p.add_argument("--track", default="visual")
     p.add_argument("--out-prefix")
     p.add_argument("query")

@@ -71,8 +71,14 @@ CONTEXT_FIELDS = (
     "dcDate",
     "dcFormat",
 )
-_CONTEXT_INT_FIELDS = {"widthPx", "heightPx", "sizeBytes", "colorDepthBits"}
-_CONTEXT_REAL_FIELDS = {"lengthSeconds"}
+# Numeric context fields and their types; the others are text.
+_CONTEXT_NUMBER_TYPES = {
+    "widthPx": int,
+    "heightPx": int,
+    "sizeBytes": int,
+    "colorDepthBits": int,
+    "lengthSeconds": float,
+}
 
 
 @dataclass(frozen=True)
@@ -224,13 +230,14 @@ class Corpus:
             raise ValidationError(
                 f"record {rec.key}: " + "; ".join(problems), problems=problems
             )
-        if rec.key in self.records:
-            raise ValidationError(f"duplicate stimulus key {rec.key}")
-        self.records[rec.key] = rec
+        key = rec.key
+        if key in self.records:
+            raise ValidationError(f"duplicate stimulus key {key}")
+        self.records[key] = rec
         for c in rec.concepts():
-            self.concept_index.setdefault(c, set()).add(rec.key)
+            self.concept_index.setdefault(c, set()).add(key)
         for k in rec.keywords():
-            self.keyword_index.setdefault(k, set()).add(rec.key)
+            self.keyword_index.setdefault(k, set()).add(key)
 
     def get_stimulus(self, key):
         if key not in self.records:
@@ -299,32 +306,74 @@ def _parse_cat(value, lineno):
     return CategoryAnnotation(vocab, term, level, cvalue)
 
 
-def _repeat(value):
-    return [v for v in value.split(";") if v]
+# Exact-key dispatch for parse_record_line.  `dim.*` keys map to the
+# DimensionAnnotation field; `ctx.*` keys to the ContextRecord attribute
+# and its number type (None for text).
+_DIM_KEYS = {f"dim.{name}": name for name in DIMENSION_NAMES + DIMENSION_SD_NAMES}
+_CTX_KEYS = {
+    f"ctx.{wire}": (attr, _CONTEXT_NUMBER_TYPES.get(wire))
+    for wire, attr in _CTX_ATTR.items()
+}
 
 
 def parse_record_line(line, lineno=None):
-    tokens = [t for t in line.split("\t") if t]
-    fields = {"db": None, "id": None}
+    """Parse one record line (format in the module docstring); the first
+    malformed token raises ParseError.  Does not validate."""
+    db = rid = None
     sems, cats, apps, tends, sents, phys = [], [], [], [], [], []
     dim = {}
     ctx = {}
-    for token in tokens:
+    has_ctx = False
+    for token in line.split("\t"):
         key, sep, value = token.partition("=")
         if not sep:
+            if not token:
+                continue
             raise ParseError(f"expected `key=value`, got {token!r}", line=lineno)
-        if key in ("db", "id"):
-            fields[key] = value
-        elif key == "sem":
-            sems.extend(_parse_sem(v, lineno) for v in _repeat(value))
+        if key == "sem":
+            for v in value.split(";"):
+                if v:
+                    sems.append(_parse_sem(v, lineno))
+        elif key in _DIM_KEYS:
+            name = _DIM_KEYS[key]
+            dim[name] = _parse_number(value, float, f"dimension {name}", lineno)
+        elif key in _CTX_KEYS:
+            attr, kind = _CTX_KEYS[key]
+            has_ctx = True
+            ctx[attr] = value if kind is None else _parse_number(
+                value, kind, key[4:], lineno
+            )
+        elif key == "db":
+            db = value
+        elif key == "id":
+            rid = value
         elif key == "cat":
-            cats.extend(_parse_cat(v, lineno) for v in _repeat(value))
+            for v in value.split(";"):
+                if v:
+                    cats.append(_parse_cat(v, lineno))
+        elif key == "dim.scale":
+            lo, sep2, hi = value.partition(":")
+            if not sep2:
+                raise ParseError(f"expected `min:max`, got {value!r}", line=lineno)
+            dim["scale_min"] = _parse_number(lo, float, "scale min", lineno)
+            dim["scale_max"] = _parse_number(hi, float, "scale max", lineno)
+        elif key == "phys":
+            for v in value.split(";"):
+                if v:
+                    path, _, channel = v.partition(" ")
+                    phys.append(PhysiologyRef(path, channel or None))
+        elif key == "ctx":
+            # Presence marker for a context with no metadata beyond db/id.
+            has_ctx = True
         elif key == "appraisal":
-            for v in _repeat(value):
-                name, sep2, num = v.rpartition(":")
-                if not sep2:
-                    raise ParseError(f"expected `name:value`, got {v!r}", line=lineno)
-                apps.append((name, _parse_number(num, float, "appraisal", lineno)))
+            for v in value.split(";"):
+                if v:
+                    name, sep2, num = v.rpartition(":")
+                    if not sep2:
+                        raise ParseError(
+                            f"expected `name:value`, got {v!r}", line=lineno
+                        )
+                    apps.append((name, _parse_number(num, float, "appraisal", lineno)))
         elif key == "tendency":
             payload, level, cvalue = _split_confidence(value, lineno)
             tends.append(ActionTendencyAnnotation(payload, level, cvalue))
@@ -335,16 +384,6 @@ def parse_record_line(line, lineno=None):
                     _parse_number(payload, float, "sentiment", lineno), level, cvalue
                 )
             )
-        elif key == "phys":
-            for v in _repeat(value):
-                path, _, channel = v.partition(" ")
-                phys.append(PhysiologyRef(path, channel or None))
-        elif key == "dim.scale":
-            lo, sep2, hi = value.partition(":")
-            if not sep2:
-                raise ParseError(f"expected `min:max`, got {value!r}", line=lineno)
-            dim["scale_min"] = _parse_number(lo, float, "scale min", lineno)
-            dim["scale_max"] = _parse_number(hi, float, "scale max", lineno)
         elif key == "dim.level":
             dim["confidence_level"] = value
         elif key == "dim.value":
@@ -352,27 +391,13 @@ def parse_record_line(line, lineno=None):
                 value, float, "dimension confidence", lineno
             )
         elif key.startswith("dim."):
-            name = key[len("dim."):]
-            if name not in DIMENSION_NAMES and name not in DIMENSION_SD_NAMES:
-                raise ParseError(f"unknown dimension field {name!r}", line=lineno)
-            dim[name] = _parse_number(value, float, f"dimension {name}", lineno)
-        elif key == "ctx":
-            # Presence marker for a context with no metadata beyond db/id.
-            ctx.setdefault("_present", True)
+            raise ParseError(f"unknown dimension field {key[4:]!r}", line=lineno)
         elif key.startswith("ctx."):
-            name = key[len("ctx."):]
-            if name not in _CTX_ATTR:
-                raise ParseError(f"unknown context field {name!r}", line=lineno)
-            if name in _CONTEXT_INT_FIELDS:
-                ctx[_CTX_ATTR[name]] = _parse_number(value, int, name, lineno)
-            elif name in _CONTEXT_REAL_FIELDS:
-                ctx[_CTX_ATTR[name]] = _parse_number(value, float, name, lineno)
-            else:
-                ctx[_CTX_ATTR[name]] = value
+            raise ParseError(f"unknown context field {key[4:]!r}", line=lineno)
         else:
             raise ParseError(f"unknown record field {key!r}", line=lineno)
 
-    if not fields["db"] or not fields["id"]:
+    if not db or not rid:
         raise ParseError("record requires db= and id=", line=lineno)
 
     dimensions = None
@@ -382,21 +407,17 @@ def parse_record_line(line, lineno=None):
                 "dimension values require dim.scale=min:max", line=lineno
             )
         dimensions = DimensionAnnotation(**dim)
-    context = None
-    if ctx:
-        ctx.pop("_present", None)
-        context = ContextRecord(id=fields["id"], db_name=fields["db"], **ctx)
 
     return StimulusRecord(
-        db=fields["db"],
-        id=fields["id"],
+        db=db,
+        id=rid,
         semantics=tuple(sems),
         categories=tuple(cats),
         dimensions=dimensions,
-        appraisals=tuple([AppraisalAnnotation(tuple(apps))] if apps else []),
+        appraisals=(AppraisalAnnotation(tuple(apps)),) if apps else (),
         action_tendencies=tuple(tends),
         sentiments=tuple(sents),
-        context=context,
+        context=ContextRecord(id=rid, db_name=db, **ctx) if has_ctx else None,
         physiology=tuple(phys),
     )
 

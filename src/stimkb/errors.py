@@ -34,6 +34,11 @@ class ValidationError(StimKbError):
         super().__init__(message)
 
 
+class SnapshotError(ValidationError):
+    """A snapshot file is not JSON, has the wrong structure, or holds an
+    input that fails to parse or validate."""
+
+
 class UnknownConceptError(StimKbError):
     """A concept name does not exist in the taxonomy."""
 

@@ -57,8 +57,9 @@ class RankedResult:
     measure: Measure
 
 
-def parse_query(text):
-    """Parse the one-line query grammar into a Query with defaults applied."""
+def parse_query(text, default_limit=DEFAULT_LIMIT):
+    """Parse the one-line query grammar into a Query with defaults applied;
+    a rank query without a `limit:` clause gets `default_limit`."""
     q = Query()
     pos = 0
     seen = set()
@@ -126,7 +127,7 @@ def parse_query(text):
                 Measure.WU_PALMER if q.concept is not None else Measure.LEVENSHTEIN
             )
         if q.limit is None:
-            q.limit = DEFAULT_LIMIT
+            q.limit = default_limit
         _check_measure_kind(q)
     else:
         if q.concept is None and q.category is None and not q.boxes:

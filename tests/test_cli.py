@@ -172,3 +172,54 @@ def test_eval_writes_report_file(snapshot, workspace, capsys):
     lines = report.read_text().splitlines()
     # Two schemes x two compatible measures each.
     assert len([l for l in lines[1:] if l and not l.startswith("#")]) == 4
+
+
+def test_explicit_limit_beats_snapshot_limit(workspace, capsys):
+    with open(workspace / "manifest.txt", "a") as f:
+        f.write("limit=2\n")
+    snap = workspace / "snap.json"
+    assert main(["ingest", "--manifest", str(workspace / "manifest.txt"),
+                 "--snapshot", str(snap)]) == 0
+    capsys.readouterr()
+    counts = {}
+    for query in ("concept:Human", "concept:Human limit:100",
+                  "concept:Human limit:1"):
+        assert main(["query", "--snapshot", str(snap), query]) == 0
+        counts[query] = len(capsys.readouterr().out.splitlines())
+    assert counts == {"concept:Human": 2, "concept:Human limit:100": 4,
+                      "concept:Human limit:1": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["eval", "--candidates", "0"], "--candidates"),
+        (["eval", "--candidates", "-3"], "--candidates"),
+        (["eval", "--retries", "-1"], "--retries"),
+        (["eval", "--retries", "two"], "--retries"),
+        (["sequence", "--count", "0", "--duration", "2000"], "--count"),
+        (["sequence", "--count", "3", "--duration", "0"], "--duration"),
+        (["sequence", "--count", "3", "--duration", "2000", "--isi", "-5"],
+         "--isi"),
+    ],
+)
+def test_bad_flag_values_exit_2(argv, flag, snapshot, workspace, capsys):
+    queries, judgments = _eval_files(workspace)
+    rest = (["--queries", str(queries), "--judgments", str(judgments)]
+            if argv[0] == "eval" else ["concept:Entity measure:pathlen"])
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--snapshot", str(snapshot)] + argv[1:] + rest)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected an integer >= " in err
+
+
+def test_smallest_flag_values_accepted(snapshot, workspace, capsys):
+    queries, judgments = _eval_files(workspace)
+    assert main(["eval", "--snapshot", str(snapshot), "--queries", str(queries),
+                 "--judgments", str(judgments), "--candidates", "1",
+                 "--retries", "0"]) == 0
+    assert main(["sequence", "--snapshot", str(snapshot), "--count", "1",
+                 "--duration", "1", "--isi", "0",
+                 "concept:Entity measure:pathlen"]) == 0
+    capsys.readouterr()

@@ -1,7 +1,20 @@
-import pytest
+import string
 
-from stimkb.affect import load_vocabularies
+import pytest
+from hypothesis import given, strategies as st
+
+from stimkb.affect import (
+    DIMENSION_NAMES,
+    DIMENSION_SD_NAMES,
+    ActionTendencyAnnotation,
+    AppraisalAnnotation,
+    CategoryAnnotation,
+    SentimentAnnotation,
+    load_vocabularies,
+)
 from stimkb.corpus import (
+    SEMANTIC_KINDS,
+    ContextRecord,
     Corpus,
     DimensionAnnotation,
     PhysiologyRef,
@@ -10,6 +23,8 @@ from stimkb.corpus import (
     expand_keywords,
     parse_corpus_records,
     parse_legacy_table,
+    parse_record_line,
+    serialize_record,
     serialize_records,
     validate_stimulus,
 )
@@ -207,3 +222,149 @@ def test_duplicate_physiology_paths_allowed():
         physiology=(PhysiologyRef("http://p"), PhysiologyRef("http://p")),
     )
     assert validate_stimulus(rec) == []
+
+
+_OK = "db=X\tid=1\t"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (_OK + "noequals", "expected `key=value`, got 'noequals'"),
+        (_OK + "foo=1", "unknown record field 'foo'"),
+        (_OK + "dim.foo=1", "unknown dimension field 'foo'"),
+        (_OK + "ctx.foo=1", "unknown context field 'foo'"),
+        ("id=1\tsem=Object:concept:A", "record requires db= and id="),
+        ("db=X\tid=\tctx=1", "record requires db= and id="),
+        ("", "record requires db= and id="),
+        (_OK + "sem=Object:A",
+         "expected `Kind:concept:Name` or `Kind:keyword:text`, got 'Object:A'"),
+        (_OK + "sem=Object:label:A",
+         "expected `Kind:concept:Name` or `Kind:keyword:text`, "
+         "got 'Object:label:A'"),
+        (_OK + "sem=Object:concept:", "empty semantics payload"),
+        (_OK + "cat=BigSix", "expected `Vocab.term`, got 'BigSix'"),
+        (_OK + "cat=BigSix.fear@level", "malformed confidence part 'level'"),
+        (_OK + "cat=BigSix.fear@", "malformed confidence part ''"),
+        (_OK + "cat=BigSix.fear@mood=x", "unknown confidence key 'mood'"),
+        (_OK + "cat=BigSix.fear@value=high",
+         "non-numeric confidence value: 'high'"),
+        (_OK + "appraisal=pleasantness",
+         "expected `name:value`, got 'pleasantness'"),
+        (_OK + "appraisal=p:0.5;q:x", "non-numeric appraisal: 'x'"),
+        (_OK + "tendency=approach@value=x", "non-numeric confidence value: 'x'"),
+        (_OK + "sentiment=pos@level=High", "non-numeric sentiment: 'pos'"),
+        (_OK + "dim.scale=1-9", "expected `min:max`, got '1-9'"),
+        (_OK + "dim.scale=a:9", "non-numeric scale min: 'a'"),
+        (_OK + "dim.scale=1:b", "non-numeric scale max: 'b'"),
+        (_OK + "dim.valence=7", "dimension values require dim.scale=min:max"),
+        (_OK + "dim.scale=1:9\tdim.valence=high",
+         "non-numeric dimension valence: 'high'"),
+        (_OK + "dim.scale=1:9\tdim.arousalSD=?",
+         "non-numeric dimension arousalSD: '?'"),
+        (_OK + "dim.scale=1:9\tdim.value=x",
+         "non-numeric dimension confidence: 'x'"),
+        (_OK + "ctx.widthPx=1.5", "non-numeric widthPx: '1.5'"),
+        (_OK + "ctx.lengthSeconds=long", "non-numeric lengthSeconds: 'long'"),
+        # The first malformed token wins.
+        (_OK + "foo=1\tnoequals", "unknown record field 'foo'"),
+    ],
+)
+def test_malformed_record_line_error_text(line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_record_line(line, 3)
+    assert str(exc.value) == f"line 3: {message}"
+    assert exc.value.line == 3
+    with pytest.raises(ParseError) as exc:
+        parse_record_line(line)
+    assert str(exc.value) == message
+
+
+# Round trip of serialize_record through parse_record_line.  Text avoids
+# the wire separators of the field it fills: tab and `;` everywhere, `@`
+# and `,` in confidence-carrying values, ` ` in physiology paths, `.` in
+# vocabulary ids.
+_WORD = st.text(string.ascii_letters + string.digits + "-_/", min_size=1,
+                max_size=8)
+_PHRASE = st.text(string.ascii_letters + string.digits + "-_/ :.=", min_size=1,
+                  max_size=12)
+_NUM = st.floats(allow_nan=False)
+_LEVEL = st.none() | st.sampled_from(["VeryHigh", "Average", "Low"]) | _WORD
+_CONF = st.none() | _NUM
+_SEM = st.builds(
+    SemanticsAnnotation, kind=st.sampled_from(SEMANTIC_KINDS), concept=_PHRASE
+) | st.builds(
+    SemanticsAnnotation, kind=st.sampled_from(SEMANTIC_KINDS), keyword=_PHRASE
+)
+_DIMENSIONS = st.builds(
+    DimensionAnnotation,
+    scale_min=_NUM,
+    scale_max=_NUM,
+    confidence_level=_LEVEL,
+    confidence_value=_CONF,
+    **{name: st.none() | _NUM for name in DIMENSION_NAMES + DIMENSION_SD_NAMES},
+)
+_CONTEXT_FIELDS = {
+    "media_format": _PHRASE,
+    "width_px": st.integers(0, 10**6),
+    "height_px": st.integers(0, 10**6),
+    "size_bytes": st.integers(0, 10**12),
+    "color_depth_bits": st.integers(0, 64),
+    "length_seconds": _NUM,
+    **{
+        attr: st.text(string.ascii_letters + " :/=-", max_size=12)
+        for attr in ("author", "owner", "created_at", "location", "dc_type",
+                     "dc_creator", "dc_contributor", "dc_date", "dc_format")
+    },
+}
+
+
+@st.composite
+def _records(draw):
+    db, rid = draw(_WORD), draw(_WORD)
+    ctx = draw(st.none() | st.fixed_dictionaries({}, optional=_CONTEXT_FIELDS))
+    appraisal = draw(st.lists(st.tuples(_PHRASE, _NUM), max_size=3))
+    return StimulusRecord(
+        db=db,
+        id=rid,
+        semantics=tuple(draw(st.lists(_SEM, max_size=3))),
+        categories=tuple(draw(st.lists(
+            st.builds(CategoryAnnotation, _WORD, _PHRASE, _LEVEL, _CONF),
+            max_size=3,
+        ))),
+        dimensions=draw(st.none() | _DIMENSIONS),
+        appraisals=(AppraisalAnnotation(tuple(appraisal)),) if appraisal else (),
+        action_tendencies=tuple(draw(st.lists(
+            st.builds(ActionTendencyAnnotation, _PHRASE, _LEVEL, _CONF),
+            max_size=2,
+        ))),
+        sentiments=tuple(draw(st.lists(
+            st.builds(SentimentAnnotation, _NUM, _LEVEL, _CONF), max_size=2
+        ))),
+        context=None if ctx is None else ContextRecord(id=rid, db_name=db, **ctx),
+        physiology=tuple(draw(st.lists(
+            st.builds(PhysiologyRef, _WORD, st.none() | _PHRASE), max_size=3
+        ))),
+    )
+
+
+def _packed(line):
+    """The same record with each repeatable key's values packed into one
+    `;`-separated token, plus an empty token and an empty item, which the
+    parser skips."""
+    singles, packed = [""], {}
+    for token in line.split("\t"):
+        key, _, value = token.partition("=")
+        if key in ("sem", "cat", "appraisal", "phys"):
+            packed.setdefault(key, []).append(value)
+        else:
+            singles.append(token)
+    return "\t".join(singles + [f"{k}={';'.join(v)};" for k, v in packed.items()])
+
+
+@given(_records())
+def test_record_line_round_trip(rec):
+    line = serialize_record(rec)
+    assert parse_record_line(line) == rec
+    assert serialize_record(parse_record_line(line)) == line
+    assert parse_record_line(_packed(line)) == rec

@@ -1,12 +1,20 @@
+import json
+
 import pytest
 
-from stimkb.errors import ParseError, StimKbError
+import stimkb.corpus
+import stimkb.snapshot
+from stimkb.affect import build_equivalence_closure, load_vocabularies
+from stimkb.cli import main
+from stimkb.errors import ParseError, SnapshotError, StimKbError
 from stimkb.snapshot import (
+    Workspace,
     build_workspace,
     load_snapshot,
     parse_manifest,
     save_snapshot,
 )
+from stimkb.synthetic import generate
 
 from conftest import PAPER_MANIFEST
 
@@ -45,3 +53,111 @@ def test_manifest_relative_paths():
     assert manifest.seed == 42
     ws = build_workspace(manifest)
     assert len(ws.corpus) == 4
+
+
+def _synthetic_workspace():
+    graph, corpus, _, _ = generate(5, n_concepts=40, n_stimuli=300)
+    return Workspace(
+        graph=graph,
+        mapping=None,
+        vocabs=load_vocabularies(""),
+        closure=build_equivalence_closure([]),
+        corpus=corpus,
+        unmapped_keywords=[],
+    )
+
+
+@pytest.mark.parametrize("which", ["paper", "synthetic"])
+def test_load_parses_and_validates_each_record_once(
+    which, tmp_path, monkeypatch, paper_workspace
+):
+    ws = paper_workspace if which == "paper" else _synthetic_workspace()
+    snap = tmp_path / "snap.json"
+    save_snapshot(ws, snap)
+
+    validated = []
+    validate = stimkb.corpus.validate_stimulus
+
+    def counting_validate(rec, graph=None, vocabs=None):
+        # The one call still checks against the graph and the vocabularies.
+        assert graph is not None and vocabs is not None
+        validated.append(rec.key)
+        return validate(rec, graph, vocabs)
+
+    def no_bulk_parser(*args, **kwargs):
+        raise AssertionError("load_snapshot must not use parse_corpus_records")
+
+    monkeypatch.setattr(stimkb.corpus, "validate_stimulus", counting_validate)
+    monkeypatch.setattr(stimkb.snapshot, "parse_corpus_records", no_bulk_parser)
+    loaded = load_snapshot(snap)
+
+    assert list(loaded.corpus) == list(ws.corpus)
+    assert loaded.corpus.concept_index == ws.corpus.concept_index
+    assert loaded.corpus.keyword_index == ws.corpus.keyword_index
+    assert sorted(validated) == sorted(r.key for r in ws.corpus)
+    assert len(validated) == len(set(validated))
+
+
+def _snapshot_doc(paper_workspace, tmp_path):
+    snap = tmp_path / "good.json"
+    save_snapshot(paper_workspace, snap)
+    return json.loads(snap.read_text())
+
+
+def _bad_record(line):
+    def edit(doc):
+        doc["records"][1] = line
+        return json.dumps(doc)
+
+    return edit
+
+
+# (case, edit of a good snapshot document -> file text, error text)
+BAD_SNAPSHOTS = [
+    ("version only", lambda doc: '{"version": 1}', "missing key 'seed'"),
+    ("no vocabularies", lambda doc: json.dumps(
+        {k: v for k, v in doc.items() if k != "vocabularies"}),
+     "missing key 'vocabularies'"),
+    ("not JSON", lambda doc: "not json {", "not JSON"),
+    ("truncated", lambda doc: json.dumps(doc)[:200], "not JSON"),
+    ("top level list", lambda doc: "[1, 2]", "not a JSON object"),
+    ("unknown version", lambda doc: json.dumps({**doc, "version": 2}),
+     "unsupported snapshot version 2"),
+    ("records not a list", lambda doc: json.dumps({**doc, "records": "x"}),
+     "'records' has type str"),
+    ("record not a string", lambda doc: json.dumps({**doc, "records": [7]}),
+     "'records' holds a non-string item"),
+    ("limit not an integer", lambda doc: json.dumps({**doc, "limit": "9"}),
+     "'limit' has type str"),
+    ("malformed record line", _bad_record("db=X\tid=1\tbogus=3"),
+     "records[1]: unknown record field 'bogus'"),
+    ("empty record line", _bad_record(""),
+     "records[1]: record requires db= and id="),
+    ("invalid record", _bad_record("db=X\tid=1\tsem=Object:concept:NoSuch"),
+     "records[1]: record X/1: unknown concept 'NoSuch'"),
+    ("duplicate record", lambda doc: json.dumps(
+        {**doc, "records": doc["records"] + doc["records"][:1]}),
+     "records[4]: duplicate stimulus key"),
+    ("bad taxonomy", lambda doc: json.dumps({**doc, "taxonomy": "A\tB\nB\tA\n"}),
+     "taxonomy is cyclic"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, message", [c[1:] for c in BAD_SNAPSHOTS], ids=[c[0] for c in BAD_SNAPSHOTS]
+)
+def test_bad_snapshot_exits_3_naming_file(
+    edit, message, tmp_path, paper_workspace, capsys
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(edit(_snapshot_doc(paper_workspace, tmp_path)))
+    with pytest.raises(SnapshotError) as exc:
+        load_snapshot(bad)
+    assert str(exc.value).startswith(f"bad snapshot {bad}: ")
+    assert message in str(exc.value)
+
+    rc = main(["stats", "--snapshot", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith(f"error: bad snapshot {bad}: ")
+    assert message in err
