@@ -14,10 +14,12 @@ from .errors import ParseError, QueryError, StimKbError, ValidationError
 from .evaluation import (
     ExperimentConfig,
     ExperimentQuery,
+    check_scheme,
     parse_judgments,
     report_to_tsv,
     run_experiment,
 )
+from .similarity import parse_measure
 from .snapshot import build_workspace, load_snapshot, parse_manifest, save_snapshot
 
 EXIT_OK = 0
@@ -123,10 +125,9 @@ def _cmd_eval(args):
         seed=args.seed if args.seed is not None else ws.seed,
         max_resamples=args.retries,
     )
-    measures = [m.strip() for m in args.measures.split(",")]
-    schemes = [s.strip() for s in args.schemes.split(",")]
     report = run_experiment(
-        ws.corpus, ws.graph, queries, relevant, measures, schemes, config
+        ws.corpus, ws.graph, queries, relevant, args.measures, args.schemes,
+        config,
     )
     text = report_to_tsv(report)
     if args.out:
@@ -194,6 +195,19 @@ def _int_at_least(low):
     return convert
 
 
+def _name_list(check):
+    """An argparse type: a comma-separated list, each item passed through
+    `check`, which raises ValidationError for an unknown name."""
+
+    def convert(text):
+        try:
+            return [check(name.strip()) for name in text.split(",")]
+        except ValidationError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return convert
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="stimkb",
@@ -221,9 +235,10 @@ def build_parser():
     p.add_argument("--snapshot", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--judgments", required=True)
-    p.add_argument("--measures",
+    p.add_argument("--measures", type=_name_list(parse_measure),
                    default="inclusion,levenshtein,pathlen,wupalmer")
-    p.add_argument("--schemes", default="keyword,concept")
+    p.add_argument("--schemes", type=_name_list(check_scheme),
+                   default="keyword,concept")
     p.add_argument("--candidates", type=_int_at_least(1), default=100)
     p.add_argument("--retries", type=_int_at_least(0), default=5)
     p.add_argument("--seed", type=int, default=None)

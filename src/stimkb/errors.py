@@ -39,7 +39,7 @@ class SnapshotError(ValidationError):
     input that fails to parse or validate."""
 
 
-class UnknownConceptError(StimKbError):
+class UnknownConceptError(ValidationError):
     """A concept name does not exist in the taxonomy."""
 
 

@@ -9,14 +9,14 @@ confusion matrices per pair.
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ValidationError
-from .retrieval import score_record
-from .similarity import CONCEPT_MEASURES, LEXICAL_MEASURES, Measure
+from .retrieval import OperandScores, score_record
+from .similarity import CONCEPT_MEASURES, LEXICAL_MEASURES, parse_measure
 
 SCHEME_KEYWORD = "keyword"
 SCHEME_CONCEPT = "concept"
+SCHEMES = (SCHEME_KEYWORD, SCHEME_CONCEPT)
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,15 @@ def lift_curve(ranked_entries, judgments):
     relevant_total = sum(1 for k in keys if judgments[k])
     if relevant_total == 0:
         raise ValidationError("no relevant item in the ranked list; lift undefined")
-    base = Fraction(relevant_total, n)
+    # (hits / r) / (relevant_total / n) as one integer quotient: Python's
+    # int true division is correctly rounded, so this is the exact ratio
+    # rounded once, the same float Fraction arithmetic gives.
     curve = []
     hits = 0
     for r, k in enumerate(keys, start=1):
         if judgments[k]:
             hits += 1
-        curve.append((r, float(Fraction(hits, r) / base)))
+        curve.append((r, hits * n / (r * relevant_total)))
     return curve
 
 
@@ -158,6 +160,15 @@ class ExperimentReport:
     notes: tuple
 
 
+def check_scheme(name):
+    """Return `name` if it is an annotation scheme, else raise."""
+    if name not in SCHEMES:
+        raise ValidationError(
+            f"unknown scheme {name!r} (expected one of {', '.join(SCHEMES)})"
+        )
+    return name
+
+
 def _compatible(scheme, measure):
     if scheme == SCHEME_KEYWORD:
         return measure in LEXICAL_MEASURES
@@ -171,14 +182,17 @@ def run_experiment(corpus, graph, queries, judgments, measures, schemes, config)
     `judgments` maps query id -> set of relevant stimulus keys over the
     whole corpus.  Queries whose sampled subset has no relevant item are
     resampled up to `config.max_resamples` times, then skipped with a note.
+    Each (scheme, measure, query) scores its candidates through one
+    OperandScores, so each distinct annotation operand is scored once.
     """
+    schemes = sorted(check_scheme(s) for s in schemes)
+    measures = sorted((parse_measure(m) for m in measures), key=lambda m: m.value)
     all_keys = sorted(r.key for r in corpus)
     records = {r.key: r for r in corpus}
     rows = []
     notes = []
-    for scheme in sorted(schemes):
-        for measure in sorted(measures, key=lambda m: Measure(m).value):
-            measure = Measure(measure)
+    for scheme in schemes:
+        for measure in measures:
             if not _compatible(scheme, measure):
                 continue
             matrices = []
@@ -208,8 +222,10 @@ def run_experiment(corpus, graph, queries, judgments, measures, schemes, config)
                         "samples; skipped"
                     )
                     continue
+                memo = OperandScores(measure, term, graph)
                 scored = [
-                    (k, score_record(measure, term, records[k], graph=graph))
+                    (k, score_record(measure, term, records[k], graph=graph,
+                                     memo=memo))
                     for k in candidates
                 ]
                 scored.sort(key=lambda e: (-e[1], e[0]))

@@ -18,8 +18,10 @@ from dataclasses import dataclass, field
 from .errors import QueryError, UnknownConceptError, ValidationError
 from .similarity import (
     CONCEPT_MEASURES,
+    DISTANCE_MEASURES,
     LEXICAL_MEASURES,
     Measure,
+    distance_rel,
     parse_measure,
     relatedness,
 )
@@ -208,12 +210,48 @@ def filter_query(corpus, graph, q, closure=None):
     return result
 
 
-def score_record(measure, term, rec, graph=None):
+class OperandScores:
+    """Relatedness of one query term to each distinct operand, computed
+    once and kept for every later record that carries the same operand.
+
+    For path length, Leacock-Chodorow and Li the first concept operand runs
+    one BFS from the term (`distances_from`); each operand then reads its
+    distance from that map instead of running a `shortest_path` of its own.
+    An unknown term raises at that first operand, as `relatedness` would.
+    """
+
+    def __init__(self, measure, term, graph=None):
+        self.measure = Measure(measure)
+        self.term = term
+        self.graph = graph
+        self._scores = {}
+        self._distances = None
+
+    def __call__(self, op):
+        score = self._scores.get(op)
+        if score is None:
+            score = self._scores[op] = self._score(op)
+        return score
+
+    def _score(self, op):
+        if self.measure not in DISTANCE_MEASURES or self.graph is None:
+            return relatedness(self.measure, self.term, op, graph=self.graph)
+        if self._distances is None:
+            self._distances = self.graph.distances_from(self.term)
+        d = self._distances.get(op)
+        if d is None:
+            # Not a concept of the graph: fail as the per-pair path does.
+            d = self.graph.shortest_path(self.term, op)
+        return distance_rel(self.measure, self.graph, self.term, op, d)
+
+
+def score_record(measure, term, rec, graph=None, memo=None):
     """MAX over the record's semantics annotations of relatedness to `term`.
 
     Concept measures read annotation concepts, lexical measures read
     annotation keywords; a record with no annotation of the matching kind
-    scores 0.
+    scores 0.  `memo`, an OperandScores for the same measure and term,
+    scores each distinct operand once across the records it is passed with.
     """
     operands = (
         rec.concepts() if measure in CONCEPT_MEASURES
@@ -221,7 +259,11 @@ def score_record(measure, term, rec, graph=None):
     )
     best = 0.0
     for op in operands:
-        best = max(best, relatedness(measure, term, op, graph=graph))
+        score = (
+            memo(op) if memo is not None
+            else relatedness(measure, term, op, graph=graph)
+        )
+        best = max(best, score)
     return best
 
 

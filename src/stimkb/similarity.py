@@ -31,6 +31,11 @@ CONCEPT_MEASURES = frozenset(
     {Measure.PATH_LENGTH, Measure.WU_PALMER, Measure.LEACOCK_CHODOROW, Measure.LI}
 )
 
+# Measures computed from the undirected path distance (see distance_rel).
+DISTANCE_MEASURES = frozenset(
+    {Measure.PATH_LENGTH, Measure.LEACOCK_CHODOROW, Measure.LI}
+)
+
 LI_ALPHA = 0.2
 LI_BETA = 0.6
 LCH_ZERO_DISTANCE_GUARD = 0.5
@@ -81,8 +86,26 @@ def levenshtein_rel(a, b):
     return 1.0 - levenshtein_distance(a, b) / max(len(a), len(b))
 
 
+def distance_rel(measure, g, a, b, d):
+    """Path length, Leacock-Chodorow or Li relatedness of concepts `a` and
+    `b`, given their undirected distance `d` in the taxonomy."""
+    if measure is Measure.PATH_LENGTH:
+        return 1.0 / (1.0 + d)
+    if measure is Measure.LEACOCK_CHODOROW:
+        denom = 2.0 * g.max_depth
+        raw = -math.log(max(d, LCH_ZERO_DISTANCE_GUARD) / denom)
+        norm = -math.log(LCH_ZERO_DISTANCE_GUARD / denom)
+        return max(0.0, raw / norm)
+    h = g.depth(g.lcs(a, b))
+    raw = math.exp(-LI_ALPHA * d) * math.tanh(LI_BETA * h)
+    # Normalizer includes h so DAG anomalies (ancestor deeper than both
+    # operands under min-root-distance depth) cannot push the score past 1.
+    norm = math.tanh(LI_BETA * max(h, g.depth(a), g.depth(b)))
+    return raw / norm
+
+
 def path_length_rel(g, a, b):
-    return 1.0 / (1.0 + g.shortest_path(a, b))
+    return distance_rel(Measure.PATH_LENGTH, g, a, b, g.shortest_path(a, b))
 
 
 def wu_palmer_rel(g, a, b):
@@ -97,21 +120,11 @@ def wu_palmer_rel(g, a, b):
 
 
 def leacock_chodorow_rel(g, a, b):
-    d = g.shortest_path(a, b)
-    denom = 2.0 * g.max_depth
-    raw = -math.log(max(d, LCH_ZERO_DISTANCE_GUARD) / denom)
-    norm = -math.log(LCH_ZERO_DISTANCE_GUARD / denom)
-    return max(0.0, raw / norm)
+    return distance_rel(Measure.LEACOCK_CHODOROW, g, a, b, g.shortest_path(a, b))
 
 
-def li_rel(g, a, b, alpha=LI_ALPHA, beta=LI_BETA):
-    d = g.shortest_path(a, b)
-    h = g.depth(g.lcs(a, b))
-    raw = math.exp(-alpha * d) * math.tanh(beta * h)
-    # Normalizer includes h so DAG anomalies (ancestor deeper than both
-    # operands under min-root-distance depth) cannot push the score past 1.
-    norm = math.tanh(beta * max(h, g.depth(a), g.depth(b)))
-    return raw / norm
+def li_rel(g, a, b):
+    return distance_rel(Measure.LI, g, a, b, g.shortest_path(a, b))
 
 
 def relatedness(measure, x, y, graph=None):
@@ -130,10 +143,6 @@ def relatedness(measure, x, y, graph=None):
             f"measure {measure.value!r} needs a taxonomy; it cannot be "
             "applied to raw keywords"
         )
-    if measure is Measure.PATH_LENGTH:
-        return path_length_rel(graph, x, y)
     if measure is Measure.WU_PALMER:
         return wu_palmer_rel(graph, x, y)
-    if measure is Measure.LEACOCK_CHODOROW:
-        return leacock_chodorow_rel(graph, x, y)
-    return li_rel(graph, x, y)
+    return distance_rel(measure, graph, x, y, graph.shortest_path(x, y))

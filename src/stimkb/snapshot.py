@@ -75,18 +75,34 @@ def parse_manifest(path):
             raise ParseError(f"expected `key=value`, got {raw!r}", line=lineno)
         if key in MANIFEST_FILE_KEYS:
             paths[key] = (path.parent / value).resolve()
-        elif key in MANIFEST_OPTION_KEYS:
+        elif key == "measure":
             options[key] = value
+        elif key in MANIFEST_OPTION_KEYS:
+            options[key] = _int_option(key, value, lineno)
         else:
             raise ParseError(f"unknown manifest key {key!r}", line=lineno)
     if "taxonomy" not in paths:
         raise ParseError("manifest must name a taxonomy file")
     return Manifest(
         paths=paths,
-        seed=int(options.get("seed", "0")),
+        seed=options.get("seed", 0),
         measure=options.get("measure"),
-        limit=int(options["limit"]) if "limit" in options else None,
+        limit=options.get("limit"),
     )
+
+
+def _int_option(key, value, lineno):
+    """The integer value of manifest option `seed` or `limit`; a limit is
+    at least 1."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise ParseError(
+            f"{key} must be an integer, got {value!r}", line=lineno
+        ) from None
+    if key == "limit" and number < 1:
+        raise ParseError(f"limit must be >= 1, got {value!r}", line=lineno)
+    return number
 
 
 def _read(manifest, key):
@@ -206,6 +222,8 @@ def _snapshot_problem(doc):
             return f"missing key {key!r}"
         if type(doc[key]) not in types:
             return f"{key!r} has type {type(doc[key]).__name__}"
+    if doc["limit"] is not None and doc["limit"] < 1:
+        return f"'limit' is {doc['limit']}, not >= 1"
     for key in ("records", "unmapped_keywords"):
         if not all(type(v) is str for v in doc[key]):
             return f"{key!r} holds a non-string item"

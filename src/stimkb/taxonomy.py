@@ -170,6 +170,25 @@ class TaxonomyGraph:
                     queue.append((nxt, dist + 1))
         raise ValidationError(f"no path between {a!r} and {b!r}")
 
+    def distances_from(self, c):
+        """Edge count of the shortest undirected path from `c` to every
+        concept: one BFS, so `distances_from(a)[b] == shortest_path(a, b)`."""
+        self._require(c)
+        dist = {c: 0}
+        frontier = [c]
+        d = 0
+        while frontier:
+            d += 1
+            reached = []
+            for node in frontier:
+                for edges in (self.parent_edges[node], self.child_edges[node]):
+                    for nxt in edges:
+                        if nxt not in dist:
+                            dist[nxt] = d
+                            reached.append(nxt)
+            frontier = reached
+        return dist
+
     def up_distance(self, c, ancestor):
         """Minimum number of parent-edge steps from `c` up to `ancestor`."""
         self._require(c)

@@ -223,3 +223,72 @@ def test_smallest_flag_values_accepted(snapshot, workspace, capsys):
                  "--duration", "1", "--isi", "0",
                  "concept:Entity measure:pathlen"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--measures", "foo", "unknown measure 'foo'"),
+        ("--measures", "pathlen,", "unknown measure ''"),
+        ("--schemes", "bogus", "unknown scheme 'bogus'"),
+        ("--schemes", "concept,Keyword", "unknown scheme 'Keyword'"),
+    ],
+)
+def test_eval_unknown_measure_or_scheme_exits_2(flag, value, message,
+                                                snapshot, workspace, capsys):
+    queries, judgments = _eval_files(workspace)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--snapshot", str(snapshot), "--queries", str(queries),
+              "--judgments", str(judgments), flag, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["query", "concept:Nowhere"],
+        ["query", "concept:Nowhere mode:filter"],
+        ["sequence", "--count", "1", "--duration", "10", "concept:Nowhere"],
+    ],
+)
+def test_unknown_concept_exits_3(argv, snapshot, capsys):
+    rc = main(argv[:1] + ["--snapshot", str(snapshot)] + argv[1:])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: unknown concept") and "'Nowhere'" in err
+
+
+def test_eval_unknown_query_concept_exits_3(snapshot, workspace, capsys):
+    queries, judgments = _eval_files(workspace)
+    queries.write_text("q1\tNowhere\tCrowd2\n")
+    rc = main(["eval", "--snapshot", str(snapshot), "--queries", str(queries),
+               "--judgments", str(judgments), "--candidates", "4"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == "error: unknown concept: 'Nowhere'\n"
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        ("limit=ten", "line 9: limit must be an integer, got 'ten'"),
+        ("limit=-1", "line 9: limit must be >= 1, got '-1'"),
+        ("limit=0", "line 9: limit must be >= 1, got '0'"),
+        ("seed=x", "line 9: seed must be an integer, got 'x'"),
+        ("seed=1.5", "line 9: seed must be an integer, got '1.5'"),
+    ],
+)
+def test_ingest_bad_manifest_option_exits_2(option, message, workspace, capsys):
+    manifest = workspace / "manifest.txt"
+    assert len(manifest.read_text().splitlines()) == 8
+    with open(manifest, "a") as f:
+        f.write(option + "\n")
+    rc = main(["ingest", "--manifest", str(manifest),
+               "--snapshot", str(workspace / "snap.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {message}\n"
+    assert not (workspace / "snap.json").exists()

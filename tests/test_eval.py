@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from stimkb.errors import ValidationError
+import stimkb.evaluation as evaluation
+from stimkb.errors import UnknownConceptError, ValidationError
 from stimkb.evaluation import (
     ConfusionMatrix,
     ExperimentConfig,
@@ -16,7 +19,10 @@ from stimkb.evaluation import (
     run_experiment,
     select_threshold,
 )
+from stimkb.retrieval import OperandScores, score_record
+from stimkb.similarity import CONCEPT_MEASURES, Measure
 from stimkb.synthetic import generate
+from stimkb.taxonomy import TaxonomyGraph
 
 
 def _ranked(relevance):
@@ -54,6 +60,17 @@ def test_lift_requires_a_relevant_item():
 def test_lift_requires_full_judgments():
     with pytest.raises(ValidationError, match="unjudged"):
         lift_curve(_ranked([True, True]), {"s000": True})
+
+
+@given(st.lists(st.booleans(), min_size=1, max_size=300).filter(any))
+def test_lift_equals_exact_fraction_form(rel):
+    base = Fraction(sum(rel), len(rel))
+    want = []
+    hits = 0
+    for r, relevant in enumerate(rel, start=1):
+        hits += relevant
+        want.append((r, float(Fraction(hits, r) / base)))
+    assert lift_curve(_ranked(rel), _judged(rel)) == want
 
 
 def test_select_threshold():
@@ -210,3 +227,83 @@ def test_parse_judgments():
 
     with pytest.raises(ParseError):
         parse_judgments("q1\tIAPS/1\tmaybe\n")
+
+
+def _per_pair_score_record(measure, term, rec, graph=None, memo=None):
+    """score_record without the memo: one relatedness call per operand."""
+    return score_record(measure, term, rec, graph=graph)
+
+
+@pytest.mark.parametrize("measure", list(Measure))
+def test_memoised_scores_equal_per_pair_scores(measure):
+    g, corpus, queries, _ = generate(11, n_concepts=60, n_stimuli=200,
+                                     n_queries=8)
+    for query in queries:
+        term = query.concept if measure in CONCEPT_MEASURES else query.keyword
+        memo = OperandScores(measure, term, g)
+        for rec in corpus:
+            assert score_record(measure, term, rec, graph=g, memo=memo) == \
+                score_record(measure, term, rec, graph=g)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("measure", list(Measure))
+def test_memoised_report_matches_per_pair_report(seed, measure, monkeypatch):
+    g, corpus, queries, judgments = generate(seed, n_queries=6)
+    cfg = ExperimentConfig(candidate_size=40, seed=seed)
+    args = (corpus, g, queries, judgments, [measure], ["concept", "keyword"],
+            cfg)
+    memoised = report_to_tsv(run_experiment(*args))
+    monkeypatch.setattr(evaluation, "score_record", _per_pair_score_record)
+    assert report_to_tsv(run_experiment(*args)) == memoised
+    assert memoised.splitlines()[1].split("\t")[1] == measure.value
+
+
+def test_run_experiment_one_bfs_per_query(monkeypatch):
+    g, corpus, queries, judgments = generate(4, n_queries=5)
+    calls = []
+    original = TaxonomyGraph.distances_from
+
+    def counting(self, c):
+        calls.append(c)
+        return original(self, c)
+
+    def refuse(self, a, b):
+        raise AssertionError("per-pair BFS in run_experiment")
+
+    monkeypatch.setattr(TaxonomyGraph, "distances_from", counting)
+    monkeypatch.setattr(TaxonomyGraph, "shortest_path", refuse)
+    cfg = ExperimentConfig(candidate_size=40, seed=5)
+    rep = run_experiment(corpus, g, queries, judgments, ["pathlen", "li"],
+                         ["concept"], cfg)
+    assert [row[2] for row in rep.rows] == [5, 5]
+    assert sorted(calls) == sorted([q.concept for q in queries] * 2)
+
+
+def test_run_experiment_unknown_query_concept(monkeypatch):
+    g, corpus, queries, judgments = generate(4, n_queries=2)
+    bad = [evaluation.ExperimentQuery(qid=queries[0].qid, concept="Nowhere",
+                                      keyword=queries[0].keyword)]
+    cfg = ExperimentConfig(candidate_size=40, seed=5)
+    errors = []
+    for scorer in (score_record, _per_pair_score_record):
+        monkeypatch.setattr(evaluation, "score_record", scorer)
+        with pytest.raises(UnknownConceptError) as exc:
+            run_experiment(corpus, g, bad, judgments, ["pathlen"], ["concept"],
+                           cfg)
+        errors.append(str(exc.value))
+    assert errors == ["unknown concept: 'Nowhere'"] * 2
+
+
+@pytest.mark.parametrize(
+    "measures, schemes, match",
+    [
+        (["foo"], ["concept"], "unknown measure 'foo'"),
+        (["pathlen"], ["bogus"], "unknown scheme 'bogus'"),
+    ],
+)
+def test_run_experiment_rejects_unknown_names(measures, schemes, match):
+    g, corpus, queries, judgments = generate(4, n_queries=2)
+    with pytest.raises(ValidationError, match=match):
+        run_experiment(corpus, g, queries, judgments, measures, schemes,
+                       ExperimentConfig())

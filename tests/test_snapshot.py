@@ -47,6 +47,17 @@ def test_manifest_errors(tmp_path):
         parse_manifest(m)
 
 
+def test_manifest_integer_options(tmp_path):
+    m = tmp_path / "m.txt"
+    m.write_text("taxonomy=t.tsv\nseed=-3\nlimit=1\n")
+    manifest = parse_manifest(m)
+    assert (manifest.seed, manifest.limit) == (-3, 1)
+    for bad, line in (("seed=x", 2), ("limit=ten", 2), ("limit=-1", 3)):
+        m.write_text("taxonomy=t.tsv\n" + "seed=4\n" * (line - 2) + bad + "\n")
+        with pytest.raises(ParseError, match=f"line {line}: "):
+            parse_manifest(m)
+
+
 def test_manifest_relative_paths():
     manifest = parse_manifest(PAPER_MANIFEST)
     assert manifest.paths["taxonomy"].is_file()
@@ -129,6 +140,8 @@ BAD_SNAPSHOTS = [
      "'records' holds a non-string item"),
     ("limit not an integer", lambda doc: json.dumps({**doc, "limit": "9"}),
      "'limit' has type str"),
+    ("limit below 1", lambda doc: json.dumps({**doc, "limit": 0}),
+     "'limit' is 0, not >= 1"),
     ("malformed record line", _bad_record("db=X\tid=1\tbogus=3"),
      "records[1]: unknown record field 'bogus'"),
     ("empty record line", _bad_record(""),

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stimkb.errors import CycleError, ParseError, UnknownConceptError
 from stimkb.taxonomy import parse_mapping, parse_taxonomy
@@ -110,6 +111,24 @@ def test_unknown_concept_errors():
         g.shortest_path("Z", "A")
     with pytest.raises(UnknownConceptError):
         g.is_subclass_of("A", "Z")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 60), st.data())
+def test_distances_from_matches_shortest_path_oracle(seed, n_nodes, data):
+    g = random_dag(seed, n_nodes)
+    nodes = sorted(g.concepts)
+    a = data.draw(st.sampled_from(nodes))
+    dist = g.distances_from(a)
+    assert set(dist) == g.concepts
+    for b in nodes:
+        assert dist[b] == oracle_shortest_path(g.parent_edges, a, b)
+
+
+def test_distances_from_unknown_concept():
+    g = parse_taxonomy("A\tB")
+    with pytest.raises(UnknownConceptError, match="unknown concept: 'Z'"):
+        g.distances_from("Z")
 
 
 @pytest.mark.parametrize("seed", range(20))
