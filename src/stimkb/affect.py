@@ -74,7 +74,7 @@ def load_vocabularies(text):
     return vocabs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CategoryAnnotation:
     vocabulary: str
     term: str
@@ -107,7 +107,7 @@ def validate_category(ann, vocabs):
     return problems
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DimensionAnnotation:
     scale_min: float
     scale_max: float
@@ -163,19 +163,19 @@ def normalize_dimension(ann):
     return {name: (v - ann.scale_min) / span for name, v in ann.values()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppraisalAnnotation:
     values: tuple  # ((name, float-in-[0,1]), ...)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionTendencyAnnotation:
     term: str
     confidence_level: str | None = None
     confidence_value: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentimentAnnotation:
     value: float
     confidence_level: str | None = None

@@ -81,14 +81,14 @@ _CONTEXT_NUMBER_TYPES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemanticsAnnotation:
     kind: str  # Object | Scene | Event
     concept: str | None = None
     keyword: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextRecord:
     id: str
     db_name: str
@@ -128,13 +128,13 @@ _CTX_ATTR = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhysiologyRef:
     path: str
     channel: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StimulusRecord:
     db: str
     id: str
@@ -224,12 +224,13 @@ class Corpus:
         self.concept_index = {}
         self.keyword_index = {}
 
-    def add_stimulus(self, rec):
+    def add_stimulus(self, rec, lineno=None):
+        """Validate `rec` against the graph and vocabularies and index it;
+        `lineno`, the record's line in its source file, goes into the
+        error text."""
         problems = validate_stimulus(rec, self.graph, self.vocabs)
         if problems:
-            raise ValidationError(
-                f"record {rec.key}: " + "; ".join(problems), problems=problems
-            )
+            raise _invalid_record(rec, problems, lineno)
         key = rec.key
         if key in self.records:
             raise ValidationError(f"duplicate stimulus key {key}")
@@ -255,6 +256,13 @@ class Corpus:
 
     def __iter__(self):
         return iter(self.records.values())
+
+
+def _invalid_record(rec, problems, lineno):
+    where = f" (line {lineno})" if lineno is not None else ""
+    return ValidationError(
+        f"record {rec.key}{where}: " + "; ".join(problems), problems=problems
+    )
 
 
 def _parse_number(text, kind, what, lineno):
@@ -316,9 +324,17 @@ _CTX_KEYS = {
 }
 
 
-def parse_record_line(line, lineno=None):
+def parse_record_line(line, lineno=None, interned=None):
     """Parse one record line (format in the module docstring); the first
-    malformed token raises ParseError.  Does not validate."""
+    malformed token raises ParseError.  Does not validate.
+
+    `interned` maps ("sem" or "cat", value) to the annotation parsed from
+    it.  Pass one dict to all the lines of a file, so that records with
+    the same `sem=`/`cat=` value share one annotation object; only values
+    that parse are stored.
+    """
+    if interned is None:
+        interned = {}
     db = rid = None
     sems, cats, apps, tends, sents, phys = [], [], [], [], [], []
     dim = {}
@@ -333,7 +349,10 @@ def parse_record_line(line, lineno=None):
         if key == "sem":
             for v in value.split(";"):
                 if v:
-                    sems.append(_parse_sem(v, lineno))
+                    ann = interned.get(("sem", v))
+                    if ann is None:
+                        ann = interned[("sem", v)] = _parse_sem(v, lineno)
+                    sems.append(ann)
         elif key in _DIM_KEYS:
             name = _DIM_KEYS[key]
             dim[name] = _parse_number(value, float, f"dimension {name}", lineno)
@@ -350,7 +369,10 @@ def parse_record_line(line, lineno=None):
         elif key == "cat":
             for v in value.split(";"):
                 if v:
-                    cats.append(_parse_cat(v, lineno))
+                    ann = interned.get(("cat", v))
+                    if ann is None:
+                        ann = interned[("cat", v)] = _parse_cat(v, lineno)
+                    cats.append(ann)
         elif key == "dim.scale":
             lo, sep2, hi = value.partition(":")
             if not sep2:
@@ -422,20 +444,26 @@ def parse_record_line(line, lineno=None):
     )
 
 
-def parse_corpus_records(text, graph=None, vocabs=None):
-    """Parse the record file; every record must validate."""
-    records = []
+def parse_record_file(text):
+    """Parse the record file into (line number, record) pairs.  Does not
+    validate."""
+    interned = {}
+    parsed = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        rec = parse_record_line(line, lineno)
+        parsed.append((lineno, parse_record_line(line, lineno, interned)))
+    return parsed
+
+
+def parse_corpus_records(text, graph=None, vocabs=None):
+    """Parse the record file; every record must validate."""
+    records = []
+    for lineno, rec in parse_record_file(text):
         problems = validate_stimulus(rec, graph, vocabs)
         if problems:
-            raise ValidationError(
-                f"record {rec.key} (line {lineno}): " + "; ".join(problems),
-                problems=problems,
-            )
+            raise _invalid_record(rec, problems, lineno)
         records.append(rec)
     return records
 

@@ -184,9 +184,10 @@ def run_experiment(corpus, graph, queries, judgments, measures, schemes, config)
     resampled up to `config.max_resamples` times, then skipped with a note.
     Each (scheme, measure, query) scores its candidates through one
     OperandScores, so each distinct annotation operand is scored once.
+    A scheme or measure named twice runs once.
     """
-    schemes = sorted(check_scheme(s) for s in schemes)
-    measures = sorted((parse_measure(m) for m in measures), key=lambda m: m.value)
+    schemes = sorted({check_scheme(s) for s in schemes})
+    measures = sorted({parse_measure(m) for m in measures}, key=lambda m: m.value)
     all_keys = sorted(r.key for r in corpus)
     records = {r.key: r for r in corpus}
     rows = []

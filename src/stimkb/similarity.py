@@ -73,9 +73,18 @@ def levenshtein_distance(a, b):
         a, b = b, a
     prev = list(range(len(b) + 1))
     for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        left = i
+        cur = [left]
+        # diag = prev[j - 1], up = prev[j], left = cur[j - 1].
+        for diag, up, cb in zip(prev, prev[1:], b):
+            if ca != cb:
+                diag += 1
+            if up < left:
+                left = up
+            left += 1
+            if diag < left:
+                left = diag
+            cur.append(left)
         prev = cur
     return prev[-1]
 

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stimkb.cli import main
 
@@ -174,6 +177,20 @@ def test_eval_writes_report_file(snapshot, workspace, capsys):
     assert len([l for l in lines[1:] if l and not l.startswith("#")]) == 4
 
 
+def test_eval_repeated_names_run_once(snapshot, workspace, capsys):
+    queries, judgments = _eval_files(workspace)
+    base = ["eval", "--snapshot", str(snapshot), "--queries", str(queries),
+            "--judgments", str(judgments), "--seed", "7", "--candidates", "4"]
+    assert main(base + ["--measures", "pathlen", "--schemes", "concept"]) == 0
+    once = capsys.readouterr().out
+    assert main(base + ["--measures", "pathlen,PathLen",
+                        "--schemes", "concept,concept"]) == 0
+    twice = capsys.readouterr().out
+    assert twice == once
+    rows = [l for l in twice.splitlines()[1:] if not l.startswith("#")]
+    assert len(rows) == 1 and rows[0].startswith("concept\tpathlen\t")
+
+
 def test_explicit_limit_beats_snapshot_limit(workspace, capsys):
     with open(workspace / "manifest.txt", "a") as f:
         f.write("limit=2\n")
@@ -292,3 +309,129 @@ def test_ingest_bad_manifest_option_exits_2(option, message, workspace, capsys):
     assert rc == 2
     assert err == f"error: {message}\n"
     assert not (workspace / "snap.json").exists()
+
+
+# --- Fuzzing: whatever the query or the snapshot, main() ends with a
+# documented exit code (0, 2, 3 or 4), or argparse's usage exit 2.
+
+DOCUMENTED_EXITS = (0, 2, 3, 4)
+
+
+@pytest.fixture(scope="module")
+def fuzz_snapshot(tmp_path_factory):
+    snap = tmp_path_factory.mktemp("fuzz") / "snap.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["ingest", "--manifest", str(FIXTURES / "manifest.txt"),
+                   "--snapshot", str(snap)])
+    assert rc == 0
+    return snap
+
+
+def _exit_code(argv):
+    """main's return value, or the code of the SystemExit argparse raises
+    for a usage error; any other exception propagates and fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            return main(argv)
+        except SystemExit as e:
+            assert e.code == 2, err.getvalue()
+            assert err.getvalue().startswith("usage: ")
+            return e.code
+
+
+CLAUSE_KEYS = st.sampled_from([
+    "concept", "keyword", "category", "db", "measure", "mode", "limit",
+    "valence", "arousal", "dominance", "potency", "colour", "",
+])
+CLAUSE_VALUES = st.sampled_from([
+    "Human", "GroupOfPeople", "Entity", "Nowhere", "Crowd", "Parachute",
+    '"winter street"', '""', "BigSix.happiness", "FSRECategory.anger",
+    "Big.", "IAPS", "IADS", "filter", "rank", "pathlen", "lch", "li",
+    "wupalmer", "inclusion", "levenshtein", "LI", "[1,9]", "[9,1]",
+    "[nan,inf]", "[-inf,1e308]", "[1,", "0", "1", "-1",
+    "99999999999999999999", "1.5", "x", "é", "",
+])
+# Clauses that parse on their own, so that queries also reach the filter
+# and rank code.
+GOOD_CLAUSES = st.sampled_from([
+    ("concept", "Human"), ("concept", "GroupOfPeople"), ("concept", "Entity"),
+    ("keyword", "Crowd"), ("keyword", '"winter street"'), ("keyword", "tra"),
+    ("category", "BigSix.happiness"), ("category", "FSRECategory.anger"),
+    ("db", "IAPS"), ("db", "IADS"), ("mode", "filter"), ("mode", "rank"),
+    ("measure", "pathlen"), ("measure", "lch"), ("measure", "li"),
+    ("measure", "wupalmer"), ("measure", "inclusion"),
+    ("measure", "levenshtein"), ("limit", "1"), ("limit", "3"),
+    ("valence", "[1,9]"), ("valence", "[5,7.5]"), ("arousal", "[6,7]"),
+])
+
+
+def _query_text(clauses):
+    return " ".join(f"{k}:{v}" for k, v in clauses)
+
+
+QUERIES = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.tuples(CLAUSE_KEYS, CLAUSE_VALUES), max_size=5).map(_query_text),
+    st.lists(GOOD_CLAUSES, min_size=1, max_size=4,
+             unique_by=lambda kv: kv[0]).map(_query_text),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(query=QUERIES, fmt=st.sampled_from(["tsv", "json"]))
+def test_fuzzed_query_exits_with_a_documented_code(fuzz_snapshot, query, fmt):
+    argv = ["query", "--snapshot", str(fuzz_snapshot), "--format", fmt, query]
+    assert _exit_code(argv) in DOCUMENTED_EXITS
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+SPLICE_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from(list("\t\n;=:.@,# -")), st.characters()),
+    max_size=12,
+)
+
+
+@st.composite
+def mutated_snapshots(draw, text):
+    """The text of a snapshot with one edit: truncated, a top-level key
+    dropped, a top-level value or one record replaced by any JSON value,
+    or a splice into one of its text inputs or records."""
+    kind = draw(st.sampled_from(["truncate", "drop", "replace", "record",
+                                 "splice"]))
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    doc = json.loads(text)
+    if kind == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "replace":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JSON_VALUES)
+    elif kind == "record":
+        doc["records"][draw(st.integers(0, 3))] = draw(JSON_VALUES)
+    else:
+        holder, key = draw(st.sampled_from(
+            [(doc["records"], i) for i in range(4)]
+            + [(doc, k) for k in ("taxonomy", "mapping", "vocabularies",
+                                  "axioms")]))
+        old = holder[key]
+        pos = draw(st.integers(0, len(old)))
+        cut = draw(st.integers(0, 8))
+        holder[key] = old[:pos] + draw(SPLICE_TEXT) + old[pos + cut:]
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_snapshot_exits_with_a_documented_code(fuzz_snapshot, data):
+    bad = fuzz_snapshot.with_name("mutated.json")
+    bad.write_text(data.draw(mutated_snapshots(fuzz_snapshot.read_text())))
+    for command in (["stats"], ["query", "concept:Human"],
+                    ["query", "category:FSRECategory.anger mode:filter"]):
+        argv = command[:1] + ["--snapshot", str(bad)] + command[1:]
+        assert _exit_code(argv) in DOCUMENTED_EXITS

@@ -1,3 +1,4 @@
+import dataclasses
 import string
 
 import pytest
@@ -278,6 +279,46 @@ def test_malformed_record_line_error_text(line, message):
     with pytest.raises(ParseError) as exc:
         parse_record_line(line)
     assert str(exc.value) == message
+
+
+def test_interned_annotations_are_shared_per_field_and_value():
+    interned = {}
+    # The same text is both a valid `sem=` and a valid `cat=` value.
+    line = "db=X\tid={}\tsem=K:concept:A.b\tcat=K:concept:A.b"
+    first = parse_record_line(line.format(1), 1, interned)
+    second = parse_record_line(line.format(2), 2, interned)
+    assert first.semantics == (SemanticsAnnotation("K", concept="A.b"),)
+    assert first.categories == (CategoryAnnotation("K:concept:A", "b"),)
+    assert second.semantics[0] is first.semantics[0]
+    assert second.categories[0] is first.categories[0]
+    assert parse_record_line(line.format(2), 2) == second
+
+
+def test_record_classes_are_slotted_and_frozen(paper_workspace):
+    rec = paper_workspace.corpus.get_stimulus("IAPS/8163")
+    objects = [rec, rec.semantics[0], rec.categories[0], rec.dimensions,
+               rec.context, rec.physiology[0],
+               AppraisalAnnotation((("pleasantness", 0.5),)),
+               ActionTendencyAnnotation("approach"), SentimentAnnotation(0.5)]
+    for obj in objects:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, dataclasses.fields(obj)[0].name, None)
+        copy = dataclasses.replace(obj)
+        assert copy == obj and hash(copy) == hash(obj) and copy is not obj
+    assert repr(rec.physiology[0]) == (
+        "PhysiologyRef(path='http://www.foo.com/subject1_hr', channel='HR')"
+    )
+
+
+def test_bad_annotation_raises_on_every_line_that_has_it():
+    interned = {}
+    for lineno in (4, 9):
+        for bad in ("sem=Object:idea:x", "cat=NoDot@level=High"):
+            with pytest.raises(ParseError) as exc:
+                parse_record_line(f"db=X\tid=1\t{bad}", lineno, interned)
+            assert exc.value.line == lineno
+    assert interned == {}
 
 
 # Round trip of serialize_record through parse_record_line.  Text avoids

@@ -56,6 +56,18 @@ def test_levenshtein_matches_exhaustive_recursion(seed):
     assert levenshtein_distance(a, b) == oracle_edit_distance(a, b)
 
 
+# Mixed case and non-ASCII letters, including ones that casefold to
+# several characters; the distance itself compares code points as given.
+_EDIT_ALPHABET = "aAbBéÉßẞ漢 "
+
+
+@given(st.text(alphabet=_EDIT_ALPHABET, max_size=6),
+       st.text(alphabet=_EDIT_ALPHABET, max_size=6))
+def test_levenshtein_matches_oracle_on_mixed_text(a, b):
+    assert levenshtein_distance(a, b) == oracle_edit_distance(a, b)
+    assert levenshtein_distance(b, a) == oracle_edit_distance(a, b)
+
+
 def _chain(n):
     return parse_taxonomy("\n".join(f"C{i}\tC{i-1}" for i in range(1, n)))
 

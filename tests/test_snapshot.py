@@ -1,12 +1,20 @@
+import gc
 import json
+import shutil
+from dataclasses import replace
 
 import pytest
 
 import stimkb.corpus
 import stimkb.snapshot
-from stimkb.affect import build_equivalence_closure, load_vocabularies
+from stimkb.affect import (
+    CategoryAnnotation,
+    build_equivalence_closure,
+    load_vocabularies,
+)
 from stimkb.cli import main
-from stimkb.errors import ParseError, SnapshotError, StimKbError
+from stimkb.corpus import serialize_records
+from stimkb.errors import ParseError, SnapshotError, StimKbError, ValidationError
 from stimkb.snapshot import (
     Workspace,
     build_workspace,
@@ -78,6 +86,21 @@ def _synthetic_workspace():
     )
 
 
+def _count_validations(monkeypatch):
+    """Record the key of every validate_stimulus call; each call must
+    still check against the graph and the vocabularies."""
+    validated = []
+    validate = stimkb.corpus.validate_stimulus
+
+    def counting_validate(rec, graph=None, vocabs=None):
+        assert graph is not None and vocabs is not None
+        validated.append(rec.key)
+        return validate(rec, graph, vocabs)
+
+    monkeypatch.setattr(stimkb.corpus, "validate_stimulus", counting_validate)
+    return validated
+
+
 @pytest.mark.parametrize("which", ["paper", "synthetic"])
 def test_load_parses_and_validates_each_record_once(
     which, tmp_path, monkeypatch, paper_workspace
@@ -86,19 +109,10 @@ def test_load_parses_and_validates_each_record_once(
     snap = tmp_path / "snap.json"
     save_snapshot(ws, snap)
 
-    validated = []
-    validate = stimkb.corpus.validate_stimulus
-
-    def counting_validate(rec, graph=None, vocabs=None):
-        # The one call still checks against the graph and the vocabularies.
-        assert graph is not None and vocabs is not None
-        validated.append(rec.key)
-        return validate(rec, graph, vocabs)
-
     def no_bulk_parser(*args, **kwargs):
         raise AssertionError("load_snapshot must not use parse_corpus_records")
 
-    monkeypatch.setattr(stimkb.corpus, "validate_stimulus", counting_validate)
+    validated = _count_validations(monkeypatch)
     monkeypatch.setattr(stimkb.snapshot, "parse_corpus_records", no_bulk_parser)
     loaded = load_snapshot(snap)
 
@@ -174,3 +188,102 @@ def test_bad_snapshot_exits_3_naming_file(
     assert rc == 3
     assert err.startswith(f"error: bad snapshot {bad}: ")
     assert message in err
+
+
+def _synthetic_manifest(tmp_path):
+    """A manifest workspace whose records file holds a `synthetic.generate`
+    corpus, each record given one of a few BigSix categories."""
+    graph, corpus, _, _ = generate(6, n_concepts=40, n_stimuli=300)
+    terms = ("anger", "fear", "happiness")
+    records = [
+        replace(rec, categories=(
+            CategoryAnnotation("BigSix", terms[i % 3], "High" if i % 2 else None),
+        ))
+        for i, rec in enumerate(corpus)
+    ]
+    (tmp_path / "taxonomy.tsv").write_text(graph.serialize())
+    (tmp_path / "records.tsv").write_text(
+        "# synthetic records\n" + serialize_records(records)
+    )
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("taxonomy=taxonomy.tsv\nrecords=records.tsv\nseed=6\n")
+    return manifest
+
+
+@pytest.mark.parametrize("which", ["paper", "synthetic"])
+def test_ingest_validates_each_record_once(which, tmp_path, monkeypatch):
+    manifest = PAPER_MANIFEST if which == "paper" else _synthetic_manifest(tmp_path)
+    validated = _count_validations(monkeypatch)
+    ws = build_workspace(parse_manifest(manifest))
+    assert sorted(validated) == sorted(r.key for r in ws.corpus)
+    assert len(validated) == len(set(validated))
+
+
+def test_ingest_invalid_record_names_its_line(tmp_path, paper_graph):
+    for f in PAPER_MANIFEST.parent.iterdir():
+        shutil.copy(f, tmp_path / f.name)
+    records = tmp_path / "records.tsv"
+    lines = records.read_text().splitlines()
+    lines.append("db=IAPS\tid=666\tsem=Object:concept:NoSuch")
+    records.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError) as exc:
+        build_workspace(parse_manifest(tmp_path / "manifest.txt"))
+    assert str(exc.value) == (
+        f"record IAPS/666 (line {len(lines)}): unknown concept 'NoSuch'"
+    )
+    with pytest.raises(ValidationError) as direct:
+        stimkb.corpus.parse_corpus_records(
+            records.read_text(), paper_graph, load_vocabularies("")
+        )
+    assert str(direct.value) == str(exc.value)
+
+
+def _built_and_loaded(tmp_path):
+    built = build_workspace(parse_manifest(_synthetic_manifest(tmp_path)))
+    snap = tmp_path / "snap.json"
+    save_snapshot(built, snap)
+    return built, load_snapshot(snap)
+
+
+def test_load_equals_build_workspace(tmp_path):
+    built, loaded = _built_and_loaded(tmp_path)
+    assert list(loaded.corpus) == list(built.corpus)
+    assert loaded.corpus.concept_index == built.corpus.concept_index
+    assert loaded.corpus.keyword_index == built.corpus.keyword_index
+    assert loaded.graph.parent_edges == built.graph.parent_edges
+    assert loaded.vocabs == built.vocabs
+    assert loaded.closure.classes() == built.closure.classes()
+    assert (loaded.unmapped_keywords, loaded.seed, loaded.measure, loaded.limit) == (
+        built.unmapped_keywords, built.seed, built.measure, built.limit)
+
+
+def test_loaded_records_share_one_annotation_per_token(tmp_path):
+    _, loaded = _built_and_loaded(tmp_path)
+    objects = {}
+    for rec in loaded.corpus:
+        for ann in rec.semantics + rec.categories:
+            objects.setdefault((type(ann), ann), set()).add(id(ann))
+    assert all(len(ids) == 1 for ids in objects.values())
+    # Records do share them: fewer annotation objects than annotations.
+    n_annotations = sum(
+        len(r.semantics) + len(r.categories) for r in loaded.corpus
+    )
+    assert len(objects) < n_annotations / 2
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_restores_the_collector_state(enabled, tmp_path, paper_workspace):
+    doc = _snapshot_doc(paper_workspace, tmp_path)
+    good = tmp_path / "good.json"
+    bad = tmp_path / "bad.json"
+    bad.write_text(_bad_record("db=X\tid=1\tbogus=3")(doc))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        load_snapshot(good)
+        assert gc.isenabled() is enabled
+        with pytest.raises(SnapshotError):
+            load_snapshot(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
