@@ -7,7 +7,8 @@ with explicit scale bounds; normalization to [0, 1] is a separate step.
 Cross-vocabulary equivalence exists only where an explicit axiom states it.
 """
 
-from dataclasses import dataclass
+import inspect
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import ParseError, ValidationError
 
@@ -28,6 +29,58 @@ DIMENSION_NAMES = (
     "intensity",
 )
 DIMENSION_SD_NAMES = ("valenceSD", "arousalSD", "dominanceSD")
+
+
+def fast_init(cls):
+    """Give a `@dataclass(frozen=True, slots=True)` class a faster
+    `__init__` with the same signature and defaults.
+
+    A frozen dataclass sets each field, defaults included, through
+    `object.__setattr__`, found by name on every call.  This `__init__`
+    calls each slot's descriptor `__set__`, bound once here, which skips
+    the frozen `__setattr__` the same way.  Everything else the dataclass
+    generated (equality, hashing, `repr`, `replace`) is kept.  Raises
+    TypeError for a class this `__init__` would not match: not frozen and
+    slotted, a `__post_init__`, or a field that is init-only, keyword-only,
+    left out of `__init__` or given a `default_factory`.
+    """
+    flds = fields(cls)  # TypeError when cls is not a dataclass
+    init_names = list(inspect.signature(cls.__init__).parameters)[1:]
+    if not cls.__dataclass_params__.frozen or "__slots__" not in cls.__dict__:
+        problem = "is not frozen and slotted"
+    elif hasattr(cls, "__post_init__"):
+        problem = "has a __post_init__"
+    elif init_names != [f.name for f in flds]:
+        problem = "has an init-only field or a field left out of __init__"
+    elif any(f.kw_only or f.default_factory is not MISSING for f in flds):
+        problem = "has a keyword-only field or a default_factory"
+    else:
+        problem = None
+    if problem is not None:
+        raise TypeError(f"fast_init: {cls.__qualname__} {problem}")
+
+    env = {}
+    args = []
+    for f in flds:
+        env[f"__set_{f.name}"] = cls.__dict__[f.name].__set__
+        if f.default is MISSING:
+            args.append(f.name)
+        else:
+            env[f"__default_{f.name}"] = f.default
+            args.append(f"{f.name}=__default_{f.name}")
+    body = "".join(f"  __set_{f.name}(self, {f.name})\n" for f in flds)
+    source = (
+        f"def __make_init__({', '.join(env)}):\n"
+        f" def __init__(self, {', '.join(args)}):\n{body}"
+        f" return __init__\n"
+    )
+    namespace = {}
+    exec(source, namespace)
+    init = namespace["__make_init__"](**env)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = dict(cls.__init__.__annotations__)
+    cls.__init__ = init
+    return cls
 
 
 @dataclass(frozen=True)
@@ -107,6 +160,7 @@ def validate_category(ann, vocabs):
     return problems
 
 
+@fast_init
 @dataclass(frozen=True, slots=True)
 class DimensionAnnotation:
     scale_min: float
@@ -124,12 +178,16 @@ class DimensionAnnotation:
     confidence_value: float | None = None
 
     def values(self):
-        """Present (name, value) pairs in declaration order."""
-        return [
-            (name, getattr(self, name))
-            for name in DIMENSION_NAMES
-            if getattr(self, name) is not None
-        ]
+        """Present (name, value) pairs in DIMENSION_NAMES order."""
+        pairs = (
+            ("valence", self.valence),
+            ("arousal", self.arousal),
+            ("dominance", self.dominance),
+            ("potency", self.potency),
+            ("unpredictability", self.unpredictability),
+            ("intensity", self.intensity),
+        )
+        return [pair for pair in pairs if pair[1] is not None]
 
 
 def validate_dimension(ann):
@@ -147,8 +205,12 @@ def validate_dimension(ann):
             problems.append(
                 f"{name}={v} outside scale [{ann.scale_min}, {ann.scale_max}]"
             )
-    for name in DIMENSION_SD_NAMES:
-        sd = getattr(ann, name)
+    sds = (
+        ("valenceSD", ann.valenceSD),
+        ("arousalSD", ann.arousalSD),
+        ("dominanceSD", ann.dominanceSD),
+    )
+    for name, sd in sds:
         if sd is not None and sd < 0:
             problems.append(f"{name}={sd} is negative")
     _check_confidence(ann, problems)

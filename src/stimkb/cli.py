@@ -78,11 +78,16 @@ def _query_output(ws, q, fmt):
     return "".join(lines)
 
 
+def _default_limit(ws):
+    """The result cap of a query with no `limit:` clause: the manifest's
+    `limit` when it sets one."""
+    return ws.limit if ws.limit is not None else retrieval.DEFAULT_LIMIT
+
+
 def _cmd_query(args):
     ws = load_snapshot(args.snapshot)
-    default_limit = ws.limit if ws.limit is not None else retrieval.DEFAULT_LIMIT
     try:
-        q = retrieval.parse_query(args.query, default_limit)
+        q = retrieval.parse_query(args.query, _default_limit(ws))
     except QueryError as e:
         caret = ""
         if e.position is not None:
@@ -139,7 +144,7 @@ def _cmd_eval(args):
 
 def _cmd_sequence(args):
     ws = load_snapshot(args.snapshot)
-    q = retrieval.parse_query(args.query)
+    q = retrieval.parse_query(args.query, _default_limit(ws))
     result = retrieval.ranked_query(ws.corpus, ws.graph, q, ws.closure)
     seq = seqmod.build_sequence(
         result,
@@ -165,14 +170,9 @@ def _cmd_sequence(args):
 
 def _cmd_stats(args):
     ws = load_snapshot(args.snapshot)
-    concepts = set()
-    keywords = set()
-    for rec in ws.corpus:
-        concepts.update(rec.concepts())
-        keywords.update(rec.keywords())
     print(f"{len(ws.corpus)} records")
-    print(f"{len(keywords)} distinct keywords")
-    print(f"{len(concepts)} distinct concepts")
+    print(f"{len(ws.corpus.keyword_index)} distinct keywords")
+    print(f"{len(ws.corpus.concept_index)} distinct concepts")
     print(f"{len(ws.graph.concepts)} taxonomy concepts, max depth "
           f"{ws.graph.max_depth}")
     return EXIT_OK

@@ -24,7 +24,7 @@ Legacy table format: TSV with header
 the 1..9 scale.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .affect import (
     DIMENSION_NAMES,
@@ -34,6 +34,7 @@ from .affect import (
     CategoryAnnotation,
     DimensionAnnotation,
     SentimentAnnotation,
+    fast_init,
     validate_category,
     validate_dimension,
     validate_unit_interval,
@@ -88,6 +89,7 @@ class SemanticsAnnotation:
     keyword: str | None = None
 
 
+@fast_init
 @dataclass(frozen=True, slots=True)
 class ContextRecord:
     id: str
@@ -128,12 +130,14 @@ _CTX_ATTR = {
 }
 
 
+@fast_init
 @dataclass(frozen=True, slots=True)
 class PhysiologyRef:
     path: str
     channel: str | None = None
 
 
+@fast_init
 @dataclass(frozen=True, slots=True)
 class StimulusRecord:
     db: str
@@ -204,10 +208,16 @@ def validate_stimulus(rec, graph=None, vocabs=None):
         if not phy.path:
             problems.append("physiology reference with empty path")
 
-    if rec.context is not None:
-        for attr in ("width_px", "height_px", "size_bytes", "color_depth_bits",
-                     "length_seconds"):
-            v = getattr(rec.context, attr)
+    ctx = rec.context
+    if ctx is not None:
+        numbers = (
+            ("width_px", ctx.width_px),
+            ("height_px", ctx.height_px),
+            ("size_bytes", ctx.size_bytes),
+            ("color_depth_bits", ctx.color_depth_bits),
+            ("length_seconds", ctx.length_seconds),
+        )
+        for attr, v in numbers:
             if v is not None and v < 0:
                 problems.append(f"context {attr}={v} is negative")
     return problems
@@ -235,10 +245,11 @@ class Corpus:
         if key in self.records:
             raise ValidationError(f"duplicate stimulus key {key}")
         self.records[key] = rec
-        for c in rec.concepts():
-            self.concept_index.setdefault(c, set()).add(key)
-        for k in rec.keywords():
-            self.keyword_index.setdefault(k, set()).add(key)
+        for sem in rec.semantics:
+            if sem.concept:
+                self.concept_index.setdefault(sem.concept, set()).add(key)
+            if sem.keyword:
+                self.keyword_index.setdefault(sem.keyword.casefold(), set()).add(key)
 
     def get_stimulus(self, key):
         if key not in self.records:
@@ -315,11 +326,13 @@ def _parse_cat(value, lineno):
 
 
 # Exact-key dispatch for parse_record_line.  `dim.*` keys map to the
-# DimensionAnnotation field; `ctx.*` keys to the ContextRecord attribute
-# and its number type (None for text).
+# DimensionAnnotation field; `ctx.*` keys to the position of the
+# ContextRecord field among those after id and db_name, and its number
+# type (None for text).
 _DIM_KEYS = {f"dim.{name}": name for name in DIMENSION_NAMES + DIMENSION_SD_NAMES}
+_CTX_ORDER = [f.name for f in fields(ContextRecord)[2:]]
 _CTX_KEYS = {
-    f"ctx.{wire}": (attr, _CONTEXT_NUMBER_TYPES.get(wire))
+    f"ctx.{wire}": (_CTX_ORDER.index(attr), _CONTEXT_NUMBER_TYPES.get(wire))
     for wire, attr in _CTX_ATTR.items()
 }
 
@@ -338,7 +351,7 @@ def parse_record_line(line, lineno=None, interned=None):
     db = rid = None
     sems, cats, apps, tends, sents, phys = [], [], [], [], [], []
     dim = {}
-    ctx = {}
+    ctx = [None] * len(_CTX_ORDER)
     has_ctx = False
     for token in line.split("\t"):
         key, sep, value = token.partition("=")
@@ -357,9 +370,9 @@ def parse_record_line(line, lineno=None, interned=None):
             name = _DIM_KEYS[key]
             dim[name] = _parse_number(value, float, f"dimension {name}", lineno)
         elif key in _CTX_KEYS:
-            attr, kind = _CTX_KEYS[key]
+            i, kind = _CTX_KEYS[key]
             has_ctx = True
-            ctx[attr] = value if kind is None else _parse_number(
+            ctx[i] = value if kind is None else _parse_number(
                 value, kind, key[4:], lineno
             )
         elif key == "db":
@@ -430,17 +443,18 @@ def parse_record_line(line, lineno=None, interned=None):
             )
         dimensions = DimensionAnnotation(**dim)
 
+    # Positional arguments, in field order: cheaper than keywords.
     return StimulusRecord(
-        db=db,
-        id=rid,
-        semantics=tuple(sems),
-        categories=tuple(cats),
-        dimensions=dimensions,
-        appraisals=(AppraisalAnnotation(tuple(apps)),) if apps else (),
-        action_tendencies=tuple(tends),
-        sentiments=tuple(sents),
-        context=ContextRecord(id=rid, db_name=db, **ctx) if has_ctx else None,
-        physiology=tuple(phys),
+        db,
+        rid,
+        tuple(sems),
+        tuple(cats),
+        dimensions,
+        (AppraisalAnnotation(tuple(apps)),) if apps else (),
+        tuple(tends),
+        tuple(sents),
+        ContextRecord(rid, db, *ctx) if has_ctx else None,
+        tuple(phys),
     )
 
 

@@ -245,8 +245,10 @@ def load_snapshot(path):
 
     Each record line is parsed once and validated once, by
     Corpus.add_stimulus; records with the same `sem=`/`cat=` value share
-    one annotation object.  A snapshot that is not JSON, has the wrong
-    structure or holds a bad input raises SnapshotError naming the file.
+    one annotation object.  After a good load, every object then alive is
+    frozen out of the cyclic garbage collector (`gc.freeze`).  A snapshot
+    that is not JSON, has the wrong structure or holds a bad input raises
+    SnapshotError naming the file.
     """
     path = Path(path)
     if not path.is_file():
@@ -272,7 +274,9 @@ def load_snapshot(path):
     parse_record_line = corpus_module.parse_record_line
     interned = {}
     # The records hold no reference cycles, so the cyclic collector would
-    # only rescan them as they pile up.
+    # only rescan them: paused while they pile up, and once they are all
+    # built, moved to the permanent generation, which no collection scans.
+    # Refcounting alone still frees the workspace when it is dropped.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -280,6 +284,8 @@ def load_snapshot(path):
             corpus.add_stimulus(parse_record_line(line, interned=interned))
     except StimKbError as e:
         raise SnapshotError(f"bad snapshot {path}: records[{i}]: {e}") from e
+    else:
+        gc.freeze()
     finally:
         if gc_was_enabled:
             gc.enable()

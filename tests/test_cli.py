@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stimkb.affect import build_equivalence_closure, load_vocabularies
 from stimkb.cli import main
+from stimkb.snapshot import Workspace, save_snapshot
+from stimkb.synthetic import generate
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "paper"
 
@@ -205,6 +208,46 @@ def test_explicit_limit_beats_snapshot_limit(workspace, capsys):
         counts[query] = len(capsys.readouterr().out.splitlines())
     assert counts == {"concept:Human": 2, "concept:Human limit:100": 4,
                       "concept:Human limit:1": 1}
+
+
+def test_sequence_uses_the_snapshot_limit(workspace, capsys):
+    with open(workspace / "manifest.txt", "a") as f:
+        f.write("limit=2\n")
+    snap = workspace / "snap.json"
+    assert main(["ingest", "--manifest", str(workspace / "manifest.txt"),
+                 "--snapshot", str(snap)]) == 0
+    capsys.readouterr()
+    assert main(["query", "--snapshot", str(snap), "concept:Object mode:rank"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+    def sequence(count, query):
+        return main(["sequence", "--snapshot", str(snap), "--count", str(count),
+                     "--duration", "100", "--out-prefix",
+                     str(workspace / "seq"), query])
+
+    assert sequence(3, "concept:Object mode:rank") == 3
+    assert "requested 3 items but only 2 results" in capsys.readouterr().err
+    for count, query in ((2, "concept:Object mode:rank"),
+                         (3, "concept:Object mode:rank limit:3")):
+        assert sequence(count, query) == 0
+        assert capsys.readouterr().out.startswith(f"{count} items, ")
+
+
+def test_stats_counts_match_the_records(tmp_path, capsys):
+    graph, corpus, _, _ = generate(7, n_concepts=40, n_stimuli=300)
+    ws = Workspace(graph=graph, mapping=None, vocabs=load_vocabularies(""),
+                   closure=build_equivalence_closure([]), corpus=corpus,
+                   unmapped_keywords=[])
+    snap = tmp_path / "snap.json"
+    save_snapshot(ws, snap)
+    assert main(["stats", "--snapshot", str(snap)]) == 0
+    concepts = {c for rec in corpus for c in rec.concepts()}
+    keywords = {k for rec in corpus for k in rec.keywords()}
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        f"{len(corpus)} records",
+        f"{len(keywords)} distinct keywords",
+        f"{len(concepts)} distinct concepts",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import string
 
 import pytest
@@ -11,6 +12,7 @@ from stimkb.affect import (
     AppraisalAnnotation,
     CategoryAnnotation,
     SentimentAnnotation,
+    fast_init,
     load_vocabularies,
 )
 from stimkb.corpus import (
@@ -309,6 +311,77 @@ def test_record_classes_are_slotted_and_frozen(paper_workspace):
     assert repr(rec.physiology[0]) == (
         "PhysiologyRef(path='http://www.foo.com/subject1_hr', channel='HR')"
     )
+
+
+def _plain_twin(cls):
+    """A plain `@dataclass(frozen=True, slots=True)` with the fields of
+    `cls`, built by the dataclass `__init__`."""
+    return dataclasses.make_dataclass(
+        cls.__name__,
+        [(f.name, f.type, dataclasses.field(default=f.default))
+         for f in dataclasses.fields(cls)],
+        frozen=True,
+        slots=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "cls", [StimulusRecord, ContextRecord, PhysiologyRef, DimensionAnnotation],
+    ids=lambda cls: cls.__name__,
+)
+def test_fast_init_matches_a_plain_dataclass(cls):
+    twin = _plain_twin(cls)
+    assert inspect.signature(cls) == inspect.signature(twin)
+    names = [f.name for f in dataclasses.fields(cls)]
+    required = sum(f.default is dataclasses.MISSING for f in dataclasses.fields(cls))
+    values = [f"v{i}" for i in range(len(names))]
+
+    def state(obj):
+        return [getattr(obj, name) for name in names]
+
+    calls = [
+        (values, {}),
+        ((), dict(zip(names, values))),
+        (values[:required], {}),
+        (values[:required], {names[-1]: "last"}),
+    ]
+    for args, kwargs in calls:
+        obj, plain = cls(*args, **kwargs), twin(*args, **kwargs)
+        assert state(obj) == state(plain)
+        assert repr(obj) == repr(plain) and hash(obj) == hash(plain)
+        assert obj == cls(*args, **kwargs)
+        assert obj != dataclasses.replace(obj, **{names[0]: "other"})
+        assert state(dataclasses.replace(obj, **{names[-1]: "new"})) == state(
+            dataclasses.replace(plain, **{names[-1]: "new"}))
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, names[0], "x")
+    for args, kwargs in [(values[:required - 1], {}), (values + ["extra"], {}),
+                         (values[:required], {"nosuch": 1})]:
+        for make in (cls, twin):
+            with pytest.raises(TypeError):
+                make(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "fields, options",
+    [
+        ([("x", list, dataclasses.field(default_factory=list))], {}),
+        ([("x", int, dataclasses.field(default=0, init=False))], {}),
+        ([("x", int), ("y", dataclasses.InitVar[int])], {}),
+        ([("x", int, dataclasses.field(kw_only=True))], {}),
+        ([("x", int)], {"namespace": {"__post_init__": lambda self: None}}),
+        ([("x", int)], {"frozen": False}),
+        ([("x", int)], {"slots": False}),
+    ],
+    ids=["default_factory", "init_false", "initvar", "kw_only", "post_init",
+         "not_frozen", "not_slotted"],
+)
+def test_fast_init_rejects_a_class_it_cannot_match(fields, options):
+    options = {"frozen": True, "slots": True, **options}
+    cls = dataclasses.make_dataclass("C", fields, **options)
+    with pytest.raises(TypeError, match="fast_init: C "):
+        fast_init(cls)
 
 
 def test_bad_annotation_raises_on_every_line_that_has_it():

@@ -1,6 +1,7 @@
 import gc
 import json
 import shutil
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -287,3 +288,45 @@ def test_load_restores_the_collector_state(enabled, tmp_path, paper_workspace):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_good_load_freezes_the_workspace(enabled, tmp_path):
+    ws = _synthetic_workspace()
+    good = tmp_path / "good.json"
+    save_snapshot(ws, good)
+    doc = json.loads(good.read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(_bad_record("db=X\tid=1\tbogus=3")(doc))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        before = gc.get_freeze_count()
+        with pytest.raises(SnapshotError):
+            load_snapshot(bad)
+        assert gc.get_freeze_count() == before
+        assert gc.isenabled() is enabled
+        loaded = load_snapshot(good)
+        assert gc.get_freeze_count() - before >= len(loaded.corpus) == len(ws.corpus)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_loaded_workspace_is_freed_by_refcounting(tmp_path, paper_workspace):
+    # Frozen objects are never collected, so a reference cycle in a loaded
+    # workspace would leak it.
+    snap = tmp_path / "snap.json"
+    save_snapshot(paper_workspace, snap)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        loaded = load_snapshot(snap)
+        refs = [weakref.ref(obj) for obj in (
+            loaded, loaded.corpus, loaded.graph, loaded.mapping, loaded.closure,
+        )]
+        del loaded
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if was_enabled:
+            gc.enable()
