@@ -78,22 +78,16 @@ def _query_output(ws, q, fmt):
     return "".join(lines)
 
 
-def _default_limit(ws):
-    """The result cap of a query with no `limit:` clause: the manifest's
-    `limit` when it sets one."""
-    return ws.limit if ws.limit is not None else retrieval.DEFAULT_LIMIT
+def _load_query(args):
+    """Load the snapshot and parse the command's query; a query with no
+    `limit:` clause gets the manifest's `limit` when it sets one."""
+    ws = load_snapshot(args.snapshot)
+    limit = ws.limit if ws.limit is not None else retrieval.DEFAULT_LIMIT
+    return ws, retrieval.parse_query(args.query, limit)
 
 
 def _cmd_query(args):
-    ws = load_snapshot(args.snapshot)
-    try:
-        q = retrieval.parse_query(args.query, _default_limit(ws))
-    except QueryError as e:
-        caret = ""
-        if e.position is not None:
-            caret = "\n" + args.query + "\n" + " " * e.position + "^"
-        print(f"query error: {e}{caret}", file=sys.stderr)
-        return EXIT_USAGE
+    ws, q = _load_query(args)
     sys.stdout.write(_query_output(ws, q, args.format))
     return EXIT_OK
 
@@ -143,8 +137,9 @@ def _cmd_eval(args):
 
 
 def _cmd_sequence(args):
-    ws = load_snapshot(args.snapshot)
-    q = retrieval.parse_query(args.query, _default_limit(ws))
+    ws, q = _load_query(args)
+    if q.mode != retrieval.MODE_RANK:
+        raise QueryError("sequence needs a rank-mode query, not mode:filter")
     result = retrieval.ranked_query(ws.corpus, ws.graph, q, ws.closure)
     seq = seqmod.build_sequence(
         result,
@@ -270,7 +265,14 @@ def main(argv=None):
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (QueryError, ParseError) as e:
+    except QueryError as e:
+        # A parse_query error points at its offset in the query argument.
+        caret = ""
+        if e.position is not None:
+            caret = "\n" + args.query + "\n" + " " * e.position + "^"
+        print(f"query error: {e}{caret}", file=sys.stderr)
+        return EXIT_USAGE
+    except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except ValidationError as e:

@@ -8,8 +8,8 @@ Query grammar (one line, whitespace-separated clauses, implicit AND):
     measure:inclusion|levenshtein|pathlen|wupalmer|lch|li
     mode:filter|rank | limit:<int>
 
-At most one of concept/keyword.  Rank mode defaults: measure wupalmer for
-concept terms, levenshtein for keywords, limit 100.
+At most one of concept/keyword; measure and limit are rank-only.  Rank mode
+defaults: measure wupalmer (concept) or levenshtein (keyword), limit 100.
 """
 
 import re
@@ -64,7 +64,7 @@ def parse_query(text, default_limit=DEFAULT_LIMIT):
     a rank query without a `limit:` clause gets `default_limit`."""
     q = Query()
     pos = 0
-    seen = set()
+    starts = {}  # clause key -> its offset in `text`
     stripped = text.strip()
     if not stripped:
         raise QueryError("empty query", position=0)
@@ -74,9 +74,9 @@ def parse_query(text, default_limit=DEFAULT_LIMIT):
             raise QueryError(f"unparseable text {gap.strip()!r}", position=pos)
         key, value = m.group(1), m.group(2)
         vpos = m.start(2)
-        if key in seen:
+        if key in starts:
             raise QueryError(f"duplicate clause {key!r}", position=m.start())
-        seen.add(key)
+        starts[key] = m.start()
         if key == "concept":
             q.concept = value
         elif key == "keyword":
@@ -106,7 +106,7 @@ def parse_query(text, default_limit=DEFAULT_LIMIT):
                 )
             q.mode = value
         elif key == "limit":
-            if not value.isdigit() or int(value) < 1:
+            if not (value.isascii() and value.isdigit()) or int(value) < 1:
                 raise QueryError(
                     f"limit must be a positive integer, got {value!r}", position=vpos
                 )
@@ -132,6 +132,10 @@ def parse_query(text, default_limit=DEFAULT_LIMIT):
             q.limit = default_limit
         _check_measure_kind(q)
     else:
+        for key in ("measure", "limit"):
+            if key in starts:
+                raise QueryError(f"clause {key!r} applies only in rank mode",
+                                 position=starts[key])
         if q.concept is None and q.category is None and not q.boxes:
             raise QueryError(
                 "filter mode requires a concept, a category, or a dimension box",
@@ -166,8 +170,6 @@ def _check_measure_kind(q):
 
 
 def _passes_boxes(rec, boxes):
-    if not boxes:
-        return True
     if rec.dimensions is None:
         return False
     for dim, (lo, hi) in boxes.items():
@@ -177,8 +179,7 @@ def _passes_boxes(rec, boxes):
     return True
 
 
-def _passes_category(rec, category, closure):
-    want = f"{category[0]}.{category[1]}"
+def _passes_category(rec, want, closure):
     for cat in rec.categories:
         if cat.qualified == want:
             return True
@@ -187,27 +188,40 @@ def _passes_category(rec, category, closure):
     return False
 
 
-def filter_query(corpus, graph, q, closure=None):
-    """Return the set of stimulus keys satisfying all present clauses."""
-    if q.mode != MODE_FILTER:
-        raise ValidationError("filter_query requires a filter-mode query")
+def _check_concept(graph, q):
     if q.concept is not None and q.concept not in graph.concepts:
         raise UnknownConceptError(f"unknown concept in query: {q.concept!r}")
-    result = set()
-    for rec in corpus:
+
+
+def _candidates(records, q, closure):
+    """Yield each of `records` that passes the query's db, box and category
+    clauses: the candidate set of both filter and rank mode."""
+    want = None if q.category is None else "{}.{}".format(*q.category)
+    for rec in records:
         if q.db_name is not None and rec.db != q.db_name:
             continue
-        if not _passes_boxes(rec, q.boxes):
+        if q.boxes and not _passes_boxes(rec, q.boxes):
             continue
-        if q.category is not None and not _passes_category(rec, q.category, closure):
+        if want is not None and not _passes_category(rec, want, closure):
             continue
-        if q.concept is not None:
-            if not any(
-                graph.is_subclass_of(c, q.concept) for c in rec.concepts()
-            ):
-                continue
-        result.add(rec.key)
-    return result
+        yield rec
+
+
+def filter_query(corpus, graph, q, closure=None):
+    """Return the set of stimulus keys satisfying all present clauses.  A
+    concept clause is read from the concept index: one subsumption test per
+    distinct annotation concept, not per record."""
+    if q.mode != MODE_FILTER:
+        raise ValidationError("filter_query requires a filter-mode query")
+    _check_concept(graph, q)
+    records = corpus
+    if q.concept is not None:
+        keys = set()
+        for concept, concept_keys in corpus.concept_index.items():
+            if graph.is_subclass_of(concept, q.concept):
+                keys |= concept_keys
+        records = map(corpus.records.__getitem__, keys)
+    return {rec.key for rec in _candidates(records, q, closure)}
 
 
 class OperandScores:
@@ -273,17 +287,11 @@ def ranked_query(corpus, graph, q, closure=None):
     if q.mode != MODE_RANK:
         raise ValidationError("ranked_query requires a rank-mode query")
     _check_measure_kind(q)
-    if q.concept is not None and q.concept not in graph.concepts:
-        raise UnknownConceptError(f"unknown concept in query: {q.concept!r}")
-    scored = []
-    for rec in corpus:
-        if q.db_name is not None and rec.db != q.db_name:
-            continue
-        if not _passes_boxes(rec, q.boxes):
-            continue
-        if q.category is not None and not _passes_category(rec, q.category, closure):
-            continue
-        scored.append((rec.key, score_record(q.measure, q.term, rec, graph=graph)))
+    _check_concept(graph, q)
+    scored = [
+        (rec.key, score_record(q.measure, q.term, rec, graph=graph))
+        for rec in _candidates(corpus, q, closure)
+    ]
     scored.sort(key=lambda e: (-e[1], e[0]))
     if q.limit is not None:
         scored = scored[: q.limit]

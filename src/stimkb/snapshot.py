@@ -2,7 +2,7 @@
 
 A manifest is a flat `key=value` file naming the input files (taxonomy,
 mapping, vocabularies, axioms, records, legacy) plus defaults (seed,
-measure, limit); paths are resolved relative to the manifest.  Ingest
+limit); paths are resolved relative to the manifest.  Ingest
 builds everything once and writes a single versioned JSON snapshot, so
 queries and evaluation never re-parse the raw inputs.
 """
@@ -36,13 +36,12 @@ MANIFEST_FILE_KEYS = (
     "legacy",
     "judgments",
 )
-MANIFEST_OPTION_KEYS = ("seed", "measure", "limit")
+MANIFEST_OPTION_KEYS = ("seed", "limit")
 
 # The top-level keys save_snapshot writes and the JSON types of their values.
 _SNAPSHOT_KEYS = {
     "version": (int,),
     "seed": (int,),
-    "measure": (str, type(None)),
     "limit": (int, type(None)),
     "taxonomy": (str,),
     "mapping": (str, type(None)),
@@ -57,7 +56,6 @@ _SNAPSHOT_KEYS = {
 class Manifest:
     paths: dict  # key -> resolved Path (subset of MANIFEST_FILE_KEYS)
     seed: int = 0
-    measure: str | None = None
     limit: int | None = None
 
 
@@ -77,20 +75,13 @@ def parse_manifest(path):
             raise ParseError(f"expected `key=value`, got {raw!r}", line=lineno)
         if key in MANIFEST_FILE_KEYS:
             paths[key] = (path.parent / value).resolve()
-        elif key == "measure":
-            options[key] = value
         elif key in MANIFEST_OPTION_KEYS:
             options[key] = _int_option(key, value, lineno)
         else:
             raise ParseError(f"unknown manifest key {key!r}", line=lineno)
     if "taxonomy" not in paths:
         raise ParseError("manifest must name a taxonomy file")
-    return Manifest(
-        paths=paths,
-        seed=options.get("seed", 0),
-        measure=options.get("measure"),
-        limit=options.get("limit"),
-    )
+    return Manifest(paths=paths, **options)
 
 
 def _int_option(key, value, lineno):
@@ -127,7 +118,6 @@ class Workspace:
     corpus: Corpus
     unmapped_keywords: list
     seed: int = 0
-    measure: str | None = None
     limit: int | None = None
 
 
@@ -177,7 +167,6 @@ def build_workspace(manifest):
         corpus=corpus,
         unmapped_keywords=unmapped,
         seed=manifest.seed,
-        measure=manifest.measure,
         limit=manifest.limit,
     )
 
@@ -209,7 +198,6 @@ def save_snapshot(workspace, path):
     doc = {
         "version": SNAPSHOT_VERSION,
         "seed": workspace.seed,
-        "measure": workspace.measure,
         "limit": workspace.limit,
         "taxonomy": workspace.graph.serialize(),
         "mapping": "\n".join(mapping_lines) + "\n" if mapping_lines else None,
@@ -297,6 +285,5 @@ def load_snapshot(path):
         corpus=corpus,
         unmapped_keywords=doc["unmapped_keywords"],
         seed=doc["seed"],
-        measure=doc["measure"],
         limit=doc["limit"],
     )

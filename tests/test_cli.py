@@ -101,6 +101,42 @@ def test_query_malformed_exits_2(snapshot, capsys):
     assert "^" in err  # caret position marker
 
 
+SEQUENCE_ARGS = ["--count", "1", "--duration", "10"]
+
+
+@pytest.mark.parametrize("command", ["query", "sequence"])
+@pytest.mark.parametrize(
+    "query, position, message",
+    [
+        ("concept:Object limit:²", 21,
+         "limit must be a positive integer, got '²'"),
+        ("valence:[1,9] mode:filter limit:3", 26,
+         "clause 'limit' applies only in rank mode"),
+        ("concept:Object measure:li mode:filter", 15,
+         "clause 'measure' applies only in rank mode"),
+    ],
+)
+def test_query_error_exits_2_with_a_caret(command, query, position, message,
+                                          snapshot, capsys):
+    extra = SEQUENCE_ARGS if command == "sequence" else []
+    rc = main([command, "--snapshot", str(snapshot), *extra, query])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (f"query error: position {position}: {message}\n"
+                            f"{query}\n" + " " * position + "^\n")
+    assert captured.out == ""
+
+
+def test_sequence_filter_query_exits_2(snapshot, capsys):
+    rc = main(["sequence", "--snapshot", str(snapshot), *SEQUENCE_ARGS,
+               "valence:[1,9] mode:filter"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (
+        "query error: sequence needs a rank-mode query, not mode:filter\n")
+    assert captured.out == ""
+
+
 def test_query_deterministic(snapshot, capsys):
     args = ["query", "--snapshot", str(snapshot), "concept:Object measure:pathlen"]
     main(args)
@@ -339,6 +375,7 @@ def test_eval_unknown_query_concept_exits_3(snapshot, workspace, capsys):
         ("limit=0", "line 9: limit must be >= 1, got '0'"),
         ("seed=x", "line 9: seed must be an integer, got 'x'"),
         ("seed=1.5", "line 9: seed must be an integer, got '1.5'"),
+        ("measure=pathlen", "line 9: unknown manifest key 'measure'"),
     ],
 )
 def test_ingest_bad_manifest_option_exits_2(option, message, workspace, capsys):
@@ -393,7 +430,7 @@ CLAUSE_VALUES = st.sampled_from([
     "Big.", "IAPS", "IADS", "filter", "rank", "pathlen", "lch", "li",
     "wupalmer", "inclusion", "levenshtein", "LI", "[1,9]", "[9,1]",
     "[nan,inf]", "[-inf,1e308]", "[1,", "0", "1", "-1",
-    "99999999999999999999", "1.5", "x", "é", "",
+    "99999999999999999999", "1.5", "x", "é", "", "²", "١٢",
 ])
 # Clauses that parse on their own, so that queries also reach the filter
 # and rank code.

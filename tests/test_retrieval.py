@@ -1,7 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stimkb.affect import (
+    CategoryAnnotation,
+    DimensionAnnotation,
+    build_equivalence_closure,
+)
 from stimkb.corpus import Corpus, SemanticsAnnotation, StimulusRecord
 from stimkb.errors import QueryError, UnknownConceptError, ValidationError
 from stimkb.retrieval import (
@@ -12,7 +18,7 @@ from stimkb.retrieval import (
     ranked_query,
     score_record,
 )
-from stimkb.similarity import Measure, relatedness
+from stimkb.similarity import CONCEPT_MEASURES, Measure, relatedness
 from stimkb.taxonomy import parse_taxonomy
 
 
@@ -61,6 +67,12 @@ def test_parse_errors():
         parse_query("concept:Dog limit:0")
     with pytest.raises(QueryError):
         parse_query("")
+    for digits in ("²", "١٢"):  # str.isdigit, but not ASCII digits
+        with pytest.raises(QueryError, match="limit must be a positive integer"):
+            parse_query(f"concept:Dog limit:{digits}")
+    for clause in ("limit:3", "measure:wupalmer"):
+        with pytest.raises(QueryError, match="applies only in rank mode"):
+            parse_query(f"concept:Dog {clause} mode:filter")
     err = None
     try:
         parse_query("concept:Dog valence:[oops]")
@@ -145,7 +157,21 @@ def test_exact_concept_ranks_first(paper_workspace):
         assert all(s < 1.0 for _, s in result.entries[1:])
 
 
+RANDOM_DBS = ("IAPS", "IADS", "T")
+# Each category term of the random corpora, with the terms the axiom below
+# makes equivalent to it (itself included).
+RANDOM_CATEGORIES = {
+    "BigSix.fear": {"BigSix.fear", "FSRECategory.fear"},
+    "FSRECategory.fear": {"BigSix.fear", "FSRECategory.fear"},
+    "BigSix.happiness": {"BigSix.happiness"},
+}
+RANDOM_CLOSURE = build_equivalence_closure([("BigSix.fear", "FSRECategory.fear")])
+
+
 def _random_corpus(seed, graph):
+    """5-25 records over `graph`'s concepts: each has one to three
+    concepts and a keyword, a db among RANDOM_DBS, usually a valence/arousal
+    annotation (dominance sometimes missing), and up to two categories."""
     rng = random.Random(seed)
     corpus = Corpus(graph=graph)
     nodes = sorted(graph.concepts)
@@ -159,9 +185,48 @@ def _random_corpus(seed, graph):
                 kind="Object", keyword="".join(rng.choice("abcd") for _ in range(4))
             )
         )
-        corpus.add_stimulus(StimulusRecord(db="T", id=f"{i:03d}",
-                                           semantics=tuple(sems)))
+        dims = None
+        if rng.random() < 0.8:
+            dims = DimensionAnnotation(
+                scale_min=1.0, scale_max=9.0,
+                valence=float(rng.randint(1, 9)), arousal=float(rng.randint(1, 9)),
+                dominance=rng.choice([None, float(rng.randint(1, 9))]),
+            )
+        cats = tuple(
+            CategoryAnnotation(*rng.choice(sorted(RANDOM_CATEGORIES)).split("."))
+            for _ in range(rng.randint(0, 2))
+        )
+        corpus.add_stimulus(StimulusRecord(
+            db=rng.choice(RANDOM_DBS), id=f"{i:03d}", semantics=tuple(sems),
+            categories=cats, dimensions=dims,
+        ))
     return corpus
+
+
+def _random_clauses(rng):
+    """Some of the db, box and category clauses, as (query text, checks),
+    where each check is a naive per-record test of one clause."""
+    parts, checks = [], []
+    if rng.random() < 0.5:
+        db = rng.choice(RANDOM_DBS)
+        parts.append(f"db:{db}")
+        checks.append(lambda rec: rec.db == db)
+    for dim in ("valence", "arousal", "dominance"):
+        if rng.random() < 0.3:
+            lo = rng.randint(1, 9)
+            hi = rng.randint(lo, 9)
+            parts.append(f"{dim}:[{lo},{hi}]")
+            checks.append(
+                lambda rec, dim=dim, lo=lo, hi=hi: rec.dimensions is not None
+                and getattr(rec.dimensions, dim) is not None
+                and lo <= getattr(rec.dimensions, dim) <= hi
+            )
+    if rng.random() < 0.4:
+        want = rng.choice(sorted(RANDOM_CATEGORIES))
+        parts.append(f"category:{want}")
+        checks.append(lambda rec: any(
+            c.qualified in RANDOM_CATEGORIES[want] for c in rec.categories))
+    return " ".join(parts), checks
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -171,18 +236,49 @@ def test_ranking_matches_score_all_then_sort_oracle(seed):
     graph = random_dag(seed, 30)
     corpus = _random_corpus(seed, graph)
     rng = random.Random(seed)
-    term = rng.choice(sorted(graph.concepts))
-    for measure in (Measure.PATH_LENGTH, Measure.WU_PALMER):
-        q = parse_query(f"concept:{term} measure:{measure.value} limit:7")
-        result = ranked_query(corpus, graph, q)
+    for measure in Measure:
+        if measure in CONCEPT_MEASURES:
+            kind, term = "concept", rng.choice(sorted(graph.concepts))
+        else:
+            kind, term = "keyword", "".join(rng.choice("abcd") for _ in range(3))
+        clauses, checks = _random_clauses(rng)
+        q = parse_query(f"{kind}:{term} measure:{measure.value} limit:7 {clauses}")
+        result = ranked_query(corpus, graph, q, RANDOM_CLOSURE)
         oracle = []
         for rec in corpus:
+            if not all(check(rec) for check in checks):
+                continue
+            operands = (rec.concepts() if kind == "concept"
+                        else [s.keyword for s in rec.semantics if s.keyword])
             best = max(
-                relatedness(measure, term, c, graph=graph) for c in rec.concepts()
+                relatedness(measure, term, op, graph=graph) for op in operands
             )
             oracle.append((rec.key, best))
         oracle.sort(key=lambda e: (-e[1], e[0]))
         assert list(result.entries) == oracle[:7]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 40), st.booleans(), st.data())
+def test_filter_matches_per_record_scan(seed, n_nodes, with_concept, data):
+    from conftest import random_dag
+
+    graph = random_dag(seed, n_nodes)
+    corpus = _random_corpus(seed, graph)
+    clauses, checks = _random_clauses(random.Random(data.draw(st.integers())))
+    concept = None
+    if with_concept or not any(k in clauses for k in ("[", "category:")):
+        concept = data.draw(st.sampled_from(sorted(graph.concepts)))
+        clauses += f" concept:{concept}"
+    q = parse_query(clauses + " mode:filter")
+    closure = graph.ancestor_closure
+    expected = {
+        rec.key for rec in corpus
+        if all(check(rec) for check in checks)
+        and (concept is None or any(c == concept or concept in closure[c]
+                                    for c in rec.concepts()))
+    }
+    assert filter_query(corpus, graph, q, RANDOM_CLOSURE) == expected
 
 
 def test_truncation_happens_after_sorting(paper_workspace):

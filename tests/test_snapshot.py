@@ -39,6 +39,23 @@ def test_snapshot_round_trip(tmp_path, paper_workspace):
     assert loaded.closure.are_equivalent("FSRECategory.anger", "OCCCategory.anger")
 
 
+def test_snapshot_with_a_measure_key_still_loads(tmp_path, paper_workspace,
+                                                 capsys):
+    # Older snapshots carry `"measure": null`; unknown top-level keys are
+    # ignored.
+    snap = tmp_path / "snap.json"
+    save_snapshot(paper_workspace, snap)
+    doc = json.loads(snap.read_text())
+    assert "measure" not in doc
+    snap.write_text(json.dumps({**doc, "measure": None}, indent=1) + "\n")
+    loaded = load_snapshot(snap)
+    assert list(loaded.corpus) == list(paper_workspace.corpus)
+    assert (loaded.seed, loaded.limit) == (paper_workspace.seed,
+                                           paper_workspace.limit)
+    assert main(["stats", "--snapshot", str(snap)]) == 0
+    assert capsys.readouterr().out.startswith("4 records\n")
+
+
 def test_snapshot_version_check(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"version": 99}')
@@ -254,8 +271,8 @@ def test_load_equals_build_workspace(tmp_path):
     assert loaded.graph.parent_edges == built.graph.parent_edges
     assert loaded.vocabs == built.vocabs
     assert loaded.closure.classes() == built.closure.classes()
-    assert (loaded.unmapped_keywords, loaded.seed, loaded.measure, loaded.limit) == (
-        built.unmapped_keywords, built.seed, built.measure, built.limit)
+    assert (loaded.unmapped_keywords, loaded.seed, loaded.limit) == (
+        built.unmapped_keywords, built.seed, built.limit)
 
 
 def test_loaded_records_share_one_annotation_per_token(tmp_path):
