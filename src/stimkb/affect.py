@@ -11,6 +11,7 @@ import inspect
 from dataclasses import MISSING, dataclass, fields
 
 from .errors import ParseError, ValidationError
+from .lines import tab_rows
 
 CONFIDENCE_LEVELS = ("VeryHigh", "High", "Average", "Low", "VeryLow")
 
@@ -104,14 +105,7 @@ def load_vocabularies(text):
     file-supplied BigSix must still contain the five primary emotions.
     """
     terms_by_id = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(f"expected `vocab<TAB>term`, got {raw!r}", line=lineno)
-        vocab, term = parts[0].strip(), parts[1].strip()
+    for lineno, (vocab, term) in tab_rows(text, "vocab<TAB>term"):
         if not vocab or not term:
             raise ParseError("empty vocabulary id or term", line=lineno)
         terms_by_id.setdefault(vocab, set()).add(term)
@@ -287,6 +281,11 @@ class EquivalenceClosure:
     def are_equivalent(self, a, b):
         return a == b or self._find(a) == self._find(b)
 
+    def equivalents(self, term):
+        """The set of terms equivalent to `term`, `term` included."""
+        root = self._find(term)
+        return {term} | {t for t in self._parent if self._find(t) == root}
+
     def classes(self):
         """Partition of all terms mentioned in axioms, as sorted tuples."""
         groups = {}
@@ -302,16 +301,8 @@ def build_equivalence_closure(axioms):
 def parse_axioms(text):
     """Parse `vocabA<TAB>termA<TAB>vocabB<TAB>termB` lines into term pairs."""
     axioms = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ParseError(
-                f"expected 4 tab-separated fields, got {len(parts)}", line=lineno
-            )
-        va, ta, vb, tb = (p.strip() for p in parts)
+    shape = "vocabA<TAB>termA<TAB>vocabB<TAB>termB"
+    for lineno, (va, ta, vb, tb) in tab_rows(text, shape):
         if not all((va, ta, vb, tb)):
             raise ParseError("empty field in axiom", line=lineno)
         axioms.append((f"{va}.{ta}", f"{vb}.{tb}"))

@@ -13,9 +13,9 @@ from . import evaluation, retrieval, sequence as seqmod
 from .errors import ParseError, QueryError, StimKbError, ValidationError
 from .evaluation import (
     ExperimentConfig,
-    ExperimentQuery,
     check_scheme,
     parse_judgments,
+    parse_queries,
     report_to_tsv,
     run_experiment,
 )
@@ -92,32 +92,9 @@ def _cmd_query(args):
     return EXIT_OK
 
 
-def _parse_eval_queries(text):
-    """`qid<TAB>concept<TAB>keyword` lines; NA for an absent term."""
-    queries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(
-                f"expected `qid<TAB>concept<TAB>keyword`, got {raw!r}", line=lineno
-            )
-        qid, concept, keyword = (p.strip() for p in parts)
-        queries.append(
-            ExperimentQuery(
-                qid=qid,
-                concept=None if concept == "NA" else concept,
-                keyword=None if keyword == "NA" else keyword,
-            )
-        )
-    return queries
-
-
 def _cmd_eval(args):
     ws = load_snapshot(args.snapshot)
-    queries = _parse_eval_queries(Path(args.queries).read_text())
+    queries = parse_queries(Path(args.queries).read_text())
     relevant, _ = parse_judgments(Path(args.judgments).read_text())
     config = ExperimentConfig(
         candidate_size=args.candidates,

@@ -40,6 +40,7 @@ from .affect import (
     validate_unit_interval,
 )
 from .errors import ParseError, ValidationError
+from .lines import data_lines
 
 SEMANTIC_KINDS = ("Object", "Scene", "Event")
 
@@ -55,23 +56,6 @@ LEGACY_HEADER = [
     "dominanceSD",
 ]
 
-CONTEXT_FIELDS = (
-    "mediaFormat",
-    "widthPx",
-    "heightPx",
-    "sizeBytes",
-    "colorDepthBits",
-    "lengthSeconds",
-    "author",
-    "owner",
-    "createdAt",
-    "location",
-    "dcType",
-    "dcCreator",
-    "dcContributor",
-    "dcDate",
-    "dcFormat",
-)
 # Numeric context fields and their types; the others are text.
 _CONTEXT_NUMBER_TYPES = {
     "widthPx": int,
@@ -462,13 +446,10 @@ def parse_record_file(text):
     """Parse the record file into (line number, record) pairs.  Does not
     validate."""
     interned = {}
-    parsed = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parsed.append((lineno, parse_record_line(line, lineno, interned)))
-    return parsed
+    return [
+        (lineno, parse_record_line(line, lineno, interned))
+        for lineno, line in data_lines(text)
+    ]
 
 
 def parse_corpus_records(text, graph=None, vocabs=None):
@@ -553,17 +534,22 @@ def serialize_records(records):
 
 
 def parse_legacy_table(text):
-    """Parse an IAPS-style keyword + ratings TSV into stimulus records."""
-    lines = [l for l in text.splitlines() if l.strip() and not l.startswith("#")]
-    if not lines:
+    """Parse an IAPS-style keyword + ratings TSV into stimulus records.
+
+    Lines are split unstripped, so an empty last column reads as missing.
+    """
+    lines = data_lines(text)
+    first = next(lines, None)
+    if first is None:
         return []
-    header = lines[0].split("\t")
+    lineno, raw = first
+    header = raw.split("\t")
     if header != LEGACY_HEADER:
         raise ParseError(
-            f"legacy header must be {LEGACY_HEADER}, got {header}", line=1
+            f"legacy header must be {LEGACY_HEADER}, got {header}", line=lineno
         )
     records = []
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in lines:
         cols = raw.split("\t")
         if len(cols) != len(LEGACY_HEADER):
             raise ParseError(

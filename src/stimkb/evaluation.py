@@ -10,7 +10,8 @@ confusion matrices per pair.
 import random
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
+from .lines import tab_rows
 from .retrieval import OperandScores, score_record
 from .similarity import CONCEPT_MEASURES, LEXICAL_MEASURES, parse_measure
 
@@ -283,23 +284,29 @@ def report_to_tsv(report):
     return "\n".join(lines) + "\n"
 
 
+def parse_queries(text):
+    """Parse `qid<TAB>concept<TAB>keyword` lines into ExperimentQuery
+    objects; NA marks an absent term."""
+    return [
+        ExperimentQuery(
+            qid=qid,
+            concept=None if concept == "NA" else concept,
+            keyword=None if keyword == "NA" else keyword,
+        )
+        for _, (qid, concept, keyword) in tab_rows(
+            text, "qid<TAB>concept<TAB>keyword"
+        )
+    ]
+
+
 def parse_judgments(text):
     """Parse `query-id<TAB>stimulus-id<TAB>0|1` lines into
     qid -> set-of-relevant-keys (only the 1 rows) plus qid -> judged keys."""
-    from .errors import ParseError
-
     relevant = {}
     judged = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3 or parts[2] not in ("0", "1"):
-            raise ParseError(
-                f"expected `qid<TAB>stimulus<TAB>0|1`, got {raw!r}", line=lineno
-            )
-        qid, key, flag = parts
+    for lineno, (qid, key, flag) in tab_rows(text, "qid<TAB>stimulus<TAB>0|1"):
+        if flag not in ("0", "1"):
+            raise ParseError(f"judgment must be 0 or 1, got {flag!r}", line=lineno)
         judged.setdefault(qid, set()).add(key)
         relevant.setdefault(qid, set())
         if flag == "1":

@@ -153,8 +153,8 @@ def _parse_interval(value, pos):
     except ValueError:
         raise QueryError(f"non-numeric interval bound in {value!r}",
                          position=pos) from None
-    if lo > hi:
-        raise QueryError(f"inverted interval [{lo}, {hi}]", position=pos)
+    if not lo <= hi:  # also rejects a NaN bound
+        raise QueryError(f"interval [{lo}, {hi}] needs lo <= hi", position=pos)
     return (lo, hi)
 
 
@@ -179,15 +179,6 @@ def _passes_boxes(rec, boxes):
     return True
 
 
-def _passes_category(rec, want, closure):
-    for cat in rec.categories:
-        if cat.qualified == want:
-            return True
-        if closure is not None and closure.are_equivalent(cat.qualified, want):
-            return True
-    return False
-
-
 def _check_concept(graph, q):
     if q.concept is not None and q.concept not in graph.concepts:
         raise UnknownConceptError(f"unknown concept in query: {q.concept!r}")
@@ -195,14 +186,20 @@ def _check_concept(graph, q):
 
 def _candidates(records, q, closure):
     """Yield each of `records` that passes the query's db, box and category
-    clauses: the candidate set of both filter and rank mode."""
-    want = None if q.category is None else "{}.{}".format(*q.category)
+    clauses: the candidate set of both filter and rank mode.  A category
+    clause matches any term of its equivalence class, taken once per query."""
+    wanted = None
+    if q.category is not None:
+        want = "{}.{}".format(*q.category)
+        wanted = {want} if closure is None else closure.equivalents(want)
     for rec in records:
         if q.db_name is not None and rec.db != q.db_name:
             continue
         if q.boxes and not _passes_boxes(rec, q.boxes):
             continue
-        if want is not None and not _passes_category(rec, want, closure):
+        if wanted is not None and wanted.isdisjoint(
+            cat.qualified for cat in rec.categories
+        ):
             continue
         yield rec
 

@@ -23,6 +23,7 @@ from .corpus import (
     serialize_record,
 )
 from .errors import ParseError, SnapshotError, StimKbError
+from .lines import data_lines
 from .taxonomy import parse_mapping, parse_taxonomy
 
 SNAPSHOT_VERSION = 1
@@ -65,11 +66,8 @@ def parse_manifest(path):
         raise FileNotFoundError(f"manifest not found: {path}")
     paths = {}
     options = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
+    for lineno, raw in data_lines(path.read_text()):
+        key, sep, value = raw.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not value:
             raise ParseError(f"expected `key=value`, got {raw!r}", line=lineno)

@@ -10,6 +10,7 @@ import re
 from collections import deque
 
 from .errors import CycleError, ParseError, UnknownConceptError, ValidationError
+from .lines import tab_rows
 
 IDENT_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
@@ -51,76 +52,50 @@ class TaxonomyGraph:
         else:
             raise CycleError("every concept has a parent; taxonomy is cyclic")
 
-        self._check_acyclic(edges)
+        child_edges = {c: set() for c in nodes}
+        for child, parents in edges.items():
+            for p in parents:
+                child_edges[p].add(child)
+
+        # One parents-first (Kahn) pass: a concept is resolved once all its
+        # parents are, and its closure and depth are built from theirs.
+        # Depth is the minimum root distance, so 1 + the shallowest parent.
+        closure = {root: frozenset()}
+        depths = {root: 1}
+        unresolved_parents = {c: len(ps) for c, ps in edges.items()}
+        ready = [root]
+        while ready:
+            node = ready.pop()
+            for child in child_edges[node]:
+                unresolved_parents[child] -= 1
+                if not unresolved_parents[child]:
+                    parents = edges[child]
+                    closure[child] = frozenset(parents).union(
+                        *(closure[p] for p in parents)
+                    )
+                    depths[child] = 1 + min(depths[p] for p in parents)
+                    ready.append(child)
+        if len(closure) < len(nodes):
+            # Every unresolved concept has an unresolved parent, so walking
+            # up smallest such parents must revisit a concept on a cycle.
+            up = {
+                c: min(p for p in ps if p not in closure)
+                for c, ps in edges.items()
+                if c not in closure
+            }
+            c, seen = min(up), set()
+            while c not in seen:
+                seen.add(c)
+                c = up[c]
+            raise CycleError(f"cycle detected at edge {c} -> {up[c]}")
 
         self.concepts = frozenset(nodes)
         self.parent_edges = {c: frozenset(ps) for c, ps in edges.items()}
-        self.child_edges = {c: set() for c in nodes}
-        for child, parents in edges.items():
-            for p in parents:
-                self.child_edges[p].add(child)
-        self.child_edges = {c: frozenset(ch) for c, ch in self.child_edges.items()}
+        self.child_edges = {c: frozenset(ch) for c, ch in child_edges.items()}
         self.root = root
-        self.ancestor_closure = self._build_closure()
-        self.depth_cache = self._build_depths()
-        self.max_depth = max(self.depth_cache.values())
-
-    @staticmethod
-    def _check_acyclic(edges):
-        # Iterative DFS over parent edges; gray nodes are on the current path.
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {n: WHITE for n in edges}
-        for start in sorted(edges):
-            if color[start] != WHITE:
-                continue
-            stack = [(start, iter(sorted(edges[start])))]
-            color[start] = GRAY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for parent in it:
-                    if color[parent] == GRAY:
-                        raise CycleError(
-                            f"cycle detected at edge {node} -> {parent}"
-                        )
-                    if color[parent] == WHITE:
-                        color[parent] = GRAY
-                        stack.append((parent, iter(sorted(edges[parent]))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-
-    def _build_closure(self):
-        # Topological resolution avoids recursion limits on deep chains.
-        closure = {}
-        pending = deque(sorted(self.concepts))
-        while pending:
-            c = pending.popleft()
-            if c in closure:
-                continue
-            if all(p in closure for p in self.parent_edges[c]):
-                acc = set()
-                for p in self.parent_edges[c]:
-                    acc.add(p)
-                    acc |= closure[p]
-                closure[c] = frozenset(acc)
-            else:
-                pending.append(c)
-        return closure
-
-    def _build_depths(self):
-        depths = {self.root: 1}
-        queue = deque([self.root])
-        while queue:
-            node = queue.popleft()
-            for child in self.child_edges[node]:
-                d = depths[node] + 1
-                if child not in depths or d < depths[child]:
-                    depths[child] = d
-                    queue.append(child)
-        return depths
+        self.ancestor_closure = closure
+        self.depth_cache = depths
+        self.max_depth = max(depths.values())
 
     def _require(self, c):
         if c not in self.concepts:
@@ -145,11 +120,11 @@ class TaxonomyGraph:
         """
         self._require(a)
         self._require(b)
-        common = (self.ancestor_closure[a] | {a}) & (self.ancestor_closure[b] | {b})
-        specific = [
-            c for c in common
-            if not any(c in self.ancestor_closure[d] for d in common if d != c)
-        ]
+        closure = self.ancestor_closure
+        common = (closure[a] | {a}) & (closure[b] | {b})
+        # No concept is in its own strict closure, so this drops exactly
+        # the candidates that subsume another candidate.
+        specific = common.difference(*(closure[d] for d in common))
         return min(specific, key=lambda c: (-self.depth_cache[c], c))
 
     def shortest_path(self, a, b):
@@ -230,16 +205,7 @@ def parse_taxonomy(text):
     Blank lines and `#` comments are ignored; duplicate edges are tolerated.
     """
     edges = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(
-                f"expected `child<TAB>parent`, got {raw!r}", line=lineno
-            )
-        child, parent = (p.strip() for p in parts)
+    for lineno, (child, parent) in tab_rows(text, "child<TAB>parent"):
         for ident in (child, parent):
             if not IDENT_RE.match(ident):
                 raise ParseError(f"invalid identifier {ident!r}", line=lineno)
@@ -269,16 +235,7 @@ class KeywordMapping:
 def parse_mapping(text, graph):
     """Parse `keyword<TAB>concept` lines; every concept must exist in `graph`."""
     entries = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(
-                f"expected `keyword<TAB>concept`, got {raw!r}", line=lineno
-            )
-        keyword, concept = parts[0].strip(), parts[1].strip()
+    for lineno, (keyword, concept) in tab_rows(text, "keyword<TAB>concept"):
         if not keyword:
             raise ParseError("empty keyword", line=lineno)
         if concept not in graph.concepts:

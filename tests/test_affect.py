@@ -185,6 +185,9 @@ def test_equivalence_relation_properties(axioms):
     terms = sorted({t for ax in axioms for t in ax}) + ["Z.unseen"]
     for a in terms:
         assert closure.are_equivalent(a, a)
+        assert closure.equivalents(a) == {
+            b for b in terms if closure.are_equivalent(a, b)
+        }
         for b in terms:
             assert closure.are_equivalent(a, b) == closure.are_equivalent(b, a)
             for c in terms:
@@ -197,3 +200,9 @@ def test_parse_axioms():
     assert axioms == [("BigSix.anger", "OCC.anger"), ("BigSix.anger", "FSRE.anger")]
     with pytest.raises(ParseError, match="line 1"):
         parse_axioms("only\tthree\tfields")
+    with pytest.raises(
+        ParseError,
+        match=r"^line 3: expected `vocabA<TAB>termA<TAB>vocabB<TAB>termB`, "
+        r"got 'A\\tx\\tB'$",
+    ):
+        parse_axioms("# c\n\nA\tx\tB\n")

@@ -114,6 +114,9 @@ SEQUENCE_ARGS = ["--count", "1", "--duration", "10"]
          "clause 'limit' applies only in rank mode"),
         ("concept:Object measure:li mode:filter", 15,
          "clause 'measure' applies only in rank mode"),
+        ("valence:[nan,9] mode:filter", 8, "interval [nan, 9.0] needs lo <= hi"),
+        ("concept:Object arousal:[1,nan]", 23,
+         "interval [1.0, nan] needs lo <= hi"),
     ],
 )
 def test_query_error_exits_2_with_a_caret(command, query, position, message,
@@ -228,6 +231,22 @@ def test_eval_repeated_names_run_once(snapshot, workspace, capsys):
     assert twice == once
     rows = [l for l in twice.splitlines()[1:] if not l.startswith("#")]
     assert len(rows) == 1 and rows[0].startswith("concept\tpathlen\t")
+
+
+def test_eval_strips_judgment_fields(snapshot, workspace, capsys):
+    queries, judgments = _eval_files(workspace)
+    args = ["eval", "--snapshot", str(snapshot), "--queries", str(queries),
+            "--judgments", str(judgments), "--seed", "7", "--candidates", "4"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    judgments.write_text("".join(
+        f"{qid} \t {key}\t{flag}\n"
+        for qid, key, flag in (l.split("\t") for l in
+                               judgments.read_text().splitlines())
+    ))
+    queries.write_text(" q1\tGroupOfPeople \tCrowd2\nq2 \tHuman\tParachute\n")
+    assert main(args) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_explicit_limit_beats_snapshot_limit(workspace, capsys):
@@ -430,7 +449,8 @@ CLAUSE_VALUES = st.sampled_from([
     "Big.", "IAPS", "IADS", "filter", "rank", "pathlen", "lch", "li",
     "wupalmer", "inclusion", "levenshtein", "LI", "[1,9]", "[9,1]",
     "[nan,inf]", "[-inf,1e308]", "[1,", "0", "1", "-1",
-    "99999999999999999999", "1.5", "x", "é", "", "²", "١٢",
+    "99999999999999999999", "1.5", "x", "é", "", "²", "١٢", "[nan,9]",
+    "[1,nan]",
 ])
 # Clauses that parse on their own, so that queries also reach the filter
 # and rank code.

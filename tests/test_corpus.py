@@ -124,6 +124,21 @@ def test_parse_legacy_empty_and_errors():
         parse_legacy_table("wrong\theader\n")
 
 
+def test_parse_legacy_counts_every_line_and_skips_indented_comments():
+    header = "\t".join(
+        ["id", "db", "keyword", "valence", "valenceSD", "arousal",
+         "arousalSD", "dominance", "dominanceSD"]
+    )
+    row = "1\tIAPS\tx\t5\tNA\t3\tNA\tNA\t"  # empty last column: missing
+    with pytest.raises(ParseError, match="^line 4: non-numeric valence"):
+        parse_legacy_table(f"{header}\n# note\n\n1\tIAPS\tx\tbad\tNA\t3\tNA\tNA\tNA\n")
+    with pytest.raises(ParseError, match="^line 3: legacy header"):
+        parse_legacy_table("# note\n\nwrong\theader\n")
+    recs = parse_legacy_table(f"  # note\n{header}\n\t# indented note\n{row}\n")
+    assert [r.key for r in recs] == ["IAPS/1"]
+    assert recs[0].dimensions.dominanceSD is None
+
+
 def test_expand_keywords_winterstreet(paper_graph):
     mapping = parse_mapping(
         "\n".join(

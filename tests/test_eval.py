@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 import stimkb.evaluation as evaluation
-from stimkb.errors import UnknownConceptError, ValidationError
+from stimkb.errors import ParseError, UnknownConceptError, ValidationError
 from stimkb.evaluation import (
     ConfusionMatrix,
     ExperimentConfig,
+    ExperimentQuery,
     aggregate,
     classify_at_threshold,
     confusion,
     lift_curve,
     metrics,
     parse_judgments,
+    parse_queries,
     report_to_tsv,
     run_experiment,
     select_threshold,
@@ -223,10 +225,25 @@ def test_parse_judgments():
     )
     assert relevant == {"q1": {"IAPS/1"}, "q2": set()}
     assert judged["q1"] == {"IAPS/1", "IAPS/2"}
-    from stimkb.errors import ParseError
-
     with pytest.raises(ParseError):
         parse_judgments("q1\tIAPS/1\tmaybe\n")
+    with pytest.raises(ParseError, match="line 2: judgment must be 0 or 1"):
+        parse_judgments("# c\nq1\tIAPS/1\tmaybe\n")
+    # Fields are stripped, as in the queries file.
+    assert parse_judgments("q1 \tIADS/311\t1\n")[0] == {"q1": {"IADS/311"}}
+
+
+def test_parse_queries():
+    queries = parse_queries("# qid concept keyword\n\nq1\tDog \tNA\nq2\tNA\tcat\n")
+    assert queries == [
+        ExperimentQuery("q1", concept="Dog"),
+        ExperimentQuery("q2", keyword="cat"),
+    ]
+    with pytest.raises(ParseError) as exc:
+        parse_queries("q1\tDog\tdog\nq3\tDog\n")
+    assert str(exc.value) == (
+        r"line 2: expected `qid<TAB>concept<TAB>keyword`, got 'q3\tDog'"
+    )
 
 
 def _per_pair_score_record(measure, term, rec, graph=None, memo=None):

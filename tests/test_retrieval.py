@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from stimkb.affect import (
     CategoryAnnotation,
     DimensionAnnotation,
+    EquivalenceClosure,
     build_equivalence_closure,
 )
 from stimkb.corpus import Corpus, SemanticsAnnotation, StimulusRecord
@@ -53,6 +54,9 @@ def test_rank_defaults_wupalmer_for_concepts():
 def test_parse_errors():
     with pytest.raises(QueryError):
         parse_query("valence:[9,6.5]")  # inverted
+    for box in ("[nan,9]", "[1,nan]"):  # NaN fails lo <= hi
+        with pytest.raises(QueryError, match="needs lo <= hi"):
+            parse_query(f"valence:{box} mode:filter")
     with pytest.raises(QueryError):
         parse_query("concept:A keyword:B")
     with pytest.raises(QueryError):
@@ -113,6 +117,21 @@ def test_category_filter_through_equivalence(paper_workspace):
     assert filter_query(ws.corpus, ws.graph, inferred, ws.closure) == {"IAPS/8163"}
     other = parse_query("category:BigSix.fear mode:filter")
     assert filter_query(ws.corpus, ws.graph, other, ws.closure) == set()
+
+
+def test_category_class_taken_once_per_query(paper_workspace, monkeypatch):
+    ws = paper_workspace
+    calls = []
+    equivalents = EquivalenceClosure.equivalents
+    monkeypatch.setattr(EquivalenceClosure, "equivalents",
+                        lambda self, t: calls.append(t) or equivalents(self, t))
+    monkeypatch.delattr(EquivalenceClosure, "are_equivalent")
+    q = parse_query("category:FSRECategory.happiness mode:filter")
+    assert filter_query(ws.corpus, ws.graph, q, ws.closure) == {"IAPS/8163"}
+    q = parse_query("concept:Entity category:FSRECategory.happiness")
+    result = ranked_query(ws.corpus, ws.graph, q, ws.closure)
+    assert [k for k, _ in result.entries] == ["IAPS/8163"]
+    assert calls == ["FSRECategory.happiness"] * 2
 
 
 def test_filter_unknown_concept(paper_workspace):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stimkb.errors import CycleError, ParseError, UnknownConceptError
-from stimkb.taxonomy import parse_mapping, parse_taxonomy
+from stimkb.taxonomy import TaxonomyGraph, parse_mapping, parse_taxonomy
 
 from conftest import (
     oracle_ancestors,
@@ -33,6 +33,35 @@ def test_two_node_cycle():
 def test_self_loop():
     with pytest.raises(CycleError):
         parse_taxonomy("A\tA")
+
+
+def test_cycle_error_names_a_cycle_edge():
+    # A hangs below the Y/Z cycle; the root R is reached by Q only.
+    with pytest.raises(CycleError, match="^cycle detected at edge Z -> Y$"):
+        parse_taxonomy("Q\tR\nA\tZ\nZ\tY\nY\tZ\nY\tQ")
+    with pytest.raises(CycleError, match="^cycle detected at edge B -> B$"):
+        parse_taxonomy("A\tR\nB\tB\nB\tA")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n_nodes=st.integers(2, 30), data=st.data())
+def test_back_edge_raises_cycle_error_on_that_cycle(seed, n_nodes, data):
+    edges = random_dag_edges(random.Random(seed), n_nodes)
+    child = data.draw(st.sampled_from(sorted(edges)[1:]), label="child")
+    below = {c for c in edges if child in oracle_ancestors(edges, c)}
+    # Make `child` a child of itself or of one of its descendants.
+    edges[child] = edges[child] | {data.draw(
+        st.sampled_from(sorted(below | {child})), label="new parent")}
+    messages = set()
+    for order in (edges, dict(reversed(edges.items()))):
+        with pytest.raises(CycleError) as exc:
+            TaxonomyGraph(order)
+        messages.add(str(exc.value))
+    assert len(messages) == 1  # independent of the input order
+    # The reported edge lies on a cycle: its parent reaches its child.
+    a, b = messages.pop().removeprefix("cycle detected at edge ").split(" -> ")
+    assert b in edges[a]
+    assert a == b or a in oracle_ancestors(edges, b)
 
 
 def test_malformed_line_reports_number():
