@@ -205,8 +205,9 @@ def validate_dimension(ann):
         ("dominanceSD", ann.dominanceSD),
     )
     for name, sd in sds:
-        if sd is not None and sd < 0:
-            problems.append(f"{name}={sd} is negative")
+        if sd is not None and not sd >= 0:  # negative, or NaN
+            what = "negative" if sd < 0 else "not a number"
+            problems.append(f"{name}={sd} is {what}")
     _check_confidence(ann, problems)
     return problems
 

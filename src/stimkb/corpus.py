@@ -2,8 +2,11 @@
 ingestion, validation, keyword expansion, and indexing.
 
 Record file format: one record per line, tab-separated `key=value` tokens.
-Repeatable keys (`sem`, `cat`, `appraisal`, `phys`) may pack several values
-with `;`.  Keys:
+`db`, `id` and every `dim.*` and `ctx.*` key may appear at most once.  The
+other keys repeat: `sem`, `cat`, `appraisal` and `phys` as separate tokens
+or with several values packed into one token with `;`, `tendency` and
+`sentiment` only as separate tokens (`tendency=a;b` is the one term
+`a;b`).  Empty tokens and empty packed items are skipped.  Keys:
 
     db=IAPS  id=8163                       required; record key is "db/id"
     sem=Object:concept:GroupOfPeople       or  sem=Scene:keyword:winter street
@@ -16,7 +19,8 @@ with `;`.  Keys:
     ctx=1                                  bare context (db/id only)
     phys=http://example.org/subject1_hr HR       channel after space, optional
 
-Values may not contain tabs or `;`.  Blank lines and `#` comments ignored.
+No value may contain a tab, and no packed item a `;`.  Blank lines and `#`
+comments ignored.
 
 Legacy table format: TSV with header
 `id db keyword valence valenceSD arousal arousalSD dominance dominanceSD`,
@@ -24,6 +28,7 @@ Legacy table format: TSV with header
 the 1..9 scale.
 """
 
+import re
 from dataclasses import dataclass, fields, replace
 
 from .affect import (
@@ -202,8 +207,9 @@ def validate_stimulus(rec, graph=None, vocabs=None):
             ("length_seconds", ctx.length_seconds),
         )
         for attr, v in numbers:
-            if v is not None and v < 0:
-                problems.append(f"context {attr}={v} is negative")
+            if v is not None and not v >= 0:  # negative, or NaN
+                what = "negative" if v < 0 else "not a number"
+                problems.append(f"context {attr}={v} is {what}")
     return problems
 
 
@@ -321,15 +327,13 @@ _CTX_KEYS = {
 }
 
 
-def parse_record_line(line, lineno=None, interned=None):
-    """Parse one record line (format in the module docstring); the first
-    malformed token raises ParseError.  Does not validate.
+def _repeated(key, lineno):
+    return ParseError(f"repeated record field {key!r}", line=lineno)
 
-    `interned` maps ("sem" or "cat", value) to the annotation parsed from
-    it.  Pass one dict to all the lines of a file, so that records with
-    the same `sem=`/`cat=` value share one annotation object; only values
-    that parse are stored.
-    """
+
+def _parse_record_line(line, lineno=None, interned=None):
+    """The general record-line parser: what parse_record_line does for a
+    line that no plan handles, token by token."""
     if interned is None:
         interned = {}
     db = rid = None
@@ -352,16 +356,24 @@ def parse_record_line(line, lineno=None, interned=None):
                     sems.append(ann)
         elif key in _DIM_KEYS:
             name = _DIM_KEYS[key]
+            if name in dim:
+                raise _repeated(key, lineno)
             dim[name] = _parse_number(value, float, f"dimension {name}", lineno)
         elif key in _CTX_KEYS:
             i, kind = _CTX_KEYS[key]
+            if ctx[i] is not None:
+                raise _repeated(key, lineno)
             has_ctx = True
             ctx[i] = value if kind is None else _parse_number(
                 value, kind, key[4:], lineno
             )
         elif key == "db":
+            if db is not None:
+                raise _repeated(key, lineno)
             db = value
         elif key == "id":
+            if rid is not None:
+                raise _repeated(key, lineno)
             rid = value
         elif key == "cat":
             for v in value.split(";"):
@@ -371,6 +383,8 @@ def parse_record_line(line, lineno=None, interned=None):
                         ann = interned[("cat", v)] = _parse_cat(v, lineno)
                     cats.append(ann)
         elif key == "dim.scale":
+            if "scale_min" in dim:
+                raise _repeated(key, lineno)
             lo, sep2, hi = value.partition(":")
             if not sep2:
                 raise ParseError(f"expected `min:max`, got {value!r}", line=lineno)
@@ -404,8 +418,12 @@ def parse_record_line(line, lineno=None, interned=None):
                 )
             )
         elif key == "dim.level":
+            if "confidence_level" in dim:
+                raise _repeated(key, lineno)
             dim["confidence_level"] = value
         elif key == "dim.value":
+            if "confidence_value" in dim:
+                raise _repeated(key, lineno)
             dim["confidence_value"] = _parse_number(
                 value, float, "dimension confidence", lineno
             )
@@ -440,6 +458,210 @@ def parse_record_line(line, lineno=None, interned=None):
         ContextRecord(rid, db, *ctx) if has_ctx else None,
         tuple(phys),
     )
+
+
+# Plans: parse_record_line's fast path.  A plan is a function generated for
+# one key layout, the tuple of a line's token keys ("" for an empty token).
+# One regex fullmatch checks that a line has that layout and extracts every
+# value; the plan then converts, interns and builds in token order, as the
+# general parser does.  It returns the record, or None when the line is not
+# of its layout or has a bad value; the general parser then parses the line
+# again and raises the same ParseError at the same token.
+_SINGLE_KEYS = frozenset(
+    {"db", "id", "dim.scale", "dim.level", "dim.value", *_DIM_KEYS, *_CTX_KEYS}
+)
+_REPEATABLE_KEYS = frozenset(
+    {"", "sem", "cat", "appraisal", "tendency", "sentiment", "phys", "ctx"}
+)
+_DIM_ORDER = [f.name for f in fields(DimensionAnnotation)]
+# A plan takes about 1 ms to generate and compile (2-vCPU host), as long
+# as the general parser takes for ~50 lines; the bound keeps a file whose
+# every line has a new layout close to the general parser's speed.
+_MAX_PLANS = 16
+# Each plan under the tab count of its layout; _PLAN_LAYOUTS holds the
+# layouts.  Filled as layouts are first seen, up to _MAX_PLANS plans.
+_PLANS = {}
+_PLAN_LAYOUTS = set()
+
+
+def _intern_items(out, field, value, interned, parse):
+    """Append to `out` the interned annotation of each non-empty
+    `;`-separated item of `value`, parsing the new ones."""
+    for v in value.split(";"):
+        if v:
+            ann = interned.get((field, v))
+            if ann is None:
+                ann = interned[(field, v)] = parse(v, None)
+            out.append(ann)
+
+
+def _plan_source(layout):
+    """(regex, source of `plan(line, interned)`) for a layout, or None
+    when it has a key the general parser rejects: an unknown or repeated
+    single-valued key, no db or id, or `dim.*` keys without dim.scale."""
+    singles = [k for k in layout if k in _SINGLE_KEYS]
+    dims = [k for k in singles if k.startswith("dim.")]
+    if (
+        not _SINGLE_KEYS.union(_REPEATABLE_KEYS).issuperset(layout)
+        or len(singles) != len(set(singles))
+        or "db" not in singles
+        or "id" not in singles
+        or (dims and "dim.scale" not in dims)
+    ):
+        return None
+    pattern, groups, body = [], [], []
+    lists = set()  # record fields collected in lists: sems, cats, apps...
+    dim = {}  # DimensionAnnotation field -> local name
+    ctx = {}  # ContextRecord position after id, db_name -> local name
+    has_ctx = False
+    for i, key in enumerate(layout):
+        v = f"v{i}"
+        if not key:
+            pattern.append("")
+        elif key == "dim.scale":
+            pattern.append(r"dim\.scale=([^\t:]*):([^\t]*)")
+            groups += [f"{v}lo", f"{v}hi"]
+            body.append(f"{v}lo = float({v}lo); {v}hi = float({v}hi)")
+            dim["scale_min"], dim["scale_max"] = f"{v}lo", f"{v}hi"
+        else:
+            value = "[^\t]+" if key in ("db", "id") else "[^\t]*"
+            pattern.append(f"{re.escape(key)}=({value})")
+            groups.append(v)
+        if key in ("sem", "cat"):
+            lists.add(f"{key}s")
+            body += [
+                f"a = get(({key!r}, {v}))",
+                f"if a is None: intern_items({key}s, {key!r}, {v}, interned, "
+                f"parse_{key})",
+                f"else: {key}s.append(a)",
+            ]
+        elif key in _DIM_KEYS or key == "dim.value":
+            body.append(f"{v} = float({v})")
+            dim[_DIM_KEYS.get(key, "confidence_value")] = v
+        elif key == "dim.level":
+            dim["confidence_level"] = v
+        elif key in _CTX_KEYS:
+            pos, kind = _CTX_KEYS[key]
+            if kind is not None:
+                body.append(f"{v} = {kind.__name__}({v})")
+            ctx[pos] = v
+        elif key == "ctx":
+            has_ctx = True
+        elif key == "appraisal":
+            lists.add("apps")
+            body += [
+                f"for item in {v}.split(';'):",
+                "    if item:",
+                "        name, sep, num = item.rpartition(':')",
+                "        if not sep: return None",
+                "        apps.append((name, float(num)))",
+            ]
+        elif key == "tendency":
+            lists.add("tends")
+            body.append(f"tends.append(Tendency(*split_confidence({v}, None)))")
+        elif key == "sentiment":
+            lists.add("sents")
+            body += [
+                f"payload, level, cvalue = split_confidence({v}, None)",
+                "sents.append(Sentiment(float(payload), level, cvalue))",
+            ]
+        elif key == "phys":
+            lists.add("phys")
+            body += [
+                f"for item in {v}.split(';'):",
+                "    if item:",
+                "        path, _, channel = item.partition(' ')",
+                "        phys.append(Physiology(path, channel or None))",
+            ]
+
+    def collected(name):
+        return f"tuple({name})" if name in lists else "()"
+
+    db, rid = f"v{layout.index('db')}", f"v{layout.index('id')}"
+    dimensions = context = "None"
+    if dim:
+        args = ", ".join(dim.get(name, "None") for name in _DIM_ORDER)
+        dimensions = f"Dimension({args})"
+    if ctx or has_ctx:
+        args = ", ".join(ctx.get(i, "None") for i in range(len(_CTX_ORDER)))
+        context = f"Context({rid}, {db}, {args})"
+    appraisals = "(Appraisal(tuple(apps)),) if apps else ()"
+    if "apps" not in lists:
+        appraisals = "()"
+    source = "\n".join([
+        "def plan(line, interned):",
+        "    m = match(line)",
+        "    if m is None: return None",
+        f"    {', '.join(groups)}, = m.groups()",
+        "    get = interned.get",
+        *(f"    {name} = []" for name in sorted(lists)),
+        "    try:",
+        *(f"        {stmt}" for stmt in body or ["pass"]),
+        "    except (ValueError, ParseError):",
+        "        return None",
+        f"    return Record({db}, {rid}, {collected('sems')}, {collected('cats')}, "
+        f"{dimensions}, {appraisals}, {collected('tends')}, "
+        f"{collected('sents')}, {context}, {collected('phys')})",
+    ])
+    return "\t".join(pattern), source
+
+
+def _compile_plan(layout):
+    """The plan for a layout, or None when it gets none (see _plan_source)."""
+    generated = _plan_source(layout)
+    if generated is None:
+        return None
+    pattern, source = generated
+    namespace = {
+        "match": re.compile(pattern).fullmatch,
+        "ParseError": ParseError,
+        "intern_items": _intern_items,
+        "parse_sem": _parse_sem,
+        "parse_cat": _parse_cat,
+        "split_confidence": _split_confidence,
+        "Record": StimulusRecord,
+        "Dimension": DimensionAnnotation,
+        "Context": ContextRecord,
+        "Physiology": PhysiologyRef,
+        "Appraisal": AppraisalAnnotation,
+        "Tendency": ActionTendencyAnnotation,
+        "Sentiment": SentimentAnnotation,
+    }
+    exec(source, namespace)
+    return namespace["plan"]
+
+
+def parse_record_line(line, lineno=None, interned=None):
+    """Parse one record line (format in the module docstring); the first
+    malformed token raises ParseError.  Does not validate.
+
+    `interned` maps ("sem" or "cat", value) to the annotation parsed from
+    it.  Pass one dict to all the lines of a file, so that records with
+    the same `sem=`/`cat=` value share one annotation object; only values
+    that parse are stored.
+
+    A line is parsed by the plan of its key layout, compiled when the
+    layout is first seen while the plan table has room; any line no plan
+    handles goes to the general parser.  Records, errors and interning
+    are the same either way.
+    """
+    if interned is None:
+        interned = {}
+    for plan in _PLANS.get(line.count("\t"), ()):
+        rec = plan(line, interned)
+        if rec is not None:
+            return rec
+    if len(_PLAN_LAYOUTS) < _MAX_PLANS:
+        layout = tuple(token.partition("=")[0] for token in line.split("\t"))
+        if layout not in _PLAN_LAYOUTS:
+            plan = _compile_plan(layout)
+            if plan is not None:
+                _PLAN_LAYOUTS.add(layout)
+                _PLANS.setdefault(len(layout) - 1, []).append(plan)
+                rec = plan(line, interned)
+                if rec is not None:
+                    return rec
+    return _parse_record_line(line, lineno, interned)
 
 
 def parse_record_file(text):

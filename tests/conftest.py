@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import stimkb.corpus
 from stimkb.snapshot import build_workspace, parse_manifest
 from stimkb.taxonomy import TaxonomyGraph
 
@@ -118,3 +119,30 @@ def oracle_edit_distance(a, b):
         oracle_edit_distance(a, b[1:]) + 1,
         oracle_edit_distance(a[1:], b[1:]) + (a[0] != b[0]),
     )
+
+
+def layout(line):
+    """The key layout of a record line: its token keys, in order."""
+    return tuple(token.partition("=")[0] for token in line.split("\t"))
+
+
+def empty_plan_table(monkeypatch):
+    """Give `stimkb.corpus` an empty record-line plan table."""
+    monkeypatch.setattr(stimkb.corpus, "_PLANS", {})
+    monkeypatch.setattr(stimkb.corpus, "_PLAN_LAYOUTS", set())
+
+
+def many_layout_lines(n):
+    """`n` good record lines, each of its own key layout; many share a
+    tab count."""
+    ctx_keys = sorted(k for k in stimkb.corpus._CTX_KEYS if k != "ctx.widthPx")
+    rng = random.Random(n)
+    lines = []
+    for k in range(n):
+        tokens = ["db=X", f"id={k}", f"ctx.widthPx={k}"]
+        tokens += [f"sem=Object:keyword:w{k % 7}"] * (k % 5 + 1)
+        tokens += [f"{key}=1" for key in rng.sample(ctx_keys, k // 5 % 4)]
+        rng.shuffle(tokens)
+        lines.append("\t".join(tokens))
+    assert len({layout(line) for line in lines}) == n
+    return lines

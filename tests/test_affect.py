@@ -103,6 +103,9 @@ def test_validate_dimension_requires_a_value():
 def test_validate_dimension_negative_sd():
     ann = DimensionAnnotation(scale_min=1, scale_max=9, valence=5, valenceSD=-0.1)
     assert any("negative" in p for p in validate_dimension(ann))
+    ann = DimensionAnnotation(scale_min=1, scale_max=9, valence=5,
+                              dominanceSD=float("nan"))
+    assert validate_dimension(ann) == ["dominanceSD=nan is not a number"]
 
 
 def test_degenerate_scale():

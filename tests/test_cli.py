@@ -61,6 +61,28 @@ def test_ingest_invalid_record_exits_3(workspace, capsys):
     assert "IAPS/666" in err
 
 
+@pytest.mark.parametrize(
+    "line, code, message",
+    [
+        ("db=IAPS\tid=666\tdb=X\tctx=1", 2, "repeated record field 'db'"),
+        ("db=IAPS\tid=666\tdim.scale=1:9\tdim.valence=3\tdim.valence=7", 2,
+         "repeated record field 'dim.valence'"),
+        ("db=IAPS\tid=666\tctx.lengthSeconds=nan", 3,
+         "context length_seconds=nan is not a number"),
+        ("db=IAPS\tid=666\tdim.scale=1:9\tdim.valence=3\tdim.valenceSD=nan", 3,
+         "valenceSD=nan is not a number"),
+    ],
+)
+def test_ingest_bad_record_exit_code(line, code, message, workspace, capsys):
+    with open(workspace / "records.tsv", "a") as f:
+        f.write(line + "\n")
+    rc = main(["ingest", "--manifest", str(workspace / "manifest.txt"),
+               "--snapshot", str(workspace / "s.json")])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert message in err
+
+
 def test_query_fig7_filter_empty(snapshot, capsys):
     rc = main(["query", "--snapshot", str(snapshot),
                "concept:GroupOfPeople valence:[6.5,9] arousal:[1,3.5] mode:filter"])

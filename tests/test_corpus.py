@@ -3,8 +3,9 @@ import inspect
 import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import stimkb.corpus
 from stimkb.affect import (
     DIMENSION_NAMES,
     DIMENSION_SD_NAMES,
@@ -33,6 +34,8 @@ from stimkb.corpus import (
 )
 from stimkb.errors import ParseError, ValidationError
 from stimkb.taxonomy import parse_mapping
+
+from conftest import empty_plan_table, layout, many_layout_lines
 
 
 def test_parse_iads_311(paper_workspace):
@@ -286,6 +289,13 @@ _OK = "db=X\tid=1\t"
         (_OK + "ctx.lengthSeconds=long", "non-numeric lengthSeconds: 'long'"),
         # The first malformed token wins.
         (_OK + "foo=1\tnoequals", "unknown record field 'foo'"),
+        # A single-valued field appears at most once.
+        ("db=A\tid=1\tdb=B\tctx=1", "repeated record field 'db'"),
+        (_OK + "dim.scale=1:9\tdim.valence=3\tdim.valence=7",
+         "repeated record field 'dim.valence'"),
+        (_OK + "ctx.author=a\tctx.lengthSeconds=x\tctx.author=a",
+         "non-numeric lengthSeconds: 'x'"),
+        (_OK + "ctx.author=a\tctx.author=b", "repeated record field 'ctx.author'"),
     ],
 )
 def test_malformed_record_line_error_text(line, message):
@@ -497,3 +507,133 @@ def test_record_line_round_trip(rec):
     assert parse_record_line(line) == rec
     assert serialize_record(parse_record_line(line)) == line
     assert parse_record_line(_packed(line)) == rec
+
+
+# Differential test of the plans against the general parser.  Values are
+# well formed, but a line may have one value replaced by `_ODD` text, which
+# holds the wire separators, or one odd token.
+_NAME = st.text(string.ascii_letters + string.digits, min_size=1, max_size=4)
+_ODD = st.text("aZ1-_ .:@,=;", max_size=5)
+_NUMBER = (st.integers(-3, 10**6).map(str)
+           | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+           | st.sampled_from([" 7 ", "1_0", "1e999"]))
+_CONF_PART = st.one_of(
+    st.just(""),
+    _NAME.map("@level={}".format),
+    st.tuples(_NAME, _NUMBER).map(lambda t: f"@level={t[0]},value={t[1]}"),
+)
+
+
+def _packed_items(item):
+    """One item, or several `;`-packed, empty ones included."""
+    return item | st.lists(item | st.just(""), max_size=3).map(";".join)
+
+
+_VALUES = {
+    "db": _NAME,
+    "id": _NAME,
+    "sem": _packed_items(st.tuples(
+        st.sampled_from(SEMANTIC_KINDS), st.sampled_from(["concept", "keyword"]),
+        _NAME,
+    ).map(":".join)),
+    "cat": _packed_items(st.tuples(_NAME, _NAME, _CONF_PART).map(
+        lambda t: f"{t[0]}.{t[1]}{t[2]}")),
+    "appraisal": _packed_items(st.tuples(_NAME, _NUMBER).map(":".join)),
+    "phys": _packed_items(_NAME | st.tuples(_NAME, _NAME).map(" ".join)),
+    "tendency": st.tuples(_NAME, _CONF_PART).map("".join),
+    "sentiment": st.tuples(_NUMBER, _CONF_PART).map("".join),
+    "ctx": st.just("1"),
+    "dim.scale": st.tuples(_NUMBER, _NUMBER).map(":".join),
+    "dim.level": _NAME,
+    "dim.value": _NUMBER,
+    **{key: _NUMBER for key in stimkb.corpus._DIM_KEYS},
+    **{key: _NAME if kind is None else _NUMBER
+       for key, (_, kind) in stimkb.corpus._CTX_KEYS.items()},
+}
+_OPTIONAL_SINGLE_KEYS = sorted(
+    k for k in stimkb.corpus._SINGLE_KEYS if k not in ("db", "id")
+)
+_REPEATABLE_KEYS = ["sem", "cat", "appraisal", "phys", "tendency", "sentiment",
+                    "ctx"]
+_ODD_TOKENS = ["", "noequals", "=x", "foo=1", "dim.foo=1", "ctx.foo=1",
+               "db=again", "dim.scale=1:9", "dim.valence=5", "ctx.widthPx=3",
+               "appraisal=5", "sem=Object:concept:A;Object:idea:B"]
+
+
+@st.composite
+def _differential_lines(draw):
+    """A record line of db, id, some single-valued and some repeatable
+    keys (dim.scale added when a `dim.*` key is drawn), perhaps one odd
+    value or token, in any order."""
+    singles = draw(st.sets(st.sampled_from(_OPTIONAL_SINGLE_KEYS), max_size=6))
+    if any(k.startswith("dim.") for k in singles):
+        singles.add("dim.scale")
+    keys = ["db", "id", *sorted(singles),
+            *draw(st.lists(st.sampled_from(_REPEATABLE_KEYS), max_size=4))]
+    values = [draw(_VALUES[k]) for k in keys]
+    if len(keys) > 2 and draw(st.integers(0, 3)) == 0:
+        values[draw(st.integers(2, len(keys) - 1))] = draw(_ODD | _NUMBER)
+    tokens = [f"{k}={v}" for k, v in zip(keys, values)]
+    if draw(st.booleans()):
+        tokens.append(draw(st.sampled_from(_ODD_TOKENS)))
+    return "\t".join(draw(st.permutations(tokens)))
+
+
+def _outcome(parse, line):
+    """repr of the record or the ParseError text, and repr of the interned
+    annotations.  repr, as records holding NaN are not equal to
+    themselves."""
+    interned = {}
+    try:
+        result = repr(parse(line, 3, interned))
+    except ParseError as e:
+        result = str(e)
+    return result, repr(interned)
+
+
+@settings(max_examples=400)
+@given(_differential_lines())
+def test_plans_match_the_general_parser(line):
+    expected = _outcome(stimkb.corpus._parse_record_line, line)
+    plan = stimkb.corpus._compile_plan(layout(line))
+    if plan is not None:
+        # A plan handles every good line of its layout and no bad one.
+        rec = plan(line, {})
+        if expected[0].startswith("line 3: "):
+            assert rec is None
+        else:
+            assert repr(rec) == expected[0]
+    with pytest.MonkeyPatch.context() as mp:
+        empty_plan_table(mp)
+        assert _outcome(parse_record_line, line) == expected
+
+
+@pytest.mark.parametrize("bad", [
+    "dim.scale=a:9", "dim.scale=1:9\tdim.valence=x", "ctx.widthPx=x",
+    "appraisal=p:x", "appraisal=5", "tendency=t@value=x", "sentiment=x",
+    "sem=K:idea:C", "cat=V.t@mood=1",
+])
+def test_plans_intern_up_to_the_first_bad_token(bad, monkeypatch):
+    empty_plan_table(monkeypatch)
+    line = f"db=X\tid=1\tsem=K:concept:A\t{bad}\tsem=K:concept:B\tcat=V.t"
+    interned = {}
+    with pytest.raises(ParseError) as exc:
+        parse_record_line(line, 3, interned)
+    assert list(interned) == [("sem", "K:concept:A")]
+    with pytest.raises(ParseError) as general:
+        stimkb.corpus._parse_record_line(line, 3)
+    assert str(exc.value) == str(general.value)
+    assert len(stimkb.corpus._PLAN_LAYOUTS) == 1
+
+
+def test_more_layouts_than_plans(monkeypatch):
+    empty_plan_table(monkeypatch)
+    lines = many_layout_lines(3 * stimkb.corpus._MAX_PLANS)
+    parsed = stimkb.corpus.parse_record_file("\n".join(lines))
+    interned = {}
+    assert parsed == [
+        (i, stimkb.corpus._parse_record_line(line, i, interned))
+        for i, line in enumerate(lines, start=1)
+    ]
+    assert len(stimkb.corpus._PLAN_LAYOUTS) == stimkb.corpus._MAX_PLANS
+    assert sum(map(len, stimkb.corpus._PLANS.values())) == stimkb.corpus._MAX_PLANS

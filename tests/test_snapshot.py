@@ -25,7 +25,7 @@ from stimkb.snapshot import (
 )
 from stimkb.synthetic import generate
 
-from conftest import PAPER_MANIFEST
+from conftest import PAPER_MANIFEST, empty_plan_table, many_layout_lines
 
 
 def test_snapshot_round_trip(tmp_path, paper_workspace):
@@ -155,6 +155,32 @@ def _bad_record(line):
     return edit
 
 
+def test_load_of_more_layouts_than_plans(tmp_path, monkeypatch, paper_workspace):
+    """Each record line has its own key layout, more than the plan table
+    holds: load_snapshot still calls corpus.parse_record_line once per
+    record and gets the general parser's records."""
+    empty_plan_table(monkeypatch)
+    lines = many_layout_lines(3 * stimkb.corpus._MAX_PLANS)
+    snap = tmp_path / "layouts.json"
+    snap.write_text(json.dumps({**_snapshot_doc(paper_workspace, tmp_path),
+                                "records": lines}))
+    parsed = []
+    parse = stimkb.corpus.parse_record_line
+
+    def counting_parse(line, *args, **kwargs):
+        parsed.append(line)
+        return parse(line, *args, **kwargs)
+
+    monkeypatch.setattr(stimkb.corpus, "parse_record_line", counting_parse)
+    loaded = load_snapshot(snap)
+    interned = {}
+    assert list(loaded.corpus) == [
+        stimkb.corpus._parse_record_line(line, interned=interned) for line in lines
+    ]
+    assert parsed == lines
+    assert len(stimkb.corpus._PLAN_LAYOUTS) == stimkb.corpus._MAX_PLANS
+
+
 # (case, edit of a good snapshot document -> file text, error text)
 BAD_SNAPSHOTS = [
     ("version only", lambda doc: '{"version": 1}', "missing key 'seed'"),
@@ -180,6 +206,15 @@ BAD_SNAPSHOTS = [
      "records[1]: record requires db= and id="),
     ("invalid record", _bad_record("db=X\tid=1\tsem=Object:concept:NoSuch"),
      "records[1]: record X/1: unknown concept 'NoSuch'"),
+    ("repeated record field", _bad_record("db=A\tid=1\tdb=B\tctx=1"),
+     "records[1]: repeated record field 'db'"),
+    ("NaN dimension SD", _bad_record(
+        "db=X\tid=1\tdim.scale=1:9\tdim.valence=5\tdim.arousalSD=nan"),
+     "records[1]: record X/1: arousalSD=nan is not a number"),
+    ("NaN context length", _bad_record("db=X\tid=1\tctx.lengthSeconds=nan"),
+     "records[1]: record X/1: context length_seconds=nan is not a number"),
+    ("negative context length", _bad_record("db=X\tid=1\tctx.lengthSeconds=-1"),
+     "records[1]: record X/1: context length_seconds=-1.0 is negative"),
     ("duplicate record", lambda doc: json.dumps(
         {**doc, "records": doc["records"] + doc["records"][:1]}),
      "records[4]: duplicate stimulus key"),
