@@ -16,7 +16,7 @@ or with several values packed into one token with `;`, `tendency` and
     appraisal=pleasantness:0.7
     tendency=approach@level=High           sentiment=0.8@value=0.9
     ctx.lengthSeconds=6  ctx.mediaFormat=wav  ctx.author=...  ctx.location=...
-    ctx=1                                  bare context (db/id only)
+    ctx=1                                  bare context (no metadata)
     phys=http://example.org/subject1_hr HR       channel after space, optional
 
 No value may contain a tab, and no packed item a `;`.  Blank lines and `#`
@@ -81,8 +81,6 @@ class SemanticsAnnotation:
 @fast_init
 @dataclass(frozen=True, slots=True)
 class ContextRecord:
-    id: str
-    db_name: str
     media_format: str | None = None
     width_px: int | None = None
     height_px: int | None = None
@@ -317,10 +315,9 @@ def _parse_cat(value, lineno):
 
 # Exact-key dispatch for parse_record_line.  `dim.*` keys map to the
 # DimensionAnnotation field; `ctx.*` keys to the position of the
-# ContextRecord field among those after id and db_name, and its number
-# type (None for text).
+# ContextRecord field and its number type (None for text).
 _DIM_KEYS = {f"dim.{name}": name for name in DIMENSION_NAMES + DIMENSION_SD_NAMES}
-_CTX_ORDER = [f.name for f in fields(ContextRecord)[2:]]
+_CTX_ORDER = [f.name for f in fields(ContextRecord)]
 _CTX_KEYS = {
     f"ctx.{wire}": (_CTX_ORDER.index(attr), _CONTEXT_NUMBER_TYPES.get(wire))
     for wire, attr in _CTX_ATTR.items()
@@ -340,6 +337,7 @@ def _parse_record_line(line, lineno=None, interned=None):
     sems, cats, apps, tends, sents, phys = [], [], [], [], [], []
     dim = {}
     ctx = [None] * len(_CTX_ORDER)
+    ctx_tokens = [None] * len(_CTX_ORDER)  # raw text, for the interning key
     has_ctx = False
     for token in line.split("\t"):
         key, sep, value = token.partition("=")
@@ -361,9 +359,10 @@ def _parse_record_line(line, lineno=None, interned=None):
             dim[name] = _parse_number(value, float, f"dimension {name}", lineno)
         elif key in _CTX_KEYS:
             i, kind = _CTX_KEYS[key]
-            if ctx[i] is not None:
+            if ctx_tokens[i] is not None:
                 raise _repeated(key, lineno)
             has_ctx = True
+            ctx_tokens[i] = token
             ctx[i] = value if kind is None else _parse_number(
                 value, kind, key[4:], lineno
             )
@@ -396,7 +395,7 @@ def _parse_record_line(line, lineno=None, interned=None):
                     path, _, channel = v.partition(" ")
                     phys.append(PhysiologyRef(path, channel or None))
         elif key == "ctx":
-            # Presence marker for a context with no metadata beyond db/id.
+            # Presence marker for a context with no metadata.
             has_ctx = True
         elif key == "appraisal":
             for v in value.split(";"):
@@ -445,6 +444,13 @@ def _parse_record_line(line, lineno=None, interned=None):
             )
         dimensions = DimensionAnnotation(**dim)
 
+    context = None
+    if has_ctx:
+        ckey = ("ctx", "\t".join(t for t in ctx_tokens if t is not None))
+        context = interned.get(ckey)
+        if context is None:
+            context = interned[ckey] = ContextRecord(*ctx)
+
     # Positional arguments, in field order: cheaper than keywords.
     return StimulusRecord(
         db,
@@ -455,7 +461,7 @@ def _parse_record_line(line, lineno=None, interned=None):
         (AppraisalAnnotation(tuple(apps)),) if apps else (),
         tuple(tends),
         tuple(sents),
-        ContextRecord(rid, db, *ctx) if has_ctx else None,
+        context,
         tuple(phys),
     )
 
@@ -512,7 +518,8 @@ def _plan_source(layout):
     pattern, groups, body = [], [], []
     lists = set()  # record fields collected in lists: sems, cats, apps...
     dim = {}  # DimensionAnnotation field -> local name
-    ctx = {}  # ContextRecord position after id, db_name -> local name
+    ctx = {}  # ContextRecord position -> local name of the value
+    ctx_tokens = {}  # ContextRecord position -> f-string text of the token
     has_ctx = False
     for i, key in enumerate(layout):
         v = f"v{i}"
@@ -542,9 +549,12 @@ def _plan_source(layout):
             dim["confidence_level"] = v
         elif key in _CTX_KEYS:
             pos, kind = _CTX_KEYS[key]
-            if kind is not None:
-                body.append(f"{v} = {kind.__name__}({v})")
             ctx[pos] = v
+            if kind is not None:
+                # The number goes to its own local: the key needs the text.
+                ctx[pos] = f"{v}n"
+                body.append(f"{v}n = {kind.__name__}({v})")
+            ctx_tokens[pos] = f"{key}={{{v}}}"
         elif key == "ctx":
             has_ctx = True
         elif key == "appraisal":
@@ -579,12 +589,22 @@ def _plan_source(layout):
 
     db, rid = f"v{layout.index('db')}", f"v{layout.index('id')}"
     dimensions = context = "None"
+    intern_context = []
     if dim:
         args = ", ".join(dim.get(name, "None") for name in _DIM_ORDER)
         dimensions = f"Dimension({args})"
     if ctx or has_ctx:
+        # Interned after every value has converted, as the general parser
+        # does, under the ctx tokens' raw text in field order.
+        text = "\t".join(ctx_tokens[i] for i in sorted(ctx_tokens))
+        ckey = f"('ctx', f{text!r})" if text else "('ctx', '')"
         args = ", ".join(ctx.get(i, "None") for i in range(len(_CTX_ORDER)))
-        context = f"Context({rid}, {db}, {args})"
+        context = "context"
+        intern_context = [
+            f"    ckey = {ckey}",
+            "    context = get(ckey)",
+            f"    if context is None: context = interned[ckey] = Context({args})",
+        ]
     appraisals = "(Appraisal(tuple(apps)),) if apps else ()"
     if "apps" not in lists:
         appraisals = "()"
@@ -599,6 +619,7 @@ def _plan_source(layout):
         *(f"        {stmt}" for stmt in body or ["pass"]),
         "    except (ValueError, ParseError):",
         "        return None",
+        *intern_context,
         f"    return Record({db}, {rid}, {collected('sems')}, {collected('cats')}, "
         f"{dimensions}, {appraisals}, {collected('tends')}, "
         f"{collected('sents')}, {context}, {collected('phys')})",
@@ -636,9 +657,11 @@ def parse_record_line(line, lineno=None, interned=None):
     malformed token raises ParseError.  Does not validate.
 
     `interned` maps ("sem" or "cat", value) to the annotation parsed from
-    it.  Pass one dict to all the lines of a file, so that records with
-    the same `sem=`/`cat=` value share one annotation object; only values
-    that parse are stored.
+    it, and ("ctx", the line's `ctx.*` tokens in field order, tab-joined)
+    to the ContextRecord built from them.  Pass one dict to all the lines
+    of a file, so that records with the same `sem=`/`cat=` value, or the
+    same context tokens, share one object; only values that parse are
+    stored, and a context only once its whole line has parsed.
 
     A line is parsed by the plan of its key layout, compiled when the
     layout is first seen while the plan table has room; any line no plan
@@ -797,7 +820,7 @@ def parse_legacy_table(text):
                     SemanticsAnnotation(kind="Object", keyword=row["keyword"]),
                 ),
                 dimensions=DimensionAnnotation(scale_min=1.0, scale_max=9.0, **dims),
-                context=ContextRecord(id=row["id"], db_name=row["db"]),
+                context=ContextRecord(),
             )
         )
     return records

@@ -189,8 +189,8 @@ def run_experiment(corpus, graph, queries, judgments, measures, schemes, config)
     """
     schemes = sorted({check_scheme(s) for s in schemes})
     measures = sorted({parse_measure(m) for m in measures}, key=lambda m: m.value)
-    all_keys = sorted(r.key for r in corpus)
-    records = {r.key: r for r in corpus}
+    records = corpus.records
+    all_keys = sorted(records)
     rows = []
     notes = []
     for scheme in schemes:

@@ -68,25 +68,43 @@ def inclusion_rel(a, b):
 
 
 def levenshtein_distance(a, b):
-    """Unit-cost edit distance (insert/delete/substitute)."""
+    """Unit-cost edit distance (insert/delete/substitute).
+
+    Myers' bit-vector algorithm (J. ACM 46(3), 1999), in Hyyro's form for
+    the global distance: one column of the DP matrix is held as bit
+    vectors of its +1/-1 vertical deltas, one bit per character of the
+    pattern (the shorter string), and each character of the text updates
+    it in a fixed number of integer operations.  Python ints are
+    unbounded, so the vectors are masked to the pattern's width.
+    """
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        left = i
-        cur = [left]
-        # diag = prev[j - 1], up = prev[j], left = cur[j - 1].
-        for diag, up, cb in zip(prev, prev[1:], b):
-            if ca != cb:
-                diag += 1
-            if up < left:
-                left = up
-            left += 1
-            if diag < left:
-                left = diag
-            cur.append(left)
-        prev = cur
-    return prev[-1]
+    m = len(b)
+    if not m:
+        return len(a)
+    peq = {}  # character -> bit mask of its positions in the pattern
+    bit = 1
+    for c in b:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, score = mask, 0, m
+    get = peq.get
+    for c in a:
+        eq = get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def levenshtein_rel(a, b):

@@ -121,6 +121,29 @@ def oracle_edit_distance(a, b):
     )
 
 
+def dp_edit_distance(a, b):
+    """The row-by-row O(len(a) * len(b)) dynamic program; fast enough for
+    strings of a few hundred characters."""
+    if len(a) < len(b):
+        a, b = b, a
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        left = i
+        cur = [left]
+        # diag = prev[j - 1], up = prev[j], left = cur[j - 1].
+        for diag, up, cb in zip(prev, prev[1:], b):
+            if ca != cb:
+                diag += 1
+            if up < left:
+                left = up
+            left += 1
+            if diag < left:
+                left = diag
+            cur.append(left)
+        prev = cur
+    return prev[-1]
+
+
 def layout(line):
     """The key layout of a record line: its token keys, in order."""
     return tuple(token.partition("=")[0] for token in line.split("\t"))

@@ -108,7 +108,8 @@ def test_parse_legacy_table():
     assert r.dimensions.valence == 6.25
     assert r.dimensions.arousal == 3.97
     assert (r.dimensions.scale_min, r.dimensions.scale_max) == (1.0, 9.0)
-    assert r.context.db_name == "IAPS"
+    assert r.db == "IAPS"
+    assert r.context == ContextRecord()
     assert recs[1].dimensions.valence == 5.93
     assert recs[1].dimensions.arousal == 3.29
 
@@ -321,6 +322,74 @@ def test_interned_annotations_are_shared_per_field_and_value():
     assert parse_record_line(line.format(2), 2) == second
 
 
+@pytest.fixture(params=["plans", "general parser"])
+def record_parser(request, monkeypatch):
+    """parse_record_line with an empty plan table, or with no plans at
+    all, so that every line goes to the general parser."""
+    empty_plan_table(monkeypatch)
+    if request.param == "general parser":
+        monkeypatch.setattr(stimkb.corpus, "_MAX_PLANS", 0)
+    return parse_record_line
+
+
+def test_equal_context_tokens_share_one_context_per_load(record_parser):
+    lines = [
+        "db=X\tid=1\tctx.mediaFormat=wav\tctx.lengthSeconds=6",
+        "db=X\tid=2\tctx.lengthSeconds=6\tsem=Object:keyword:a\tctx.mediaFormat=wav",
+        "db=Y\tid=1\tctx=1\tctx.mediaFormat=wav\tctx.lengthSeconds=6",
+        "db=X\tid=3\tctx=1",
+        "db=X\tid=4\tctx=2",
+        "db=X\tid=5\tctx.mediaFormat=wav",
+    ]
+    loads = []
+    for _ in range(2):
+        interned = {}
+        loads.append([record_parser(line, i, interned)
+                      for i, line in enumerate(lines)])
+    first, second = loads
+    assert first[0].context == ContextRecord(media_format="wav",
+                                             length_seconds=6.0)
+    assert first[1].context is first[0].context
+    assert first[2].context is first[0].context
+    assert first[3].context == ContextRecord()
+    assert first[4].context is first[3].context
+    assert first[5].context == ContextRecord(media_format="wav")
+    assert [k for k in interned if k[0] == "ctx"] == [
+        ("ctx", "ctx.mediaFormat=wav\tctx.lengthSeconds=6"), ("ctx", ""),
+        ("ctx", "ctx.mediaFormat=wav")]
+    for a, b in zip(first, second):
+        assert a == b and a.context is not b.context
+
+
+@pytest.mark.parametrize("key", ["widthPx", "lengthSeconds"])
+def test_contexts_differ_when_their_raw_text_does(record_parser, key):
+    interned = {}
+    zero, minus_zero, zero_again = (
+        record_parser(f"db=X\tid={i}\tctx.{key}={v}", i, interned)
+        for i, v in enumerate(["0", "-0", "0"])
+    )
+    assert minus_zero.context is not zero.context
+    assert zero_again.context is zero.context
+    # Each holds its own line's value (-0.0 for a float field).
+    assert repr(minus_zero.context) == repr(parse_record_line(
+        f"db=X\tid=1\tctx.{key}=-0").context)
+
+
+@pytest.mark.parametrize("line", [
+    "db=X\tid=1\tctx.mediaFormat=wav\tsem=Object:idea:x",
+    "db=X\tid=1\tctx.mediaFormat=wav\tctx.widthPx=x",
+    "db=X\tid=1\tctx.mediaFormat=wav\tctx.mediaFormat=jpg",
+    "db=X\tid=1\tctx=1\tdim.valence=5",
+    "db=X\tctx.mediaFormat=wav",
+    "db=X\tid=1\tctx.mediaFormat=wav\tnosuch=1",
+])
+def test_bad_line_interns_no_context(record_parser, line):
+    interned = {}
+    with pytest.raises(ParseError):
+        record_parser(line, 3, interned)
+    assert not [k for k in interned if k[0] == "ctx"]
+
+
 def test_record_classes_are_slotted_and_frozen(paper_workspace):
     rec = paper_workspace.corpus.get_stimulus("IAPS/8163")
     objects = [rec, rec.semantics[0], rec.categories[0], rec.dimensions,
@@ -381,7 +450,8 @@ def test_fast_init_matches_a_plain_dataclass(cls):
         assert not hasattr(obj, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, names[0], "x")
-    for args, kwargs in [(values[:required - 1], {}), (values + ["extra"], {}),
+    too_few = [(values[:required - 1], {})] if required else []
+    for args, kwargs in [*too_few, (values + ["extra"], {}),
                          (values[:required], {"nosuch": 1})]:
         for make in (cls, twin):
             with pytest.raises(TypeError):
@@ -480,7 +550,7 @@ def _records(draw):
         sentiments=tuple(draw(st.lists(
             st.builds(SentimentAnnotation, _NUM, _LEVEL, _CONF), max_size=2
         ))),
-        context=None if ctx is None else ContextRecord(id=rid, db_name=db, **ctx),
+        context=None if ctx is None else ContextRecord(**ctx),
         physiology=tuple(draw(st.lists(
             st.builds(PhysiologyRef, _WORD, st.none() | _PHRASE), max_size=3
         ))),
@@ -516,7 +586,7 @@ _NAME = st.text(string.ascii_letters + string.digits, min_size=1, max_size=4)
 _ODD = st.text("aZ1-_ .:@,=;", max_size=5)
 _NUMBER = (st.integers(-3, 10**6).map(str)
            | st.floats(allow_nan=True, allow_infinity=True).map(repr)
-           | st.sampled_from([" 7 ", "1_0", "1e999"]))
+           | st.sampled_from([" 7 ", "1_0", "1e999", "-0"]))
 _CONF_PART = st.one_of(
     st.just(""),
     _NAME.map("@level={}".format),
@@ -580,15 +650,17 @@ def _differential_lines(draw):
 
 
 def _outcome(parse, line):
-    """repr of the record or the ParseError text, and repr of the interned
-    annotations.  repr, as records holding NaN are not equal to
-    themselves."""
+    """repr of the record or the ParseError text, repr of the interned
+    objects, and whether parsing the line again into the same dict gives
+    the same context object.  repr, as records holding NaN are not equal
+    to themselves."""
     interned = {}
     try:
-        result = repr(parse(line, 3, interned))
+        rec = parse(line, 3, interned)
     except ParseError as e:
-        result = str(e)
-    return result, repr(interned)
+        return str(e), repr(interned), None
+    shared = parse(line, 3, interned).context is rec.context
+    return repr(rec), repr(interned), shared
 
 
 @settings(max_examples=400)

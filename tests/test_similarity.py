@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stimkb.errors import ValidationError
 from stimkb.similarity import (
@@ -21,7 +21,7 @@ from stimkb.similarity import (
 )
 from stimkb.taxonomy import parse_taxonomy
 
-from conftest import oracle_edit_distance, random_dag
+from conftest import dp_edit_distance, oracle_edit_distance, random_dag
 
 ALL_CONCEPT_MEASURES = [
     path_length_rel,
@@ -66,6 +66,58 @@ _EDIT_ALPHABET = "aAbBéÉßẞ漢 "
 def test_levenshtein_matches_oracle_on_mixed_text(a, b):
     assert levenshtein_distance(a, b) == oracle_edit_distance(a, b)
     assert levenshtein_distance(b, a) == oracle_edit_distance(a, b)
+
+
+# The bit-vector kernel against the DP: pattern widths around the 64- and
+# 128-bit marks, astral characters (one code point each), runs of one
+# character, equal strings, and near pairs (a few edits apart), where the
+# +1/-1 deltas cancel most.
+_KERNEL_ALPHABET = "abé\U0001F600\U00010348"
+_LENGTHS = st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129, 150]) | st.integers(
+    0, 150)
+
+
+@st.composite
+def _kernel_text(draw):
+    n = draw(_LENGTHS)
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_KERNEL_ALPHABET)) * n
+    return "".join(draw(st.lists(st.sampled_from(_KERNEL_ALPHABET), min_size=n,
+                                 max_size=n)))
+
+
+@st.composite
+def _near(draw, text):
+    chars = list(text)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(chars)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        c = draw(st.sampled_from(_KERNEL_ALPHABET))
+        if op == "insert":
+            chars.insert(i, c)
+        elif i < len(chars):
+            chars[i:i + 1] = [c] if op == "replace" else []
+    return "".join(chars)
+
+
+_KERNEL_PAIRS = (
+    st.tuples(_kernel_text(), _kernel_text())
+    | _kernel_text().map(lambda a: (a, a))
+    | _kernel_text().flatmap(lambda a: st.tuples(st.just(a), _near(a)))
+)
+
+
+@settings(max_examples=300)
+@given(_KERNEL_PAIRS)
+@example(("", ""))
+@example(("", "a" * 130))
+@example(("\U0001F600" * 129, "\U0001F600" * 64))
+@example(("ab" * 65, "ba" * 65))
+def test_levenshtein_kernel_matches_the_dp(pair):
+    a, b = pair
+    expected = dp_edit_distance(a, b)
+    assert levenshtein_distance(a, b) == expected
+    assert levenshtein_distance(b, a) == expected
 
 
 def _chain(n):

@@ -324,6 +324,19 @@ def test_loaded_records_share_one_annotation_per_token(tmp_path):
     assert len(objects) < n_annotations / 2
 
 
+def test_loaded_records_share_one_context_per_load(tmp_path, paper_workspace):
+    lines = [f"db=X\tid={i}\tctx.mediaFormat={'wav' if i % 2 else 'jpg'}"
+             for i in range(6)]
+    snap = tmp_path / "contexts.json"
+    snap.write_text(json.dumps({**_snapshot_doc(paper_workspace, tmp_path),
+                                "records": lines}))
+    loads = [[r.context for r in load_snapshot(snap).corpus] for _ in range(2)]
+    for contexts in loads:
+        assert len({id(c) for c in contexts}) == 2
+        assert all(c is contexts[i % 2] for i, c in enumerate(contexts))
+    assert all(a == b and a is not b for a, b in zip(*loads))
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_load_restores_the_collector_state(enabled, tmp_path, paper_workspace):
     doc = _snapshot_doc(paper_workspace, tmp_path)
