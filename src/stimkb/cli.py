@@ -1,7 +1,7 @@
 """`stimkb` command line: ingest, validate, query, eval, sequence, stats.
 
-Exit statuses: 0 success, 2 usage or parse error, 3 data validation error,
-4 internal invariant violation.
+Exit statuses: 0 success, 2 usage, parse or file error, 3 data validation
+error, 4 internal invariant violation.
 """
 
 import argparse
@@ -9,16 +9,16 @@ import json
 import sys
 from pathlib import Path
 
-from . import evaluation, retrieval, sequence as seqmod
+from . import retrieval, sequence as seqmod
 from .errors import ParseError, QueryError, StimKbError, ValidationError
 from .evaluation import (
     ExperimentConfig,
-    check_scheme,
     parse_judgments,
     parse_queries,
     report_to_tsv,
     run_experiment,
 )
+from .lines import read_input
 from .similarity import parse_measure
 from .snapshot import build_workspace, load_snapshot, parse_manifest, save_snapshot
 
@@ -94,16 +94,15 @@ def _cmd_query(args):
 
 def _cmd_eval(args):
     ws = load_snapshot(args.snapshot)
-    queries = parse_queries(Path(args.queries).read_text())
-    relevant, _ = parse_judgments(Path(args.judgments).read_text())
+    queries = parse_queries(read_input(args.queries, "queries file"))
+    relevant, _ = parse_judgments(read_input(args.judgments, "judgments file"))
     config = ExperimentConfig(
         candidate_size=args.candidates,
         seed=args.seed if args.seed is not None else ws.seed,
         max_resamples=args.retries,
     )
     report = run_experiment(
-        ws.corpus, ws.graph, queries, relevant, args.measures, args.schemes,
-        config,
+        ws.corpus, ws.graph, queries, relevant, args.measures, config
     )
     text = report_to_tsv(report)
     if args.out:
@@ -143,7 +142,8 @@ def _cmd_sequence(args):
 def _cmd_stats(args):
     ws = load_snapshot(args.snapshot)
     print(f"{len(ws.corpus)} records")
-    print(f"{len(ws.corpus.keyword_index)} distinct keywords")
+    keywords = {k for rec in ws.corpus for k in rec.keywords()}
+    print(f"{len(keywords)} distinct keywords")
     print(f"{len(ws.corpus.concept_index)} distinct concepts")
     print(f"{len(ws.graph.concepts)} taxonomy concepts, max depth "
           f"{ws.graph.max_depth}")
@@ -167,17 +167,12 @@ def _int_at_least(low):
     return convert
 
 
-def _name_list(check):
-    """An argparse type: a comma-separated list, each item passed through
-    `check`, which raises ValidationError for an unknown name."""
-
-    def convert(text):
-        try:
-            return [check(name.strip()) for name in text.split(",")]
-        except ValidationError as e:
-            raise argparse.ArgumentTypeError(str(e)) from None
-
-    return convert
+def _measure_list(text):
+    """An argparse type: a comma-separated list of measure names."""
+    try:
+        return [parse_measure(name.strip()) for name in text.split(",")]
+    except ValidationError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def build_parser():
@@ -207,10 +202,8 @@ def build_parser():
     p.add_argument("--snapshot", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--judgments", required=True)
-    p.add_argument("--measures", type=_name_list(parse_measure),
+    p.add_argument("--measures", type=_measure_list,
                    default="inclusion,levenshtein,pathlen,wupalmer")
-    p.add_argument("--schemes", type=_name_list(check_scheme),
-                   default="keyword,concept")
     p.add_argument("--candidates", type=_int_at_least(1), default=100)
     p.add_argument("--retries", type=_int_at_least(0), default=5)
     p.add_argument("--seed", type=int, default=None)
@@ -239,7 +232,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except QueryError as e:

@@ -212,15 +212,14 @@ def validate_stimulus(rec, graph=None, vocabs=None):
 
 
 class Corpus:
-    """Append-only store of validated stimulus records with concept and
-    keyword indices; treat as immutable once queries start."""
+    """Append-only store of validated stimulus records with a concept
+    index; treat as immutable once queries start."""
 
     def __init__(self, graph=None, vocabs=None):
         self.graph = graph
         self.vocabs = vocabs
         self.records = {}
         self.concept_index = {}
-        self.keyword_index = {}
 
     def add_stimulus(self, rec, lineno=None):
         """Validate `rec` against the graph and vocabularies and index it;
@@ -236,8 +235,6 @@ class Corpus:
         for sem in rec.semantics:
             if sem.concept:
                 self.concept_index.setdefault(sem.concept, set()).add(key)
-            if sem.keyword:
-                self.keyword_index.setdefault(sem.keyword.casefold(), set()).add(key)
 
     def get_stimulus(self, key):
         if key not in self.records:
@@ -246,9 +243,6 @@ class Corpus:
 
     def stimuli_by_concept(self, concept):
         return set(self.concept_index.get(concept, set()))
-
-    def stimuli_by_keyword(self, keyword):
-        return set(self.keyword_index.get(keyword.casefold(), set()))
 
     def __len__(self):
         return len(self.records)

@@ -2,9 +2,10 @@
 classification, confusion-matrix metrics, and micro-aggregated reports.
 
 The experiment runner samples a candidate subset per query with a seeded
-RNG, ranks it under each (annotation scheme, measure) pair, picks the
-classification threshold at the maximum lift, and pools the resulting
-confusion matrices per pair.
+RNG, ranks it under each measure, picks the classification threshold at
+the maximum lift, and pools the resulting confusion matrices per measure.
+The measure decides the annotation scheme: a concept measure reads the
+query's concept, a lexical one its keyword.
 """
 
 import random
@@ -13,11 +14,7 @@ from dataclasses import dataclass
 from .errors import ParseError, ValidationError
 from .lines import tab_rows
 from .retrieval import OperandScores, score_record
-from .similarity import CONCEPT_MEASURES, LEXICAL_MEASURES, parse_measure
-
-SCHEME_KEYWORD = "keyword"
-SCHEME_CONCEPT = "concept"
-SCHEMES = (SCHEME_KEYWORD, SCHEME_CONCEPT)
+from .similarity import CONCEPT_MEASURES, parse_measure
 
 
 @dataclass(frozen=True)
@@ -144,8 +141,8 @@ class ExperimentQuery:
     concept: str | None = None
     keyword: str | None = None
 
-    def term_for(self, scheme):
-        return self.concept if scheme == SCHEME_CONCEPT else self.keyword
+    def term_for(self, measure):
+        return self.concept if measure in CONCEPT_MEASURES else self.keyword
 
 
 @dataclass
@@ -161,86 +158,74 @@ class ExperimentReport:
     notes: tuple
 
 
-def check_scheme(name):
-    """Return `name` if it is an annotation scheme, else raise."""
-    if name not in SCHEMES:
-        raise ValidationError(
-            f"unknown scheme {name!r} (expected one of {', '.join(SCHEMES)})"
-        )
-    return name
+def _scheme_of(measure):
+    """The annotation scheme `measure` reads: "concept" or "keyword"."""
+    return "concept" if measure in CONCEPT_MEASURES else "keyword"
 
 
-def _compatible(scheme, measure):
-    if scheme == SCHEME_KEYWORD:
-        return measure in LEXICAL_MEASURES
-    return measure in CONCEPT_MEASURES
-
-
-def run_experiment(corpus, graph, queries, judgments, measures, schemes, config):
-    """Rank a sampled candidate subset per (scheme, measure, query), apply
-    the lift-threshold classification rule, and micro-aggregate.
+def run_experiment(corpus, graph, queries, judgments, measures, config):
+    """Rank a sampled candidate subset per (measure, query), apply the
+    lift-threshold classification rule, and micro-aggregate.
 
     `judgments` maps query id -> set of relevant stimulus keys over the
     whole corpus.  Queries whose sampled subset has no relevant item are
     resampled up to `config.max_resamples` times, then skipped with a note.
-    Each (scheme, measure, query) scores its candidates through one
-    OperandScores, so each distinct annotation operand is scored once.
-    A scheme or measure named twice runs once.
+    Each (measure, query) scores its candidates through one OperandScores,
+    so each distinct annotation operand is scored once.  A measure named
+    twice runs once.  Rows come in (scheme, measure) order.
     """
-    schemes = sorted({check_scheme(s) for s in schemes})
-    measures = sorted({parse_measure(m) for m in measures}, key=lambda m: m.value)
+    measures = sorted({parse_measure(m) for m in measures},
+                      key=lambda m: (_scheme_of(m), m.value))
     records = corpus.records
     all_keys = sorted(records)
     rows = []
     notes = []
-    for scheme in schemes:
-        for measure in measures:
-            if not _compatible(scheme, measure):
+    for measure in measures:
+        scheme = _scheme_of(measure)
+        matrices = []
+        used = 0
+        for query in sorted(queries, key=lambda q: q.qid):
+            term = query.term_for(measure)
+            if term is None:
                 continue
-            matrices = []
-            used = 0
-            for query in sorted(queries, key=lambda q: q.qid):
-                term = query.term_for(scheme)
-                if term is None:
-                    continue
-                if query.qid not in judgments:
-                    raise ValidationError(f"no judgments for query {query.qid}")
-                relevant = judgments[query.qid]
-                candidates = None
-                for attempt in range(config.max_resamples + 1):
-                    rng = random.Random(
-                        f"{config.seed}:{scheme}:{measure.value}:"
-                        f"{query.qid}:{attempt}"
-                    )
-                    size = min(config.candidate_size, len(all_keys))
-                    sample = rng.sample(all_keys, size)
-                    if any(k in relevant for k in sample):
-                        candidates = sample
-                        break
-                if candidates is None:
-                    notes.append(
-                        f"query {query.qid} ({scheme}/{measure.value}): no "
-                        f"relevant candidate after {config.max_resamples + 1} "
-                        "samples; skipped"
-                    )
-                    continue
-                memo = OperandScores(measure, term, graph)
-                scored = [
-                    (k, score_record(measure, term, records[k], graph=graph,
-                                     memo=memo))
-                    for k in candidates
-                ]
-                scored.sort(key=lambda e: (-e[1], e[0]))
-                local_judgments = {k: k in relevant for k, _ in scored}
-                curve = lift_curve(scored, local_judgments)
-                t = select_threshold(curve)
-                labels = classify_at_threshold(scored, t)
-                matrices.append(confusion(labels, local_judgments))
-                used += 1
-            if matrices:
-                rows.append((scheme, measure.value, used, aggregate(matrices)))
-            else:
-                notes.append(f"{scheme}/{measure.value}: no usable queries")
+            if query.qid not in judgments:
+                raise ValidationError(f"no judgments for query {query.qid}")
+            relevant = judgments[query.qid]
+            candidates = None
+            for attempt in range(config.max_resamples + 1):
+                rng = random.Random(
+                    f"{config.seed}:{scheme}:{measure.value}:"
+                    f"{query.qid}:{attempt}"
+                )
+                size = min(config.candidate_size, len(all_keys))
+                sample = rng.sample(all_keys, size)
+                if any(k in relevant for k in sample):
+                    candidates = sample
+                    break
+            if candidates is None:
+                notes.append(
+                    f"query {query.qid} ({scheme}/{measure.value}): no "
+                    f"relevant candidate after {config.max_resamples + 1} "
+                    "samples; skipped"
+                )
+                continue
+            memo = OperandScores(measure, term, graph)
+            scored = [
+                (k, score_record(measure, term, records[k], graph=graph,
+                                 memo=memo))
+                for k in candidates
+            ]
+            scored.sort(key=lambda e: (-e[1], e[0]))
+            local_judgments = {k: k in relevant for k, _ in scored}
+            curve = lift_curve(scored, local_judgments)
+            t = select_threshold(curve)
+            labels = classify_at_threshold(scored, t)
+            matrices.append(confusion(labels, local_judgments))
+            used += 1
+        if matrices:
+            rows.append((scheme, measure.value, used, aggregate(matrices)))
+        else:
+            notes.append(f"{scheme}/{measure.value}: no usable queries")
     return ExperimentReport(rows=tuple(rows), notes=tuple(notes))
 
 

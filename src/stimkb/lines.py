@@ -1,10 +1,29 @@
-"""The line rule every text input shares.
+"""How every text input is read, and the line rule they all share.
 
 Blank lines and lines whose first non-blank character is `#` are skipped.
 Line numbers count every line of the file, skipped ones included.
 """
 
+from pathlib import Path
+
 from .errors import ParseError
+
+
+def read_input(path, what):
+    """The text of input file `path`, decoded as UTF-8; `what` names the
+    input in errors.  A missing file raises FileNotFoundError, one that
+    cannot be read (a directory, say) OSError, and bytes that are not
+    UTF-8 ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{what} not found: {path}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(
+            f"{what} {path} is not UTF-8: {e.reason} at byte {e.start}"
+        ) from None
+    except OSError as e:
+        raise OSError(f"cannot read {what} {path}: {e.strerror}") from None
 
 
 def data_lines(text):

@@ -80,7 +80,13 @@ def parse_query(text, default_limit=DEFAULT_LIMIT):
         if key == "concept":
             q.concept = value
         elif key == "keyword":
-            q.keyword = value[1:-1] if value.startswith('"') else value
+            if value.startswith('"'):
+                # A quoted value with no closing quote falls to `\S+`.
+                if len(value) < 2 or not value.endswith('"'):
+                    raise QueryError(f"unterminated quote in keyword {value!r}",
+                                     position=vpos)
+                value = value[1:-1]
+            q.keyword = value
             if not q.keyword:
                 raise QueryError("empty keyword", position=vpos)
         elif key in BOX_DIMENSIONS:

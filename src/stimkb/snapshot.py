@@ -23,7 +23,7 @@ from .corpus import (
     serialize_record,
 )
 from .errors import ParseError, SnapshotError, StimKbError
-from .lines import data_lines
+from .lines import data_lines, read_input
 from .taxonomy import parse_mapping, parse_taxonomy
 
 SNAPSHOT_VERSION = 1
@@ -62,11 +62,9 @@ class Manifest:
 
 def parse_manifest(path):
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"manifest not found: {path}")
     paths = {}
     options = {}
-    for lineno, raw in data_lines(path.read_text()):
+    for lineno, raw in data_lines(read_input(path, "manifest")):
         key, sep, value = raw.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not value:
@@ -100,9 +98,7 @@ def _read(manifest, key):
     p = manifest.paths.get(key)
     if p is None:
         return None
-    if not p.is_file():
-        raise FileNotFoundError(f"{key} file not found: {p}")
-    return p.read_text()
+    return read_input(p, f"{key} file")
 
 
 @dataclass
@@ -233,15 +229,13 @@ def load_snapshot(path):
     Corpus.add_stimulus; records with the same `sem=`/`cat=` value share
     one annotation object.  After a good load, every object then alive is
     frozen out of the cyclic garbage collector (`gc.freeze`).  A snapshot
-    that is not JSON, has the wrong structure or holds a bad input raises
-    SnapshotError naming the file.
+    that is not JSON (or not UTF-8), has the wrong structure or holds a bad
+    input raises SnapshotError naming the file.
     """
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"snapshot not found: {path}")
     try:
-        doc = json.loads(path.read_text())
-    except (ValueError, RecursionError) as e:
+        doc = json.loads(read_input(path, "snapshot"))
+    except (ParseError, ValueError, RecursionError) as e:
         raise SnapshotError(f"bad snapshot {path}: not JSON: {e}") from e
     problem = _snapshot_problem(doc)
     if problem is not None:

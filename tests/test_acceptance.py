@@ -235,7 +235,6 @@ def test_directional_precision_gap():
     report = run_experiment(
         corpus, g, queries, judgments,
         ["inclusion", "levenshtein", "pathlen", "wupalmer"],
-        ["keyword", "concept"],
         ExperimentConfig(candidate_size=100, seed=20240711),
     )
     precision = {(s, m): rec.precision for s, m, _, rec in report.rows}

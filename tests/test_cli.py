@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import shlex
 import shutil
 from pathlib import Path
 
@@ -139,6 +140,8 @@ SEQUENCE_ARGS = ["--count", "1", "--duration", "10"]
         ("valence:[nan,9] mode:filter", 8, "interval [nan, 9.0] needs lo <= hi"),
         ("concept:Object arousal:[1,nan]", 23,
          "interval [1.0, nan] needs lo <= hi"),
+        ('keyword:"nub', 8, "unterminated quote in keyword '\"nub'"),
+        ('keyword:"n', 8, "unterminated quote in keyword '\"n'"),
     ],
 )
 def test_query_error_exits_2_with_a_caret(command, query, position, message,
@@ -201,12 +204,12 @@ def test_sequence_command(snapshot, workspace, capsys):
                                                          5000, 7000]
 
 
-def _eval_files(workspace):
-    queries = workspace / "queries.tsv"
+def _eval_files(workspace, queries="queries.tsv", judgments="judgments.tsv"):
+    queries = workspace / queries
     queries.write_text(
         "q1\tGroupOfPeople\tCrowd2\nq2\tHuman\tParachute\n"
     )
-    judgments = workspace / "judgments.tsv"
+    judgments = workspace / judgments
     judgments.write_text(
         "q1\tIADS/311\t1\nq1\tIAPS/8163\t0\nq1\tIAPS/5635\t0\nq1\tIAPS/7039\t0\n"
         "q2\tIAPS/8163\t1\nq2\tIADS/311\t0\nq2\tIAPS/5635\t0\nq2\tIAPS/7039\t0\n"
@@ -237,7 +240,7 @@ def test_eval_writes_report_file(snapshot, workspace, capsys):
     capsys.readouterr()
     assert rc == 0
     lines = report.read_text().splitlines()
-    # Two schemes x two compatible measures each.
+    # One row per default measure: two concept, two keyword.
     assert len([l for l in lines[1:] if l and not l.startswith("#")]) == 4
 
 
@@ -245,10 +248,9 @@ def test_eval_repeated_names_run_once(snapshot, workspace, capsys):
     queries, judgments = _eval_files(workspace)
     base = ["eval", "--snapshot", str(snapshot), "--queries", str(queries),
             "--judgments", str(judgments), "--seed", "7", "--candidates", "4"]
-    assert main(base + ["--measures", "pathlen", "--schemes", "concept"]) == 0
+    assert main(base + ["--measures", "pathlen"]) == 0
     once = capsys.readouterr().out
-    assert main(base + ["--measures", "pathlen,PathLen",
-                        "--schemes", "concept,concept"]) == 0
+    assert main(base + ["--measures", "pathlen,PathLen"]) == 0
     twice = capsys.readouterr().out
     assert twice == once
     rows = [l for l in twice.splitlines()[1:] if not l.startswith("#")]
@@ -367,8 +369,6 @@ def test_smallest_flag_values_accepted(snapshot, workspace, capsys):
     [
         ("--measures", "foo", "unknown measure 'foo'"),
         ("--measures", "pathlen,", "unknown measure ''"),
-        ("--schemes", "bogus", "unknown scheme 'bogus'"),
-        ("--schemes", "concept,Keyword", "unknown scheme 'Keyword'"),
     ],
 )
 def test_eval_unknown_measure_or_scheme_exits_2(flag, value, message,
@@ -381,6 +381,109 @@ def test_eval_unknown_measure_or_scheme_exits_2(flag, value, message,
     assert exc.value.code == 2
     assert f"argument {flag}: {message}" in captured.err
     assert captured.out == ""
+
+
+def test_eval_has_no_schemes_option(snapshot, workspace, capsys):
+    # The measures decide the scheme; `--measures pathlen,wupalmer` runs
+    # the concept scheme only.
+    queries, judgments = _eval_files(workspace)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--snapshot", str(snapshot), "--queries", str(queries),
+              "--judgments", str(judgments), "--schemes", "concept"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --schemes concept" in captured.err
+    assert captured.out == ""
+
+
+_EVAL = ["eval", "--snapshot", "{ws}/snap.json", "--queries", "{ws}/queries.tsv",
+         "--judgments", "{ws}/judgments.tsv"]
+_INGEST = ["ingest", "--manifest", "{ws}/manifest.txt", "--snapshot",
+           "{ws}/s.json"]
+
+# (flag, the workspace file it reads, a command that reads it, the exit
+# code when that file is not UTF-8).
+_INPUT_FLAGS = [
+    ("ingest --manifest", "manifest.txt", _INGEST, 2),
+    ("validate --manifest", "manifest.txt",
+     ["validate", "--manifest", "{ws}/manifest.txt"], 2),
+    ("manifest taxonomy", "taxonomy.tsv", _INGEST, 2),
+    ("query --snapshot", "snap.json",
+     ["query", "--snapshot", "{ws}/snap.json", "concept:Human"], 3),
+    ("sequence --snapshot", "snap.json",
+     ["sequence", "--snapshot", "{ws}/snap.json", *SEQUENCE_ARGS,
+      "concept:Human"], 3),
+    ("stats --snapshot", "snap.json", ["stats", "--snapshot", "{ws}/snap.json"],
+     3),
+    ("eval --snapshot", "snap.json", _EVAL, 3),
+    ("eval --queries", "queries.tsv", _EVAL, 2),
+    ("eval --judgments", "judgments.tsv", _EVAL, 2),
+]
+# (flag, a command that writes `{out}`).
+_OUTPUT_FLAGS = [
+    ("ingest --snapshot", [*_INGEST[:-1], "{out}"]),
+    ("eval --out", [*_EVAL, "--out", "{out}"]),
+]
+
+
+def _file_error_cases():
+    for flag, name, argv, not_utf8_code in _INPUT_FLAGS:
+        for kind, code in (("missing", 2), ("directory", 2),
+                           ("not UTF-8", not_utf8_code)):
+            yield pytest.param(name, argv, kind, code, id=f"{flag}-{kind}")
+    for flag, argv in _OUTPUT_FLAGS:
+        # A missing output is one whose directory does not exist.
+        for kind in ("missing", "directory"):
+            yield pytest.param("out", argv, kind, 2, id=f"{flag}-{kind}")
+
+
+@pytest.mark.parametrize("name, argv, kind, code", _file_error_cases())
+def test_file_errors_exit_with_a_message(name, argv, kind, code,
+                                         snapshot, workspace, capsys):
+    _eval_files(workspace)
+    bad = workspace / name
+    bad.unlink(missing_ok=True)
+    out = workspace / "out"
+    if kind == "missing":
+        out = workspace / "no-such-dir" / "out"
+    elif kind == "directory":
+        bad.mkdir()
+    elif kind == "not UTF-8":
+        bad.write_bytes(b"caf\xe9\tEntity\n")
+    rc = main([a.format(ws=workspace, out=out) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == code
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert name in captured.err
+    if code == 3:
+        assert "not JSON" in captured.err
+    assert captured.out == ""
+
+
+def _readme_quick_start():
+    """The `stimkb` command lines of the README's Quick start block."""
+    readme = (FIXTURES.parent.parent / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line) for line in block.splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    commands = _readme_quick_start()
+    assert len(commands) >= 8
+    shutil.copytree(FIXTURES, tmp_path / "fixtures" / "paper")
+    _eval_files(tmp_path, queries="q.tsv", judgments="j.tsv")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "stimkb"
+        try:
+            rc = main(argv[1:])
+        except SystemExit as e:
+            rc = e.code
+        assert rc == 0, (argv, capsys.readouterr().err)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

@@ -200,22 +200,16 @@ def test_corpus_round_trip(paper_workspace):
 def test_corpus_indices(paper_workspace):
     corpus = paper_workspace.corpus
     assert corpus.stimuli_by_concept("GroupOfPeople") == {"IADS/311"}
-    assert corpus.stimuli_by_keyword("winterstreet") == {"IAPS/5635"}
-    assert corpus.stimuli_by_keyword("WINTERSTREET") == {"IAPS/5635"}
     assert corpus.stimuli_by_concept("NoSuch") == set()
 
 
 def test_index_consistency_full_rebuild(paper_workspace):
     corpus = paper_workspace.corpus
     concept_index = {}
-    keyword_index = {}
     for rec in corpus:
         for c in rec.concepts():
             concept_index.setdefault(c, set()).add(rec.key)
-        for k in rec.keywords():
-            keyword_index.setdefault(k, set()).add(rec.key)
     assert concept_index == corpus.concept_index
-    assert keyword_index == corpus.keyword_index
 
 
 def test_add_get_round_trip_and_duplicates():

@@ -192,25 +192,29 @@ def test_run_experiment_deterministic():
     g, corpus, queries, judgments = generate(5, n_queries=5)
     cfg = ExperimentConfig(candidate_size=40, seed=99)
     r1 = run_experiment(corpus, g, queries, judgments,
-                        ["pathlen", "levenshtein"], ["concept", "keyword"], cfg)
+                        ["pathlen", "levenshtein"], cfg)
     r2 = run_experiment(corpus, g, queries, judgments,
-                        ["pathlen", "levenshtein"], ["concept", "keyword"], cfg)
+                        ["pathlen", "levenshtein"], cfg)
     assert report_to_tsv(r1) == report_to_tsv(r2)
 
 
-def test_run_experiment_skips_incompatible_pairs():
+def test_run_experiment_scheme_follows_measure():
     g, corpus, queries, judgments = generate(5, n_queries=3)
     cfg = ExperimentConfig(candidate_size=30, seed=1)
     rep = run_experiment(corpus, g, queries, judgments,
-                         ["wupalmer"], ["keyword"], cfg)
-    assert rep.rows == ()
+                         ["wupalmer", "levenshtein", "lch", "inclusion"], cfg)
+    # One row per measure, in (scheme, measure) order.
+    assert [row[:2] for row in rep.rows] == [
+        ("concept", "lch"), ("concept", "wupalmer"),
+        ("keyword", "inclusion"), ("keyword", "levenshtein"),
+    ]
 
 
 def test_report_tsv_shape():
     g, corpus, queries, judgments = generate(3, n_queries=4)
     cfg = ExperimentConfig(candidate_size=30, seed=2)
     rep = run_experiment(corpus, g, queries, judgments,
-                         ["inclusion", "pathlen"], ["concept", "keyword"], cfg)
+                         ["inclusion", "pathlen"], cfg)
     lines = report_to_tsv(rep).splitlines()
     header = lines[0].split("\t")
     assert header[:3] == ["scheme", "measure", "queries"]
@@ -268,8 +272,7 @@ def test_memoised_scores_equal_per_pair_scores(measure):
 def test_memoised_report_matches_per_pair_report(seed, measure, monkeypatch):
     g, corpus, queries, judgments = generate(seed, n_queries=6)
     cfg = ExperimentConfig(candidate_size=40, seed=seed)
-    args = (corpus, g, queries, judgments, [measure], ["concept", "keyword"],
-            cfg)
+    args = (corpus, g, queries, judgments, [measure], cfg)
     memoised = report_to_tsv(run_experiment(*args))
     monkeypatch.setattr(evaluation, "score_record", _per_pair_score_record)
     assert report_to_tsv(run_experiment(*args)) == memoised
@@ -292,7 +295,7 @@ def test_run_experiment_one_bfs_per_query(monkeypatch):
     monkeypatch.setattr(TaxonomyGraph, "shortest_path", refuse)
     cfg = ExperimentConfig(candidate_size=40, seed=5)
     rep = run_experiment(corpus, g, queries, judgments, ["pathlen", "li"],
-                         ["concept"], cfg)
+                         cfg)
     assert [row[2] for row in rep.rows] == [5, 5]
     assert sorted(calls) == sorted([q.concept for q in queries] * 2)
 
@@ -306,21 +309,13 @@ def test_run_experiment_unknown_query_concept(monkeypatch):
     for scorer in (score_record, _per_pair_score_record):
         monkeypatch.setattr(evaluation, "score_record", scorer)
         with pytest.raises(UnknownConceptError) as exc:
-            run_experiment(corpus, g, bad, judgments, ["pathlen"], ["concept"],
-                           cfg)
+            run_experiment(corpus, g, bad, judgments, ["pathlen"], cfg)
         errors.append(str(exc.value))
     assert errors == ["unknown concept: 'Nowhere'"] * 2
 
 
-@pytest.mark.parametrize(
-    "measures, schemes, match",
-    [
-        (["foo"], ["concept"], "unknown measure 'foo'"),
-        (["pathlen"], ["bogus"], "unknown scheme 'bogus'"),
-    ],
-)
-def test_run_experiment_rejects_unknown_names(measures, schemes, match):
+def test_run_experiment_rejects_unknown_measure():
     g, corpus, queries, judgments = generate(4, n_queries=2)
-    with pytest.raises(ValidationError, match=match):
-        run_experiment(corpus, g, queries, judgments, measures, schemes,
+    with pytest.raises(ValidationError, match="unknown measure 'foo'"):
+        run_experiment(corpus, g, queries, judgments, ["pathlen", "foo"],
                        ExperimentConfig())

@@ -71,6 +71,10 @@ def test_parse_errors():
         parse_query("concept:Dog limit:0")
     with pytest.raises(QueryError):
         parse_query("")
+    for text in ('keyword:"nub', 'keyword:"n', 'keyword:"'):
+        with pytest.raises(QueryError, match="unterminated quote") as exc:
+            parse_query(text)
+        assert exc.value.position == 8
     for digits in ("²", "١٢"):  # str.isdigit, but not ASCII digits
         with pytest.raises(QueryError, match="limit must be a positive integer"):
             parse_query(f"concept:Dog limit:{digits}")

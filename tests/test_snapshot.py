@@ -136,7 +136,6 @@ def test_load_parses_and_validates_each_record_once(
 
     assert list(loaded.corpus) == list(ws.corpus)
     assert loaded.corpus.concept_index == ws.corpus.concept_index
-    assert loaded.corpus.keyword_index == ws.corpus.keyword_index
     assert sorted(validated) == sorted(r.key for r in ws.corpus)
     assert len(validated) == len(set(validated))
 
@@ -302,7 +301,6 @@ def test_load_equals_build_workspace(tmp_path):
     built, loaded = _built_and_loaded(tmp_path)
     assert list(loaded.corpus) == list(built.corpus)
     assert loaded.corpus.concept_index == built.corpus.concept_index
-    assert loaded.corpus.keyword_index == built.corpus.keyword_index
     assert loaded.graph.parent_edges == built.graph.parent_edges
     assert loaded.vocabs == built.vocabs
     assert loaded.closure.classes() == built.closure.classes()
