@@ -95,7 +95,13 @@ def _cmd_query(args):
 def _cmd_eval(args):
     ws = load_snapshot(args.snapshot)
     queries = parse_queries(read_input(args.queries, "queries file"))
-    relevant, _ = parse_judgments(read_input(args.judgments, "judgments file"))
+    relevant, judged = parse_judgments(read_input(args.judgments, "judgments file"))
+    for key, lineno in judged.items():
+        if key not in ws.corpus.records:
+            raise ValidationError(
+                f"judgments file {args.judgments} line {lineno}: "
+                f"unknown stimulus {key!r}"
+            )
     config = ExperimentConfig(
         candidate_size=args.candidates,
         seed=args.seed if args.seed is not None else ws.seed,
@@ -167,6 +173,17 @@ def _int_at_least(low):
     return convert
 
 
+def _track_name(text):
+    """An argparse type: a non-empty track name, which goes into one
+    column of the schedule TSV, so holds no tab or line break."""
+    if not text or any(c in text for c in "\t\n\r"):
+        raise argparse.ArgumentTypeError(
+            f"expected a non-empty track name with no tab or line break, "
+            f"got {text!r}"
+        )
+    return text
+
+
 def _measure_list(text):
     """An argparse type: a comma-separated list of measure names."""
     try:
@@ -215,7 +232,7 @@ def build_parser():
     p.add_argument("--count", type=_int_at_least(1), required=True)
     p.add_argument("--duration", type=_int_at_least(1), required=True)
     p.add_argument("--isi", type=_int_at_least(0), default=0)
-    p.add_argument("--track", default="visual")
+    p.add_argument("--track", type=_track_name, default="visual")
     p.add_argument("--out-prefix")
     p.add_argument("query")
     p.set_defaults(func=_cmd_sequence)

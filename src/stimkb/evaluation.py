@@ -286,13 +286,14 @@ def parse_queries(text):
 
 def parse_judgments(text):
     """Parse `query-id<TAB>stimulus-id<TAB>0|1` lines into
-    qid -> set-of-relevant-keys (only the 1 rows) plus qid -> judged keys."""
+    qid -> set-of-relevant-keys (only the 1 rows) plus judged stimulus key
+    -> the line of its first judgment."""
     relevant = {}
     judged = {}
     for lineno, (qid, key, flag) in tab_rows(text, "qid<TAB>stimulus<TAB>0|1"):
         if flag not in ("0", "1"):
             raise ParseError(f"judgment must be 0 or 1, got {flag!r}", line=lineno)
-        judged.setdefault(qid, set()).add(key)
+        judged.setdefault(key, lineno)
         relevant.setdefault(qid, set())
         if flag == "1":
             relevant[qid].add(key)

@@ -14,16 +14,30 @@ def read_input(path, what):
     input in errors.  A missing file raises FileNotFoundError, one that
     cannot be read (a directory, say) OSError, and bytes that are not
     UTF-8 ParseError."""
+    return decode_input(read_input_bytes(path, what), path, what)
+
+
+def read_input_bytes(path, what):
+    """The bytes of input file `path`; raises read_input's OSErrors."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes()
     except FileNotFoundError:
         raise FileNotFoundError(f"{what} not found: {path}") from None
+    except OSError as e:
+        raise OSError(f"cannot read {what} {path}: {e.strerror}") from None
+
+
+def decode_input(data, path, what):
+    """The bytes `data` of input file `path` as text: decoded as UTF-8,
+    with CRLF and CR line ends read as LF, as a text-mode read does.
+    Bytes that are not UTF-8 raise ParseError."""
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(
             f"{what} {path} is not UTF-8: {e.reason} at byte {e.start}"
         ) from None
-    except OSError as e:
-        raise OSError(f"cannot read {what} {path}: {e.strerror}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def data_lines(text):

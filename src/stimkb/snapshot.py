@@ -12,9 +12,18 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+try:
+    # Importing hashlib loads OpenSSL, which costs every CLI process 3.5 MiB
+    # of RSS and 3-4 ms (2-vCPU host); the built-in BLAKE2 module does not
+    # (`random` avoids hashlib the same way).
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
+
 from . import corpus as corpus_module
 from .affect import build_equivalence_closure, load_vocabularies, parse_axioms
 from .corpus import (
+    VALIDATION_RULES,
     Corpus,
     expand_keywords,
     parse_corpus_records,  # noqa: F401  wrapped here by perfbench/calltrace.py
@@ -23,7 +32,7 @@ from .corpus import (
     serialize_record,
 )
 from .errors import ParseError, SnapshotError, StimKbError
-from .lines import data_lines, read_input
+from .lines import data_lines, decode_input, read_input, read_input_bytes
 from .taxonomy import parse_mapping, parse_taxonomy
 
 SNAPSHOT_VERSION = 1
@@ -38,6 +47,13 @@ MANIFEST_FILE_KEYS = (
     "judgments",
 )
 MANIFEST_OPTION_KEYS = ("seed", "limit")
+
+# A sealed snapshot starts `{\n "seal": "<64 hex digits>",` and then goes
+# on as the unsealed document would after its `{`.  The seal is the
+# BLAKE2b-256 digest of the validation rules version and of every byte
+# after the hex digits.
+_SEAL_HEAD = b'{\n "seal": "'
+_SEAL_END = len(_SEAL_HEAD) + 64
 
 # The top-level keys save_snapshot writes and the JSON types of their values.
 _SNAPSHOT_KEYS = {
@@ -171,6 +187,12 @@ def save_snapshot(workspace, path):
     The taxonomy/mapping/vocab/axiom inputs are stored in their wire
     formats and re-parsed at load, which keeps the snapshot format tied to
     the already-tested parsers.
+
+    The document is sealed when its records were validated against the
+    graph and the vocabularies it holds: its first key, "seal", is then a
+    digest of the validation rules version and the rest of the file, and
+    a load whose seal matches skips record validation.  The seal is an
+    integrity check, not a security boundary: anyone can compute it.
     """
     mapping_lines = None
     if workspace.mapping is not None:
@@ -200,7 +222,35 @@ def save_snapshot(workspace, path):
         "records": [serialize_record(r) for r in workspace.corpus],
         "unmapped_keywords": workspace.unmapped_keywords,
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    data = (json.dumps(doc, indent=1) + "\n").encode()
+    # Corpus.add_stimulus validated every record against the corpus's
+    # graph and vocabularies; the snapshot vouches for that only when they
+    # are the ones it holds.
+    corpus = workspace.corpus
+    sealed = corpus.graph is workspace.graph and corpus.vocabs is workspace.vocabs
+    with open(path, "wb") as f:
+        if sealed:
+            rest = memoryview(data)[1:]
+            f.write(_SEAL_HEAD + _seal(b'",', rest) + b'",')
+            f.write(rest)
+        else:
+            f.write(data)
+
+
+def _seal(*chunks):
+    """The seal (64 hex digits, as bytes) over the snapshot bytes that
+    follow it, given in `chunks`."""
+    digest = blake2b(b"validation rules %d\n" % VALIDATION_RULES, digest_size=32)
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest().encode()
+
+
+def _seal_matches(data):
+    """Whether snapshot bytes `data` begin with a seal that matches them."""
+    return data.startswith(_SEAL_HEAD) and data[len(_SEAL_HEAD):_SEAL_END] == (
+        _seal(memoryview(data)[_SEAL_END:])
+    )
 
 
 def _snapshot_problem(doc):
@@ -225,18 +275,27 @@ def _snapshot_problem(doc):
 def load_snapshot(path):
     """Rebuild the workspace saved by save_snapshot.
 
-    Each record line is parsed once and validated once, by
-    Corpus.add_stimulus; records with the same `sem=`/`cat=` value share
-    one annotation object.  After a good load, every object then alive is
-    frozen out of the cyclic garbage collector (`gc.freeze`).  A snapshot
-    that is not JSON (or not UTF-8), has the wrong structure or holds a bad
-    input raises SnapshotError naming the file.
+    Each record line is parsed once and, unless the snapshot's seal
+    matches, validated once, by Corpus.add_stimulus; records with the same
+    `sem=`/`cat=` value share one annotation object.  A matching seal
+    means that ingest validated the records under the current rules, and
+    that no byte has changed since.  After a good load, every object then
+    alive is frozen out of the cyclic garbage collector (`gc.freeze`).  A
+    snapshot that is not JSON (or not UTF-8), has the wrong structure or
+    holds a bad input raises SnapshotError naming the file.
     """
     path = Path(path)
+    data = read_input_bytes(path, "snapshot")
+    sealed = _seal_matches(data)
+    # The bytes and the text are each dropped once used: only one whole
+    # copy of the file is alive beside the parsed document.
     try:
-        doc = json.loads(read_input(path, "snapshot"))
+        text = decode_input(data, path, "snapshot")
+        del data
+        doc = json.loads(text)
     except (ParseError, ValueError, RecursionError) as e:
         raise SnapshotError(f"bad snapshot {path}: not JSON: {e}") from e
+    del text
     problem = _snapshot_problem(doc)
     if problem is not None:
         raise SnapshotError(f"bad snapshot {path}: {problem}")
@@ -261,7 +320,9 @@ def load_snapshot(path):
     gc.disable()
     try:
         for i, line in enumerate(doc["records"]):
-            corpus.add_stimulus(parse_record_line(line, interned=interned))
+            corpus.add_stimulus(
+                parse_record_line(line, interned=interned), validated=sealed
+            )
     except StimKbError as e:
         raise SnapshotError(f"bad snapshot {path}: records[{i}]: {e}") from e
     else:

@@ -353,6 +353,34 @@ def test_bad_flag_values_exit_2(argv, flag, snapshot, workspace, capsys):
     assert f"argument {flag}: expected an integer >= " in err
 
 
+@pytest.mark.parametrize(
+    "track", ["", "a\tb", "a\nb", "visual\r"], ids=["empty", "tab", "newline", "cr"]
+)
+def test_sequence_bad_track_exits_2(track, snapshot, workspace, capsys):
+    prefix = workspace / "seq"
+    with pytest.raises(SystemExit) as exc:
+        main(["sequence", "--snapshot", str(snapshot), "--count", "3",
+              "--duration", "2000", "--track", track,
+              "--out-prefix", str(prefix), "concept:Entity measure:pathlen"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert (f"argument --track: expected a non-empty track name with no tab "
+            f"or line break, got {track!r}") in captured.err
+    assert captured.out == ""
+    assert not Path(f"{prefix}.schedule.tsv").exists()
+
+
+def test_sequence_track_names_the_schedule_column(snapshot, capsys):
+    assert main(["sequence", "--snapshot", str(snapshot), "--count", "2",
+                 "--duration", "100", "--track", "left ear",
+                 "concept:Entity measure:pathlen"]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()
+            if line[:1].isdigit()]
+    assert len(rows) == 4
+    assert {len(row) for row in rows} == {4}
+    assert {row[2] for row in rows} == {"left ear"}
+
+
 def test_smallest_flag_values_accepted(snapshot, workspace, capsys):
     queries, judgments = _eval_files(workspace)
     assert main(["eval", "--snapshot", str(snapshot), "--queries", str(queries),
@@ -380,6 +408,24 @@ def test_eval_unknown_measure_or_scheme_exits_2(flag, value, message,
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert f"argument {flag}: {message}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("judgments, lineno", [
+    ("q1\tIADS/9999\t1\n", 1),
+    ("# header\nq1\tIADS/311\t1\nq2\tIADS/9999\t0\nq2\tIAPS/0\t1\n", 3),
+])
+def test_eval_judgment_of_an_unknown_stimulus_exits_3(
+    judgments, lineno, snapshot, workspace, capsys
+):
+    queries, path = _eval_files(workspace)
+    path.write_text(judgments)
+    rc = main(["eval", "--snapshot", str(snapshot), "--queries", str(queries),
+               "--judgments", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == (f"error: judgments file {path} line {lineno}: "
+                            "unknown stimulus 'IADS/9999'\n")
     assert captured.out == ""
 
 

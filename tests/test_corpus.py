@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import string
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stimkb.corpus
+from stimkb import affect
 from stimkb.affect import (
     DIMENSION_NAMES,
     DIMENSION_SD_NAMES,
@@ -18,6 +20,7 @@ from stimkb.affect import (
 )
 from stimkb.corpus import (
     SEMANTIC_KINDS,
+    VALIDATION_RULES,
     ContextRecord,
     Corpus,
     DimensionAnnotation,
@@ -29,7 +32,6 @@ from stimkb.corpus import (
     parse_legacy_table,
     parse_record_line,
     serialize_record,
-    serialize_records,
     validate_stimulus,
 )
 from stimkb.errors import ParseError, ValidationError
@@ -39,13 +41,13 @@ from conftest import empty_plan_table, layout, many_layout_lines
 
 
 def test_parse_iads_311(paper_workspace):
-    rec = paper_workspace.corpus.get_stimulus("IADS/311")
+    rec = paper_workspace.corpus.records["IADS/311"]
     assert rec.context.length_seconds == 6
     assert rec.concepts() == ["GroupOfPeople"]
 
 
 def test_parse_iaps_8163(paper_workspace):
-    rec = paper_workspace.corpus.get_stimulus("IAPS/8163")
+    rec = paper_workspace.corpus.records["IAPS/8163"]
     assert len(rec.semantics) == 6
     assert rec.dimensions.valence == 7.14
     assert rec.dimensions.arousal == 6.53
@@ -189,18 +191,20 @@ def _tiny_graph():
 
 def test_corpus_round_trip(paper_workspace):
     records = list(paper_workspace.corpus)
-    text = serialize_records(records)
+    lines = [serialize_record(r) for r in records]
     reparsed = parse_corpus_records(
-        text, paper_workspace.graph, paper_workspace.vocabs
+        "".join(line + "\n" for line in lines),
+        paper_workspace.graph,
+        paper_workspace.vocabs,
     )
     assert reparsed == records
-    assert serialize_records(reparsed) == text
+    assert [serialize_record(r) for r in reparsed] == lines
 
 
 def test_corpus_indices(paper_workspace):
     corpus = paper_workspace.corpus
-    assert corpus.stimuli_by_concept("GroupOfPeople") == {"IADS/311"}
-    assert corpus.stimuli_by_concept("NoSuch") == set()
+    assert corpus.concept_index["GroupOfPeople"] == {"IADS/311"}
+    assert "NoSuch" not in corpus.concept_index
 
 
 def test_index_consistency_full_rebuild(paper_workspace):
@@ -218,11 +222,10 @@ def test_add_get_round_trip_and_duplicates():
         db="X", id="1", physiology=(PhysiologyRef("http://p"),)
     )
     corpus.add_stimulus(rec)
-    assert corpus.get_stimulus("X/1") == rec
+    assert corpus.records["X/1"] == rec
     with pytest.raises(ValidationError, match="duplicate"):
         corpus.add_stimulus(rec)
-    with pytest.raises(KeyError):
-        corpus.get_stimulus("X/2")
+    assert list(corpus.records) == ["X/1"]
 
 
 def test_add_rejects_invalid():
@@ -385,7 +388,7 @@ def test_bad_line_interns_no_context(record_parser, line):
 
 
 def test_record_classes_are_slotted_and_frozen(paper_workspace):
-    rec = paper_workspace.corpus.get_stimulus("IAPS/8163")
+    rec = paper_workspace.corpus.records["IAPS/8163"]
     objects = [rec, rec.semantics[0], rec.categories[0], rec.dimensions,
                rec.context, rec.physiology[0],
                AppraisalAnnotation((("pleasantness", 0.5),)),
@@ -703,3 +706,24 @@ def test_more_layouts_than_plans(monkeypatch):
     ]
     assert len(stimkb.corpus._PLAN_LAYOUTS) == stimkb.corpus._MAX_PLANS
     assert sum(map(len, stimkb.corpus._PLANS.values())) == stimkb.corpus._MAX_PLANS
+
+
+# The validation rules and the constants they check against, pinned.  A
+# sealed snapshot skips validation at load only while its seal's rules
+# version is corpus.VALIDATION_RULES, so a stricter rule must come with a
+# bump, or sealed snapshots would skip the new check.
+RULES_PIN = "4b5be96c28de64473e6749bafeb6070164d2e42199b0ec68e6b54f8e0177d01a"
+
+
+def test_validation_rules_are_pinned():
+    digest = hashlib.sha256(f"rules {VALIDATION_RULES}\n".encode())
+    digest.update(repr((SEMANTIC_KINDS, affect.CONFIDENCE_LEVELS)).encode())
+    for rule in (validate_stimulus, affect.validate_dimension,
+                 affect.validate_category, affect._check_confidence,
+                 affect.validate_unit_interval):
+        digest.update(inspect.getsource(rule).encode())
+    assert digest.hexdigest() == RULES_PIN, (
+        "a validation rule changed: if the rules got stricter, bump "
+        "corpus.VALIDATION_RULES; then set RULES_PIN to the new digest, "
+        f"{digest.hexdigest()}"
+    )

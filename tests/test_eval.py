@@ -228,7 +228,8 @@ def test_parse_judgments():
         "q1\tIAPS/1\t1\nq1\tIAPS/2\t0\nq2\tIAPS/1\t0\n"
     )
     assert relevant == {"q1": {"IAPS/1"}, "q2": set()}
-    assert judged["q1"] == {"IAPS/1", "IAPS/2"}
+    # Each judged stimulus, with the line of its first judgment.
+    assert judged == {"IAPS/1": 1, "IAPS/2": 2}
     with pytest.raises(ParseError):
         parse_judgments("q1\tIAPS/1\tmaybe\n")
     with pytest.raises(ParseError, match="line 2: judgment must be 0 or 1"):

@@ -1,10 +1,14 @@
 import gc
+import hashlib
 import json
 import shutil
+import tempfile
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stimkb.corpus
 import stimkb.snapshot
@@ -14,7 +18,7 @@ from stimkb.affect import (
     load_vocabularies,
 )
 from stimkb.cli import main
-from stimkb.corpus import serialize_records
+from stimkb.corpus import VALIDATION_RULES, Corpus, serialize_record
 from stimkb.errors import ParseError, SnapshotError, StimKbError, ValidationError
 from stimkb.snapshot import (
     Workspace,
@@ -119,18 +123,57 @@ def _count_validations(monkeypatch):
     return validated
 
 
+def _count_parses(monkeypatch):
+    """Record the line of every corpus.parse_record_line call."""
+    parsed = []
+    parse = stimkb.corpus.parse_record_line
+
+    def counting_parse(line, *args, **kwargs):
+        parsed.append(line)
+        return parse(line, *args, **kwargs)
+
+    monkeypatch.setattr(stimkb.corpus, "parse_record_line", counting_parse)
+    return parsed
+
+
+# The seal line's layout, written out here as a check on the format: a
+# sealed snapshot starts with SEAL_HEAD and 64 hex digits.
+SEAL_HEAD = b'{\n "seal": "'
+SEAL_END = len(SEAL_HEAD) + 64
+
+
+def _sealed(text, rules=VALIDATION_RULES):
+    """The bytes of unsealed snapshot text `text` sealed under validation
+    rules version `rules`."""
+    rest = b'",' + text.encode()[1:]
+    digest = hashlib.blake2b(b"validation rules %d\n" % rules + rest,
+                             digest_size=32)
+    return SEAL_HEAD + digest.hexdigest().encode() + rest
+
+
+def _strip_seal(path):
+    """Rewrite the sealed snapshot at `path` without its seal line."""
+    data = path.read_bytes()
+    assert data.startswith(SEAL_HEAD)
+    path.write_bytes(b"{" + data[SEAL_END + 2:])
+
+
 @pytest.mark.parametrize("which", ["paper", "synthetic"])
-def test_load_parses_and_validates_each_record_once(
+def test_unsealed_load_parses_and_validates_each_record_once(
     which, tmp_path, monkeypatch, paper_workspace
 ):
     ws = paper_workspace if which == "paper" else _synthetic_workspace()
     snap = tmp_path / "snap.json"
     save_snapshot(ws, snap)
+    if which == "paper":
+        _strip_seal(snap)
+    assert not snap.read_bytes().startswith(SEAL_HEAD)
 
     def no_bulk_parser(*args, **kwargs):
         raise AssertionError("load_snapshot must not use parse_corpus_records")
 
     validated = _count_validations(monkeypatch)
+    parsed = _count_parses(monkeypatch)
     monkeypatch.setattr(stimkb.snapshot, "parse_corpus_records", no_bulk_parser)
     loaded = load_snapshot(snap)
 
@@ -138,6 +181,160 @@ def test_load_parses_and_validates_each_record_once(
     assert loaded.corpus.concept_index == ws.corpus.concept_index
     assert sorted(validated) == sorted(r.key for r in ws.corpus)
     assert len(validated) == len(set(validated))
+    assert parsed == json.loads(snap.read_text())["records"]
+
+
+@pytest.mark.parametrize("which", ["paper", "synthetic"])
+def test_sealed_load_parses_each_record_once_and_validates_none(
+    which, tmp_path, monkeypatch, paper_workspace
+):
+    if which == "paper":
+        ws = paper_workspace
+    else:
+        ws = build_workspace(parse_manifest(_synthetic_manifest(tmp_path)))
+    snap = tmp_path / "snap.json"
+    save_snapshot(ws, snap)
+    assert snap.read_bytes().startswith(SEAL_HEAD)
+
+    validated = _count_validations(monkeypatch)
+    parsed = _count_parses(monkeypatch)
+    loaded = load_snapshot(snap)
+
+    assert list(loaded.corpus) == list(ws.corpus)
+    assert loaded.corpus.concept_index == ws.corpus.concept_index
+    assert validated == []
+    assert parsed == json.loads(snap.read_text())["records"]
+    assert len(parsed) == len(ws.corpus)
+
+
+def test_save_seals_only_records_validated_against_what_it_writes(
+    tmp_path, paper_workspace
+):
+    snap = tmp_path / "snap.json"
+    save_snapshot(paper_workspace, snap)
+    sealed = snap.read_bytes()
+    _strip_seal(snap)
+    unsealed = snap.read_bytes()
+    assert len(sealed) == len(unsealed) + 77
+    assert sealed == _sealed(unsealed.decode())
+    # Equal vocabularies or an equal graph are not the ones the records
+    # were validated against; a corpus built without vocabularies never
+    # checked its categories.
+    for ws in (
+        replace(paper_workspace, vocabs=dict(paper_workspace.vocabs)),
+        replace(paper_workspace, graph=load_snapshot(snap).graph),
+    ):
+        save_snapshot(ws, snap)
+        assert snap.read_bytes() == unsealed
+    save_snapshot(_synthetic_workspace(), snap)
+    assert not snap.read_bytes().startswith(SEAL_HEAD)
+    # A sealed load saves the same sealed bytes again.
+    snap.write_bytes(sealed)
+    save_snapshot(load_snapshot(snap), snap)
+    assert snap.read_bytes() == sealed
+
+
+@pytest.mark.parametrize("which", ["paper", "synthetic"])
+def test_ingest_writes_identical_sealed_snapshots(which, tmp_path, capsys):
+    manifest = PAPER_MANIFEST if which == "paper" else _synthetic_manifest(tmp_path)
+    snaps = [tmp_path / "a.json", tmp_path / "b.json"]
+    for snap in snaps:
+        assert main(["ingest", "--manifest", str(manifest),
+                     "--snapshot", str(snap)]) == 0
+    assert snaps[0].read_bytes() == snaps[1].read_bytes()
+    assert snaps[0].read_bytes().startswith(SEAL_HEAD)
+
+
+def _sealed_workspace(seed, n_concepts, n_stimuli):
+    """A workspace over a `synthetic.generate` corpus whose records are
+    validated against the workspace's own vocabularies, so it saves
+    sealed."""
+    graph, generated, _, _ = generate(
+        seed, n_concepts=n_concepts, n_stimuli=n_stimuli, n_queries=1
+    )
+    vocabs = load_vocabularies("")
+    corpus = Corpus(graph=graph, vocabs=vocabs)
+    for rec in generated:
+        corpus.add_stimulus(rec)
+    return Workspace(graph=graph, mapping=None, vocabs=vocabs,
+                     closure=build_equivalence_closure([]), corpus=corpus,
+                     unmapped_keywords=[], seed=seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.none() | st.tuples(st.integers(0, 10**6), st.integers(2, 40),
+                             st.integers(1, 120)))
+def test_sealed_load_equals_full_validation(paper_workspace, spec):
+    ws = paper_workspace if spec is None else _sealed_workspace(*spec)
+    with tempfile.TemporaryDirectory() as tmp:
+        snap = Path(tmp) / "snap.json"
+        save_snapshot(ws, snap)
+        sealed = load_snapshot(snap)
+        _strip_seal(snap)
+        full = load_snapshot(snap)
+    assert sealed.corpus.records == full.corpus.records
+    assert list(sealed.corpus.records) == list(full.corpus.records)
+    assert sealed.corpus.concept_index == full.corpus.concept_index
+    assert sealed.graph.parent_edges == full.graph.parent_edges
+    assert sealed.graph.concepts == full.graph.concepts
+    assert sealed.vocabs == full.vocabs
+    assert sealed.closure.classes() == full.closure.classes()
+    assert (sealed.unmapped_keywords, sealed.seed, sealed.limit) == (
+        full.unmapped_keywords, full.seed, full.limit)
+
+
+# (case, record text in the paper snapshot, its replacement, error text)
+TAMPERED_RECORDS = [
+    ("valence off its scale", "dim.valence=7.14", "dim.valence=99",
+     "valence=99.0 outside scale [1.0, 9.0]"),
+    ("unknown concept", "sem=Object:concept:GroupOfPeople",
+     "sem=Object:concept:NoSuch", "unknown concept 'NoSuch'"),
+    ("NaN SD", "dim.valence=7.14", "dim.valence=7.14\\tdim.valenceSD=nan",
+     "valenceSD=nan is not a number"),
+]
+
+
+@pytest.mark.parametrize(
+    "old, new, message", [c[1:] for c in TAMPERED_RECORDS],
+    ids=[c[0] for c in TAMPERED_RECORDS],
+)
+def test_tampered_sealed_snapshot_exits_3_as_unsealed(
+    old, new, message, tmp_path, paper_workspace, capsys
+):
+    snap = tmp_path / "snap.json"
+    save_snapshot(paper_workspace, snap)
+    data = snap.read_bytes()
+    assert data.count(old.encode()) == 1
+    snap.write_bytes(data.replace(old.encode(), new.encode()))
+    outcomes = []
+    for strip in (False, True):
+        if strip:
+            _strip_seal(snap)
+        rc = main(["stats", "--snapshot", str(snap)])
+        outcomes.append((rc, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 3
+    assert message in outcomes[0][1]
+
+
+def test_snapshot_sealed_under_older_rules_is_validated(
+    tmp_path, paper_workspace, capsys
+):
+    doc = _snapshot_doc(paper_workspace, tmp_path)
+    del doc["seal"]
+    doc["records"][1] = "db=X\tid=1\tdim.scale=1:9\tdim.valence=5\tdim.arousalSD=nan"
+    text = json.dumps(doc, indent=1) + "\n"
+    snap = tmp_path / "stale.json"
+    snap.write_bytes(_sealed(text, VALIDATION_RULES - 1))
+    assert main(["stats", "--snapshot", str(snap)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: bad snapshot {snap}: records[1]: record X/1: "
+        "arousalSD=nan is not a number\n"
+    )
+    # Only the seal skips the check: anyone can seal bad records under the
+    # current rules, so the seal is no security boundary.
+    snap.write_bytes(_sealed(text))
+    assert len(load_snapshot(snap).corpus) == 4
 
 
 def _snapshot_doc(paper_workspace, tmp_path):
@@ -163,14 +360,7 @@ def test_load_of_more_layouts_than_plans(tmp_path, monkeypatch, paper_workspace)
     snap = tmp_path / "layouts.json"
     snap.write_text(json.dumps({**_snapshot_doc(paper_workspace, tmp_path),
                                 "records": lines}))
-    parsed = []
-    parse = stimkb.corpus.parse_record_line
-
-    def counting_parse(line, *args, **kwargs):
-        parsed.append(line)
-        return parse(line, *args, **kwargs)
-
-    monkeypatch.setattr(stimkb.corpus, "parse_record_line", counting_parse)
+    parsed = _count_parses(monkeypatch)
     loaded = load_snapshot(snap)
     interned = {}
     assert list(loaded.corpus) == [
@@ -228,18 +418,26 @@ BAD_SNAPSHOTS = [
 def test_bad_snapshot_exits_3_naming_file(
     edit, message, tmp_path, paper_workspace, capsys
 ):
+    doc = _snapshot_doc(paper_workspace, tmp_path)
+    seal_line = (tmp_path / "good.json").read_bytes()[:SEAL_END + 2]
+    text = edit({k: v for k, v in doc.items() if k != "seal"})
     bad = tmp_path / "bad.json"
-    bad.write_text(edit(_snapshot_doc(paper_workspace, tmp_path)))
-    with pytest.raises(SnapshotError) as exc:
-        load_snapshot(bad)
-    assert str(exc.value).startswith(f"bad snapshot {bad}: ")
-    assert message in str(exc.value)
+    # The edited document, then the same one behind the good file's seal.
+    variants = [text.encode()]
+    if text.startswith("{"):
+        variants.append(seal_line + text.encode()[1:])
+    for data in variants:
+        bad.write_bytes(data)
+        with pytest.raises(SnapshotError) as exc:
+            load_snapshot(bad)
+        assert str(exc.value).startswith(f"bad snapshot {bad}: ")
+        assert message in str(exc.value)
 
-    rc = main(["stats", "--snapshot", str(bad)])
-    err = capsys.readouterr().err
-    assert rc == 3
-    assert err.startswith(f"error: bad snapshot {bad}: ")
-    assert message in err
+        rc = main(["stats", "--snapshot", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith(f"error: bad snapshot {bad}: ")
+        assert message in err
 
 
 def _synthetic_manifest(tmp_path):
@@ -255,7 +453,8 @@ def _synthetic_manifest(tmp_path):
     ]
     (tmp_path / "taxonomy.tsv").write_text(graph.serialize())
     (tmp_path / "records.tsv").write_text(
-        "# synthetic records\n" + serialize_records(records)
+        "# synthetic records\n"
+        + "".join(serialize_record(r) + "\n" for r in records)
     )
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("taxonomy=taxonomy.tsv\nrecords=records.tsv\nseed=6\n")
