@@ -7,8 +7,7 @@ with explicit scale bounds; normalization to [0, 1] is a separate step.
 Cross-vocabulary equivalence exists only where an explicit axiom states it.
 """
 
-import inspect
-from dataclasses import MISSING, dataclass, fields
+from collections import namedtuple
 
 from .errors import ParseError, ValidationError
 from .lines import tab_rows
@@ -32,66 +31,13 @@ DIMENSION_NAMES = (
 DIMENSION_SD_NAMES = ("valenceSD", "arousalSD", "dominanceSD")
 
 
-def fast_init(cls):
-    """Give a `@dataclass(frozen=True, slots=True)` class a faster
-    `__init__` with the same signature and defaults.
+class Vocabulary(namedtuple("Vocabulary", "id terms")):
+    __slots__ = ()
 
-    A frozen dataclass sets each field, defaults included, through
-    `object.__setattr__`, found by name on every call.  This `__init__`
-    calls each slot's descriptor `__set__`, bound once here, which skips
-    the frozen `__setattr__` the same way.  Everything else the dataclass
-    generated (equality, hashing, `repr`, `replace`) is kept.  Raises
-    TypeError for a class this `__init__` would not match: not frozen and
-    slotted, a `__post_init__`, or a field that is init-only, keyword-only,
-    left out of `__init__` or given a `default_factory`.
-    """
-    flds = fields(cls)  # TypeError when cls is not a dataclass
-    init_names = list(inspect.signature(cls.__init__).parameters)[1:]
-    if not cls.__dataclass_params__.frozen or "__slots__" not in cls.__dict__:
-        problem = "is not frozen and slotted"
-    elif hasattr(cls, "__post_init__"):
-        problem = "has a __post_init__"
-    elif init_names != [f.name for f in flds]:
-        problem = "has an init-only field or a field left out of __init__"
-    elif any(f.kw_only or f.default_factory is not MISSING for f in flds):
-        problem = "has a keyword-only field or a default_factory"
-    else:
-        problem = None
-    if problem is not None:
-        raise TypeError(f"fast_init: {cls.__qualname__} {problem}")
-
-    env = {}
-    args = []
-    for f in flds:
-        env[f"__set_{f.name}"] = cls.__dict__[f.name].__set__
-        if f.default is MISSING:
-            args.append(f.name)
-        else:
-            env[f"__default_{f.name}"] = f.default
-            args.append(f"{f.name}=__default_{f.name}")
-    body = "".join(f"  __set_{f.name}(self, {f.name})\n" for f in flds)
-    source = (
-        f"def __make_init__({', '.join(env)}):\n"
-        f" def __init__(self, {', '.join(args)}):\n{body}"
-        f" return __init__\n"
-    )
-    namespace = {}
-    exec(source, namespace)
-    init = namespace["__make_init__"](**env)
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = dict(cls.__init__.__annotations__)
-    cls.__init__ = init
-    return cls
-
-
-@dataclass(frozen=True)
-class Vocabulary:
-    id: str
-    terms: frozenset
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ValidationError(f"vocabulary {self.id!r} has no terms")
+    def __new__(cls, id, terms):
+        if not terms:
+            raise ValidationError(f"vocabulary {id!r} has no terms")
+        return super().__new__(cls, id, terms)
 
 
 def builtin_big_six():
@@ -121,12 +67,11 @@ def load_vocabularies(text):
     return vocabs
 
 
-@dataclass(frozen=True, slots=True)
-class CategoryAnnotation:
-    vocabulary: str
-    term: str
-    confidence_level: str | None = None
-    confidence_value: float | None = None
+class CategoryAnnotation(namedtuple(
+    "CategoryAnnotation", "vocabulary term confidence_level confidence_value",
+    defaults=(None, None),
+)):
+    __slots__ = ()
 
     @property
     def qualified(self):
@@ -154,22 +99,13 @@ def validate_category(ann, vocabs):
     return problems
 
 
-@fast_init
-@dataclass(frozen=True, slots=True)
-class DimensionAnnotation:
-    scale_min: float
-    scale_max: float
-    valence: float | None = None
-    arousal: float | None = None
-    dominance: float | None = None
-    potency: float | None = None
-    unpredictability: float | None = None
-    intensity: float | None = None
-    valenceSD: float | None = None
-    arousalSD: float | None = None
-    dominanceSD: float | None = None
-    confidence_level: str | None = None
-    confidence_value: float | None = None
+class DimensionAnnotation(namedtuple(
+    "DimensionAnnotation",
+    ("scale_min", "scale_max", *DIMENSION_NAMES, *DIMENSION_SD_NAMES,
+     "confidence_level", "confidence_value"),
+    defaults=(None,) * 11,
+)):
+    __slots__ = ()
 
     def values(self):
         """Present (name, value) pairs in DIMENSION_NAMES order."""
@@ -220,23 +156,22 @@ def normalize_dimension(ann):
     return {name: (v - ann.scale_min) / span for name, v in ann.values()}
 
 
-@dataclass(frozen=True, slots=True)
-class AppraisalAnnotation:
-    values: tuple  # ((name, float-in-[0,1]), ...)
+class AppraisalAnnotation(namedtuple("AppraisalAnnotation", "values")):
+    __slots__ = ()  # values: ((name, float-in-[0,1]), ...)
 
 
-@dataclass(frozen=True, slots=True)
-class ActionTendencyAnnotation:
-    term: str
-    confidence_level: str | None = None
-    confidence_value: float | None = None
+class ActionTendencyAnnotation(namedtuple(
+    "ActionTendencyAnnotation", "term confidence_level confidence_value",
+    defaults=(None, None),
+)):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class SentimentAnnotation:
-    value: float
-    confidence_level: str | None = None
-    confidence_value: float | None = None
+class SentimentAnnotation(namedtuple(
+    "SentimentAnnotation", "value confidence_level confidence_value",
+    defaults=(None, None),
+)):
+    __slots__ = ()
 
 
 def validate_unit_interval(name, value, problems):

@@ -148,7 +148,9 @@ def _cmd_sequence(args):
 def _cmd_stats(args):
     ws = load_snapshot(args.snapshot)
     print(f"{len(ws.corpus)} records")
-    keywords = {k for rec in ws.corpus for k in rec.keywords()}
+    keywords = {
+        s.keyword.casefold() for rec in ws.corpus for s in rec.semantics if s.keyword
+    }
     print(f"{len(keywords)} distinct keywords")
     print(f"{len(ws.corpus.concept_index)} distinct concepts")
     print(f"{len(ws.graph.concepts)} taxonomy concepts, max depth "

@@ -29,7 +29,7 @@ the 1..9 scale.
 """
 
 import re
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 
 from .affect import (
     DIMENSION_NAMES,
@@ -39,7 +39,6 @@ from .affect import (
     CategoryAnnotation,
     DimensionAnnotation,
     SentimentAnnotation,
-    fast_init,
     validate_category,
     validate_dimension,
     validate_unit_interval,
@@ -71,31 +70,10 @@ _CONTEXT_NUMBER_TYPES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class SemanticsAnnotation:
-    kind: str  # Object | Scene | Event
-    concept: str | None = None
-    keyword: str | None = None
-
-
-@fast_init
-@dataclass(frozen=True, slots=True)
-class ContextRecord:
-    media_format: str | None = None
-    width_px: int | None = None
-    height_px: int | None = None
-    size_bytes: int | None = None
-    color_depth_bits: int | None = None
-    length_seconds: float | None = None
-    author: str | None = None
-    owner: str | None = None
-    created_at: str | None = None
-    location: str | None = None
-    dc_type: str | None = None
-    dc_creator: str | None = None
-    dc_contributor: str | None = None
-    dc_date: str | None = None
-    dc_format: str | None = None
+class SemanticsAnnotation(namedtuple(
+    "SemanticsAnnotation", "kind concept keyword", defaults=(None, None),
+)):
+    __slots__ = ()  # kind: Object | Scene | Event
 
 
 _CTX_ATTR = {
@@ -117,26 +95,27 @@ _CTX_ATTR = {
 }
 
 
-@fast_init
-@dataclass(frozen=True, slots=True)
-class PhysiologyRef:
-    path: str
-    channel: str | None = None
+class ContextRecord(namedtuple(
+    "ContextRecord", tuple(_CTX_ATTR.values()), defaults=(None,) * len(_CTX_ATTR),
+)):
+    __slots__ = ()  # fields in the order of their `ctx.*` keys in _CTX_ATTR
 
 
-@fast_init
-@dataclass(frozen=True, slots=True)
-class StimulusRecord:
-    db: str
-    id: str
-    semantics: tuple = ()
-    categories: tuple = ()
-    dimensions: DimensionAnnotation | None = None
-    appraisals: tuple = ()
-    action_tendencies: tuple = ()
-    sentiments: tuple = ()
-    context: ContextRecord | None = None
-    physiology: tuple = ()
+class PhysiologyRef(namedtuple("PhysiologyRef", "path channel", defaults=(None,))):
+    __slots__ = ()
+
+
+class StimulusRecord(namedtuple(
+    "StimulusRecord",
+    "db id semantics categories dimensions appraisals action_tendencies "
+    "sentiments context physiology",
+    defaults=((), (), None, (), (), (), None, ()),
+)):
+    """One stimulus, keyed by `db` and `id`: `dimensions` is a
+    DimensionAnnotation or None, `context` a ContextRecord or None, and the
+    other fields are tuples of annotations."""
+
+    __slots__ = ()
 
     @property
     def key(self):
@@ -314,7 +293,7 @@ def _parse_cat(value, lineno):
 # DimensionAnnotation field; `ctx.*` keys to the position of the
 # ContextRecord field and its number type (None for text).
 _DIM_KEYS = {f"dim.{name}": name for name in DIMENSION_NAMES + DIMENSION_SD_NAMES}
-_CTX_ORDER = [f.name for f in fields(ContextRecord)]
+_CTX_ORDER = ContextRecord._fields
 _CTX_KEYS = {
     f"ctx.{wire}": (_CTX_ORDER.index(attr), _CONTEXT_NUMBER_TYPES.get(wire))
     for wire, attr in _CTX_ATTR.items()
@@ -476,7 +455,7 @@ _SINGLE_KEYS = frozenset(
 _REPEATABLE_KEYS = frozenset(
     {"", "sem", "cat", "appraisal", "tendency", "sentiment", "phys", "ctx"}
 )
-_DIM_ORDER = [f.name for f in fields(DimensionAnnotation)]
+_DIM_ORDER = DimensionAnnotation._fields
 # A plan takes about 1 ms to generate and compile (2-vCPU host), as long
 # as the general parser takes for ~50 lines; the bound keeps a file whose
 # every line has a new layout close to the general parser's speed.
@@ -759,8 +738,7 @@ def serialize_record(rec):
         )
     if rec.context is not None:
         ctx_tokens = []
-        for wire, attr in _CTX_ATTR.items():
-            v = getattr(rec.context, attr)
+        for wire, v in zip(_CTX_ATTR, rec.context):  # in field order
             if v is not None:
                 v = _fmt_num(v) if isinstance(v, (int, float)) else v
                 ctx_tokens.append(f"ctx.{wire}={v}")
@@ -842,6 +820,6 @@ def expand_keywords(records, mapping):
                     existing.add((sem.kind, c))
                     added.append(SemanticsAnnotation(kind=sem.kind, concept=c))
         if added:
-            rec = replace(rec, semantics=rec.semantics + tuple(added))
+            rec = rec._replace(semantics=rec.semantics + tuple(added))
         out.append(rec)
     return out, sorted(unmapped)

@@ -9,7 +9,7 @@ query's concept, a lexical one its keyword.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParseError, ValidationError
 from .lines import tab_rows
@@ -17,12 +17,9 @@ from .retrieval import OperandScores, score_record
 from .similarity import CONCEPT_MEASURES, parse_measure
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    tn: int = 0
+class ConfusionMatrix(namedtuple("ConfusionMatrix", "tp fp fn tn",
+                                 defaults=(0, 0, 0, 0))):
+    __slots__ = ()
 
     @property
     def total(self):
@@ -37,15 +34,12 @@ class ConfusionMatrix:
         )
 
 
-@dataclass(frozen=True)
-class MetricRecord:
-    accuracy: float
-    precision: float
-    recall: float
-    fallout_standard: float
-    miss_rate: float
-    f1: float
-    precision_undefined: bool = False
+class MetricRecord(namedtuple(
+    "MetricRecord",
+    "accuracy precision recall fallout_standard miss_rate f1 precision_undefined",
+    defaults=(False,),
+)):
+    __slots__ = ()
 
 
 def lift_curve(ranked_entries, judgments):
@@ -135,27 +129,22 @@ def aggregate(matrices):
     return metrics(total)
 
 
-@dataclass(frozen=True)
-class ExperimentQuery:
-    qid: str
-    concept: str | None = None
-    keyword: str | None = None
+class ExperimentQuery(namedtuple("ExperimentQuery", "qid concept keyword",
+                                 defaults=(None, None))):
+    __slots__ = ()
 
     def term_for(self, measure):
         return self.concept if measure in CONCEPT_MEASURES else self.keyword
 
 
-@dataclass
-class ExperimentConfig:
-    candidate_size: int = 100
-    seed: int = 0
-    max_resamples: int = 5
+class ExperimentConfig(namedtuple(
+    "ExperimentConfig", "candidate_size seed max_resamples", defaults=(100, 0, 5),
+)):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    rows: tuple  # ((scheme, measure, n_queries, MetricRecord), ...)
-    notes: tuple
+class ExperimentReport(namedtuple("ExperimentReport", "rows notes")):
+    __slots__ = ()  # rows: ((scheme, measure, n_queries, MetricRecord), ...)
 
 
 def _scheme_of(measure):

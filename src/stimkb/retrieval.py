@@ -13,7 +13,8 @@ defaults: measure wupalmer (concept) or levenshtein (keyword), limit 100.
 """
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
+from types import MappingProxyType
 
 from .errors import QueryError, UnknownConceptError, ValidationError
 from .similarity import (
@@ -36,33 +37,30 @@ DEFAULT_LIMIT = 100
 _CLAUSE_RE = re.compile(r'(\S+?):("[^"]*"|\[[^\]\s]*\]|\S+)')
 
 
-@dataclass
-class Query:
-    concept: str | None = None
-    keyword: str | None = None
-    boxes: dict = field(default_factory=dict)  # dimension -> (lo, hi)
-    category: tuple | None = None  # (vocab, term)
-    db_name: str | None = None
-    measure: Measure | None = None
-    mode: str = MODE_RANK
-    limit: int | None = None
+class Query(namedtuple(
+    "Query", "concept keyword boxes category db_name measure mode limit",
+    defaults=(None, None, MappingProxyType({}), None, None, None, MODE_RANK, None),
+)):
+    """A parsed query: `boxes` maps a dimension to its (lo, hi) interval,
+    `category` is a (vocab, term) pair."""
+
+    __slots__ = ()
 
     @property
     def term(self):
         return self.concept if self.concept is not None else self.keyword
 
 
-@dataclass(frozen=True)
-class RankedResult:
-    entries: tuple  # ((stimulus key, score), ...) scores non-increasing
-    query: Query
-    measure: Measure
+class RankedResult(namedtuple("RankedResult", "entries query measure")):
+    __slots__ = ()  # entries: ((stimulus key, score), ...) scores non-increasing
 
 
 def parse_query(text, default_limit=DEFAULT_LIMIT):
     """Parse the one-line query grammar into a Query with defaults applied;
     a rank query without a `limit:` clause gets `default_limit`."""
-    q = Query()
+    concept = keyword = category = db_name = measure = limit = None
+    boxes = {}
+    mode = MODE_RANK
     pos = 0
     starts = {}  # clause key -> its offset in `text`
     stripped = text.strip()
@@ -78,7 +76,7 @@ def parse_query(text, default_limit=DEFAULT_LIMIT):
             raise QueryError(f"duplicate clause {key!r}", position=m.start())
         starts[key] = m.start()
         if key == "concept":
-            q.concept = value
+            concept = value
         elif key == "keyword":
             if value.startswith('"'):
                 # A quoted value with no closing quote falls to `\S+`.
@@ -86,23 +84,23 @@ def parse_query(text, default_limit=DEFAULT_LIMIT):
                     raise QueryError(f"unterminated quote in keyword {value!r}",
                                      position=vpos)
                 value = value[1:-1]
-            q.keyword = value
-            if not q.keyword:
+            keyword = value
+            if not keyword:
                 raise QueryError("empty keyword", position=vpos)
         elif key in BOX_DIMENSIONS:
-            q.boxes[key] = _parse_interval(value, vpos)
+            boxes[key] = _parse_interval(value, vpos)
         elif key == "category":
             vocab, sep, term = value.partition(".")
             if not sep or not vocab or not term:
                 raise QueryError(
                     f"expected category:<vocab>.<term>, got {value!r}", position=vpos
                 )
-            q.category = (vocab, term)
+            category = (vocab, term)
         elif key == "db":
-            q.db_name = value
+            db_name = value
         elif key == "measure":
             try:
-                q.measure = parse_measure(value)
+                measure = parse_measure(value)
             except ValidationError as e:
                 raise QueryError(str(e), position=vpos) from None
         elif key == "mode":
@@ -110,43 +108,45 @@ def parse_query(text, default_limit=DEFAULT_LIMIT):
                 raise QueryError(
                     f"mode must be filter or rank, got {value!r}", position=vpos
                 )
-            q.mode = value
+            mode = value
         elif key == "limit":
             if not (value.isascii() and value.isdigit()) or int(value) < 1:
                 raise QueryError(
                     f"limit must be a positive integer, got {value!r}", position=vpos
                 )
-            q.limit = int(value)
+            limit = int(value)
         else:
             raise QueryError(f"unknown clause {key!r}", position=m.start())
         pos = m.end()
     if text[pos:].strip():
         raise QueryError(f"unparseable text {text[pos:].strip()!r}", position=pos)
 
-    if q.concept is not None and q.keyword is not None:
+    if concept is not None and keyword is not None:
         raise QueryError("at most one of concept/keyword allowed", position=0)
 
-    if q.mode == MODE_RANK:
-        if q.term is None:
+    if mode == MODE_RANK:
+        if concept is None and keyword is None:
             raise QueryError("rank mode requires a concept or keyword term",
                              position=0)
-        if q.measure is None:
-            q.measure = (
-                Measure.WU_PALMER if q.concept is not None else Measure.LEVENSHTEIN
+        if measure is None:
+            measure = (
+                Measure.WU_PALMER if concept is not None else Measure.LEVENSHTEIN
             )
-        if q.limit is None:
-            q.limit = default_limit
-        _check_measure_kind(q)
+        if limit is None:
+            limit = default_limit
     else:
         for key in ("measure", "limit"):
             if key in starts:
                 raise QueryError(f"clause {key!r} applies only in rank mode",
                                  position=starts[key])
-        if q.concept is None and q.category is None and not q.boxes:
+        if concept is None and category is None and not boxes:
             raise QueryError(
                 "filter mode requires a concept, a category, or a dimension box",
                 position=0,
             )
+    q = Query(concept, keyword, boxes, category, db_name, measure, mode, limit)
+    if mode == MODE_RANK:
+        _check_measure_kind(q)
     return q
 
 

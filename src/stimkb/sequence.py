@@ -6,7 +6,7 @@ may.  A schedule is the flat chronological stream of onset/offset events.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ValidationError
 
@@ -14,26 +14,17 @@ ONSET = "Onset"
 OFFSET = "Offset"
 
 
-@dataclass(frozen=True)
-class SequenceItem:
-    stimulus: str
-    track: str
-    start_ms: int
-    duration_ms: int
+class SequenceItem(namedtuple("SequenceItem",
+                              "stimulus track start_ms duration_ms")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StimulusSequence:
-    items: tuple
-    total_ms: int
+class StimulusSequence(namedtuple("StimulusSequence", "items total_ms")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SyncEvent:
-    timestamp_ms: int
-    kind: str  # Onset | Offset
-    stimulus: str
-    track: str
+class SyncEvent(namedtuple("SyncEvent", "timestamp_ms kind stimulus track")):
+    __slots__ = ()  # kind: Onset | Offset
 
 
 def _validate_items(items):
@@ -96,11 +87,6 @@ def build_sequence(results, count, duration_ms, isi_ms=0, track="visual"):
     return make_sequence(items)
 
 
-def merge_sequences(a, b):
-    """Union of two sequences; same-track items must not overlap."""
-    return make_sequence(a.items + b.items)
-
-
 def emit_schedule(seq):
     """2 * |items| onset/offset events, chronologically sorted (ties:
     Offset before Onset, then by track label)."""
@@ -113,29 +99,6 @@ def emit_schedule(seq):
         )
     events.sort(key=lambda e: (e.timestamp_ms, e.kind != OFFSET, e.track))
     return events
-
-
-def items_from_schedule(events):
-    """Reconstruct the item list from an event stream (inverse of
-    emit_schedule for valid sequences)."""
-    open_items = {}
-    items = []
-    for e in events:
-        key = (e.track, e.stimulus)
-        if e.kind == ONSET:
-            if key in open_items:
-                raise ValidationError(f"nested onset for {key}")
-            open_items[key] = e.timestamp_ms
-        else:
-            if key not in open_items:
-                raise ValidationError(f"offset without onset for {key}")
-            start = open_items.pop(key)
-            items.append(
-                SequenceItem(e.stimulus, e.track, start, e.timestamp_ms - start)
-            )
-    if open_items:
-        raise ValidationError(f"unclosed items: {sorted(open_items)}")
-    return items
 
 
 def sequence_to_json(seq):

@@ -9,7 +9,7 @@ queries and evaluation never re-parse the raw inputs.
 
 import gc
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 try:
@@ -69,11 +69,8 @@ _SNAPSHOT_KEYS = {
 }
 
 
-@dataclass
-class Manifest:
-    paths: dict  # key -> resolved Path (subset of MANIFEST_FILE_KEYS)
-    seed: int = 0
-    limit: int | None = None
+class Manifest(namedtuple("Manifest", "paths seed limit", defaults=(0, None))):
+    __slots__ = ()  # paths: key -> resolved Path (subset of MANIFEST_FILE_KEYS)
 
 
 def parse_manifest(path):
@@ -117,18 +114,14 @@ def _read(manifest, key):
     return read_input(p, f"{key} file")
 
 
-@dataclass
-class Workspace:
+class Workspace(namedtuple(
+    "Workspace",
+    "graph mapping vocabs closure corpus unmapped_keywords seed limit",
+    defaults=(0, None),
+)):
     """Everything the query/eval/sequence commands need, fully built."""
 
-    graph: object
-    mapping: object
-    vocabs: dict
-    closure: object
-    corpus: Corpus
-    unmapped_keywords: list
-    seed: int = 0
-    limit: int | None = None
+    __slots__ = ()
 
 
 def build_workspace(manifest):

@@ -21,7 +21,7 @@ from stimkb.evaluation import (
     select_threshold,
 )
 from stimkb.retrieval import parse_query, filter_query, ranked_query
-from stimkb.sequence import build_sequence, emit_schedule, merge_sequences
+from stimkb.sequence import build_sequence, emit_schedule, make_sequence
 from stimkb.affect import build_equivalence_closure
 from stimkb.errors import ValidationError
 from stimkb.similarity import (
@@ -286,13 +286,13 @@ def test_sequence_suite():
 
     other = build_sequence(ranked, count=3, duration_ms=2000, isi_ms=500,
                            track="auditory")
-    merged = merge_sequences(seq, other)
-    assert len(merged.items) == 6
+    both = make_sequence(seq.items + other.items)
+    assert len(both.items) == 6
 
     with pytest.raises(ValidationError):
-        merge_sequences(seq, seq)
+        make_sequence(seq.items + seq.items)
     _ok("sequence suite (timing, schedule, same-track rejection, "
-        "cross-track merge)")
+        "cross-track overlap)")
 
 
 def test_determinism(tmp_path, capsys):

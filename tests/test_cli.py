@@ -3,11 +3,14 @@ import io
 import json
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stimkb
 from stimkb.affect import build_equivalence_closure, load_vocabularies
 from stimkb.cli import main
 from stimkb.snapshot import Workspace, save_snapshot
@@ -706,3 +709,17 @@ def test_fuzzed_snapshot_exits_with_a_documented_code(fuzz_snapshot, data):
                     ["query", "category:FSRECategory.anger mode:filter"]):
         argv = command[:1] + ["--snapshot", str(bad)] + command[1:]
         assert _exit_code(argv) in DOCUMENTED_EXITS
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # Each CLI command is a fresh process, so what `import stimkb.cli`
+    # loads is paid on every op.  `-I -S` keeps the environment and the
+    # `site` module (which may load `typing` itself) out of the count.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import stimkb.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    src = str(Path(stimkb.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import inspect
 import string
@@ -15,7 +14,7 @@ from stimkb.affect import (
     AppraisalAnnotation,
     CategoryAnnotation,
     SentimentAnnotation,
-    fast_init,
+    Vocabulary,
     load_vocabularies,
 )
 from stimkb.corpus import (
@@ -35,6 +34,16 @@ from stimkb.corpus import (
     validate_stimulus,
 )
 from stimkb.errors import ParseError, ValidationError
+from stimkb.evaluation import (
+    ConfusionMatrix,
+    ExperimentConfig,
+    ExperimentQuery,
+    ExperimentReport,
+    MetricRecord,
+)
+from stimkb.retrieval import Query, RankedResult
+from stimkb.sequence import SequenceItem, StimulusSequence, SyncEvent
+from stimkb.snapshot import Manifest, Workspace
 from stimkb.taxonomy import parse_mapping
 
 from conftest import empty_plan_table, layout, many_layout_lines
@@ -387,93 +396,116 @@ def test_bad_line_interns_no_context(record_parser, line):
     assert not [k for k in interned if k[0] == "ctx"]
 
 
-def test_record_classes_are_slotted_and_frozen(paper_workspace):
-    rec = paper_workspace.corpus.records["IAPS/8163"]
-    objects = [rec, rec.semantics[0], rec.categories[0], rec.dimensions,
-               rec.context, rec.physiology[0],
-               AppraisalAnnotation((("pleasantness", 0.5),)),
-               ActionTendencyAnnotation("approach"), SentimentAnnotation(0.5)]
-    for obj in objects:
-        assert not hasattr(obj, "__dict__"), type(obj).__name__
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, dataclasses.fields(obj)[0].name, None)
-        copy = dataclasses.replace(obj)
-        assert copy == obj and hash(copy) == hash(obj) and copy is not obj
-    assert repr(rec.physiology[0]) == (
-        "PhysiologyRef(path='http://www.foo.com/subject1_hr', channel='HR')"
-    )
+# Every record class: its fields in order and the defaults of its trailing
+# fields.
+RECORD_CLASSES = [
+    (Vocabulary, "id terms", ()),
+    (CategoryAnnotation, "vocabulary term confidence_level confidence_value",
+     (None, None)),
+    (DimensionAnnotation,
+     "scale_min scale_max valence arousal dominance potency unpredictability "
+     "intensity valenceSD arousalSD dominanceSD confidence_level "
+     "confidence_value", (None,) * 11),
+    (AppraisalAnnotation, "values", ()),
+    (ActionTendencyAnnotation, "term confidence_level confidence_value",
+     (None, None)),
+    (SentimentAnnotation, "value confidence_level confidence_value", (None, None)),
+    (SemanticsAnnotation, "kind concept keyword", (None, None)),
+    (ContextRecord,
+     "media_format width_px height_px size_bytes color_depth_bits "
+     "length_seconds author owner created_at location dc_type dc_creator "
+     "dc_contributor dc_date dc_format", (None,) * 15),
+    (PhysiologyRef, "path channel", (None,)),
+    (StimulusRecord,
+     "db id semantics categories dimensions appraisals action_tendencies "
+     "sentiments context physiology", ((), (), None, (), (), (), None, ())),
+    (Manifest, "paths seed limit", (0, None)),
+    (Workspace,
+     "graph mapping vocabs closure corpus unmapped_keywords seed limit",
+     (0, None)),
+    (Query, "concept keyword boxes category db_name measure mode limit",
+     (None, None, {}, None, None, None, "rank", None)),
+    (RankedResult, "entries query measure", ()),
+    (ConfusionMatrix, "tp fp fn tn", (0, 0, 0, 0)),
+    (MetricRecord,
+     "accuracy precision recall fallout_standard miss_rate f1 "
+     "precision_undefined", (False,)),
+    (ExperimentQuery, "qid concept keyword", (None, None)),
+    (ExperimentConfig, "candidate_size seed max_resamples", (100, 0, 5)),
+    (ExperimentReport, "rows notes", ()),
+    (SequenceItem, "stimulus track start_ms duration_ms", ()),
+    (StimulusSequence, "items total_ms", ()),
+    (SyncEvent, "timestamp_ms kind stimulus track", ()),
+]
 
 
-def _plain_twin(cls):
-    """A plain `@dataclass(frozen=True, slots=True)` with the fields of
-    `cls`, built by the dataclass `__init__`."""
-    return dataclasses.make_dataclass(
-        cls.__name__,
-        [(f.name, f.type, dataclasses.field(default=f.default))
-         for f in dataclasses.fields(cls)],
-        frozen=True,
-        slots=True,
-    )
-
-
-@pytest.mark.parametrize(
-    "cls", [StimulusRecord, ContextRecord, PhysiologyRef, DimensionAnnotation],
-    ids=lambda cls: cls.__name__,
-)
-def test_fast_init_matches_a_plain_dataclass(cls):
-    twin = _plain_twin(cls)
-    assert inspect.signature(cls) == inspect.signature(twin)
-    names = [f.name for f in dataclasses.fields(cls)]
-    required = sum(f.default is dataclasses.MISSING for f in dataclasses.fields(cls))
+@pytest.mark.parametrize("cls, names, defaults", RECORD_CLASSES,
+                         ids=[c[0].__name__ for c in RECORD_CLASSES])
+def test_record_class_contract(cls, names, defaults):
+    names = names.split()
+    assert cls._fields == tuple(names)
     values = [f"v{i}" for i in range(len(names))]
+    required = len(names) - len(defaults)
+    obj = cls(*values)
+    assert [getattr(obj, name) for name in names] == values
+    assert cls(**dict(zip(names, values))) == obj
+    assert tuple(cls(*values[:required])) == (*values[:required], *defaults)
+    if defaults:
+        last = cls(*values[:required], **{names[-1]: "last"})
+        assert tuple(last) == (*values[:required], *defaults[:-1], "last")
+    assert repr(obj) == "{}({})".format(
+        cls.__name__, ", ".join(f"{n}={v!r}" for n, v in zip(names, values)))
 
-    def state(obj):
-        return [getattr(obj, name) for name in names]
+    assert not hasattr(obj, "__dict__")
+    for name in (names[0], "nosuch"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, "x")
 
-    calls = [
-        (values, {}),
-        ((), dict(zip(names, values))),
-        (values[:required], {}),
-        (values[:required], {names[-1]: "last"}),
-    ]
-    for args, kwargs in calls:
-        obj, plain = cls(*args, **kwargs), twin(*args, **kwargs)
-        assert state(obj) == state(plain)
-        assert repr(obj) == repr(plain) and hash(obj) == hash(plain)
-        assert obj == cls(*args, **kwargs)
-        assert obj != dataclasses.replace(obj, **{names[0]: "other"})
-        assert state(dataclasses.replace(obj, **{names[-1]: "new"})) == state(
-            dataclasses.replace(plain, **{names[-1]: "new"}))
-        assert not hasattr(obj, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, names[0], "x")
+    copy = obj._replace()
+    assert type(copy) is cls and copy == obj and hash(copy) == hash(obj)
+    changed = obj._replace(**{names[-1]: "new"})
+    assert type(changed) is cls and changed != obj
+    assert tuple(changed) == (*values[:-1], "new")
+
     too_few = [(values[:required - 1], {})] if required else []
     for args, kwargs in [*too_few, (values + ["extra"], {}),
                          (values[:required], {"nosuch": 1})]:
-        for make in (cls, twin):
-            with pytest.raises(TypeError):
-                make(*args, **kwargs)
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
 
 
-@pytest.mark.parametrize(
-    "fields, options",
-    [
-        ([("x", list, dataclasses.field(default_factory=list))], {}),
-        ([("x", int, dataclasses.field(default=0, init=False))], {}),
-        ([("x", int), ("y", dataclasses.InitVar[int])], {}),
-        ([("x", int, dataclasses.field(kw_only=True))], {}),
-        ([("x", int)], {"namespace": {"__post_init__": lambda self: None}}),
-        ([("x", int)], {"frozen": False}),
-        ([("x", int)], {"slots": False}),
-    ],
-    ids=["default_factory", "init_false", "initvar", "kw_only", "post_init",
-         "not_frozen", "not_slotted"],
-)
-def test_fast_init_rejects_a_class_it_cannot_match(fields, options):
-    options = {"frozen": True, "slots": True, **options}
-    cls = dataclasses.make_dataclass("C", fields, **options)
-    with pytest.raises(TypeError, match="fast_init: C "):
-        fast_init(cls)
+def test_empty_vocabulary_is_rejected():
+    with pytest.raises(ValidationError, match="vocabulary 'X' has no terms"):
+        Vocabulary("X", frozenset())
+
+
+def test_record_repr_text_is_pinned():
+    # The same text as records printed when they were dataclasses.
+    rec = parse_record_line(
+        "db=IADS\tid=311\tsem=Scene:keyword:crowd\tcat=BigSix.fear@value=0.5"
+        "\tdim.scale=1:9\tdim.valence=2.5\tappraisal=pleasantness:0.2"
+        "\ttendency=avoid\tsentiment=0.1\tctx.lengthSeconds=6\tphys=p HR"
+    )
+    assert repr(rec) == (
+        "StimulusRecord(db='IADS', id='311', semantics=(SemanticsAnnotation("
+        "kind='Scene', concept=None, keyword='crowd'),), categories=("
+        "CategoryAnnotation(vocabulary='BigSix', term='fear', "
+        "confidence_level=None, confidence_value=0.5),), dimensions="
+        "DimensionAnnotation(scale_min=1.0, scale_max=9.0, valence=2.5, "
+        "arousal=None, dominance=None, potency=None, unpredictability=None, "
+        "intensity=None, valenceSD=None, arousalSD=None, dominanceSD=None, "
+        "confidence_level=None, confidence_value=None), appraisals=("
+        "AppraisalAnnotation(values=(('pleasantness', 0.2),)),), "
+        "action_tendencies=(ActionTendencyAnnotation(term='avoid', "
+        "confidence_level=None, confidence_value=None),), sentiments=("
+        "SentimentAnnotation(value=0.1, confidence_level=None, "
+        "confidence_value=None),), context=ContextRecord(media_format=None, "
+        "width_px=None, height_px=None, size_bytes=None, color_depth_bits=None, "
+        "length_seconds=6.0, author=None, owner=None, created_at=None, "
+        "location=None, dc_type=None, dc_creator=None, dc_contributor=None, "
+        "dc_date=None, dc_format=None), physiology=(PhysiologyRef(path='p', "
+        "channel='HR'),))"
+    )
 
 
 def test_bad_annotation_raises_on_every_line_that_has_it():

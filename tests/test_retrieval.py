@@ -140,8 +140,7 @@ def test_category_class_taken_once_per_query(paper_workspace, monkeypatch):
 
 def test_filter_unknown_concept(paper_workspace):
     ws = paper_workspace
-    q = parse_query("concept:Entity mode:filter")
-    q.concept = "NoSuchConcept"
+    q = parse_query("concept:Entity mode:filter")._replace(concept="NoSuchConcept")
     with pytest.raises(UnknownConceptError):
         filter_query(ws.corpus, ws.graph, q, ws.closure)
 

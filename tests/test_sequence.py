@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stimkb.errors import ValidationError
 from stimkb.retrieval import RankedResult
@@ -11,9 +12,7 @@ from stimkb.sequence import (
     SequenceItem,
     build_sequence,
     emit_schedule,
-    items_from_schedule,
     make_sequence,
-    merge_sequences,
     schedule_to_tsv,
     sequence_to_json,
 )
@@ -53,28 +52,21 @@ def test_build_rejects_bad_params():
         build_sequence(r, count=1, duration_ms=1000, isi_ms=-1)
 
 
-def test_merge_cross_track_overlap_allowed():
+def test_cross_track_overlap_allowed():
     visual = build_sequence(_ranked(["a", "b"]), count=2, duration_ms=2000,
                             isi_ms=500, track="visual")
     auditory = build_sequence(_ranked(["x", "y"]), count=2, duration_ms=2000,
                               isi_ms=500, track="auditory")
-    merged = merge_sequences(visual, auditory)
-    assert len(merged.items) == 4
-    assert merged.total_ms == 4500
+    both = make_sequence(visual.items + auditory.items)
+    assert len(both.items) == 4
+    assert both.total_ms == 4500
 
 
-def test_merge_same_track_overlap_rejected():
-    a = make_sequence([SequenceItem("a", "visual", 0, 2000)])
-    b = make_sequence([SequenceItem("b", "visual", 1000, 2000)])
+def test_same_track_overlap_rejected():
+    items = [SequenceItem("a", "visual", 0, 2000),
+             SequenceItem("b", "visual", 1000, 2000)]
     with pytest.raises(ValidationError, match="overlap"):
-        merge_sequences(a, b)
-
-
-def test_merge_with_empty_is_identity():
-    a = build_sequence(_ranked(["a", "b"]), count=2, duration_ms=1000)
-    empty = make_sequence([])
-    assert merge_sequences(a, empty) == a
-    assert merge_sequences(empty, a) == a
+        make_sequence(items)
 
 
 def test_schedule_one_item():
@@ -105,18 +97,29 @@ def test_schedule_tie_order_offset_first():
     ]
 
 
-def test_schedule_round_trip():
-    rng = random.Random(4)
-    items = []
-    for track in ("visual", "auditory"):
-        t = 0
-        for i in range(5):
-            dur = rng.randint(1, 50) * 100
-            items.append(SequenceItem(f"{track}{i}", track, t, dur))
-            t += dur + rng.randint(0, 10) * 100
-    seq = make_sequence(items)
-    reconstructed = items_from_schedule(emit_schedule(seq))
-    assert sorted(reconstructed, key=lambda i: (i.track, i.start_ms)) == list(seq.items)
+@settings(max_examples=100, deadline=None)
+@given(count=st.integers(1, 8), duration=st.integers(1, 3000),
+       isi=st.integers(0, 1000), track=st.sampled_from(["visual", "auditory"]))
+@example(count=3, duration=1000, isi=0, track="visual")
+def test_built_sequence_and_its_schedule(count, duration, isi, track):
+    seq = build_sequence(_ranked([f"s{i}" for i in range(count)]), count=count,
+                         duration_ms=duration, isi_ms=isi, track=track)
+    items = seq.items
+    assert [i.track for i in items] == [track] * count
+    for prev, cur in zip(items, items[1:]):
+        assert cur.start_ms >= prev.start_ms + prev.duration_ms  # no overlap
+    events = emit_schedule(seq)
+    # Two events per item: its Onset at its start, its Offset at its end.
+    got = sorted((e.stimulus, e.kind, e.timestamp_ms, e.track) for e in events)
+    assert got == sorted(
+        [(i.stimulus, ONSET, i.start_ms, track) for i in items]
+        + [(i.stimulus, OFFSET, i.start_ms + i.duration_ms, track) for i in items]
+    )
+    # Chronological, and at a tie (isi 0) the Offset comes before the Onset.
+    order = [(e.timestamp_ms, e.kind != OFFSET) for e in events]
+    assert order == sorted(order)
+    if isi == 0 and count > 1:
+        assert [e.kind for e in events[1:3]] == [OFFSET, ONSET]
 
 
 def test_total_ms_permutation_invariant():

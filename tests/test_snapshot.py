@@ -4,7 +4,6 @@ import json
 import shutil
 import tempfile
 import weakref
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -221,8 +220,8 @@ def test_save_seals_only_records_validated_against_what_it_writes(
     # were validated against; a corpus built without vocabularies never
     # checked its categories.
     for ws in (
-        replace(paper_workspace, vocabs=dict(paper_workspace.vocabs)),
-        replace(paper_workspace, graph=load_snapshot(snap).graph),
+        paper_workspace._replace(vocabs=dict(paper_workspace.vocabs)),
+        paper_workspace._replace(graph=load_snapshot(snap).graph),
     ):
         save_snapshot(ws, snap)
         assert snap.read_bytes() == unsealed
@@ -446,7 +445,7 @@ def _synthetic_manifest(tmp_path):
     graph, corpus, _, _ = generate(6, n_concepts=40, n_stimuli=300)
     terms = ("anger", "fear", "happiness")
     records = [
-        replace(rec, categories=(
+        rec._replace(categories=(
             CategoryAnnotation("BigSix", terms[i % 3], "High" if i % 2 else None),
         ))
         for i, rec in enumerate(corpus)
@@ -577,7 +576,8 @@ def test_good_load_freezes_the_workspace(enabled, tmp_path):
 
 def test_loaded_workspace_is_freed_by_refcounting(tmp_path, paper_workspace):
     # Frozen objects are never collected, so a reference cycle in a loaded
-    # workspace would leak it.
+    # workspace would leak it.  The Workspace tuple takes no weak reference;
+    # a cycle through it would keep its parts alive.
     snap = tmp_path / "snap.json"
     save_snapshot(paper_workspace, snap)
     was_enabled = gc.isenabled()
@@ -585,7 +585,7 @@ def test_loaded_workspace_is_freed_by_refcounting(tmp_path, paper_workspace):
     try:
         loaded = load_snapshot(snap)
         refs = [weakref.ref(obj) for obj in (
-            loaded, loaded.corpus, loaded.graph, loaded.mapping, loaded.closure,
+            loaded.corpus, loaded.graph, loaded.mapping, loaded.closure,
         )]
         del loaded
         assert [ref() for ref in refs] == [None] * len(refs)
