@@ -2,8 +2,8 @@
 confidence, appraisal/action-tendency/sentiment records, and equivalence
 closure over qualified emotion terms.
 
-Dimensional values are stored on their source scale (e.g. 1..9) together
-with explicit scale bounds; normalization to [0, 1] is a separate step.
+Dimensional values are stored, and filtered, on their source scale (e.g.
+1..9) together with explicit scale bounds.
 Cross-vocabulary equivalence exists only where an explicit axiom states it.
 """
 
@@ -40,10 +40,6 @@ class Vocabulary(namedtuple("Vocabulary", "id terms")):
         return super().__new__(cls, id, terms)
 
 
-def builtin_big_six():
-    return Vocabulary(BIG_SIX_ID, BIG_SIX_TERMS)
-
-
 def load_vocabularies(text):
     """Parse `vocab<TAB>term` lines into a dict of Vocabulary by id.
 
@@ -63,7 +59,7 @@ def load_vocabularies(text):
             raise ValidationError(f"BigSix is missing required terms: {missing}")
         vocabs[vid] = Vocabulary(vid, frozenset(terms))
     if BIG_SIX_ID not in vocabs:
-        vocabs[BIG_SIX_ID] = builtin_big_six()
+        vocabs[BIG_SIX_ID] = Vocabulary(BIG_SIX_ID, BIG_SIX_TERMS)
     return vocabs
 
 
@@ -148,14 +144,6 @@ def validate_dimension(ann):
     return problems
 
 
-def normalize_dimension(ann):
-    """Map each present value to (v - scaleMin) / (scaleMax - scaleMin)."""
-    span = ann.scale_max - ann.scale_min
-    if span == 0:
-        raise ValidationError("degenerate scale: scaleMax equals scaleMin")
-    return {name: (v - ann.scale_min) / span for name, v in ann.values()}
-
-
 class AppraisalAnnotation(namedtuple("AppraisalAnnotation", "values")):
     __slots__ = ()  # values: ((name, float-in-[0,1]), ...)
 
@@ -228,10 +216,6 @@ class EquivalenceClosure:
         for t in self._parent:
             groups.setdefault(self._find(t), set()).add(t)
         return sorted(tuple(sorted(g)) for g in groups.values())
-
-
-def build_equivalence_closure(axioms):
-    return EquivalenceClosure(axioms)
 
 
 def parse_axioms(text):

@@ -124,7 +124,7 @@ def _cmd_sequence(args):
         raise QueryError("sequence needs a rank-mode query, not mode:filter")
     result = retrieval.ranked_query(ws.corpus, ws.graph, q, ws.closure)
     seq = seqmod.build_sequence(
-        result,
+        result.entries,
         count=args.count,
         duration_ms=args.duration,
         isi_ms=args.isi,

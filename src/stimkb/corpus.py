@@ -124,9 +124,6 @@ class StimulusRecord(namedtuple(
     def concepts(self):
         return sorted({s.concept for s in self.semantics if s.concept})
 
-    def keywords(self):
-        return sorted({s.keyword.casefold() for s in self.semantics if s.keyword})
-
 
 # The version of the record validation rules: validate_stimulus and the
 # affect rules it calls.  A snapshot's seal covers it, so a snapshot sealed

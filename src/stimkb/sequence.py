@@ -28,7 +28,8 @@ class SyncEvent(namedtuple("SyncEvent", "timestamp_ms kind stimulus track")):
 
 
 def _validate_items(items):
-    by_track = {}
+    """Check items sorted by (track, start): every duration and start
+    first, then each pair of neighbours on one track for overlap."""
     for item in items:
         if item.duration_ms <= 0:
             raise ValidationError(
@@ -38,15 +39,13 @@ def _validate_items(items):
             raise ValidationError(
                 f"item {item.stimulus} has negative start {item.start_ms}"
             )
-        by_track.setdefault(item.track, []).append(item)
-    for track, track_items in by_track.items():
-        track_items.sort(key=lambda i: i.start_ms)
-        for prev, cur in zip(track_items, track_items[1:]):
-            if cur.start_ms < prev.start_ms + prev.duration_ms:
-                raise ValidationError(
-                    f"track {track!r}: items {prev.stimulus} and "
-                    f"{cur.stimulus} overlap"
-                )
+    for prev, cur in zip(items, items[1:]):
+        if (cur.track == prev.track
+                and cur.start_ms < prev.start_ms + prev.duration_ms):
+            raise ValidationError(
+                f"track {cur.track!r}: items {prev.stimulus} and "
+                f"{cur.stimulus} overlap"
+            )
 
 
 def make_sequence(items):
@@ -59,8 +58,8 @@ def make_sequence(items):
     return StimulusSequence(items=items, total_ms=total)
 
 
-def build_sequence(results, count, duration_ms, isi_ms=0, track="visual"):
-    """Take the top `count` ranked entries; item k starts at
+def build_sequence(entries, count, duration_ms, isi_ms=0, track="visual"):
+    """Take the top `count` ranked `(key, score)` entries; item k starts at
     k * (duration + isi), all on one track."""
     if count <= 0:
         raise ValidationError("count must be positive")
@@ -68,22 +67,19 @@ def build_sequence(results, count, duration_ms, isi_ms=0, track="visual"):
         raise ValidationError("duration must be positive")
     if isi_ms < 0:
         raise ValidationError("inter-stimulus interval must be non-negative")
-    entries = results.entries if hasattr(results, "entries") else tuple(results)
     if count > len(entries):
         raise ValidationError(
             f"requested {count} items but only {len(entries)} results available"
         )
-    items = []
-    for k, entry in enumerate(entries[:count]):
-        stimulus = entry[0] if isinstance(entry, tuple) else entry
-        items.append(
-            SequenceItem(
-                stimulus=stimulus,
-                track=track,
-                start_ms=k * (duration_ms + isi_ms),
-                duration_ms=duration_ms,
-            )
+    items = [
+        SequenceItem(
+            stimulus=stimulus,
+            track=track,
+            start_ms=k * (duration_ms + isi_ms),
+            duration_ms=duration_ms,
         )
+        for k, (stimulus, _score) in enumerate(entries[:count])
+    ]
     return make_sequence(items)
 
 

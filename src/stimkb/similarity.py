@@ -131,10 +131,6 @@ def distance_rel(measure, g, a, b, d):
     return raw / norm
 
 
-def path_length_rel(g, a, b):
-    return distance_rel(Measure.PATH_LENGTH, g, a, b, g.shortest_path(a, b))
-
-
 def wu_palmer_rel(g, a, b):
     # Path-based form: on trees this equals 2*depth(lcs)/(depth(a)+depth(b));
     # on DAGs with min-root-distance depth it stays within [0, 1], which the
@@ -144,14 +140,6 @@ def wu_palmer_rel(g, a, b):
     da = g.up_distance(a, lcs)
     db = g.up_distance(b, lcs)
     return 2.0 * dl / (da + db + 2.0 * dl)
-
-
-def leacock_chodorow_rel(g, a, b):
-    return distance_rel(Measure.LEACOCK_CHODOROW, g, a, b, g.shortest_path(a, b))
-
-
-def li_rel(g, a, b):
-    return distance_rel(Measure.LI, g, a, b, g.shortest_path(a, b))
 
 
 def relatedness(measure, x, y, graph=None):

@@ -21,7 +21,7 @@ except ImportError:
     from hashlib import blake2b
 
 from . import corpus as corpus_module
-from .affect import build_equivalence_closure, load_vocabularies, parse_axioms
+from .affect import EquivalenceClosure, load_vocabularies, parse_axioms
 from .corpus import (
     VALIDATION_RULES,
     Corpus,
@@ -44,7 +44,6 @@ MANIFEST_FILE_KEYS = (
     "axioms",
     "records",
     "legacy",
-    "judgments",
 )
 MANIFEST_OPTION_KEYS = ("seed", "limit")
 
@@ -136,7 +135,7 @@ def build_workspace(manifest):
 
     axiom_text = _read(manifest, "axioms")
     axioms = parse_axioms(axiom_text) if axiom_text is not None else []
-    closure = build_equivalence_closure(axioms)
+    closure = EquivalenceClosure(axioms)
 
     # Each record is validated once, by add_stimulus, after keyword
     # expansion (whose concepts parse_mapping has checked); a records-file
@@ -297,7 +296,7 @@ def load_snapshot(path):
         mapping = parse_mapping(doc["mapping"], graph) if doc["mapping"] else None
         vocabs = load_vocabularies(doc["vocabularies"])
         axioms = parse_axioms(doc["axioms"] or "")
-        closure = build_equivalence_closure(axioms)
+        closure = EquivalenceClosure(axioms)
     except StimKbError as e:
         raise SnapshotError(f"bad snapshot {path}: {e}") from e
     corpus = Corpus(graph=graph, vocabs=vocabs)

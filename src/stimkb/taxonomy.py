@@ -93,18 +93,13 @@ class TaxonomyGraph:
         self.parent_edges = {c: frozenset(ps) for c, ps in edges.items()}
         self.child_edges = {c: frozenset(ch) for c, ch in child_edges.items()}
         self.root = root
-        self.ancestor_closure = closure
+        self.ancestor_closure = closure  # concept -> its strict ancestors
         self.depth_cache = depths
         self.max_depth = max(depths.values())
 
     def _require(self, c):
         if c not in self.concepts:
             raise UnknownConceptError(f"unknown concept: {c!r}")
-
-    def ancestors(self, c):
-        """Transitive closure of parents, excluding `c` itself."""
-        self._require(c)
-        return self.ancestor_closure[c]
 
     def depth(self, c):
         self._require(c)
@@ -224,9 +219,6 @@ class KeywordMapping:
 
     def concepts_for(self, keyword):
         return self.entries.get(keyword.casefold(), frozenset())
-
-    def __contains__(self, keyword):
-        return keyword.casefold() in self.entries
 
     def __len__(self):
         return len(self.entries)

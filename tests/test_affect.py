@@ -7,9 +7,8 @@ from stimkb.affect import (
     BIG_SIX_TERMS,
     CategoryAnnotation,
     DimensionAnnotation,
-    build_equivalence_closure,
+    EquivalenceClosure,
     load_vocabularies,
-    normalize_dimension,
     parse_axioms,
     validate_category,
     validate_dimension,
@@ -23,7 +22,7 @@ def test_load_vocabularies_big_six_file():
     assert vocabs["BigSix"].terms == BIG_SIX_TERMS
 
 
-def test_empty_file_gives_builtin_big_six():
+def test_empty_file_gives_built_in_big_six():
     vocabs = load_vocabularies("")
     assert set(vocabs) == {"BigSix"}
     assert vocabs["BigSix"].terms == BIG_SIX_TERMS
@@ -63,33 +62,6 @@ def test_validate_category_rejections():
         assert problems and fragment in problems[0]
 
 
-def test_normalize_dimension_paper_values():
-    ann = DimensionAnnotation(scale_min=1, scale_max=9, valence=7.14, arousal=6.53)
-    n = normalize_dimension(ann)
-    assert n["valence"] == pytest.approx((7.14 - 1) / 8)
-    assert n["valence"] == pytest.approx(0.7675)
-
-
-def test_normalize_dimension_bounds_and_midpoint():
-    top = DimensionAnnotation(scale_min=1, scale_max=9, valence=9)
-    assert normalize_dimension(top)["valence"] == 1.0
-    mid = DimensionAnnotation(scale_min=1, scale_max=9, valence=5)
-    assert normalize_dimension(mid)["valence"] == 0.5
-
-
-def test_normalize_dimension_order_preserving():
-    rng = random.Random(0)
-    for _ in range(50):
-        lo, hi = sorted(rng.sample(range(-20, 20), 2))
-        v1, v2 = sorted(rng.uniform(lo, hi) for _ in range(2))
-        a1 = DimensionAnnotation(scale_min=lo, scale_max=hi, valence=v1)
-        a2 = DimensionAnnotation(scale_min=lo, scale_max=hi, valence=v2)
-        n1, n2 = normalize_dimension(a1)["valence"], normalize_dimension(a2)["valence"]
-        assert 0 <= n1 <= 1 and 0 <= n2 <= 1
-        if v1 < v2:
-            assert n1 < n2
-
-
 def test_validate_dimension_out_of_scale():
     ann = DimensionAnnotation(scale_min=1, scale_max=9, valence=12)
     assert any("outside scale" in p for p in validate_dimension(ann))
@@ -110,12 +82,11 @@ def test_validate_dimension_negative_sd():
 
 def test_degenerate_scale():
     ann = DimensionAnnotation(scale_min=3, scale_max=3, valence=3)
-    with pytest.raises(ValidationError):
-        normalize_dimension(ann)
+    assert validate_dimension(ann) == ["scaleMin 3 must be < scaleMax 3"]
 
 
 def test_equivalence_inference_paper_example():
-    closure = build_equivalence_closure(
+    closure = EquivalenceClosure(
         [("BigSix.anger", "OCC.anger"), ("BigSix.anger", "FSRE.anger")]
     )
     assert closure.are_equivalent("FSRE.anger", "OCC.anger")
@@ -123,14 +94,14 @@ def test_equivalence_inference_paper_example():
 
 
 def test_empty_closure_is_identity():
-    closure = build_equivalence_closure([])
+    closure = EquivalenceClosure([])
     assert closure.are_equivalent("A.x", "A.x")
     assert not closure.are_equivalent("A.x", "B.x")
 
 
 def test_malformed_qualified_term():
     with pytest.raises(ParseError):
-        build_equivalence_closure([("noqualifier", "A.x")])
+        EquivalenceClosure([("noqualifier", "A.x")])
 
 
 def _oracle_components(axioms):
@@ -161,17 +132,17 @@ def test_closure_matches_component_oracle(seed):
     rng = random.Random(seed)
     terms = [f"V{i}.t{j}" for i in range(4) for j in range(5)]
     axioms = [tuple(rng.sample(terms, 2)) for _ in range(rng.randint(0, 25))]
-    closure = build_equivalence_closure(axioms)
+    closure = EquivalenceClosure(axioms)
     assert closure.classes() == _oracle_components(axioms)
 
 
 def test_closure_order_independent():
     rng = random.Random(9)
     axioms = [("A.x", "B.x"), ("B.x", "C.x"), ("D.y", "E.y"), ("C.x", "D.y")]
-    base = build_equivalence_closure(axioms).classes()
+    base = EquivalenceClosure(axioms).classes()
     for _ in range(10):
         rng.shuffle(axioms)
-        assert build_equivalence_closure(axioms).classes() == base
+        assert EquivalenceClosure(axioms).classes() == base
 
 
 @given(
@@ -184,7 +155,7 @@ def test_closure_order_independent():
     )
 )
 def test_equivalence_relation_properties(axioms):
-    closure = build_equivalence_closure(axioms)
+    closure = EquivalenceClosure(axioms)
     terms = sorted({t for ax in axioms for t in ax}) + ["Z.unseen"]
     for a in terms:
         assert closure.are_equivalent(a, a)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stimkb
-from stimkb.affect import build_equivalence_closure, load_vocabularies
+from stimkb.affect import EquivalenceClosure, load_vocabularies
 from stimkb.cli import main
 from stimkb.snapshot import Workspace, save_snapshot
 from stimkb.synthetic import generate
@@ -318,13 +318,14 @@ def test_sequence_uses_the_snapshot_limit(workspace, capsys):
 def test_stats_counts_match_the_records(tmp_path, capsys):
     graph, corpus, _, _ = generate(7, n_concepts=40, n_stimuli=300)
     ws = Workspace(graph=graph, mapping=None, vocabs=load_vocabularies(""),
-                   closure=build_equivalence_closure([]), corpus=corpus,
+                   closure=EquivalenceClosure([]), corpus=corpus,
                    unmapped_keywords=[])
     snap = tmp_path / "snap.json"
     save_snapshot(ws, snap)
     assert main(["stats", "--snapshot", str(snap)]) == 0
     concepts = {c for rec in corpus for c in rec.concepts()}
-    keywords = {k for rec in corpus for k in rec.keywords()}
+    keywords = {s.keyword.casefold() for rec in corpus for s in rec.semantics
+                if s.keyword}
     assert capsys.readouterr().out.splitlines()[:3] == [
         f"{len(corpus)} records",
         f"{len(keywords)} distinct keywords",
@@ -569,6 +570,7 @@ def test_eval_unknown_query_concept_exits_3(snapshot, workspace, capsys):
         ("seed=x", "line 9: seed must be an integer, got 'x'"),
         ("seed=1.5", "line 9: seed must be an integer, got '1.5'"),
         ("measure=pathlen", "line 9: unknown manifest key 'measure'"),
+        ("judgments=judgments.tsv", "line 9: unknown manifest key 'judgments'"),
     ],
 )
 def test_ingest_bad_manifest_option_exits_2(option, message, workspace, capsys):

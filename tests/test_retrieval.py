@@ -7,7 +7,6 @@ from stimkb.affect import (
     CategoryAnnotation,
     DimensionAnnotation,
     EquivalenceClosure,
-    build_equivalence_closure,
 )
 from stimkb.corpus import Corpus, SemanticsAnnotation, StimulusRecord
 from stimkb.errors import QueryError, UnknownConceptError, ValidationError
@@ -187,7 +186,7 @@ RANDOM_CATEGORIES = {
     "FSRECategory.fear": {"BigSix.fear", "FSRECategory.fear"},
     "BigSix.happiness": {"BigSix.happiness"},
 }
-RANDOM_CLOSURE = build_equivalence_closure([("BigSix.fear", "FSRECategory.fear")])
+RANDOM_CLOSURE = EquivalenceClosure([("BigSix.fear", "FSRECategory.fear")])
 
 
 def _random_corpus(seed, graph):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stimkb.errors import ValidationError
-from stimkb.retrieval import RankedResult
 from stimkb.sequence import (
     OFFSET,
     ONSET,
@@ -19,9 +18,7 @@ from stimkb.sequence import (
 
 
 def _ranked(keys):
-    return RankedResult(
-        entries=tuple((k, 1.0) for k in keys), query=None, measure=None
-    )
+    return [(k, 1.0) for k in keys]
 
 
 def test_build_three_item_sequence():
@@ -67,6 +64,13 @@ def test_same_track_overlap_rejected():
              SequenceItem("b", "visual", 1000, 2000)]
     with pytest.raises(ValidationError, match="overlap"):
         make_sequence(items)
+    # The overlap's track sorts first, yet every duration is checked first.
+    items = [SequenceItem("a", "auditory", 0, 1000),
+             SequenceItem("b", "auditory", 500, 1000),
+             SequenceItem("c", "visual", 0, 0)]
+    with pytest.raises(ValidationError) as e:
+        make_sequence(items)
+    assert str(e.value) == "item c has non-positive duration 0"
 
 
 def test_schedule_one_item():

@@ -6,16 +6,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from stimkb.errors import ValidationError
 from stimkb.similarity import (
+    CONCEPT_MEASURES,
     LI_ALPHA,
     LI_BETA,
     Measure,
     inclusion_rel,
-    leacock_chodorow_rel,
     levenshtein_distance,
     levenshtein_rel,
-    li_rel,
     parse_measure,
-    path_length_rel,
     relatedness,
     wu_palmer_rel,
 )
@@ -23,12 +21,6 @@ from stimkb.taxonomy import parse_taxonomy
 
 from conftest import dp_edit_distance, oracle_edit_distance, random_dag
 
-ALL_CONCEPT_MEASURES = [
-    path_length_rel,
-    wu_palmer_rel,
-    leacock_chodorow_rel,
-    li_rel,
-]
 
 
 def test_inclusion_examples():
@@ -126,9 +118,10 @@ def _chain(n):
 
 def test_path_length_examples():
     g = parse_taxonomy("Animal\tEntity\nDog\tAnimal\nCat\tAnimal")
-    assert path_length_rel(g, "Dog", "Dog") == 1.0
-    assert path_length_rel(g, "Dog", "Animal") == 0.5
-    assert path_length_rel(g, "Dog", "Cat") == pytest.approx(1 / 3)
+    pathlen = Measure.PATH_LENGTH
+    assert relatedness(pathlen, "Dog", "Dog", graph=g) == 1.0
+    assert relatedness(pathlen, "Dog", "Animal", graph=g) == 0.5
+    assert relatedness(pathlen, "Dog", "Cat", graph=g) == pytest.approx(1 / 3)
 
 
 def test_wu_palmer_examples():
@@ -145,10 +138,11 @@ def test_leacock_chodorow_fixture():
     # Chain of 4: maxDepth 4; pair at distance 2 -> log(4)/log(16) = 0.5.
     g = _chain(4)
     assert g.max_depth == 4
-    assert leacock_chodorow_rel(g, "C0", "C2") == pytest.approx(
+    lch = Measure.LEACOCK_CHODOROW
+    assert relatedness(lch, "C0", "C2", graph=g) == pytest.approx(
         math.log(4) / math.log(16)
     )
-    assert leacock_chodorow_rel(g, "C1", "C1") == 1.0
+    assert relatedness(lch, "C1", "C1", graph=g) == 1.0
 
 
 def test_li_fixture_scalar_arithmetic():
@@ -159,13 +153,13 @@ def test_li_fixture_scalar_arithmetic():
         * math.tanh(LI_BETA * 2)
         / math.tanh(LI_BETA * 3)
     )
-    assert li_rel(g, "A", "B") == pytest.approx(expected)
-    assert li_rel(g, "A", "A") == 1.0
+    assert relatedness(Measure.LI, "A", "B", graph=g) == pytest.approx(expected)
+    assert relatedness(Measure.LI, "A", "A", graph=g) == 1.0
 
 
 def test_li_decays_with_distance():
     g = _chain(30)
-    rels = [li_rel(g, "C0", f"C{i}") for i in range(1, 30)]
+    rels = [relatedness(Measure.LI, "C0", f"C{i}", graph=g) for i in range(1, 30)]
     assert all(a > b for a, b in zip(rels, rels[1:]))
     assert rels[-1] < 0.01
 
@@ -177,15 +171,15 @@ def test_concept_measure_axioms_on_random_dags(seed):
     rng = random.Random(seed + 1000)
     pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(40)]
     pairs += [(n, n) for n in rng.sample(nodes, min(5, len(nodes)))]
-    for rel in ALL_CONCEPT_MEASURES:
+    for measure in sorted(CONCEPT_MEASURES):
         for a, b in pairs:
-            v = rel(g, a, b)
-            assert 0.0 <= v <= 1.0, (rel.__name__, a, b, v)
-            assert v == pytest.approx(rel(g, b, a))
+            v = relatedness(measure, a, b, graph=g)
+            assert 0.0 <= v <= 1.0, (measure, a, b, v)
+            assert v == pytest.approx(relatedness(measure, b, a, graph=g))
             if a == b:
                 assert v == pytest.approx(1.0)
             else:
-                assert v < 1.0, (rel.__name__, a, b, v)
+                assert v < 1.0, (measure, a, b, v)
 
 
 def test_pathlen_strictly_monotone_in_distance():
@@ -196,7 +190,8 @@ def test_pathlen_strictly_monotone_in_distance():
         a, b = rng.choice(nodes), rng.choice(nodes)
         c, d = rng.choice(nodes), rng.choice(nodes)
         if g.shortest_path(a, b) < g.shortest_path(c, d):
-            assert path_length_rel(g, a, b) > path_length_rel(g, c, d)
+            assert (relatedness(Measure.PATH_LENGTH, a, b, graph=g)
+                    > relatedness(Measure.PATH_LENGTH, c, d, graph=g))
 
 
 @given(st.text(alphabet="abcXYZ ", min_size=1, max_size=12),

@@ -13,7 +13,7 @@ import stimkb.corpus
 import stimkb.snapshot
 from stimkb.affect import (
     CategoryAnnotation,
-    build_equivalence_closure,
+    EquivalenceClosure,
     load_vocabularies,
 )
 from stimkb.cli import main
@@ -101,7 +101,7 @@ def _synthetic_workspace():
         graph=graph,
         mapping=None,
         vocabs=load_vocabularies(""),
-        closure=build_equivalence_closure([]),
+        closure=EquivalenceClosure([]),
         corpus=corpus,
         unmapped_keywords=[],
     )
@@ -256,7 +256,7 @@ def _sealed_workspace(seed, n_concepts, n_stimuli):
     for rec in generated:
         corpus.add_stimulus(rec)
     return Workspace(graph=graph, mapping=None, vocabs=vocabs,
-                     closure=build_equivalence_closure([]), corpus=corpus,
+                     closure=EquivalenceClosure([]), corpus=corpus,
                      unmapped_keywords=[], seed=seed)
 
 
