@@ -168,15 +168,33 @@ def validate_unit_interval(name, value, problems):
 
 
 class EquivalenceClosure:
-    """Union-find partition of qualified terms `vocab.term`.
+    """The partition of qualified terms `vocab.term` that the axioms'
+    pairs induce: each class is a connected component of the pairs.
 
-    Unknown terms behave as singleton classes.
+    Unknown terms, and terms paired only with themselves, behave as
+    singleton classes.
     """
 
     def __init__(self, axioms=()):
-        self._parent = {}
+        neighbours = {}
         for a, b in axioms:
-            self._union(self._check(a), self._check(b))
+            a, b = self._check(a), self._check(b)
+            if a != b:
+                neighbours.setdefault(a, set()).add(b)
+                neighbours.setdefault(b, set()).add(a)
+        # One breadth-first walk per class, from its first-named term, so
+        # each term and each pair is visited once.
+        self._class_of = {}
+        for start in neighbours:
+            if start not in self._class_of:
+                walk = [start]
+                members = {start}
+                for t in walk:  # `walk` grows as members are found
+                    new = neighbours[t] - members
+                    members |= new
+                    walk += new
+                members = frozenset(members)
+                self._class_of.update(dict.fromkeys(members, members))
 
     @staticmethod
     def _check(term):
@@ -184,38 +202,16 @@ class EquivalenceClosure:
             raise ParseError(f"malformed qualified term {term!r}")
         return term
 
-    def _find(self, t):
-        if t not in self._parent:
-            return t
-        root = t
-        while self._parent.get(root, root) != root:
-            root = self._parent[root]
-        while self._parent.get(t, t) != root:
-            self._parent[t], t = root, self._parent[t]
-        return root
-
-    def _union(self, a, b):
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            # Deterministic representative: smallest name wins.
-            lo, hi = sorted((ra, rb))
-            self._parent.setdefault(lo, lo)
-            self._parent[hi] = lo
-
     def are_equivalent(self, a, b):
-        return a == b or self._find(a) == self._find(b)
+        return a == b or b in self._class_of.get(a, ())
 
     def equivalents(self, term):
         """The set of terms equivalent to `term`, `term` included."""
-        root = self._find(term)
-        return {term} | {t for t in self._parent if self._find(t) == root}
+        return self._class_of.get(term) or {term}
 
     def classes(self):
-        """Partition of all terms mentioned in axioms, as sorted tuples."""
-        groups = {}
-        for t in self._parent:
-            groups.setdefault(self._find(t), set()).add(t)
-        return sorted(tuple(sorted(g)) for g in groups.values())
+        """The classes of two or more terms, as sorted tuples, sorted."""
+        return sorted(tuple(sorted(c)) for c in set(self._class_of.values()))
 
 
 def parse_axioms(text):

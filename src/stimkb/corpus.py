@@ -133,12 +133,9 @@ class StimulusRecord(namedtuple(
 VALIDATION_RULES = 1
 
 
-def validate_stimulus(rec, graph=None, vocabs=None):
-    """Return a list of problems; empty means valid.
-
-    Concept existence is checked only when `graph` is given, vocabulary
-    membership only when `vocabs` is given.
-    """
+def validate_stimulus(rec, graph, vocabs):
+    """Return a list of problems of `rec` against the taxonomy `graph` and
+    the vocabularies `vocabs`; empty means valid."""
     problems = []
     if not rec.db or not rec.id:
         problems.append("record key requires non-empty db and id")
@@ -161,13 +158,11 @@ def validate_stimulus(rec, graph=None, vocabs=None):
             problems.append(f"semantics kind {sem.kind!r} not in {SEMANTIC_KINDS}")
         if sem.concept is None and sem.keyword is None:
             problems.append("semantics annotation needs a concept or a keyword")
-        if graph is not None and sem.concept is not None:
-            if sem.concept not in graph.concepts:
-                problems.append(f"unknown concept {sem.concept!r}")
+        if sem.concept is not None and sem.concept not in graph.concepts:
+            problems.append(f"unknown concept {sem.concept!r}")
 
-    if vocabs is not None:
-        for cat in rec.categories:
-            problems.extend(validate_category(cat, vocabs))
+    for cat in rec.categories:
+        problems.extend(validate_category(cat, vocabs))
     if rec.dimensions is not None:
         problems.extend(validate_dimension(rec.dimensions))
     for app in rec.appraisals:
@@ -196,10 +191,10 @@ def validate_stimulus(rec, graph=None, vocabs=None):
 
 
 class Corpus:
-    """Append-only store of validated stimulus records with a concept
-    index; treat as immutable once queries start."""
+    """Append-only store of records validated against `graph` and `vocabs`,
+    with a concept index; treat as immutable once queries start."""
 
-    def __init__(self, graph=None, vocabs=None):
+    def __init__(self, graph, vocabs):
         self.graph = graph
         self.vocabs = vocabs
         self.records = {}
@@ -301,11 +296,9 @@ def _repeated(key, lineno):
     return ParseError(f"repeated record field {key!r}", line=lineno)
 
 
-def _parse_record_line(line, lineno=None, interned=None):
+def _parse_record_line(line, lineno, interned):
     """The general record-line parser: what parse_record_line does for a
     line that no plan handles, token by token."""
-    if interned is None:
-        interned = {}
     db = rid = None
     sems, cats, apps, tends, sents, phys = [], [], [], [], [], []
     dim = {}
@@ -625,9 +618,10 @@ def _compile_plan(layout):
     return namespace["plan"]
 
 
-def parse_record_line(line, lineno=None, interned=None):
+def parse_record_line(line, lineno, interned):
     """Parse one record line (format in the module docstring); the first
-    malformed token raises ParseError.  Does not validate.
+    malformed token raises ParseError, naming `lineno` unless it is None.
+    Does not validate.
 
     `interned` maps ("sem" or "cat", value) to the annotation parsed from
     it, and ("ctx", the line's `ctx.*` tokens in field order, tab-joined)
@@ -641,8 +635,6 @@ def parse_record_line(line, lineno=None, interned=None):
     handles goes to the general parser.  Records, errors and interning
     are the same either way.
     """
-    if interned is None:
-        interned = {}
     for plan in _PLANS.get(line.count("\t"), ()):
         rec = plan(line, interned)
         if rec is not None:
@@ -670,7 +662,7 @@ def parse_record_file(text):
     ]
 
 
-def parse_corpus_records(text, graph=None, vocabs=None):
+def parse_corpus_records(text, graph, vocabs):
     """Parse the record file; every record must validate."""
     records = []
     for lineno, rec in parse_record_file(text):

@@ -260,28 +260,39 @@ def report_to_tsv(report):
 
 def parse_queries(text):
     """Parse `qid<TAB>concept<TAB>keyword` lines into ExperimentQuery
-    objects; NA marks an absent term."""
-    return [
-        ExperimentQuery(
+    objects; NA marks an absent term.  A query id may appear once."""
+    queries = []
+    first_line = {}  # query id -> its line
+    for lineno, (qid, concept, keyword) in tab_rows(
+        text, "qid<TAB>concept<TAB>keyword"
+    ):
+        if qid in first_line:
+            raise ParseError(f"repeated query id {qid!r} (first on line "
+                             f"{first_line[qid]})", line=lineno)
+        first_line[qid] = lineno
+        queries.append(ExperimentQuery(
             qid=qid,
             concept=None if concept == "NA" else concept,
             keyword=None if keyword == "NA" else keyword,
-        )
-        for _, (qid, concept, keyword) in tab_rows(
-            text, "qid<TAB>concept<TAB>keyword"
-        )
-    ]
+        ))
+    return queries
 
 
 def parse_judgments(text):
     """Parse `query-id<TAB>stimulus-id<TAB>0|1` lines into
     qid -> set-of-relevant-keys (only the 1 rows) plus judged stimulus key
-    -> the line of its first judgment."""
+    -> the line of its first judgment.  A (query, stimulus) pair may be
+    judged once."""
     relevant = {}
     judged = {}
+    pair_line = {}  # (query id, stimulus key) -> its line
     for lineno, (qid, key, flag) in tab_rows(text, "qid<TAB>stimulus<TAB>0|1"):
         if flag not in ("0", "1"):
             raise ParseError(f"judgment must be 0 or 1, got {flag!r}", line=lineno)
+        if (qid, key) in pair_line:
+            raise ParseError(f"repeated judgment of {key!r} for query {qid!r} "
+                             f"(first on line {pair_line[qid, key]})", line=lineno)
+        pair_line[qid, key] = lineno
         judged.setdefault(key, lineno)
         relevant.setdefault(qid, set())
         if flag == "1":

@@ -197,7 +197,7 @@ def _candidates(records, q, closure):
     wanted = None
     if q.category is not None:
         want = "{}.{}".format(*q.category)
-        wanted = {want} if closure is None else closure.equivalents(want)
+        wanted = closure.equivalents(want)
     for rec in records:
         if q.db_name is not None and rec.db != q.db_name:
             continue
@@ -210,7 +210,7 @@ def _candidates(records, q, closure):
         yield rec
 
 
-def filter_query(corpus, graph, q, closure=None):
+def filter_query(corpus, graph, q, closure):
     """Return the set of stimulus keys satisfying all present clauses.  A
     concept clause is read from the concept index: one subsumption test per
     distinct annotation concept, not per record."""
@@ -237,7 +237,7 @@ class OperandScores:
     An unknown term raises at that first operand, as `relatedness` would.
     """
 
-    def __init__(self, measure, term, graph=None):
+    def __init__(self, measure, term, graph):
         self.measure = Measure(measure)
         self.term = term
         self.graph = graph
@@ -251,7 +251,7 @@ class OperandScores:
         return score
 
     def _score(self, op):
-        if self.measure not in DISTANCE_MEASURES or self.graph is None:
+        if self.measure not in DISTANCE_MEASURES:
             return relatedness(self.measure, self.term, op, graph=self.graph)
         if self._distances is None:
             self._distances = self.graph.distances_from(self.term)
@@ -262,7 +262,7 @@ class OperandScores:
         return distance_rel(self.measure, self.graph, self.term, op, d)
 
 
-def score_record(measure, term, rec, graph=None, memo=None):
+def score_record(measure, term, rec, graph, memo=None):
     """MAX over the record's semantics annotations of relatedness to `term`.
 
     Concept measures read annotation concepts, lexical measures read
@@ -284,7 +284,7 @@ def score_record(measure, term, rec, graph=None, memo=None):
     return best
 
 
-def ranked_query(corpus, graph, q, closure=None):
+def ranked_query(corpus, graph, q, closure):
     """Rank the candidate set (corpus after box/db/category filters) by
     relatedness to the query term; truncate to limit after sorting."""
     if q.mode != MODE_RANK:

@@ -48,7 +48,7 @@ MANIFEST_FILE_KEYS = (
 MANIFEST_OPTION_KEYS = ("seed", "limit")
 
 # A sealed snapshot starts `{\n "seal": "<64 hex digits>",` and then goes
-# on as the unsealed document would after its `{`.  The seal is the
+# on as the document without its seal would after its `{`.  The seal is the
 # BLAKE2b-256 digest of the validation rules version and of every byte
 # after the hex digits.
 _SEAL_HEAD = b'{\n "seal": "'
@@ -73,6 +73,7 @@ class Manifest(namedtuple("Manifest", "paths seed limit", defaults=(0, None))):
 
 
 def parse_manifest(path):
+    """Each key may appear once; a line's own error comes before a repeat."""
     path = Path(path)
     paths = {}
     options = {}
@@ -82,11 +83,16 @@ def parse_manifest(path):
         if not sep or not value:
             raise ParseError(f"expected `key=value`, got {raw!r}", line=lineno)
         if key in MANIFEST_FILE_KEYS:
-            paths[key] = (path.parent / value).resolve()
+            found = paths
+            value = (path.parent / value).resolve()
         elif key in MANIFEST_OPTION_KEYS:
-            options[key] = _int_option(key, value, lineno)
+            found = options
+            value = _int_option(key, value, lineno)
         else:
             raise ParseError(f"unknown manifest key {key!r}", line=lineno)
+        if key in found:
+            raise ParseError(f"repeated manifest key {key!r}", line=lineno)
+        found[key] = value
     if "taxonomy" not in paths:
         raise ParseError("manifest must name a taxonomy file")
     return Manifest(paths=paths, **options)
@@ -115,10 +121,10 @@ def _read(manifest, key):
 
 class Workspace(namedtuple(
     "Workspace",
-    "graph mapping vocabs closure corpus unmapped_keywords seed limit",
+    "graph mapping closure corpus unmapped_keywords seed limit",
     defaults=(0, None),
 )):
-    """Everything the query/eval/sequence commands need, fully built."""
+    """All the commands need, fully built; the vocabularies are corpus.vocabs."""
 
     __slots__ = ()
 
@@ -157,14 +163,13 @@ def build_workspace(manifest):
     if mapping is not None:
         records, unmapped = expand_keywords(records, mapping)
 
-    corpus = Corpus(graph=graph, vocabs=vocabs)
+    corpus = Corpus(graph, vocabs)
     for rec, lineno in zip(records, linenos):
         corpus.add_stimulus(rec, lineno)
 
     return Workspace(
         graph=graph,
         mapping=mapping,
-        vocabs=vocabs,
         closure=closure,
         corpus=corpus,
         unmapped_keywords=unmapped,
@@ -178,14 +183,16 @@ def save_snapshot(workspace, path):
 
     The taxonomy/mapping/vocab/axiom inputs are stored in their wire
     formats and re-parsed at load, which keeps the snapshot format tied to
-    the already-tested parsers.
+    the already-tested parsers.  The taxonomy and the vocabularies written
+    are the corpus's: the ones Corpus.add_stimulus validated every record
+    against.
 
-    The document is sealed when its records were validated against the
-    graph and the vocabularies it holds: its first key, "seal", is then a
+    The document is therefore always sealed: its first key, "seal", is a
     digest of the validation rules version and the rest of the file, and
     a load whose seal matches skips record validation.  The seal is an
     integrity check, not a security boundary: anyone can compute it.
     """
+    corpus = workspace.corpus
     mapping_lines = None
     if workspace.mapping is not None:
         mapping_lines = [
@@ -195,7 +202,7 @@ def save_snapshot(workspace, path):
         ]
     vocab_lines = [
         f"{vid}\t{term}"
-        for vid, vocab in sorted(workspace.vocabs.items())
+        for vid, vocab in sorted(corpus.vocabs.items())
         for term in sorted(vocab.terms)
     ]
     axiom_lines = [
@@ -207,26 +214,17 @@ def save_snapshot(workspace, path):
         "version": SNAPSHOT_VERSION,
         "seed": workspace.seed,
         "limit": workspace.limit,
-        "taxonomy": workspace.graph.serialize(),
+        "taxonomy": corpus.graph.serialize(),
         "mapping": "\n".join(mapping_lines) + "\n" if mapping_lines else None,
         "vocabularies": "\n".join(vocab_lines) + "\n",
         "axioms": "\n".join(axiom_lines) + "\n" if axiom_lines else None,
-        "records": [serialize_record(r) for r in workspace.corpus],
+        "records": [serialize_record(r) for r in corpus],
         "unmapped_keywords": workspace.unmapped_keywords,
     }
-    data = (json.dumps(doc, indent=1) + "\n").encode()
-    # Corpus.add_stimulus validated every record against the corpus's
-    # graph and vocabularies; the snapshot vouches for that only when they
-    # are the ones it holds.
-    corpus = workspace.corpus
-    sealed = corpus.graph is workspace.graph and corpus.vocabs is workspace.vocabs
+    rest = memoryview((json.dumps(doc, indent=1) + "\n").encode())[1:]
     with open(path, "wb") as f:
-        if sealed:
-            rest = memoryview(data)[1:]
-            f.write(_SEAL_HEAD + _seal(b'",', rest) + b'",')
-            f.write(rest)
-        else:
-            f.write(data)
+        f.write(_SEAL_HEAD + _seal(b'",', rest) + b'",')
+        f.write(rest)
 
 
 def _seal(*chunks):
@@ -299,7 +297,7 @@ def load_snapshot(path):
         closure = EquivalenceClosure(axioms)
     except StimKbError as e:
         raise SnapshotError(f"bad snapshot {path}: {e}") from e
-    corpus = Corpus(graph=graph, vocabs=vocabs)
+    corpus = Corpus(graph, vocabs)
     # Looked up on the module at each load, so that call wrappers installed
     # there (as the benchmark's traced run does) see every record.
     parse_record_line = corpus_module.parse_record_line
@@ -313,7 +311,7 @@ def load_snapshot(path):
     try:
         for i, line in enumerate(doc["records"]):
             corpus.add_stimulus(
-                parse_record_line(line, interned=interned), validated=sealed
+                parse_record_line(line, None, interned), validated=sealed
             )
     except StimKbError as e:
         raise SnapshotError(f"bad snapshot {path}: records[{i}]: {e}") from e
@@ -325,7 +323,6 @@ def load_snapshot(path):
     return Workspace(
         graph=graph,
         mapping=mapping,
-        vocabs=vocabs,
         closure=closure,
         corpus=corpus,
         unmapped_keywords=doc["unmapped_keywords"],

@@ -11,6 +11,7 @@ lexical keyword matching.
 import random
 import string
 
+from .affect import load_vocabularies
 from .corpus import Corpus, SemanticsAnnotation, StimulusRecord
 from .evaluation import ExperimentQuery
 from .taxonomy import TaxonomyGraph
@@ -61,7 +62,7 @@ def generate(
         edges.setdefault(name, set()).add(parent)
     graph = TaxonomyGraph(edges)
 
-    corpus = Corpus(graph=graph)
+    corpus = Corpus(graph, load_vocabularies(""))
     concept_of = {}
     for k in range(n_stimuli):
         concept = rng.choice(names[1:])

@@ -22,7 +22,7 @@ from stimkb.evaluation import (
 )
 from stimkb.retrieval import parse_query, filter_query, ranked_query
 from stimkb.sequence import build_sequence, emit_schedule, make_sequence
-from stimkb.affect import EquivalenceClosure
+from stimkb.affect import EquivalenceClosure, load_vocabularies
 from stimkb.errors import ValidationError
 from stimkb.similarity import (
     CONCEPT_MEASURES,
@@ -153,7 +153,7 @@ def test_oracle_equivalence_suite():
         rng = random.Random(seed)
         g = random_dag(seed, 40)
         nodes = sorted(g.concepts)
-        corpus = Corpus(graph=g)
+        corpus = Corpus(g, load_vocabularies(""))
         for i in range(20):
             corpus.add_stimulus(
                 StimulusRecord(
@@ -167,7 +167,7 @@ def test_oracle_equivalence_suite():
             )
         term = rng.choice(nodes)
         q = parse_query(f"concept:{term} measure:wupalmer limit:20")
-        got = list(ranked_query(corpus, g, q).entries)
+        got = list(ranked_query(corpus, g, q, EquivalenceClosure()).entries)
         oracle = []
         for rec in corpus:
             score = max(

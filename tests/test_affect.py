@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stimkb.affect import (
     BIG_SIX_TERMS,
@@ -34,7 +34,7 @@ def test_big_six_missing_primary_emotion_rejected():
 
 
 def test_general_vocabulary_66_terms(paper_workspace):
-    assert len(paper_workspace.vocabs["General"].terms) == 66
+    assert len(paper_workspace.corpus.vocabs["General"].terms) == 66
 
 
 def test_validate_category_ok_with_level():
@@ -167,6 +167,45 @@ def test_equivalence_relation_properties(axioms):
             for c in terms:
                 if closure.are_equivalent(a, b) and closure.are_equivalent(b, c):
                     assert closure.are_equivalent(a, c)
+
+
+def _merge_until_nothing_changes(axioms):
+    """Naive closure: each term named in an axiom starts as its own class;
+    each pass merges the classes of every axiom's two terms, until a pass
+    merges nothing."""
+    classes = [{t} for t in sorted({t for pair in axioms for t in pair})]
+    changed = True
+    while changed:
+        changed = False
+        for a, b in axioms:
+            ca = next(c for c in classes if a in c)
+            cb = next(c for c in classes if b in c)
+            if ca is not cb:
+                ca |= cb
+                classes.remove(cb)
+                changed = True
+    return classes
+
+
+_AXIOM_TERMS = [f"V{i}.t{j}" for i in range(3) for j in range(4)]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from(_AXIOM_TERMS),
+                          st.sampled_from(_AXIOM_TERMS)), max_size=30))
+def test_closure_matches_merge_until_nothing_changes(axioms):
+    closure = EquivalenceClosure(axioms)
+    oracle = _merge_until_nothing_changes(axioms)
+    # A term paired only with itself forms no class of its own.
+    assert closure.classes() == sorted(
+        tuple(sorted(c)) for c in oracle if len(c) > 1
+    )
+    for c in oracle:
+        for a in c:
+            assert closure.equivalents(a) == c
+            for b in _AXIOM_TERMS:
+                assert closure.are_equivalent(a, b) == (b in c)
+    assert closure.equivalents("Z.unseen") == {"Z.unseen"}
 
 
 def test_parse_axioms():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stimkb
-from stimkb.affect import EquivalenceClosure, load_vocabularies
+from stimkb.affect import EquivalenceClosure
 from stimkb.cli import main
 from stimkb.snapshot import Workspace, save_snapshot
 from stimkb.synthetic import generate
@@ -317,7 +317,7 @@ def test_sequence_uses_the_snapshot_limit(workspace, capsys):
 
 def test_stats_counts_match_the_records(tmp_path, capsys):
     graph, corpus, _, _ = generate(7, n_concepts=40, n_stimuli=300)
-    ws = Workspace(graph=graph, mapping=None, vocabs=load_vocabularies(""),
+    ws = Workspace(graph=graph, mapping=None,
                    closure=EquivalenceClosure([]), corpus=corpus,
                    unmapped_keywords=[])
     snap = tmp_path / "snap.json"
@@ -430,6 +430,27 @@ def test_eval_judgment_of_an_unknown_stimulus_exits_3(
     assert rc == 3
     assert captured.err == (f"error: judgments file {path} line {lineno}: "
                             "unknown stimulus 'IADS/9999'\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("which, text, message", [
+    ("queries", "q1\tGroupOfPeople\tCrowd2\n# c\nq1\tHuman\tParachute\n",
+     "line 3: repeated query id 'q1' (first on line 1)"),
+    ("judgments", "q1\tIADS/311\t0\nq1\tIAPS/8163\t0\nq1\tIADS/311\t1\n",
+     "line 3: repeated judgment of 'IADS/311' for query 'q1' (first on line 1)"),
+    ("judgments", "q1\tIADS/311\t1\nq1\tIADS/311\t1\n",
+     "line 2: repeated judgment of 'IADS/311' for query 'q1' (first on line 1)"),
+])
+def test_eval_repeated_query_or_judgment_exits_2(
+    which, text, message, snapshot, workspace, capsys
+):
+    queries, judgments = _eval_files(workspace)
+    (queries if which == "queries" else judgments).write_text(text)
+    rc = main(["eval", "--snapshot", str(snapshot), "--queries", str(queries),
+               "--judgments", str(judgments)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 
@@ -571,6 +592,8 @@ def test_eval_unknown_query_concept_exits_3(snapshot, workspace, capsys):
         ("seed=1.5", "line 9: seed must be an integer, got '1.5'"),
         ("measure=pathlen", "line 9: unknown manifest key 'measure'"),
         ("judgments=judgments.tsv", "line 9: unknown manifest key 'judgments'"),
+        ("seed=2", "line 9: repeated manifest key 'seed'"),
+        ("taxonomy=taxonomy.tsv", "line 9: repeated manifest key 'taxonomy'"),
     ],
 )
 def test_ingest_bad_manifest_option_exits_2(option, message, workspace, capsys):

@@ -48,6 +48,8 @@ from stimkb.taxonomy import parse_mapping
 
 from conftest import empty_plan_table, layout, many_layout_lines
 
+BIG_SIX = load_vocabularies("")
+
 
 def test_parse_iads_311(paper_workspace):
     rec = paper_workspace.corpus.records["IADS/311"]
@@ -63,29 +65,32 @@ def test_parse_iaps_8163(paper_workspace):
     assert (rec.dimensions.scale_min, rec.dimensions.scale_max) == (1, 9)
     assert len(rec.physiology) == 2
     assert [p.channel for p in rec.physiology] == ["HR", "SR"]
-    assert validate_stimulus(rec) == []
+    assert validate_stimulus(
+        rec, paper_workspace.graph, paper_workspace.corpus.vocabs
+    ) == []
 
 
-def test_empty_record_violates_four_component_axiom():
+def test_empty_record_violates_four_component_axiom(paper_graph):
     rec = StimulusRecord(db="IAPS", id="1")
-    problems = validate_stimulus(rec)
+    problems = validate_stimulus(rec, paper_graph, BIG_SIX)
     assert any("four-component" in p for p in problems)
 
 
-def test_physiology_only_record_is_ok():
+def test_physiology_only_record_is_ok(paper_graph):
     rec = StimulusRecord(
         db="IAPS", id="1", physiology=(PhysiologyRef("http://x/hr"),)
     )
-    assert validate_stimulus(rec) == []
+    assert validate_stimulus(rec, paper_graph, BIG_SIX) == []
 
 
-def test_out_of_scale_dimension_rejected():
+def test_out_of_scale_dimension_rejected(paper_graph):
     rec = StimulusRecord(
         db="IAPS",
         id="1",
         dimensions=DimensionAnnotation(scale_min=1, scale_max=9, valence=12),
     )
-    assert any("outside scale" in p for p in validate_stimulus(rec))
+    assert any("outside scale" in p
+               for p in validate_stimulus(rec, paper_graph, BIG_SIX))
 
 
 def test_unknown_concept_rejected(paper_graph):
@@ -94,14 +99,14 @@ def test_unknown_concept_rejected(paper_graph):
         id="1",
         semantics=(SemanticsAnnotation(kind="Object", concept="NoSuch"),),
     )
-    assert any("unknown concept" in p for p in validate_stimulus(rec, paper_graph))
+    assert any("unknown concept" in p
+               for p in validate_stimulus(rec, paper_graph, BIG_SIX))
 
 
 def test_parse_corpus_rejects_invalid(paper_graph):
-    vocabs = load_vocabularies("")
     with pytest.raises(ValidationError, match="IAPS/9"):
         parse_corpus_records("db=IAPS\tid=9\tsem=Object:concept:NoSuch",
-                             paper_graph, vocabs)
+                             paper_graph, BIG_SIX)
 
 
 def test_parse_legacy_table():
@@ -204,7 +209,7 @@ def test_corpus_round_trip(paper_workspace):
     reparsed = parse_corpus_records(
         "".join(line + "\n" for line in lines),
         paper_workspace.graph,
-        paper_workspace.vocabs,
+        paper_workspace.corpus.vocabs,
     )
     assert reparsed == records
     assert [serialize_record(r) for r in reparsed] == lines
@@ -226,7 +231,7 @@ def test_index_consistency_full_rebuild(paper_workspace):
 
 
 def test_add_get_round_trip_and_duplicates():
-    corpus = Corpus()
+    corpus = Corpus(_tiny_graph(), BIG_SIX)
     rec = StimulusRecord(
         db="X", id="1", physiology=(PhysiologyRef("http://p"),)
     )
@@ -238,7 +243,7 @@ def test_add_get_round_trip_and_duplicates():
 
 
 def test_add_rejects_invalid():
-    corpus = Corpus()
+    corpus = Corpus(_tiny_graph(), BIG_SIX)
     with pytest.raises(ValidationError, match="four-component"):
         corpus.add_stimulus(StimulusRecord(db="X", id="1"))
 
@@ -249,7 +254,7 @@ def test_duplicate_physiology_paths_allowed():
         id="1",
         physiology=(PhysiologyRef("http://p"), PhysiologyRef("http://p")),
     )
-    assert validate_stimulus(rec) == []
+    assert validate_stimulus(rec, _tiny_graph(), BIG_SIX) == []
 
 
 _OK = "db=X\tid=1\t"
@@ -307,11 +312,11 @@ _OK = "db=X\tid=1\t"
 )
 def test_malformed_record_line_error_text(line, message):
     with pytest.raises(ParseError) as exc:
-        parse_record_line(line, 3)
+        parse_record_line(line, 3, {})
     assert str(exc.value) == f"line 3: {message}"
     assert exc.value.line == 3
     with pytest.raises(ParseError) as exc:
-        parse_record_line(line)
+        parse_record_line(line, None, {})
     assert str(exc.value) == message
 
 
@@ -325,7 +330,7 @@ def test_interned_annotations_are_shared_per_field_and_value():
     assert first.categories == (CategoryAnnotation("K:concept:A", "b"),)
     assert second.semantics[0] is first.semantics[0]
     assert second.categories[0] is first.categories[0]
-    assert parse_record_line(line.format(2), 2) == second
+    assert parse_record_line(line.format(2), 2, {}) == second
 
 
 @pytest.fixture(params=["plans", "general parser"])
@@ -378,7 +383,7 @@ def test_contexts_differ_when_their_raw_text_does(record_parser, key):
     assert zero_again.context is zero.context
     # Each holds its own line's value (-0.0 for a float field).
     assert repr(minus_zero.context) == repr(parse_record_line(
-        f"db=X\tid=1\tctx.{key}=-0").context)
+        f"db=X\tid=1\tctx.{key}=-0", None, {}).context)
 
 
 @pytest.mark.parametrize("line", [
@@ -421,7 +426,7 @@ RECORD_CLASSES = [
      "sentiments context physiology", ((), (), None, (), (), (), None, ())),
     (Manifest, "paths seed limit", (0, None)),
     (Workspace,
-     "graph mapping vocabs closure corpus unmapped_keywords seed limit",
+     "graph mapping closure corpus unmapped_keywords seed limit",
      (0, None)),
     (Query, "concept keyword boxes category db_name measure mode limit",
      (None, None, {}, None, None, None, "rank", None)),
@@ -484,7 +489,8 @@ def test_record_repr_text_is_pinned():
     rec = parse_record_line(
         "db=IADS\tid=311\tsem=Scene:keyword:crowd\tcat=BigSix.fear@value=0.5"
         "\tdim.scale=1:9\tdim.valence=2.5\tappraisal=pleasantness:0.2"
-        "\ttendency=avoid\tsentiment=0.1\tctx.lengthSeconds=6\tphys=p HR"
+        "\ttendency=avoid\tsentiment=0.1\tctx.lengthSeconds=6\tphys=p HR",
+        None, {},
     )
     assert repr(rec) == (
         "StimulusRecord(db='IADS', id='311', semantics=(SemanticsAnnotation("
@@ -603,9 +609,9 @@ def _packed(line):
 @given(_records())
 def test_record_line_round_trip(rec):
     line = serialize_record(rec)
-    assert parse_record_line(line) == rec
-    assert serialize_record(parse_record_line(line)) == line
-    assert parse_record_line(_packed(line)) == rec
+    assert parse_record_line(line, None, {}) == rec
+    assert serialize_record(parse_record_line(line, None, {})) == line
+    assert parse_record_line(_packed(line), None, {}) == rec
 
 
 # Differential test of the plans against the general parser.  Values are
@@ -722,7 +728,7 @@ def test_plans_intern_up_to_the_first_bad_token(bad, monkeypatch):
         parse_record_line(line, 3, interned)
     assert list(interned) == [("sem", "K:concept:A")]
     with pytest.raises(ParseError) as general:
-        stimkb.corpus._parse_record_line(line, 3)
+        stimkb.corpus._parse_record_line(line, 3, {})
     assert str(exc.value) == str(general.value)
     assert len(stimkb.corpus._PLAN_LAYOUTS) == 1
 
@@ -744,7 +750,7 @@ def test_more_layouts_than_plans(monkeypatch):
 # sealed snapshot skips validation at load only while its seal's rules
 # version is corpus.VALIDATION_RULES, so a stricter rule must come with a
 # bump, or sealed snapshots would skip the new check.
-RULES_PIN = "4b5be96c28de64473e6749bafeb6070164d2e42199b0ec68e6b54f8e0177d01a"
+RULES_PIN = "4c90b2ab1040411dd51c8d89c4c7ab652ef4b3cb8ae31c36f8f9f1b9028c1735"
 
 
 def test_validation_rules_are_pinned():

@@ -251,7 +251,7 @@ def test_parse_queries():
     )
 
 
-def _per_pair_score_record(measure, term, rec, graph=None, memo=None):
+def _per_pair_score_record(measure, term, rec, graph, memo=None):
     """score_record without the memo: one relatedness call per operand."""
     return score_record(measure, term, rec, graph=graph)
 

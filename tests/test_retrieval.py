@@ -7,6 +7,7 @@ from stimkb.affect import (
     CategoryAnnotation,
     DimensionAnnotation,
     EquivalenceClosure,
+    load_vocabularies,
 )
 from stimkb.corpus import Corpus, SemanticsAnnotation, StimulusRecord
 from stimkb.errors import QueryError, UnknownConceptError, ValidationError
@@ -187,6 +188,7 @@ RANDOM_CATEGORIES = {
     "BigSix.happiness": {"BigSix.happiness"},
 }
 RANDOM_CLOSURE = EquivalenceClosure([("BigSix.fear", "FSRECategory.fear")])
+RANDOM_VOCABS = load_vocabularies("FSRECategory\tfear\n")
 
 
 def _random_corpus(seed, graph):
@@ -194,7 +196,7 @@ def _random_corpus(seed, graph):
     concepts and a keyword, a db among RANDOM_DBS, usually a valence/arousal
     annotation (dominance sometimes missing), and up to two categories."""
     rng = random.Random(seed)
-    corpus = Corpus(graph=graph)
+    corpus = Corpus(graph, RANDOM_VOCABS)
     nodes = sorted(graph.concepts)
     for i in range(rng.randint(5, 25)):
         sems = [
@@ -313,7 +315,7 @@ def test_truncation_happens_after_sorting(paper_workspace):
 def test_adding_irrelevant_stimulus_preserves_order(paper_graph):
     corpus = _random_corpus(42, paper_graph)
     q = parse_query("concept:Human measure:pathlen")
-    before = ranked_query(corpus, paper_graph, q).entries
+    before = ranked_query(corpus, paper_graph, q, RANDOM_CLOSURE).entries
     # A stimulus whose only annotation is maximally distant scores lowest.
     far = StimulusRecord(
         db="Z",
@@ -321,7 +323,7 @@ def test_adding_irrelevant_stimulus_preserves_order(paper_graph):
         semantics=(SemanticsAnnotation(kind="Object", keyword="unrelated"),),
     )
     corpus.add_stimulus(far)
-    after = ranked_query(corpus, paper_graph, q).entries
+    after = ranked_query(corpus, paper_graph, q, RANDOM_CLOSURE).entries
     assert [e for e in after if e[0] != "Z/zzz"] == list(before)
 
 
@@ -342,7 +344,7 @@ def test_rank_mode_guard():
     g = parse_taxonomy("A\tB")
     q = parse_query("concept:A mode:filter")
     with pytest.raises(ValidationError):
-        ranked_query(Corpus(graph=g), g, q)
+        ranked_query(Corpus(g, RANDOM_VOCABS), g, q, RANDOM_CLOSURE)
     q2 = parse_query("concept:A")
     with pytest.raises(ValidationError):
-        filter_query(Corpus(graph=g), g, q2)
+        filter_query(Corpus(g, RANDOM_VOCABS), g, q2, RANDOM_CLOSURE)

@@ -17,7 +17,7 @@ from stimkb.affect import (
     load_vocabularies,
 )
 from stimkb.cli import main
-from stimkb.corpus import VALIDATION_RULES, Corpus, serialize_record
+from stimkb.corpus import VALIDATION_RULES, serialize_record
 from stimkb.errors import ParseError, SnapshotError, StimKbError, ValidationError
 from stimkb.snapshot import (
     Workspace,
@@ -27,6 +27,7 @@ from stimkb.snapshot import (
     save_snapshot,
 )
 from stimkb.synthetic import generate
+from stimkb.taxonomy import parse_taxonomy
 
 from conftest import PAPER_MANIFEST, empty_plan_table, many_layout_lines
 
@@ -36,7 +37,7 @@ def test_snapshot_round_trip(tmp_path, paper_workspace):
     save_snapshot(paper_workspace, snap)
     loaded = load_snapshot(snap)
     assert loaded.graph.parent_edges == paper_workspace.graph.parent_edges
-    assert loaded.vocabs == paper_workspace.vocabs
+    assert loaded.corpus.vocabs == paper_workspace.corpus.vocabs
     assert list(loaded.corpus) == list(paper_workspace.corpus)
     assert loaded.seed == paper_workspace.seed
     assert loaded.closure.are_equivalent("FSRECategory.anger", "OCCCategory.anger")
@@ -95,15 +96,19 @@ def test_manifest_relative_paths():
     assert len(ws.corpus) == 4
 
 
-def _synthetic_workspace():
-    graph, corpus, _, _ = generate(5, n_concepts=40, n_stimuli=300)
+def _synthetic_workspace(seed=5, n_concepts=40, n_stimuli=300):
+    """A workspace over a `synthetic.generate` corpus, whose records are
+    validated against its graph and the built-in vocabularies."""
+    graph, corpus, _, _ = generate(
+        seed, n_concepts=n_concepts, n_stimuli=n_stimuli, n_queries=1
+    )
     return Workspace(
         graph=graph,
         mapping=None,
-        vocabs=load_vocabularies(""),
         closure=EquivalenceClosure([]),
         corpus=corpus,
         unmapped_keywords=[],
+        seed=seed,
     )
 
 
@@ -113,7 +118,7 @@ def _count_validations(monkeypatch):
     validated = []
     validate = stimkb.corpus.validate_stimulus
 
-    def counting_validate(rec, graph=None, vocabs=None):
+    def counting_validate(rec, graph, vocabs):
         assert graph is not None and vocabs is not None
         validated.append(rec.key)
         return validate(rec, graph, vocabs)
@@ -164,8 +169,7 @@ def test_unsealed_load_parses_and_validates_each_record_once(
     ws = paper_workspace if which == "paper" else _synthetic_workspace()
     snap = tmp_path / "snap.json"
     save_snapshot(ws, snap)
-    if which == "paper":
-        _strip_seal(snap)
+    _strip_seal(snap)
     assert not snap.read_bytes().startswith(SEAL_HEAD)
 
     def no_bulk_parser(*args, **kwargs):
@@ -206,8 +210,8 @@ def test_sealed_load_parses_each_record_once_and_validates_none(
     assert len(parsed) == len(ws.corpus)
 
 
-def test_save_seals_only_records_validated_against_what_it_writes(
-    tmp_path, paper_workspace
+def test_save_seals_the_graph_and_vocabularies_records_were_validated_against(
+    tmp_path, monkeypatch, paper_workspace
 ):
     snap = tmp_path / "snap.json"
     save_snapshot(paper_workspace, snap)
@@ -216,17 +220,17 @@ def test_save_seals_only_records_validated_against_what_it_writes(
     unsealed = snap.read_bytes()
     assert len(sealed) == len(unsealed) + 77
     assert sealed == _sealed(unsealed.decode())
-    # Equal vocabularies or an equal graph are not the ones the records
-    # were validated against; a corpus built without vocabularies never
-    # checked its categories.
-    for ws in (
-        paper_workspace._replace(vocabs=dict(paper_workspace.vocabs)),
-        paper_workspace._replace(graph=load_snapshot(snap).graph),
-    ):
-        save_snapshot(ws, snap)
-        assert snap.read_bytes() == unsealed
-    save_snapshot(_synthetic_workspace(), snap)
-    assert not snap.read_bytes().startswith(SEAL_HEAD)
+    # The taxonomy written is the corpus's, not the workspace's own graph.
+    other = parse_taxonomy("A\tB\n")
+    save_snapshot(paper_workspace._replace(graph=other), snap)
+    assert snap.read_bytes() == sealed
+    # A workspace built in code saves sealed, and loads unvalidated.
+    ws = _synthetic_workspace()
+    save_snapshot(ws, snap)
+    assert snap.read_bytes().startswith(SEAL_HEAD)
+    validated = _count_validations(monkeypatch)
+    assert list(load_snapshot(snap).corpus) == list(ws.corpus)
+    assert validated == []
     # A sealed load saves the same sealed bytes again.
     snap.write_bytes(sealed)
     save_snapshot(load_snapshot(snap), snap)
@@ -244,27 +248,11 @@ def test_ingest_writes_identical_sealed_snapshots(which, tmp_path, capsys):
     assert snaps[0].read_bytes().startswith(SEAL_HEAD)
 
 
-def _sealed_workspace(seed, n_concepts, n_stimuli):
-    """A workspace over a `synthetic.generate` corpus whose records are
-    validated against the workspace's own vocabularies, so it saves
-    sealed."""
-    graph, generated, _, _ = generate(
-        seed, n_concepts=n_concepts, n_stimuli=n_stimuli, n_queries=1
-    )
-    vocabs = load_vocabularies("")
-    corpus = Corpus(graph=graph, vocabs=vocabs)
-    for rec in generated:
-        corpus.add_stimulus(rec)
-    return Workspace(graph=graph, mapping=None, vocabs=vocabs,
-                     closure=EquivalenceClosure([]), corpus=corpus,
-                     unmapped_keywords=[], seed=seed)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.none() | st.tuples(st.integers(0, 10**6), st.integers(2, 40),
                              st.integers(1, 120)))
 def test_sealed_load_equals_full_validation(paper_workspace, spec):
-    ws = paper_workspace if spec is None else _sealed_workspace(*spec)
+    ws = paper_workspace if spec is None else _synthetic_workspace(*spec)
     with tempfile.TemporaryDirectory() as tmp:
         snap = Path(tmp) / "snap.json"
         save_snapshot(ws, snap)
@@ -276,7 +264,7 @@ def test_sealed_load_equals_full_validation(paper_workspace, spec):
     assert sealed.corpus.concept_index == full.corpus.concept_index
     assert sealed.graph.parent_edges == full.graph.parent_edges
     assert sealed.graph.concepts == full.graph.concepts
-    assert sealed.vocabs == full.vocabs
+    assert sealed.corpus.vocabs == full.corpus.vocabs
     assert sealed.closure.classes() == full.closure.classes()
     assert (sealed.unmapped_keywords, sealed.seed, sealed.limit) == (
         full.unmapped_keywords, full.seed, full.limit)
@@ -363,7 +351,7 @@ def test_load_of_more_layouts_than_plans(tmp_path, monkeypatch, paper_workspace)
     loaded = load_snapshot(snap)
     interned = {}
     assert list(loaded.corpus) == [
-        stimkb.corpus._parse_record_line(line, interned=interned) for line in lines
+        stimkb.corpus._parse_record_line(line, None, interned) for line in lines
     ]
     assert parsed == lines
     assert len(stimkb.corpus._PLAN_LAYOUTS) == stimkb.corpus._MAX_PLANS
@@ -500,7 +488,7 @@ def test_load_equals_build_workspace(tmp_path):
     assert list(loaded.corpus) == list(built.corpus)
     assert loaded.corpus.concept_index == built.corpus.concept_index
     assert loaded.graph.parent_edges == built.graph.parent_edges
-    assert loaded.vocabs == built.vocabs
+    assert loaded.corpus.vocabs == built.corpus.vocabs
     assert loaded.closure.classes() == built.closure.classes()
     assert (loaded.unmapped_keywords, loaded.seed, loaded.limit) == (
         built.unmapped_keywords, built.seed, built.limit)
