@@ -18,7 +18,7 @@ from .evaluation import (
     report_to_tsv,
     run_experiment,
 )
-from .lines import read_input
+from .lines import parse_input
 from .similarity import parse_measure
 from .snapshot import build_workspace, load_snapshot, parse_manifest, save_snapshot
 
@@ -94,8 +94,9 @@ def _cmd_query(args):
 
 def _cmd_eval(args):
     ws = load_snapshot(args.snapshot)
-    queries = parse_queries(read_input(args.queries, "queries file"))
-    relevant, judged = parse_judgments(read_input(args.judgments, "judgments file"))
+    queries = parse_input(parse_queries, args.queries, "queries file")
+    relevant, judged = parse_input(parse_judgments, args.judgments,
+                                   "judgments file")
     for key, lineno in judged.items():
         if key not in ws.corpus.records:
             raise ValidationError(

@@ -17,6 +17,18 @@ def read_input(path, what):
     return decode_input(read_input_bytes(path, what), path, what)
 
 
+def parse_input(parse, path, what, *args):
+    """`parse(text, *args)` on the text read_input reads from `path`.  A
+    ParseError it raises names the input first, as in `queries file q.tsv
+    line 2: ...`; its type and `line` stay."""
+    text = read_input(path, what)
+    try:
+        return parse(text, *args)
+    except ParseError as e:
+        e.args = (f"{what} {path}{' ' if e.line is not None else ': '}{e}",)
+        raise
+
+
 def read_input_bytes(path, what):
     """The bytes of input file `path`; raises read_input's OSErrors."""
     try:

@@ -32,7 +32,13 @@ from .corpus import (
     serialize_record,
 )
 from .errors import ParseError, SnapshotError, StimKbError
-from .lines import data_lines, decode_input, read_input, read_input_bytes
+from .lines import (
+    data_lines,
+    decode_input,
+    parse_input,
+    read_input,
+    read_input_bytes,
+)
 from .taxonomy import parse_mapping, parse_taxonomy
 
 SNAPSHOT_VERSION = 1
@@ -112,11 +118,12 @@ def _int_option(key, value, lineno):
     return number
 
 
-def _read(manifest, key):
+def _parse(manifest, key, parse, *args):
+    """parse_input of the manifest's `key` file, or None if it names none."""
     p = manifest.paths.get(key)
     if p is None:
         return None
-    return read_input(p, f"{key} file")
+    return parse_input(parse, p, f"{key} file", *args)
 
 
 class Workspace(namedtuple(
@@ -130,34 +137,20 @@ class Workspace(namedtuple(
 
 
 def build_workspace(manifest):
-    taxonomy_text = _read(manifest, "taxonomy")
-    graph = parse_taxonomy(taxonomy_text)
-
-    mapping_text = _read(manifest, "mapping")
-    mapping = parse_mapping(mapping_text, graph) if mapping_text is not None else None
-
-    vocab_text = _read(manifest, "vocabularies")
-    vocabs = load_vocabularies(vocab_text if vocab_text is not None else "")
-
-    axiom_text = _read(manifest, "axioms")
-    axioms = parse_axioms(axiom_text) if axiom_text is not None else []
-    closure = EquivalenceClosure(axioms)
+    graph = _parse(manifest, "taxonomy", parse_taxonomy)
+    mapping = _parse(manifest, "mapping", parse_mapping, graph)
+    vocabs = _parse(manifest, "vocabularies", load_vocabularies)
+    if vocabs is None:
+        vocabs = load_vocabularies("")
+    closure = EquivalenceClosure(_parse(manifest, "axioms", parse_axioms) or [])
 
     # Each record is validated once, by add_stimulus, after keyword
     # expansion (whose concepts parse_mapping has checked); a records-file
     # record's error names its line.
-    records = []
-    linenos = []
-    records_text = _read(manifest, "records")
-    if records_text is not None:
-        for lineno, rec in parse_record_file(records_text):
-            linenos.append(lineno)
-            records.append(rec)
-    legacy_text = _read(manifest, "legacy")
-    if legacy_text is not None:
-        legacy = parse_legacy_table(legacy_text)
-        linenos.extend([None] * len(legacy))
-        records.extend(legacy)
+    rows = _parse(manifest, "records", parse_record_file) or []
+    legacy = _parse(manifest, "legacy", parse_legacy_table) or []
+    records = [rec for _, rec in rows] + legacy
+    linenos = [lineno for lineno, _ in rows] + [None] * len(legacy)
 
     unmapped = []
     if mapping is not None:

@@ -88,10 +88,9 @@ def generate(
     candidates = [n for n in names[1:] if n in parent_of]
     rng.shuffle(candidates)
     for concept in candidates:
+        dist = graph.distances_from(concept)
         relevant = {
-            key
-            for key, c in concept_of.items()
-            if graph.shortest_path(c, concept) <= relevance_radius
+            key for key, c in concept_of.items() if dist[c] <= relevance_radius
         }
         # Need both signal and noise for a meaningful query.
         if not relevant or len(relevant) == len(concept_of):

@@ -2,12 +2,11 @@
 
 Concepts are case-sensitive identifiers arranged in a single-rooted DAG.
 Depth is the minimum distance to the root, with depth(root) = 1.  The
-ancestor closure and depths are materialized once at construction; a built
-graph is immutable and safe for concurrent readers.
+ancestor closure, depths and undirected adjacency are materialized once at
+construction; a built graph is immutable and safe for concurrent readers.
 """
 
 import re
-from collections import deque
 
 from .errors import CycleError, ParseError, UnknownConceptError, ValidationError
 from .lines import tab_rows
@@ -17,8 +16,26 @@ IDENT_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 VIRTUAL_ROOT = "Entity"
 
 
+def _levels(c, adjacency):
+    """Breadth-first from `c`: yield the list of concepts first reached at
+    each distance 0, 1, 2, ... (`[c]` first), each concept exactly once."""
+    seen = {c}
+    frontier = [c]
+    while frontier:
+        yield frontier
+        reached = []
+        for node in frontier:
+            for nxt in adjacency[node]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    reached.append(nxt)
+        frontier = reached
+
+
 class TaxonomyGraph:
-    """Immutable rooted DAG of concepts with precomputed closure and depths."""
+    """Immutable rooted DAG of concepts.  Built once at construction: the
+    ancestor closure, the depths, and `neighbors`, each concept's parents
+    and children in one tuple (the undirected adjacency `_levels` walks)."""
 
     def __init__(self, parent_edges):
         """Build from a child -> iterable-of-parents mapping.
@@ -91,7 +108,7 @@ class TaxonomyGraph:
 
         self.concepts = frozenset(nodes)
         self.parent_edges = {c: frozenset(ps) for c, ps in edges.items()}
-        self.child_edges = {c: frozenset(ch) for c, ch in child_edges.items()}
+        self.neighbors = {c: (*edges[c], *child_edges[c]) for c in nodes}
         self.root = root
         self.ancestor_closure = closure  # concept -> its strict ancestors
         self.depth_cache = depths
@@ -126,38 +143,17 @@ class TaxonomyGraph:
         """Edge count of the shortest path treating IS-A edges as undirected."""
         self._require(a)
         self._require(b)
-        if a == b:
-            return 0
-        seen = {a}
-        queue = deque([(a, 0)])
-        while queue:
-            node, dist = queue.popleft()
-            for nxt in self.parent_edges[node] | self.child_edges[node]:
-                if nxt == b:
-                    return dist + 1
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append((nxt, dist + 1))
+        for dist, level in enumerate(_levels(a, self.neighbors)):
+            if b in level:
+                return dist
         raise ValidationError(f"no path between {a!r} and {b!r}")
 
     def distances_from(self, c):
         """Edge count of the shortest undirected path from `c` to every
         concept: one BFS, so `distances_from(a)[b] == shortest_path(a, b)`."""
         self._require(c)
-        dist = {c: 0}
-        frontier = [c]
-        d = 0
-        while frontier:
-            d += 1
-            reached = []
-            for node in frontier:
-                for edges in (self.parent_edges[node], self.child_edges[node]):
-                    for nxt in edges:
-                        if nxt not in dist:
-                            dist[nxt] = d
-                            reached.append(nxt)
-            frontier = reached
-        return dist
+        levels = enumerate(_levels(c, self.neighbors))
+        return {node: d for d, level in levels for node in level}
 
     def up_distance(self, c, ancestor):
         """Minimum number of parent-edge steps from `c` up to `ancestor`."""
@@ -167,16 +163,18 @@ class TaxonomyGraph:
             return 0
         if ancestor not in self.ancestor_closure[c]:
             raise ValidationError(f"{ancestor!r} does not subsume {c!r}")
-        seen = {c}
-        queue = deque([(c, 0)])
-        while queue:
-            node, dist = queue.popleft()
-            for parent in self.parent_edges[node]:
-                if parent == ancestor:
-                    return dist + 1
-                if parent not in seen:
-                    seen.add(parent)
-                    queue.append((parent, dist + 1))
+        seen, frontier, dist = {c}, [c], 0
+        while frontier:
+            dist += 1
+            reached = []
+            for node in frontier:
+                for parent in self.parent_edges[node]:
+                    if parent == ancestor:
+                        return dist
+                    if parent not in seen:
+                        seen.add(parent)
+                        reached.append(parent)
+            frontier = reached
         raise AssertionError("unreachable: closure guaranteed a path")
 
     def is_subclass_of(self, a, b):

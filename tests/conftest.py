@@ -108,6 +108,19 @@ def oracle_shortest_path(edges, a, b):
     raise AssertionError(f"{b} unreachable from {a}")
 
 
+def oracle_up_distance(edges, c, ancestor):
+    """Fewest parent-edge steps from c up to ancestor: whole frontiers of
+    parents, level by level, with no visited set (a DAG's walk up ends)."""
+    frontier = {c}
+    d = 0
+    while frontier:
+        if ancestor in frontier:
+            return d
+        frontier = set().union(*(edges.get(node, ()) for node in frontier))
+        d += 1
+    raise AssertionError(f"{ancestor} is not above {c}")
+
+
 def oracle_edit_distance(a, b):
     """Exhaustive recursion; only for short strings."""
     if not a:

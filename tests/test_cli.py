@@ -440,18 +440,49 @@ def test_eval_judgment_of_an_unknown_stimulus_exits_3(
      "line 3: repeated judgment of 'IADS/311' for query 'q1' (first on line 1)"),
     ("judgments", "q1\tIADS/311\t1\nq1\tIADS/311\t1\n",
      "line 2: repeated judgment of 'IADS/311' for query 'q1' (first on line 1)"),
+    ("queries", "q1\tHuman\tNA\nq2\tHuman\n",
+     r"line 2: expected `qid<TAB>concept<TAB>keyword`, got 'q2\tHuman'"),
+    ("judgments", "# header\nq1\tIADS/311\t1\nq1\tIAPS/8163\tyes\n",
+     "line 3: judgment must be 0 or 1, got 'yes'"),
 ])
-def test_eval_repeated_query_or_judgment_exits_2(
+def test_eval_parse_error_exits_2_naming_its_file(
     which, text, message, snapshot, workspace, capsys
 ):
+    # Both files are line-oriented: the error says which one its line is in.
     queries, judgments = _eval_files(workspace)
-    (queries if which == "queries" else judgments).write_text(text)
+    bad = queries if which == "queries" else judgments
+    bad.write_text(text)
     rc = main(["eval", "--snapshot", str(snapshot), "--queries", str(queries),
                "--judgments", str(judgments)])
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: {which} file {bad} {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("name, line, message", [
+    ("taxonomy", "bad ident\tEntity", " line 40: invalid identifier 'bad ident'"),
+    ("taxonomy", "Entity\tHuman",
+     ": every concept has a parent; taxonomy is cyclic"),
+    ("mapping", "Crowd9\tNowhere",
+     " line 18: unknown concept 'Nowhere' for keyword 'Crowd9'"),
+    ("vocabularies", "x\ty\tz",
+     r" line 132: expected `vocab<TAB>term`, got 'x\ty\tz'"),
+    ("axioms", "BigSix\t\tFSRE\tfear", " line 5: empty field in axiom"),
+    ("records", "db=IAPS\tid=666\tdb=X", " line 4: repeated record field 'db'"),
+    ("legacy", "x\ty\tz", " line 4: expected 9 columns, got 3"),
+])
+def test_ingest_parse_error_names_its_file(name, line, message, workspace,
+                                           capsys):
+    path = workspace / f"{name}.tsv"
+    with open(path, "a") as f:
+        f.write(line + "\n")
+    rc = main(["ingest", "--manifest", str(workspace / "manifest.txt"),
+               "--snapshot", str(workspace / "snap.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {name} file {path.resolve()}{message}\n"
+    assert not (workspace / "snap.json").exists()
 
 
 def test_eval_has_no_schemes_option(snapshot, workspace, capsys):

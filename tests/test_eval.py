@@ -301,6 +301,19 @@ def test_run_experiment_one_bfs_per_query(monkeypatch):
     assert sorted(calls) == sorted([q.concept for q in queries] * 2)
 
 
+@pytest.mark.parametrize("seed, radius", [(1, 1), (2, 1), (3, 2)])
+def test_generate_judges_by_pairwise_taxonomy_distance(seed, radius):
+    g, corpus, queries, judgments = generate(seed, relevance_radius=radius)
+    concept_of = {rec.key: rec.semantics[0].concept for rec in corpus}
+    assert len(queries) == 20
+    assert set(judgments) == {q.qid for q in queries}
+    for q in queries:
+        relevant = {key for key, c in concept_of.items()
+                    if g.shortest_path(c, q.concept) <= radius}
+        assert 0 < len(relevant) < len(concept_of)
+        assert judgments[q.qid] == relevant
+
+
 def test_run_experiment_unknown_query_concept(monkeypatch):
     g, corpus, queries, judgments = generate(4, n_queries=2)
     bad = [evaluation.ExperimentQuery(qid=queries[0].qid, concept="Nowhere",

@@ -1,7 +1,8 @@
 import pytest
 
-from stimkb.errors import ParseError
-from stimkb.lines import data_lines, tab_rows
+from stimkb.errors import CycleError, ParseError
+from stimkb.lines import data_lines, parse_input, tab_rows
+from stimkb.taxonomy import parse_taxonomy
 
 TEXT = "# header\n\n  \nA\tB\n  # indented comment\n\tC \t D\n#\n"
 
@@ -23,3 +24,23 @@ def test_tab_rows_check_the_field_count():
     assert str(exc.value) == r"line 4: expected `x<TAB>y`, got 'A\tB\tC'"
     with pytest.raises(ParseError, match="^line 1: expected `a<TAB>b<TAB>c`"):
         list(tab_rows("one field", "a<TAB>b<TAB>c"))
+
+
+def test_parse_input_names_the_input_and_keeps_the_error(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("# c\nA\tB\nB\tA\tC\n")
+    with pytest.raises(ParseError) as exc:
+        parse_input(parse_taxonomy, path, "taxonomy file")
+    assert type(exc.value) is ParseError
+    assert exc.value.line == 3
+    assert str(exc.value) == (
+        rf"taxonomy file {path} line 3: expected `child<TAB>parent`, "
+        r"got 'B\tA\tC'"
+    )
+    path.write_text("A\tB\nB\tA\n")
+    with pytest.raises(CycleError) as exc:
+        parse_input(parse_taxonomy, path, "taxonomy file")
+    assert exc.value.line is None
+    assert str(exc.value) == (f"taxonomy file {path}: every concept has a "
+                              "parent; taxonomy is cyclic")
+    assert parse_input(lambda text, n: text * n, path, "x", 2) == "A\tB\nB\tA\n" * 2

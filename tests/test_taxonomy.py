@@ -3,7 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stimkb.errors import CycleError, ParseError, UnknownConceptError
+from stimkb.errors import (
+    CycleError,
+    ParseError,
+    UnknownConceptError,
+    ValidationError,
+)
 from stimkb.taxonomy import TaxonomyGraph, parse_mapping, parse_taxonomy
 
 from conftest import (
@@ -11,6 +16,7 @@ from conftest import (
     oracle_lcs,
     oracle_root_depth,
     oracle_shortest_path,
+    oracle_up_distance,
     random_dag,
     random_dag_edges,
 )
@@ -132,26 +138,44 @@ def test_max_depth_single_node_and_chain():
 
 def test_unknown_concept_errors():
     g = parse_taxonomy("A\tB")
-    with pytest.raises(UnknownConceptError):
-        g.depth("Z")
-    with pytest.raises(UnknownConceptError):
-        g.lcs("A", "Z")
-    with pytest.raises(UnknownConceptError):
-        g.shortest_path("Z", "A")
-    with pytest.raises(UnknownConceptError):
-        g.is_subclass_of("A", "Z")
+    for call in (lambda: g.depth("Z"),
+                 lambda: g.lcs("A", "Z"),
+                 lambda: g.shortest_path("Z", "A"),
+                 lambda: g.shortest_path("A", "Z"),
+                 lambda: g.up_distance("Z", "B"),
+                 lambda: g.up_distance("A", "Z"),
+                 lambda: g.is_subclass_of("A", "Z")):
+        with pytest.raises(UnknownConceptError) as exc:
+            call()
+        assert str(exc.value) == "unknown concept: 'Z'"
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 60), st.data())
-def test_distances_from_matches_shortest_path_oracle(seed, n_nodes, data):
-    g = random_dag(seed, n_nodes)
-    nodes = sorted(g.concepts)
-    a = data.draw(st.sampled_from(nodes))
-    dist = g.distances_from(a)
-    assert set(dist) == g.concepts
-    for b in nodes:
-        assert dist[b] == oracle_shortest_path(g.parent_edges, a, b)
+@given(st.integers(0, 10**6), st.integers(1, 60), st.integers(1, 3))
+def test_path_searches_match_oracles(seed, n_nodes, max_parents):
+    g = random_dag(seed, n_nodes, max_parents)
+    edges = g.parent_edges
+    for c in g.concepts:
+        children = {child for child, ps in edges.items() if c in ps}
+        assert len(g.neighbors[c]) == len(edges[c]) + len(children)
+        assert set(g.neighbors[c]) == edges[c] | children
+    for a in g.concepts:
+        dist = g.distances_from(a)
+        assert set(dist) == g.concepts
+        for b in g.concepts:
+            expected = oracle_shortest_path(edges, a, b)
+            assert g.shortest_path(a, b) == dist[b] == expected
+        for up in oracle_ancestors(edges, a) | {a}:
+            assert g.up_distance(a, up) == oracle_up_distance(edges, a, up)
+
+
+def test_up_distance_from_a_non_ancestor():
+    g = parse_taxonomy("Animal\tEntity\nDog\tAnimal\nCat\tAnimal")
+    for c, other in (("Dog", "Cat"), ("Entity", "Dog"), ("Animal", "Dog")):
+        with pytest.raises(ValidationError) as exc:
+            g.up_distance(c, other)
+        assert type(exc.value) is ValidationError
+        assert str(exc.value) == f"{other!r} does not subsume {c!r}"
 
 
 def test_distances_from_unknown_concept():
