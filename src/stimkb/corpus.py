@@ -200,16 +200,15 @@ class Corpus:
         self.records = {}
         self.concept_index = {}
 
-    def add_stimulus(self, rec, lineno=None, validated=False):
-        """Validate `rec` against the graph and vocabularies and index it;
-        `lineno`, the record's line in its source file, goes into the
-        error text.  `validated=True` skips the validation, for a record
-        already validated against this graph and these vocabularies (a
-        sealed snapshot's); the duplicate-key check still runs."""
+    def add_stimulus(self, rec, validated=False):
+        """Validate `rec` against the graph and vocabularies and index it.
+        `validated=True` skips the validation, for a record already
+        validated against this graph and these vocabularies (a sealed
+        snapshot's); the duplicate-key check still runs."""
         if not validated:
             problems = validate_stimulus(rec, self.graph, self.vocabs)
             if problems:
-                raise _invalid_record(rec, problems, lineno)
+                raise _invalid_record(rec, problems)
         key = rec.key
         if key in self.records:
             raise ValidationError(f"duplicate stimulus key {key}")
@@ -225,10 +224,10 @@ class Corpus:
         return iter(self.records.values())
 
 
-def _invalid_record(rec, problems, lineno):
-    where = f" (line {lineno})" if lineno is not None else ""
+def _invalid_record(rec, problems, lineno=None):
+    where = f"line {lineno}: " if lineno is not None else ""
     return ValidationError(
-        f"record {rec.key}{where}: " + "; ".join(problems), problems=problems
+        f"{where}record {rec.key}: " + "; ".join(problems), problems=problems
     )
 
 
@@ -739,7 +738,8 @@ def serialize_record(rec):
 
 
 def parse_legacy_table(text):
-    """Parse an IAPS-style keyword + ratings TSV into stimulus records.
+    """Parse an IAPS-style keyword + ratings TSV into (line number, record)
+    pairs.  Does not validate.
 
     Lines are split unstripped, so an empty last column reads as missing.
     """
@@ -772,7 +772,8 @@ def parse_legacy_table(text):
         dims = {name: num(name) for name in LEGACY_HEADER[3:]}
         if all(v is None for n, v in dims.items() if not n.endswith("SD")):
             raise ParseError("row has no dimension value", line=lineno)
-        records.append(
+        records.append((
+            lineno,
             StimulusRecord(
                 db=row["db"],
                 id=row["id"],
@@ -781,8 +782,8 @@ def parse_legacy_table(text):
                 ),
                 dimensions=DimensionAnnotation(scale_min=1.0, scale_max=9.0, **dims),
                 context=ContextRecord(),
-            )
-        )
+            ),
+        ))
     return records
 
 

@@ -6,7 +6,7 @@ Line numbers count every line of the file, skipped ones included.
 
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 
 def read_input(path, what):
@@ -19,13 +19,15 @@ def read_input(path, what):
 
 def parse_input(parse, path, what, *args):
     """`parse(text, *args)` on the text read_input reads from `path`.  A
-    ParseError it raises names the input first, as in `queries file q.tsv
-    line 2: ...`; its type and `line` stay."""
+    ParseError or ValidationError it raises names the input first, as in
+    `queries file q.tsv line 2: ...` or `vocabularies file v.tsv: ...`;
+    its type, `line` and `problems` stay."""
     text = read_input(path, what)
     try:
         return parse(text, *args)
-    except ParseError as e:
-        e.args = (f"{what} {path}{' ' if e.line is not None else ': '}{e}",)
+    except (ParseError, ValidationError) as e:
+        line = getattr(e, "line", None)
+        e.args = (f"{what} {path}{' ' if line is not None else ': '}{e}",)
         raise
 
 

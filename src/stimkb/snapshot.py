@@ -31,7 +31,7 @@ from .corpus import (
     parse_record_file,
     serialize_record,
 )
-from .errors import ParseError, SnapshotError, StimKbError
+from .errors import ParseError, SnapshotError, StimKbError, ValidationError
 from .lines import (
     data_lines,
     decode_input,
@@ -145,20 +145,30 @@ def build_workspace(manifest):
     closure = EquivalenceClosure(_parse(manifest, "axioms", parse_axioms) or [])
 
     # Each record is validated once, by add_stimulus, after keyword
-    # expansion (whose concepts parse_mapping has checked); a records-file
-    # record's error names its line.
-    rows = _parse(manifest, "records", parse_record_file) or []
-    legacy = _parse(manifest, "legacy", parse_legacy_table) or []
-    records = [rec for _, rec in rows] + legacy
-    linenos = [lineno for lineno, _ in rows] + [None] * len(legacy)
-
+    # expansion (whose concepts parse_mapping has checked).
+    sources = [
+        (key, _parse(manifest, key, parse) or [])
+        for key, parse in (("records", parse_record_file),
+                           ("legacy", parse_legacy_table))
+    ]
+    records = [rec for _, rows in sources for _, rec in rows]
     unmapped = []
     if mapping is not None:
         records, unmapped = expand_keywords(records, mapping)
 
     corpus = Corpus(graph, vocabs)
-    for rec, lineno in zip(records, linenos):
-        corpus.add_stimulus(rec, lineno)
+    try:
+        for rec in records:
+            corpus.add_stimulus(rec)
+    except ValidationError as e:
+        # The failed record is the len(corpus)-th: name its file and line.
+        i = len(corpus)
+        for key, rows in sources:
+            if i < len(rows):
+                break
+            i -= len(rows)
+        e.args = (f"{key} file {manifest.paths[key]} line {rows[i][0]}: {e}",)
+        raise
 
     return Workspace(
         graph=graph,

@@ -485,6 +485,33 @@ def test_ingest_parse_error_names_its_file(name, line, message, workspace,
     assert not (workspace / "snap.json").exists()
 
 
+@pytest.mark.parametrize("name, old, new, message", [
+    ("vocabularies", "BigSix\tanger\n", "",
+     ": BigSix is missing required terms: ['anger']"),
+    ("records", "dim.valence=7.14", "dim.valence=99",
+     " line 3: record IAPS/8163: valence=99.0 outside scale [1.0, 9.0]"),
+    ("legacy", "6.25", "99",
+     " line 2: record IAPS/5635: valence=99.0 outside scale [1.0, 9.0]"),
+    ("records", "db=IADS\tid=311", "db=IAPS\tid=8163",
+     " line 3: duplicate stimulus key IAPS/8163"),
+])
+@pytest.mark.parametrize("command", ["ingest", "validate"])
+def test_ingest_validation_error_names_its_file(command, name, old, new,
+                                                message, workspace, capsys):
+    path = workspace / f"{name}.tsv"
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    argv = [command, "--manifest", str(workspace / "manifest.txt")]
+    if command == "ingest":
+        argv += ["--snapshot", str(workspace / "snap.json")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == f"error: {name} file {path.resolve()}{message}\n"
+    assert not (workspace / "snap.json").exists()
+
+
 def test_eval_has_no_schemes_option(snapshot, workspace, capsys):
     # The measures decide the scheme; `--measures pathlen,wupalmer` runs
     # the concept scheme only.

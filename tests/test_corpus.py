@@ -116,7 +116,9 @@ def test_parse_legacy_table():
         "5635\tIAPS\tWinterStreet\t6.25\tNA\t3.97\tNA\tNA\tNA\n"
         "7039\tIAPS\tTrain\t5.93\tNA\t3.29\tNA\tNA\tNA\n"
     )
-    recs = parse_legacy_table(text)
+    rows = parse_legacy_table(text)
+    assert [lineno for lineno, _ in rows] == [2, 3]
+    recs = [rec for _, rec in rows]
     assert [r.key for r in recs] == ["IAPS/5635", "IAPS/7039"]
     r = recs[0]
     assert r.semantics[0].keyword == "WinterStreet"
@@ -154,9 +156,10 @@ def test_parse_legacy_counts_every_line_and_skips_indented_comments():
         parse_legacy_table(f"{header}\n# note\n\n1\tIAPS\tx\tbad\tNA\t3\tNA\tNA\tNA\n")
     with pytest.raises(ParseError, match="^line 3: legacy header"):
         parse_legacy_table("# note\n\nwrong\theader\n")
-    recs = parse_legacy_table(f"  # note\n{header}\n\t# indented note\n{row}\n")
-    assert [r.key for r in recs] == ["IAPS/1"]
-    assert recs[0].dimensions.dominanceSD is None
+    [(lineno, rec)] = parse_legacy_table(
+        f"  # note\n{header}\n\t# indented note\n{row}\n")
+    assert (lineno, rec.key) == (4, "IAPS/1")
+    assert rec.dimensions.dominanceSD is None
 
 
 def test_expand_keywords_winterstreet(paper_graph):

@@ -467,13 +467,15 @@ def test_ingest_invalid_record_names_its_line(tmp_path, paper_graph):
     with pytest.raises(ValidationError) as exc:
         build_workspace(parse_manifest(tmp_path / "manifest.txt"))
     assert str(exc.value) == (
-        f"record IAPS/666 (line {len(lines)}): unknown concept 'NoSuch'"
+        f"records file {records} line {len(lines)}: record IAPS/666: "
+        "unknown concept 'NoSuch'"
     )
+    assert exc.value.problems == ["unknown concept 'NoSuch'"]
     with pytest.raises(ValidationError) as direct:
         stimkb.corpus.parse_corpus_records(
             records.read_text(), paper_graph, load_vocabularies("")
         )
-    assert str(direct.value) == str(exc.value)
+    assert str(exc.value).endswith(f" {direct.value}")
 
 
 def _built_and_loaded(tmp_path):
