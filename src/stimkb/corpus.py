@@ -101,6 +101,12 @@ class ContextRecord(namedtuple(
     __slots__ = ()  # fields in the order of their `ctx.*` keys in _CTX_ATTR
 
 
+# The number type of each numeric ContextRecord field; the others are text.
+CONTEXT_NUMBER_TYPES = {
+    _CTX_ATTR[wire]: kind for wire, kind in _CONTEXT_NUMBER_TYPES.items()
+}
+
+
 class PhysiologyRef(namedtuple("PhysiologyRef", "path channel", defaults=(None,))):
     __slots__ = ()
 
@@ -200,15 +206,12 @@ class Corpus:
         self.records = {}
         self.concept_index = {}
 
-    def add_stimulus(self, rec, validated=False):
-        """Validate `rec` against the graph and vocabularies and index it.
-        `validated=True` skips the validation, for a record already
-        validated against this graph and these vocabularies (a sealed
-        snapshot's); the duplicate-key check still runs."""
-        if not validated:
-            problems = validate_stimulus(rec, self.graph, self.vocabs)
-            if problems:
-                raise _invalid_record(rec, problems)
+    def add_stimulus(self, rec):
+        """Validate `rec` against the graph and vocabularies and index it;
+        a key already in the corpus raises ValidationError."""
+        problems = validate_stimulus(rec, self.graph, self.vocabs)
+        if problems:
+            raise invalid_record(rec, problems)
         key = rec.key
         if key in self.records:
             raise ValidationError(f"duplicate stimulus key {key}")
@@ -224,7 +227,8 @@ class Corpus:
         return iter(self.records.values())
 
 
-def _invalid_record(rec, problems, lineno=None):
+def invalid_record(rec, problems, lineno=None):
+    """The ValidationError of record `rec` and its `problems`."""
     where = f"line {lineno}: " if lineno is not None else ""
     return ValidationError(
         f"{where}record {rec.key}: " + "; ".join(problems), problems=problems
@@ -667,74 +671,9 @@ def parse_corpus_records(text, graph, vocabs):
     for lineno, rec in parse_record_file(text):
         problems = validate_stimulus(rec, graph, vocabs)
         if problems:
-            raise _invalid_record(rec, problems, lineno)
+            raise invalid_record(rec, problems, lineno)
         records.append(rec)
     return records
-
-
-def _fmt_num(v):
-    if isinstance(v, float) and v.is_integer():
-        return str(int(v))
-    return repr(v) if isinstance(v, float) else str(v)
-
-
-def _conf_suffix(level, value):
-    parts = []
-    if level is not None:
-        parts.append(f"level={level}")
-    if value is not None:
-        parts.append(f"value={_fmt_num(value)}")
-    return "@" + ",".join(parts) if parts else ""
-
-
-def serialize_record(rec):
-    tokens = [f"db={rec.db}", f"id={rec.id}"]
-    for sem in rec.semantics:
-        if sem.concept is not None:
-            tokens.append(f"sem={sem.kind}:concept:{sem.concept}")
-        else:
-            tokens.append(f"sem={sem.kind}:keyword:{sem.keyword}")
-    for cat in rec.categories:
-        tokens.append(
-            f"cat={cat.vocabulary}.{cat.term}"
-            + _conf_suffix(cat.confidence_level, cat.confidence_value)
-        )
-    d = rec.dimensions
-    if d is not None:
-        tokens.append(f"dim.scale={_fmt_num(d.scale_min)}:{_fmt_num(d.scale_max)}")
-        for name, v in d.values():
-            tokens.append(f"dim.{name}={_fmt_num(v)}")
-        for name in ("valenceSD", "arousalSD", "dominanceSD"):
-            v = getattr(d, name)
-            if v is not None:
-                tokens.append(f"dim.{name}={_fmt_num(v)}")
-        if d.confidence_level is not None:
-            tokens.append(f"dim.level={d.confidence_level}")
-        if d.confidence_value is not None:
-            tokens.append(f"dim.value={_fmt_num(d.confidence_value)}")
-    for app in rec.appraisals:
-        for name, v in app.values:
-            tokens.append(f"appraisal={name}:{_fmt_num(v)}")
-    for t in rec.action_tendencies:
-        tokens.append(
-            f"tendency={t.term}" + _conf_suffix(t.confidence_level, t.confidence_value)
-        )
-    for s in rec.sentiments:
-        tokens.append(
-            f"sentiment={_fmt_num(s.value)}"
-            + _conf_suffix(s.confidence_level, s.confidence_value)
-        )
-    if rec.context is not None:
-        ctx_tokens = []
-        for wire, v in zip(_CTX_ATTR, rec.context):  # in field order
-            if v is not None:
-                v = _fmt_num(v) if isinstance(v, (int, float)) else v
-                ctx_tokens.append(f"ctx.{wire}={v}")
-        tokens.extend(ctx_tokens if ctx_tokens else ["ctx=1"])
-    for phy in rec.physiology:
-        channel = f" {phy.channel}" if phy.channel else ""
-        tokens.append(f"phys={phy.path}{channel}")
-    return "\t".join(tokens)
 
 
 def parse_legacy_table(text):

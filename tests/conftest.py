@@ -1,9 +1,11 @@
+import hashlib
 import random
 from pathlib import Path
 
 import pytest
 
 import stimkb.corpus
+from stimkb.corpus import VALIDATION_RULES
 from stimkb.snapshot import build_workspace, parse_manifest
 from stimkb.taxonomy import TaxonomyGraph
 
@@ -19,6 +21,21 @@ def paper_workspace():
 @pytest.fixture(scope="session")
 def paper_graph(paper_workspace):
     return paper_workspace.graph
+
+
+# The seal line's layout, written out here as a check on the format: a
+# sealed snapshot starts with SEAL_HEAD and 64 hex digits.
+SEAL_HEAD = b'{\n "seal": "'
+SEAL_END = len(SEAL_HEAD) + 64
+
+
+def seal_text(text, rules=VALIDATION_RULES):
+    """The bytes of unsealed snapshot text `text` sealed under validation
+    rules version `rules`."""
+    rest = b'",' + text.encode()[1:]
+    digest = hashlib.blake2b(b"validation rules %d\n" % rules + rest,
+                             digest_size=32)
+    return SEAL_HEAD + digest.hexdigest().encode() + rest
 
 
 def random_dag_edges(rng, n_nodes, max_parents=3):
@@ -182,3 +199,73 @@ def many_layout_lines(n):
         lines.append("\t".join(tokens))
     assert len({layout(line) for line in lines}) == n
     return lines
+
+
+# The records-file writer, kept as a test oracle: parse_record_line must
+# read back what it writes.
+
+def _fmt_num(v):
+    if isinstance(v, float) and v.is_integer():
+        return str(int(v))
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+def _conf_suffix(level, value):
+    parts = []
+    if level is not None:
+        parts.append(f"level={level}")
+    if value is not None:
+        parts.append(f"value={_fmt_num(value)}")
+    return "@" + ",".join(parts) if parts else ""
+
+
+def serialize_record(rec):
+    """The records-file line of `rec`: the round-trip oracle of
+    parse_record_line, and the way tests write records files."""
+    tokens = [f"db={rec.db}", f"id={rec.id}"]
+    for sem in rec.semantics:
+        if sem.concept is not None:
+            tokens.append(f"sem={sem.kind}:concept:{sem.concept}")
+        else:
+            tokens.append(f"sem={sem.kind}:keyword:{sem.keyword}")
+    for cat in rec.categories:
+        tokens.append(
+            f"cat={cat.vocabulary}.{cat.term}"
+            + _conf_suffix(cat.confidence_level, cat.confidence_value)
+        )
+    d = rec.dimensions
+    if d is not None:
+        tokens.append(f"dim.scale={_fmt_num(d.scale_min)}:{_fmt_num(d.scale_max)}")
+        for name, v in d.values():
+            tokens.append(f"dim.{name}={_fmt_num(v)}")
+        for name in ("valenceSD", "arousalSD", "dominanceSD"):
+            v = getattr(d, name)
+            if v is not None:
+                tokens.append(f"dim.{name}={_fmt_num(v)}")
+        if d.confidence_level is not None:
+            tokens.append(f"dim.level={d.confidence_level}")
+        if d.confidence_value is not None:
+            tokens.append(f"dim.value={_fmt_num(d.confidence_value)}")
+    for app in rec.appraisals:
+        for name, v in app.values:
+            tokens.append(f"appraisal={name}:{_fmt_num(v)}")
+    for t in rec.action_tendencies:
+        tokens.append(
+            f"tendency={t.term}" + _conf_suffix(t.confidence_level, t.confidence_value)
+        )
+    for s in rec.sentiments:
+        tokens.append(
+            f"sentiment={_fmt_num(s.value)}"
+            + _conf_suffix(s.confidence_level, s.confidence_value)
+        )
+    if rec.context is not None:
+        ctx_tokens = []
+        for wire, v in zip(stimkb.corpus._CTX_ATTR, rec.context):  # in field order
+            if v is not None:
+                v = _fmt_num(v) if isinstance(v, (int, float)) else v
+                ctx_tokens.append(f"ctx.{wire}={v}")
+        tokens.extend(ctx_tokens if ctx_tokens else ["ctx=1"])
+    for phy in rec.physiology:
+        channel = f" {phy.channel}" if phy.channel else ""
+        tokens.append(f"phys={phy.path}{channel}")
+    return "\t".join(tokens)

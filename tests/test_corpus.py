@@ -30,7 +30,6 @@ from stimkb.corpus import (
     parse_corpus_records,
     parse_legacy_table,
     parse_record_line,
-    serialize_record,
     validate_stimulus,
 )
 from stimkb.errors import ParseError, ValidationError
@@ -46,7 +45,12 @@ from stimkb.sequence import SequenceItem, StimulusSequence, SyncEvent
 from stimkb.snapshot import Manifest, Workspace
 from stimkb.taxonomy import parse_mapping
 
-from conftest import empty_plan_table, layout, many_layout_lines
+from conftest import (
+    empty_plan_table,
+    layout,
+    many_layout_lines,
+    serialize_record,
+)
 
 BIG_SIX = load_vocabularies("")
 

@@ -1,6 +1,7 @@
 import gc
-import hashlib
 import json
+import math
+import random
 import shutil
 import tempfile
 import weakref
@@ -12,12 +13,23 @@ from hypothesis import given, settings, strategies as st
 import stimkb.corpus
 import stimkb.snapshot
 from stimkb.affect import (
+    ActionTendencyAnnotation,
+    AppraisalAnnotation,
     CategoryAnnotation,
+    DimensionAnnotation,
     EquivalenceClosure,
+    SentimentAnnotation,
     load_vocabularies,
 )
 from stimkb.cli import main
-from stimkb.corpus import VALIDATION_RULES, serialize_record
+from stimkb.corpus import (
+    VALIDATION_RULES,
+    ContextRecord,
+    Corpus,
+    PhysiologyRef,
+    SemanticsAnnotation,
+    StimulusRecord,
+)
 from stimkb.errors import ParseError, SnapshotError, StimKbError, ValidationError
 from stimkb.snapshot import (
     Workspace,
@@ -29,7 +41,15 @@ from stimkb.snapshot import (
 from stimkb.synthetic import generate
 from stimkb.taxonomy import parse_taxonomy
 
-from conftest import PAPER_MANIFEST, empty_plan_table, many_layout_lines
+from conftest import (
+    PAPER_MANIFEST,
+    SEAL_END,
+    SEAL_HEAD,
+    empty_plan_table,
+    many_layout_lines,
+    seal_text,
+    serialize_record,
+)
 
 
 def test_snapshot_round_trip(tmp_path, paper_workspace):
@@ -140,21 +160,6 @@ def _count_parses(monkeypatch):
     return parsed
 
 
-# The seal line's layout, written out here as a check on the format: a
-# sealed snapshot starts with SEAL_HEAD and 64 hex digits.
-SEAL_HEAD = b'{\n "seal": "'
-SEAL_END = len(SEAL_HEAD) + 64
-
-
-def _sealed(text, rules=VALIDATION_RULES):
-    """The bytes of unsealed snapshot text `text` sealed under validation
-    rules version `rules`."""
-    rest = b'",' + text.encode()[1:]
-    digest = hashlib.blake2b(b"validation rules %d\n" % rules + rest,
-                             digest_size=32)
-    return SEAL_HEAD + digest.hexdigest().encode() + rest
-
-
 def _strip_seal(path):
     """Rewrite the sealed snapshot at `path` without its seal line."""
     data = path.read_bytes()
@@ -163,7 +168,7 @@ def _strip_seal(path):
 
 
 @pytest.mark.parametrize("which", ["paper", "synthetic"])
-def test_unsealed_load_parses_and_validates_each_record_once(
+def test_unsealed_load_validates_each_record_once_and_parses_none(
     which, tmp_path, monkeypatch, paper_workspace
 ):
     ws = paper_workspace if which == "paper" else _synthetic_workspace()
@@ -182,13 +187,12 @@ def test_unsealed_load_parses_and_validates_each_record_once(
 
     assert list(loaded.corpus) == list(ws.corpus)
     assert loaded.corpus.concept_index == ws.corpus.concept_index
-    assert sorted(validated) == sorted(r.key for r in ws.corpus)
-    assert len(validated) == len(set(validated))
-    assert parsed == json.loads(snap.read_text())["records"]
+    assert validated == [r.key for r in ws.corpus]
+    assert parsed == []
 
 
 @pytest.mark.parametrize("which", ["paper", "synthetic"])
-def test_sealed_load_parses_each_record_once_and_validates_none(
+def test_sealed_load_validates_and_parses_none(
     which, tmp_path, monkeypatch, paper_workspace
 ):
     if which == "paper":
@@ -206,8 +210,7 @@ def test_sealed_load_parses_each_record_once_and_validates_none(
     assert list(loaded.corpus) == list(ws.corpus)
     assert loaded.corpus.concept_index == ws.corpus.concept_index
     assert validated == []
-    assert parsed == json.loads(snap.read_text())["records"]
-    assert len(parsed) == len(ws.corpus)
+    assert parsed == []
 
 
 def test_save_seals_the_graph_and_vocabularies_records_were_validated_against(
@@ -219,7 +222,7 @@ def test_save_seals_the_graph_and_vocabularies_records_were_validated_against(
     _strip_seal(snap)
     unsealed = snap.read_bytes()
     assert len(sealed) == len(unsealed) + 77
-    assert sealed == _sealed(unsealed.decode())
+    assert sealed == seal_text(unsealed.decode())
     # The taxonomy written is the corpus's, not the workspace's own graph.
     other = parse_taxonomy("A\tB\n")
     save_snapshot(paper_workspace._replace(graph=other), snap)
@@ -270,29 +273,134 @@ def test_sealed_load_equals_full_validation(paper_workspace, spec):
         full.unmapped_keywords, full.seed, full.limit)
 
 
-# (case, record text in the paper snapshot, its replacement, error text)
+def _snapshot_doc(paper_workspace, tmp_path):
+    snap = tmp_path / "good.json"
+    save_snapshot(paper_workspace, snap)
+    return json.loads(snap.read_text())
+
+
+def _varied_workspace(ws, seed):
+    """`ws` with each record given annotations of every kind, a context,
+    dimensions and physiology drawn from small pools, each a new object
+    (equal values, separate objects), -0.0 among the numbers."""
+    rng = random.Random(seed)
+    numbers = (-0.0, 0.0, 0.5, 1.0, None)
+    corpus = Corpus(ws.corpus.graph, ws.corpus.vocabs)
+    for rec in ws.corpus:
+        def maybe(make):
+            return (make(),) if rng.random() < 0.5 else ()
+
+        corpus.add_stimulus(rec._replace(
+            categories=maybe(lambda: CategoryAnnotation(
+                "BigSix", rng.choice(("anger", "fear")),
+                rng.choice(("High", None)), rng.choice(numbers))),
+            appraisals=maybe(lambda: AppraisalAnnotation(
+                (("pleasantness", rng.choice((-0.0, 0.25))),))),
+            action_tendencies=maybe(lambda: ActionTendencyAnnotation(
+                rng.choice(("approach", "avoid")), None, rng.choice(numbers))),
+            sentiments=maybe(lambda: SentimentAnnotation(rng.choice((-0.0, 0.5)))),
+            dimensions=rng.choice((None, rec.dimensions, DimensionAnnotation(
+                -0.0, 9.0, valence=rng.choice((-0.0, 0.0, 7)),
+                dominanceSD=rng.choice((None, 0.5))))),
+            context=rng.choice((None, rec.context, ContextRecord(
+                media_format=rng.choice(("wav", "jpg")), width_px=rng.choice((0, 7)),
+                length_seconds=rng.choice(numbers)))),
+            physiology=rec.physiology + maybe(lambda: PhysiologyRef(
+                f"http://p/{rec.key}", rng.choice(("HR", None)))),
+        ))
+    return ws._replace(corpus=corpus)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.none() | st.tuples(st.integers(0, 10**6), st.integers(2, 40),
+                             st.integers(1, 120)),
+       st.integers(0, 10**6), st.booleans())
+def test_load_round_trip_keeps_records_and_shares_by_text(
+    paper_workspace, spec, seed, sealed
+):
+    ws = paper_workspace if spec is None else _synthetic_workspace(*spec)
+    ws = _varied_workspace(ws, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        snap = Path(tmp) / "snap.json"
+        save_snapshot(ws, snap)
+        if not sealed:
+            _strip_seal(snap)
+        loaded = load_snapshot(snap)
+    # Equal records in the same order; the reprs also tell -0.0 from 0.0
+    # and 1 from 1.0.
+    assert list(loaded.corpus.records) == list(ws.corpus.records)
+    assert repr(list(loaded.corpus)) == repr(list(ws.corpus))
+    assert loaded.corpus.concept_index == ws.corpus.concept_index
+    # One object per distinct written text, and one text per object.
+    objects = {}
+    for rec in loaded.corpus:
+        for obj in (*rec.semantics, *rec.categories, *rec.appraisals,
+                    *rec.action_tendencies, *rec.sentiments, rec.context):
+            if obj is not None:
+                objects.setdefault(repr(obj), set()).add(id(obj))
+    assert all(len(ids) == 1 for ids in objects.values())
+
+
+# Edits of a snapshot document: edit(doc, records) -> the file text, where
+# `doc` is the paper snapshot's document without its seal and `records`
+# the paper workspace's records.
+
+def _doc(edit):
+    """An edit of the whole document: edit(doc) -> the file text."""
+    return lambda doc, records: edit(doc)
+
+
+def _columns(edit):
+    """An edit of the tables and the record columns, in place."""
+    def edit_doc(doc, records):
+        edit(doc["tables"], doc["records"])
+        return json.dumps(doc)
+
+    return edit_doc
+
+
+def _record(i, **changes):
+    """The document of the records with record `i` changed, unvalidated."""
+    def edit_doc(doc, records):
+        records = list(records)
+        records[i] = records[i]._replace(**changes)
+        doc["tables"], doc["records"] = stimkb.snapshot._record_columns(records)
+        return json.dumps(doc)
+
+    return edit_doc
+
+
+NAN = float("nan")
+# Record 1 of the paper workspace is IAPS/8163, with dimensions on [1, 9].
+DIMENSIONS_8163 = DimensionAnnotation(1.0, 9.0, valence=7.14, arousal=6.53)
+
+# (case, record-1 change, error text): records that parse but fail
+# validation, behind a stale seal or none.
 TAMPERED_RECORDS = [
-    ("valence off its scale", "dim.valence=7.14", "dim.valence=99",
+    ("valence off its scale",
+     {"dimensions": DIMENSIONS_8163._replace(valence=99.0)},
      "valence=99.0 outside scale [1.0, 9.0]"),
-    ("unknown concept", "sem=Object:concept:GroupOfPeople",
-     "sem=Object:concept:NoSuch", "unknown concept 'NoSuch'"),
-    ("NaN SD", "dim.valence=7.14", "dim.valence=7.14\\tdim.valenceSD=nan",
+    ("unknown concept",
+     {"semantics": (SemanticsAnnotation("Object", "NoSuch"),)},
+     "unknown concept 'NoSuch'"),
+    ("NaN SD", {"dimensions": DIMENSIONS_8163._replace(valenceSD=NAN)},
      "valenceSD=nan is not a number"),
 ]
 
 
 @pytest.mark.parametrize(
-    "old, new, message", [c[1:] for c in TAMPERED_RECORDS],
+    "changes, message", [c[1:] for c in TAMPERED_RECORDS],
     ids=[c[0] for c in TAMPERED_RECORDS],
 )
 def test_tampered_sealed_snapshot_exits_3_as_unsealed(
-    old, new, message, tmp_path, paper_workspace, capsys
+    changes, message, tmp_path, paper_workspace, capsys
 ):
+    doc = _snapshot_doc(paper_workspace, tmp_path)
+    seal = doc.pop("seal")
+    text = _record(1, **changes)(doc, list(paper_workspace.corpus))
     snap = tmp_path / "snap.json"
-    save_snapshot(paper_workspace, snap)
-    data = snap.read_bytes()
-    assert data.count(old.encode()) == 1
-    snap.write_bytes(data.replace(old.encode(), new.encode()))
+    # The tampered document behind the good file's seal, then without it.
+    snap.write_bytes(SEAL_HEAD + seal.encode() + b'",' + text.encode()[1:])
     outcomes = []
     for strip in (False, True):
         if strip:
@@ -300,8 +408,9 @@ def test_tampered_sealed_snapshot_exits_3_as_unsealed(
         rc = main(["stats", "--snapshot", str(snap)])
         outcomes.append((rc, capsys.readouterr().err))
     assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] == 3
-    assert message in outcomes[0][1]
+    assert outcomes[0] == (
+        3, f"error: bad snapshot {snap}: records[1]: record IAPS/8163: "
+        f"{message}\n")
 
 
 def test_snapshot_sealed_under_older_rules_is_validated(
@@ -309,10 +418,14 @@ def test_snapshot_sealed_under_older_rules_is_validated(
 ):
     doc = _snapshot_doc(paper_workspace, tmp_path)
     del doc["seal"]
-    doc["records"][1] = "db=X\tid=1\tdim.scale=1:9\tdim.valence=5\tdim.arousalSD=nan"
+    bad = StimulusRecord("X", "1", dimensions=DimensionAnnotation(
+        1.0, 9.0, valence=5.0, arousalSD=NAN))
+    records = list(paper_workspace.corpus)
+    records[1] = bad
+    doc["tables"], doc["records"] = stimkb.snapshot._record_columns(records)
     text = json.dumps(doc, indent=1) + "\n"
     snap = tmp_path / "stale.json"
-    snap.write_bytes(_sealed(text, VALIDATION_RULES - 1))
+    snap.write_bytes(seal_text(text, VALIDATION_RULES - 1))
     assert main(["stats", "--snapshot", str(snap)]) == 3
     assert capsys.readouterr().err == (
         f"error: bad snapshot {snap}: records[1]: record X/1: "
@@ -320,111 +433,206 @@ def test_snapshot_sealed_under_older_rules_is_validated(
     )
     # Only the seal skips the check: anyone can seal bad records under the
     # current rules, so the seal is no security boundary.
-    snap.write_bytes(_sealed(text))
-    assert len(load_snapshot(snap).corpus) == 4
+    snap.write_bytes(seal_text(text))
+    assert "X/1" in load_snapshot(snap).corpus.records
 
 
-def _snapshot_doc(paper_workspace, tmp_path):
-    snap = tmp_path / "good.json"
-    save_snapshot(paper_workspace, snap)
-    return json.loads(snap.read_text())
-
-
-def _bad_record(line):
-    def edit(doc):
-        doc["records"][1] = line
-        return json.dumps(doc)
-
-    return edit
-
-
-def test_load_of_more_layouts_than_plans(tmp_path, monkeypatch, paper_workspace):
-    """Each record line has its own key layout, more than the plan table
-    holds: load_snapshot still calls corpus.parse_record_line once per
-    record and gets the general parser's records."""
+def test_ingest_of_more_layouts_than_plans_loads_without_parsing(
+    tmp_path, monkeypatch
+):
+    """A records file whose every line has its own key layout, more than
+    the plan table holds: ingest parses each line once, the general parser
+    gives the records past the table, and the load parses none."""
     empty_plan_table(monkeypatch)
     lines = many_layout_lines(3 * stimkb.corpus._MAX_PLANS)
-    snap = tmp_path / "layouts.json"
-    snap.write_text(json.dumps({**_snapshot_doc(paper_workspace, tmp_path),
-                                "records": lines}))
+    shutil.copy(PAPER_MANIFEST.parent / "taxonomy.tsv", tmp_path)
+    (tmp_path / "records.tsv").write_text("\n".join(lines) + "\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("taxonomy=taxonomy.tsv\nrecords=records.tsv\n")
     parsed = _count_parses(monkeypatch)
-    loaded = load_snapshot(snap)
+    built = build_workspace(parse_manifest(manifest))
     interned = {}
-    assert list(loaded.corpus) == [
+    assert list(built.corpus) == [
         stimkb.corpus._parse_record_line(line, None, interned) for line in lines
     ]
     assert parsed == lines
     assert len(stimkb.corpus._PLAN_LAYOUTS) == stimkb.corpus._MAX_PLANS
+    snap = tmp_path / "snap.json"
+    save_snapshot(built, snap)
+    parsed.clear()
+    assert list(load_snapshot(snap).corpus) == list(built.corpus)
+    assert parsed == []
 
 
-# (case, edit of a good snapshot document -> file text, error text)
+def _set(key, i, value):
+    """An edit of one item of a record column."""
+    return _columns(lambda tables, columns: columns[key].__setitem__(i, value))
+
+
+# (case, edit, error text, whether a matching seal still fails the load).
+# A failed check of the structure fails every load, sealed or not; a
+# record that only fails validation loads when its seal matches.
 BAD_SNAPSHOTS = [
-    ("version only", lambda doc: '{"version": 1}', "missing key 'seed'"),
-    ("no vocabularies", lambda doc: json.dumps(
-        {k: v for k, v in doc.items() if k != "vocabularies"}),
-     "missing key 'vocabularies'"),
-    ("not JSON", lambda doc: "not json {", "not JSON"),
-    ("truncated", lambda doc: json.dumps(doc)[:200], "not JSON"),
-    ("top level list", lambda doc: "[1, 2]", "not a JSON object"),
-    ("unknown version", lambda doc: json.dumps({**doc, "version": 2}),
-     "unsupported snapshot version 2"),
-    ("records not a list", lambda doc: json.dumps({**doc, "records": "x"}),
-     "'records' has type str"),
-    ("record not a string", lambda doc: json.dumps({**doc, "records": [7]}),
-     "'records' holds a non-string item"),
-    ("limit not an integer", lambda doc: json.dumps({**doc, "limit": "9"}),
-     "'limit' has type str"),
-    ("limit below 1", lambda doc: json.dumps({**doc, "limit": 0}),
-     "'limit' is 0, not >= 1"),
-    ("malformed record line", _bad_record("db=X\tid=1\tbogus=3"),
-     "records[1]: unknown record field 'bogus'"),
-    ("empty record line", _bad_record(""),
-     "records[1]: record requires db= and id="),
-    ("invalid record", _bad_record("db=X\tid=1\tsem=Object:concept:NoSuch"),
-     "records[1]: record X/1: unknown concept 'NoSuch'"),
-    ("repeated record field", _bad_record("db=A\tid=1\tdb=B\tctx=1"),
-     "records[1]: repeated record field 'db'"),
-    ("NaN dimension SD", _bad_record(
-        "db=X\tid=1\tdim.scale=1:9\tdim.valence=5\tdim.arousalSD=nan"),
-     "records[1]: record X/1: arousalSD=nan is not a number"),
-    ("NaN context length", _bad_record("db=X\tid=1\tctx.lengthSeconds=nan"),
-     "records[1]: record X/1: context length_seconds=nan is not a number"),
-    ("negative context length", _bad_record("db=X\tid=1\tctx.lengthSeconds=-1"),
-     "records[1]: record X/1: context length_seconds=-1.0 is negative"),
-    ("duplicate record", lambda doc: json.dumps(
-        {**doc, "records": doc["records"] + doc["records"][:1]}),
-     "records[4]: duplicate stimulus key"),
-    ("bad taxonomy", lambda doc: json.dumps({**doc, "taxonomy": "A\tB\nB\tA\n"}),
-     "taxonomy is cyclic"),
+    ("version only", _doc(lambda doc: '{"version": 2}'), "missing key 'seed'",
+     True),
+    ("no vocabularies", _doc(lambda doc: json.dumps(
+        {k: v for k, v in doc.items() if k != "vocabularies"})),
+     "missing key 'vocabularies'", True),
+    ("not JSON", _doc(lambda doc: "not json {"), "not JSON", True),
+    ("truncated", _doc(lambda doc: json.dumps(doc)[:200]), "not JSON", True),
+    ("top level list", _doc(lambda doc: "[1, 2]"), "not a JSON object", True),
+    ("version 1", _doc(lambda doc: json.dumps({**doc, "version": 1})),
+     "unsupported snapshot version 1; re-ingest", True),
+    ("unknown version", _doc(lambda doc: json.dumps({**doc, "version": 3})),
+     "unsupported snapshot version 3; re-ingest", True),
+    ("records not an object", _doc(lambda doc: json.dumps(
+        {**doc, "records": ["db=X\tid=1"]})), "'records' has type list", True),
+    ("limit not an integer", _doc(lambda doc: json.dumps({**doc, "limit": "9"})),
+     "'limit' has type str", True),
+    ("limit below 1", _doc(lambda doc: json.dumps({**doc, "limit": 0})),
+     "'limit' is 0, not >= 1", True),
+    ("missing column", _columns(lambda t, c: c.pop("sem")),
+     "missing key 'records.sem'", True),
+    ("missing table", _columns(lambda t, c: t.pop("contexts")),
+     "missing key 'tables.contexts'", True),
+    ("column not a list", _columns(lambda t, c: c.update(id="x")),
+     "'records.id' has type str", True),
+    ("id not a string", _set("id", 1, 8163), "'records.id' holds an integer",
+     True),
+    ("boolean index", _set("db", 0, True), "'records.db' holds a boolean",
+     True),
+    ("number as an index", _set("ctx", 0, 0.0), "'records.ctx' holds a number",
+     True),
+    ("column too short", _columns(lambda t, c: c["db"].pop()),
+     "'records.db' has 3 items, not 4", True),
+    ("flat column too long", _columns(lambda t, c: c["sem"].append(0)),
+     "'records.sem_n' sums to 19, not to the 20 items of 'records.sem'", True),
+    ("count that does not sum", _set("phys_n", 1, 1),
+     "'records.phys_n' sums to 1, not to the 2 items of 'records.path'", True),
+    ("negative count", _columns(lambda t, c: c["sem_n"].__setitem__(
+        slice(0, 2), [-1, 8])), "'records.sem_n' holds a negative count", True),
+    ("negative db index", _set("db", 0, -1),
+     "'records.db' holds an index outside [0, 2)", True),
+    ("context index past the table", _set("ctx", 0, 3),
+     "'records.ctx' holds an index outside [0, 3)", True),
+    ("negative annotation index", _set("sem", 0, -1),
+     "'records.sem' holds an index outside [0, 18)", True),
+    ("semantics index at a category row", _set("sem", 0, 18),
+     "'records.sem' holds an index outside [0, 18)", True),
+    ("category index at a semantics row", _set("cat", 0, 0),
+     "'records.cat' holds an index outside [18, 19)", True),
+    ("negative channel index", _set("chan", 0, -2),
+     "'records.chan' holds an index outside [0, 2)", True),
+    ("empty id", _set("id", 1, ""), "records[1]: empty id", True),
+    ("empty db name", _columns(lambda t, c: t["dbs"].__setitem__(0, "")),
+     "'tables.dbs' holds an empty name", True),
+    ("stray tag", _columns(lambda t, c: t["annotations"][0].__setitem__(
+        0, "bogus")), "a stray row tagged 'bogus'", True),
+    ("tag rows not together", _columns(lambda t, c: t["annotations"].append(
+        t["annotations"][0])), "a stray row tagged 'sem'", True),
+    ("empty annotation row", _columns(lambda t, c: t["annotations"].append([])),
+     "'tables.annotations' holds an empty row", True),
+    ("annotation row too short", _columns(lambda t, c: t["annotations"][0].pop()),
+     "tag 'sem' has a row without 3 fields", True),
+    ("concept and keyword", _columns(lambda t, c: t["annotations"][0].__setitem__(
+        3, "crowd")), "tag 'sem' needs exactly one of concept and keyword",
+     True),
+    ("no concept nor keyword", _columns(
+        lambda t, c: t["annotations"][0].__setitem__(2, None)),
+     "tag 'sem' needs exactly one of concept and keyword", True),
+    ("empty concept", _columns(lambda t, c: t["annotations"][0].__setitem__(
+        2, "")), "tag 'sem' has an empty concept or keyword", True),
+    ("empty category term", _columns(
+        lambda t, c: t["annotations"][18].__setitem__(2, "")),
+     "tag 'cat' has an empty vocabulary or term", True),
+    ("context row too long", _columns(lambda t, c: t["contexts"][0].append(None)),
+     "'tables.contexts' has a row without 15 fields", True),
+    ("fractional context width", _columns(
+        lambda t, c: t["contexts"][0].__setitem__(1, 1.5)),
+     "'tables.contexts' field 1 holds a number", True),
+    ("dimensions without a scale", _set("dim", 1, [1.0]),
+     "'records.dim' holds a vector of 1 or 4 fields, not 2 to 13", True),
+    ("empty dimension vector", _set("dim", 1, []),
+     "'records.dim' holds a vector of 0 or 4 fields, not 2 to 13", True),
+    ("null scale", _set("dim", 1, [None, 9.0, 7.14]),
+     "'records.dim' field 0 holds a null", True),
+    ("dimension as text", _set("dim", 1, [1.0, 9.0, "7.14"]),
+     "'records.dim' field 2 holds a string", True),
+    ("duplicate record", _set("id", 3, "5635"),
+     "records[3]: duplicate stimulus key IAPS/5635", True),
+    ("bad taxonomy", _doc(lambda doc: json.dumps(
+        {**doc, "taxonomy": "A\tB\nB\tA\n"})), "taxonomy is cyclic", True),
+    ("invalid record", _record(1, semantics=(
+        SemanticsAnnotation("Object", "NoSuch"),)),
+     "records[1]: record IAPS/8163: unknown concept 'NoSuch'", False),
+    ("no component", _record(1, semantics=(), categories=(), dimensions=None,
+                             context=None, physiology=()),
+     "records[1]: record IAPS/8163: four-component axiom violated", False),
+    ("NaN dimension SD", _record(
+        1, dimensions=DIMENSIONS_8163._replace(arousalSD=NAN)),
+     "records[1]: record IAPS/8163: arousalSD=nan is not a number", False),
+    ("NaN context length", _record(1, context=ContextRecord(length_seconds=NAN)),
+     "records[1]: record IAPS/8163: context length_seconds=nan is not a number",
+     False),
+    ("negative context length", _record(
+        1, context=ContextRecord(length_seconds=-1.0)),
+     "records[1]: record IAPS/8163: context length_seconds=-1.0 is negative",
+     False),
 ]
 
 
 @pytest.mark.parametrize(
-    "edit, message", [c[1:] for c in BAD_SNAPSHOTS], ids=[c[0] for c in BAD_SNAPSHOTS]
+    "edit, message, structural", [c[1:] for c in BAD_SNAPSHOTS],
+    ids=[c[0] for c in BAD_SNAPSHOTS],
 )
 def test_bad_snapshot_exits_3_naming_file(
-    edit, message, tmp_path, paper_workspace, capsys
+    edit, message, structural, tmp_path, paper_workspace, capsys
 ):
     doc = _snapshot_doc(paper_workspace, tmp_path)
     seal_line = (tmp_path / "good.json").read_bytes()[:SEAL_END + 2]
-    text = edit({k: v for k, v in doc.items() if k != "seal"})
+    text = edit({k: v for k, v in doc.items() if k != "seal"},
+                list(paper_workspace.corpus))
     bad = tmp_path / "bad.json"
-    # The edited document, then the same one behind the good file's seal.
-    variants = [text.encode()]
+    # The edited document, then the same one behind the good file's seal,
+    # then sealed as save_snapshot seals.
+    variants = [(text.encode(), True)]
     if text.startswith("{"):
-        variants.append(seal_line + text.encode()[1:])
-    for data in variants:
+        variants += [(seal_line + text.encode()[1:], True),
+                     (seal_text(text), structural)]
+    for data, fails in variants:
         bad.write_bytes(data)
+        rc = main(["stats", "--snapshot", str(bad)])
+        err = capsys.readouterr().err
+        if not fails:
+            assert (rc, err) == (0, "")
+            continue
         with pytest.raises(SnapshotError) as exc:
             load_snapshot(bad)
         assert str(exc.value).startswith(f"bad snapshot {bad}: ")
         assert message in str(exc.value)
-
-        rc = main(["stats", "--snapshot", str(bad)])
-        err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith(f"error: bad snapshot {bad}: ")
         assert message in err
+
+
+def test_invalid_record_is_reported_before_a_later_repeat(
+    tmp_path, paper_workspace
+):
+    # Records are validated in order up to the first repeated key, so the
+    # first bad record is reported, as a record-by-record load would.
+    doc = _snapshot_doc(paper_workspace, tmp_path)
+    del doc["seal"]
+    text = _record(3, id="5635", semantics=(
+        SemanticsAnnotation("Object", "NoSuch"),))(doc, list(paper_workspace.corpus))
+    snap = tmp_path / "snap.json"
+    for data, message in (
+        (text.encode(), "records[3]: record IAPS/5635: unknown concept 'NoSuch'"),
+        (seal_text(text), "records[3]: duplicate stimulus key IAPS/5635"),
+    ):
+        snap.write_bytes(data)
+        with pytest.raises(SnapshotError) as exc:
+            load_snapshot(snap)
+        assert str(exc.value) == f"bad snapshot {snap}: {message}"
 
 
 def _synthetic_manifest(tmp_path):
@@ -510,17 +718,33 @@ def test_loaded_records_share_one_annotation_per_token(tmp_path):
     assert len(objects) < n_annotations / 2
 
 
-def test_loaded_records_share_one_context_per_load(tmp_path, paper_workspace):
-    lines = [f"db=X\tid={i}\tctx.mediaFormat={'wav' if i % 2 else 'jpg'}"
-             for i in range(6)]
+def test_loaded_records_share_contexts_by_their_text(tmp_path, paper_workspace):
+    # Equal contexts held as separate objects share one object per load;
+    # -0.0 and 0.0 are written as different text, so they stay apart, and
+    # each keeps its sign.
+    corpus = Corpus(paper_workspace.corpus.graph, paper_workspace.corpus.vocabs)
+    lengths = [None, None, None, None, -0.0, 0.0, -0.0]
+    for i, length in enumerate(lengths):
+        corpus.add_stimulus(StimulusRecord("X", str(i), context=ContextRecord(
+            media_format="wav" if i in (1, 3) else "jpg",
+            length_seconds=length)))
     snap = tmp_path / "contexts.json"
-    snap.write_text(json.dumps({**_snapshot_doc(paper_workspace, tmp_path),
-                                "records": lines}))
+    save_snapshot(paper_workspace._replace(corpus=corpus), snap)
     loads = [[r.context for r in load_snapshot(snap).corpus] for _ in range(2)]
     for contexts in loads:
-        assert len({id(c) for c in contexts}) == 2
-        assert all(c is contexts[i % 2] for i, c in enumerate(contexts))
+        assert contexts == [r.context for r in corpus]
+        assert len({id(c) for c in contexts}) == 4
+        assert all(c is contexts[i % 2] for i, c in enumerate(contexts[:4]))
+        assert contexts[4] is contexts[6]
+        assert contexts[4] is not contexts[5]
+        assert math.copysign(1, contexts[4].length_seconds) == -1
+        assert math.copysign(1, contexts[5].length_seconds) == 1
     assert all(a == b and a is not b for a, b in zip(*loads))
+
+
+def _unloadable(doc):
+    """The text of a snapshot document with a negative index."""
+    return _set("db", 0, -1)({k: v for k, v in doc.items() if k != "seal"}, [])
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -528,7 +752,7 @@ def test_load_restores_the_collector_state(enabled, tmp_path, paper_workspace):
     doc = _snapshot_doc(paper_workspace, tmp_path)
     good = tmp_path / "good.json"
     bad = tmp_path / "bad.json"
-    bad.write_text(_bad_record("db=X\tid=1\tbogus=3")(doc))
+    bad.write_text(_unloadable(doc))
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -548,7 +772,7 @@ def test_good_load_freezes_the_workspace(enabled, tmp_path):
     save_snapshot(ws, good)
     doc = json.loads(good.read_text())
     bad = tmp_path / "bad.json"
-    bad.write_text(_bad_record("db=X\tid=1\tbogus=3")(doc))
+    bad.write_text(_unloadable(doc))
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
