@@ -366,7 +366,7 @@ def _record_columns(records):
 
     refs = list(chain.from_iterable(fields["physiology"]))
     columns["phys_n"] = list(map(len, fields["physiology"]))
-    columns["path"] = list(map(itemgetter(0), refs))
+    columns["path"] = list(map(itemgetter(0), refs))  # PhysiologyRef.path
     channels, columns["chan"] = _interned(list(map(itemgetter(1), refs)))
     tables = {"annotations": rows, "contexts": contexts, "dbs": dbs,
               "channels": channels}
@@ -687,6 +687,7 @@ def load_snapshot(path):
 def _concept_index(records, keys):
     """Corpus.concept_index of `records`, whose keys are `keys`: each
     annotation concept -> the set of keys of the records that carry it."""
+    # Field 2 of a record is its semantics; field 1 of those, the concept.
     semantics = list(map(itemgetter(2), records))
     concepts = list(map(itemgetter(1), chain.from_iterable(semantics)))
     owners = chain.from_iterable(map(repeat, keys, map(len, semantics)))
