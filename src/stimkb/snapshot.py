@@ -470,11 +470,9 @@ def _annotations(tag, rows):
     return list(map(build, rows))
 
 
-
-def _per_record(counts, indices, table):
-    """The items `table[i]` for i in `indices`, in order, regrouped into
-    one tuple per record: counts[k] of them for record k."""
-    items = map(table.__getitem__, indices)
+def _per_record(counts, items):
+    """The items of iterator `items`, in order, regrouped into one tuple
+    per record: counts[k] of them for record k."""
     if max(counts, default=0) <= 1:
         # At most one item per record (or none at all, as for most
         # annotation kinds): each record's tuple is one of zip's 1-tuples,
@@ -547,7 +545,7 @@ def _records(tables, columns):
         start, size = per_tag.get(tag, (0, 0))
         _check_indices(f"'records.{tag}'", columns[tag], size, start)
         fields[field] = _per_record(
-            columns[f"{tag}_n"], columns[tag], annotations)
+            columns[f"{tag}_n"], map(annotations.__getitem__, columns[tag]))
 
     # A dimension vector holds its scale and then the other fields up to
     # the last one set; the load pads it with nulls.
@@ -565,9 +563,9 @@ def _records(tables, columns):
     padding = [[None] * (_DIMENSION_FIELDS - k)
                for k in range(_DIMENSION_FIELDS + 1)]
     full = map(add, vectors, map(padding.__getitem__, map(len, vectors)))
-    at = dict(zip(compress(count(), present),
-                  map(partial(tuple.__new__, DimensionAnnotation), full)))
-    fields["dimensions"] = map(at.get, range(n))
+    dims_at = dict(zip(compress(count(), present),
+                       map(partial(tuple.__new__, DimensionAnnotation), full)))
+    fields["dimensions"] = map(dims_at.get, range(n))
 
     contexts = tables["contexts"]
     _check_rows("'tables.contexts'", contexts, _CONTEXT_TYPES)
@@ -575,18 +573,16 @@ def _records(tables, columns):
     _check_indices("'records.ctx'",
                    list(compress(ctx, map(is_not, ctx, repeat(None)))),
                    len(contexts))
-    at = dict(enumerate(map(partial(tuple.__new__, ContextRecord), contexts)))
-    at[None] = None
-    fields["context"] = map(at.__getitem__, ctx)
+    context_at = dict(enumerate(
+        map(partial(tuple.__new__, ContextRecord), contexts)))
+    context_at[None] = None
+    fields["context"] = map(context_at.__getitem__, ctx)
 
     channels = tables["channels"]
     _check_indices("'records.chan'", columns["chan"], len(channels))
-    refs = list(map(
-        partial(tuple.__new__, PhysiologyRef),
-        zip(columns["path"], map(channels.__getitem__, columns["chan"])),
-    ))
-    fields["physiology"] = _per_record(columns["phys_n"], range(len(refs)),
-                                       refs)
+    refs = map(partial(tuple.__new__, PhysiologyRef),
+               zip(columns["path"], map(channels.__getitem__, columns["chan"])))
+    fields["physiology"] = _per_record(columns["phys_n"], refs)
 
     db_names = list(map(dbs.__getitem__, columns["db"]))
     fields["db"], fields["id"] = db_names, ids
