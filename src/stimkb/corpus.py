@@ -29,7 +29,9 @@ the 1..9 scale.
 """
 
 import re
-from collections import namedtuple
+from collections import deque, namedtuple
+from itertools import chain, compress, repeat
+from operator import itemgetter
 
 from .affect import (
     DIMENSION_NAMES,
@@ -220,11 +222,45 @@ class Corpus:
             if sem.concept:
                 self.concept_index.setdefault(sem.concept, set()).add(key)
 
+    def index_all(self, records, keys):
+        """Index `records`, whose keys are `keys`, in one pass into this
+        empty corpus, as add_stimulus would one by one, but without
+        validating them.  Return the position of the first record whose
+        key repeats an earlier one's, or len(records) if none does; a
+        corpus with a repeated key is incomplete and must be dropped."""
+        self.records = dict(zip(keys, records))
+        self.concept_index = _concept_index(records, keys)
+        if len(self.records) == len(records):
+            return len(records)
+        seen = set()
+        for i, key in enumerate(keys):
+            if key in seen:
+                return i
+            seen.add(key)
+
     def __len__(self):
         return len(self.records)
 
     def __iter__(self):
         return iter(self.records.values())
+
+
+def _concept_index(records, keys):
+    """Corpus.concept_index of `records`, whose keys are `keys`: each
+    annotation concept -> the set of keys of the records that carry it."""
+    # Field 2 of a record is its semantics; field 1 of those, the concept.
+    semantics = list(map(itemgetter(2), records))
+    concepts = list(map(itemgetter(1), chain.from_iterable(semantics)))
+    owners = chain.from_iterable(map(repeat, keys, map(len, semantics)))
+    # index.setdefault(concept, set()).add(key) for each (concept, key)
+    # pair with a concept, in C: a loop in Python takes twice as long.
+    index = {}
+    deque(map(
+        set.add,
+        map(index.setdefault, filter(None, concepts), map(set, repeat(()))),
+        compress(owners, concepts),
+    ), maxlen=0)
+    return index
 
 
 def invalid_record(rec, problems, lineno=None):

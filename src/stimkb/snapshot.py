@@ -14,7 +14,7 @@ every record with C-level `map`/`zip` calls and parses no record text.
 
 import gc
 import json
-from collections import deque, namedtuple
+from collections import namedtuple
 from functools import partial
 from itertools import chain, compress, count, groupby, islice, repeat, zip_longest
 from operator import add, is_, is_not, itemgetter
@@ -417,12 +417,20 @@ def _snapshot_problem(doc):
 
 
 def _check_types(name, items, allowed):
-    """Raise SnapshotError unless every item of `items` has a JSON type in
-    `allowed`."""
+    """Raise SnapshotError unless every item of list `items` has a JSON
+    type in `allowed` and no string among them holds a tab or a line
+    break, which no input line can hold and which would shift the columns
+    of the TSV output."""
     found = set(map(type, items))
     if not found <= allowed:
         wrong = sorted(_JSON_NAMES[t] for t in found - allowed)
         raise SnapshotError(f"{name} holds {wrong[0]}")
+    if str in found:
+        if found != {str}:
+            items = compress(items, map(is_, map(type, items), repeat(str)))
+        text = "".join(items)
+        if "\t" in text or "\n" in text or "\r" in text:
+            raise SnapshotError(f"{name} holds a tab or a line break")
 
 
 def _check_indices(name, indices, size, start=0):
@@ -454,8 +462,8 @@ def _annotations(tag, rows):
             raise SnapshotError(f"{name} is not a list of (name, value) pairs")
         names = list(map(itemgetter(slice(0, None, 2)), rows))
         values = list(map(itemgetter(slice(1, None, 2)), rows))
-        _check_types(f"{name} name", chain.from_iterable(names), _TEXT)
-        _check_types(f"{name} value", chain.from_iterable(values), _NUM)
+        _check_types(f"{name} name", list(chain.from_iterable(names)), _TEXT)
+        _check_types(f"{name} value", list(chain.from_iterable(values)), _NUM)
         return list(map(build, zip(map(tuple, map(zip, names, values)))))
     columns = _check_rows(name, rows, types)
     if tag == "sem":
@@ -473,12 +481,6 @@ def _annotations(tag, rows):
 def _per_record(counts, items):
     """The items of iterator `items`, in order, regrouped into one tuple
     per record: counts[k] of them for record k."""
-    if max(counts, default=0) <= 1:
-        # At most one item per record (or none at all, as for most
-        # annotation kinds): each record's tuple is one of zip's 1-tuples,
-        # or (), which is twice as fast as an islice per record.
-        at = dict(zip(compress(count(), counts), zip(items)))
-        return map(at.get, range(len(counts)), repeat(()))
     return map(tuple, map(islice, repeat(items), counts))
 
 
@@ -578,7 +580,14 @@ def _records(tables, columns):
     context_at[None] = None
     fields["context"] = map(context_at.__getitem__, ctx)
 
+    # A records file writes a reference `path channel`, and packs several
+    # with `;`.
+    paths = "".join(columns["path"])
+    if " " in paths or ";" in paths:
+        raise SnapshotError("'records.path' holds a space or a ';'")
     channels = tables["channels"]
+    if "" in channels or ";" in "".join(filter(None, channels)):
+        raise SnapshotError("'tables.channels' holds an empty name or a ';'")
     _check_indices("'records.chan'", columns["chan"], len(channels))
     refs = map(partial(tuple.__new__, PhysiologyRef),
                zip(columns["path"], map(channels.__getitem__, columns["chan"])))
@@ -640,28 +649,22 @@ def load_snapshot(path):
     try:
         records, keys = _records(doc["tables"], doc["records"])
         del doc["tables"], doc["records"]  # freed before the index is built
-        corpus.records = dict(zip(keys, records))
-        last = len(records)  # the first repeated key's record, if any
-        if len(corpus.records) != len(records):
-            seen = set()
-            for last, key in enumerate(keys):
-                if key in seen:
-                    break
-                seen.add(key)
+        repeated = corpus.index_all(records, keys)
         if not sealed:
+            # Validated in order up to the first repeated key, so that the
+            # first problem is reported as add_stimulus would report it.
             # Looked up on the module at each load, so that call wrappers
             # installed there (as the benchmark's traced run does) see
             # every record.
             validate = corpus_module.validate_stimulus
-            for i, rec in enumerate(records[:last + 1]):
+            for i, rec in enumerate(records[:repeated + 1]):
                 problems = validate(rec, graph, vocabs)
                 if problems:
                     raise SnapshotError(
                         f"records[{i}]: {invalid_record(rec, problems)}")
-        if last < len(records):
+        if repeated < len(records):
             raise SnapshotError(
-                f"records[{last}]: duplicate stimulus key {keys[last]}")
-        corpus.concept_index = _concept_index(records, keys)
+                f"records[{repeated}]: duplicate stimulus key {keys[repeated]}")
     except SnapshotError as e:
         raise SnapshotError(f"bad snapshot {path}: {e}") from None
     else:
@@ -678,21 +681,3 @@ def load_snapshot(path):
         seed=doc["seed"],
         limit=doc["limit"],
     )
-
-
-def _concept_index(records, keys):
-    """Corpus.concept_index of `records`, whose keys are `keys`: each
-    annotation concept -> the set of keys of the records that carry it."""
-    # Field 2 of a record is its semantics; field 1 of those, the concept.
-    semantics = list(map(itemgetter(2), records))
-    concepts = list(map(itemgetter(1), chain.from_iterable(semantics)))
-    owners = chain.from_iterable(map(repeat, keys, map(len, semantics)))
-    # index.setdefault(concept, set()).add(key) for each (concept, key)
-    # pair with a concept, in C: a loop in Python takes twice as long.
-    index = {}
-    deque(map(
-        set.add,
-        map(index.setdefault, filter(None, concepts), map(set, repeat(()))),
-        compress(owners, concepts),
-    ), maxlen=0)
-    return index

@@ -558,6 +558,33 @@ BAD_SNAPSHOTS = [
      "'records.dim' field 0 holds a null", True),
     ("dimension as text", _set("dim", 1, [1.0, 9.0, "7.14"]),
      "'records.dim' field 2 holds a string", True),
+    ("tab in an id", _set("id", 1, "81\t63"),
+     "'records.id' holds a tab or a line break", True),
+    ("tab in a db name", _columns(lambda t, c: t["dbs"].__setitem__(0, "IA\tDS")),
+     "'tables.dbs' holds a tab or a line break", True),
+    ("line break in a keyword", _columns(
+        lambda t, c: t["annotations"][6].__setitem__(3, "Winter\nStreet")),
+     "tag 'sem' field 2 holds a tab or a line break", True),
+    ("tab in a category term", _columns(
+        lambda t, c: t["annotations"][18].__setitem__(2, "happi\tness")),
+     "tag 'cat' field 1 holds a tab or a line break", True),
+    ("line break in a context field", _columns(
+        lambda t, c: t["contexts"][0].__setitem__(0, "w\rav")),
+     "'tables.contexts' field 0 holds a tab or a line break", True),
+    ("tab in a dimension level", _set("dim", 1, [1.0, 9.0] + [None] * (
+        DimensionAnnotation._fields.index("confidence_level") - 2) + ["a\tb"]),
+     f"'records.dim' field {DimensionAnnotation._fields.index('confidence_level')}"
+     " holds a tab or a line break", True),
+    ("space in a physiology path", _set("path", 0, "http://x/s1 hr"),
+     "'records.path' holds a space or a ';'", True),
+    ("';' in a physiology path", _set("path", 1, "http://x/s1;hr"),
+     "'records.path' holds a space or a ';'", True),
+    ("tab in a physiology path", _set("path", 1, "http://x/s1\thr"),
+     "'records.path' holds a tab or a line break", True),
+    ("empty channel", _columns(lambda t, c: t["channels"].__setitem__(0, "")),
+     "'tables.channels' holds an empty name or a ';'", True),
+    ("';' in a channel", _columns(lambda t, c: t["channels"].__setitem__(1, "S;R")),
+     "'tables.channels' holds an empty name or a ';'", True),
     ("duplicate record", _set("id", 3, "5635"),
      "records[3]: duplicate stimulus key IAPS/5635", True),
     ("bad taxonomy", _doc(lambda doc: json.dumps(
