@@ -237,21 +237,6 @@ def test_index_consistency_full_rebuild(paper_workspace):
     assert concept_index == corpus.concept_index
 
 
-def test_index_all_indexes_as_add_stimulus_does(paper_workspace):
-    records = list(paper_workspace.corpus)
-    keys = [rec.key for rec in records]
-    corpus = Corpus(paper_workspace.graph, paper_workspace.corpus.vocabs)
-    assert corpus.index_all(records, keys) == len(records)
-    assert corpus.records == paper_workspace.corpus.records
-    assert list(corpus.records) == keys
-    assert corpus.concept_index == paper_workspace.corpus.concept_index
-    # The position of the first record whose key repeats an earlier one's.
-    twice = records + records[2:3] + records
-    assert Corpus(corpus.graph, corpus.vocabs).index_all(
-        twice, [rec.key for rec in twice]) == len(records)
-    assert Corpus(corpus.graph, corpus.vocabs).index_all([], []) == 0
-
-
 def test_add_get_round_trip_and_duplicates():
     corpus = Corpus(_tiny_graph(), BIG_SIX)
     rec = StimulusRecord(
