@@ -275,7 +275,11 @@ def _parse_number(text, kind, what, lineno):
     try:
         return kind(text)
     except ValueError:
-        raise ParseError(f"non-numeric {what}: {text!r}", line=lineno) from None
+        raise _non_numeric(what, text, lineno) from None
+
+
+def _non_numeric(what, text, lineno):
+    return ParseError(f"non-numeric {what}: {text!r}", line=lineno)
 
 
 def _split_confidence(value, lineno):
@@ -320,10 +324,17 @@ def _parse_cat(value, lineno):
     return CategoryAnnotation(vocab, term, level, cvalue)
 
 
-# Exact-key dispatch for parse_record_line.  `dim.*` keys map to the
-# DimensionAnnotation field; `ctx.*` keys to the position of the
-# ContextRecord field and its number type (None for text).
-_DIM_KEYS = {f"dim.{name}": name for name in DIMENSION_NAMES + DIMENSION_SD_NAMES}
+# Exact-key dispatch for parse_record_line: each `dim.*` key to the
+# position of its DimensionAnnotation field and its number type, and each
+# `ctx.*` key to the position of its ContextRecord field and its number
+# type (None for text).  dim.scale fills positions 0 and 1.
+_DIM_ORDER = DimensionAnnotation._fields
+_DIM_KEYS = {
+    f"dim.{name}": (_DIM_ORDER.index(name), float)
+    for name in DIMENSION_NAMES + DIMENSION_SD_NAMES
+}
+_DIM_KEYS["dim.level"] = (_DIM_ORDER.index("confidence_level"), None)
+_DIM_KEYS["dim.value"] = (_DIM_ORDER.index("confidence_value"), float)
 _CTX_ORDER = ContextRecord._fields
 _CTX_KEYS = {
     f"ctx.{wire}": (_CTX_ORDER.index(attr), _CONTEXT_NUMBER_TYPES.get(wire))
@@ -338,12 +349,8 @@ def _repeated(key, lineno):
 def _parse_record_line(line, lineno, interned):
     """The general record-line parser: what parse_record_line does for a
     line that no plan handles, token by token."""
-    db = rid = None
+    db = rid = dim = ctx = None
     sems, cats, apps, tends, sents, phys = [], [], [], [], [], []
-    dim = {}
-    ctx = [None] * len(_CTX_ORDER)
-    ctx_tokens = [None] * len(_CTX_ORDER)  # raw text, for the interning key
-    has_ctx = False
     for token in line.split("\t"):
         key, sep, value = token.partition("=")
         if not sep:
@@ -358,19 +365,35 @@ def _parse_record_line(line, lineno, interned):
                         ann = interned[("sem", v)] = _parse_sem(v, lineno)
                     sems.append(ann)
         elif key in _DIM_KEYS:
-            name = _DIM_KEYS[key]
-            if name in dim:
+            if dim is None:
+                dim = [None] * len(_DIM_ORDER)
+            i, kind = _DIM_KEYS[key]
+            if dim[i] is not None:
                 raise _repeated(key, lineno)
-            dim[name] = _parse_number(value, float, f"dimension {name}", lineno)
+            if kind is None:
+                dim[i] = value
+            else:
+                try:
+                    dim[i] = kind(value)
+                except ValueError:
+                    what = ("dimension confidence" if key == "dim.value"
+                            else f"dimension {key[4:]}")
+                    raise _non_numeric(what, value, lineno) from None
         elif key in _CTX_KEYS:
+            if ctx is None:
+                ctx = [None] * len(_CTX_ORDER)
+                ctx_tokens = [None] * len(_CTX_ORDER)  # for the interning key
             i, kind = _CTX_KEYS[key]
             if ctx_tokens[i] is not None:
                 raise _repeated(key, lineno)
-            has_ctx = True
             ctx_tokens[i] = token
-            ctx[i] = value if kind is None else _parse_number(
-                value, kind, key[4:], lineno
-            )
+            if kind is None:
+                ctx[i] = value
+            else:
+                try:
+                    ctx[i] = kind(value)
+                except ValueError:
+                    raise _non_numeric(key[4:], value, lineno) from None
         elif key == "db":
             if db is not None:
                 raise _repeated(key, lineno)
@@ -387,21 +410,25 @@ def _parse_record_line(line, lineno, interned):
                         ann = interned[("cat", v)] = _parse_cat(v, lineno)
                     cats.append(ann)
         elif key == "dim.scale":
-            if "scale_min" in dim:
+            if dim is None:
+                dim = [None] * len(_DIM_ORDER)
+            if dim[0] is not None:
                 raise _repeated(key, lineno)
             lo, sep2, hi = value.partition(":")
             if not sep2:
                 raise ParseError(f"expected `min:max`, got {value!r}", line=lineno)
-            dim["scale_min"] = _parse_number(lo, float, "scale min", lineno)
-            dim["scale_max"] = _parse_number(hi, float, "scale max", lineno)
+            dim[0] = _parse_number(lo, float, "scale min", lineno)
+            dim[1] = _parse_number(hi, float, "scale max", lineno)
         elif key == "phys":
             for v in value.split(";"):
                 if v:
                     path, _, channel = v.partition(" ")
-                    phys.append(PhysiologyRef(path, channel or None))
+                    phys.append(tuple.__new__(PhysiologyRef, (path, channel or None)))
         elif key == "ctx":
             # Presence marker for a context with no metadata.
-            has_ctx = True
+            if ctx is None:
+                ctx = [None] * len(_CTX_ORDER)
+                ctx_tokens = [None] * len(_CTX_ORDER)
         elif key == "appraisal":
             for v in value.split(";"):
                 if v:
@@ -421,16 +448,6 @@ def _parse_record_line(line, lineno, interned):
                     _parse_number(payload, float, "sentiment", lineno), level, cvalue
                 )
             )
-        elif key == "dim.level":
-            if "confidence_level" in dim:
-                raise _repeated(key, lineno)
-            dim["confidence_level"] = value
-        elif key == "dim.value":
-            if "confidence_value" in dim:
-                raise _repeated(key, lineno)
-            dim["confidence_value"] = _parse_number(
-                value, float, "dimension confidence", lineno
-            )
         elif key.startswith("dim."):
             raise ParseError(f"unknown dimension field {key[4:]!r}", line=lineno)
         elif key.startswith("ctx."):
@@ -441,23 +458,21 @@ def _parse_record_line(line, lineno, interned):
     if not db or not rid:
         raise ParseError("record requires db= and id=", line=lineno)
 
-    dimensions = None
-    if dim:
-        if "scale_min" not in dim:
+    dimensions = context = None
+    if dim is not None:
+        if dim[0] is None:
             raise ParseError(
                 "dimension values require dim.scale=min:max", line=lineno
             )
-        dimensions = DimensionAnnotation(**dim)
+        dimensions = tuple.__new__(DimensionAnnotation, dim)
 
-    context = None
-    if has_ctx:
-        ckey = ("ctx", "\t".join(t for t in ctx_tokens if t is not None))
+    if ctx is not None:
+        ckey = ("ctx", "\t".join(filter(None, ctx_tokens)))
         context = interned.get(ckey)
         if context is None:
-            context = interned[ckey] = ContextRecord(*ctx)
+            context = interned[ckey] = tuple.__new__(ContextRecord, ctx)
 
-    # Positional arguments, in field order: cheaper than keywords.
-    return StimulusRecord(
+    return tuple.__new__(StimulusRecord, (
         db,
         rid,
         tuple(sems),
@@ -468,7 +483,7 @@ def _parse_record_line(line, lineno, interned):
         tuple(sents),
         context,
         tuple(phys),
-    )
+    ))
 
 
 # Plans: parse_record_line's fast path.  A plan is a function generated for
@@ -478,13 +493,10 @@ def _parse_record_line(line, lineno, interned):
 # general parser does.  It returns the record, or None when the line is not
 # of its layout or has a bad value; the general parser then parses the line
 # again and raises the same ParseError at the same token.
-_SINGLE_KEYS = frozenset(
-    {"db", "id", "dim.scale", "dim.level", "dim.value", *_DIM_KEYS, *_CTX_KEYS}
-)
+_SINGLE_KEYS = frozenset({"db", "id", "dim.scale", *_DIM_KEYS, *_CTX_KEYS})
 _REPEATABLE_KEYS = frozenset(
     {"", "sem", "cat", "appraisal", "tendency", "sentiment", "phys", "ctx"}
 )
-_DIM_ORDER = DimensionAnnotation._fields
 # A plan takes about 1 ms to generate and compile (2-vCPU host), as long
 # as the general parser takes for ~50 lines; the bound keeps a file whose
 # every line has a new layout close to the general parser's speed.
@@ -547,11 +559,11 @@ def _plan_source(layout):
                 f"parse_{key})",
                 f"else: {key}s.append(a)",
             ]
-        elif key in _DIM_KEYS or key == "dim.value":
-            body.append(f"{v} = float({v})")
-            dim[_DIM_KEYS.get(key, "confidence_value")] = v
-        elif key == "dim.level":
-            dim["confidence_level"] = v
+        elif key in _DIM_KEYS:
+            pos, kind = _DIM_KEYS[key]
+            if kind is not None:
+                body.append(f"{v} = float({v})")
+            dim[_DIM_ORDER[pos]] = v
         elif key in _CTX_KEYS:
             pos, kind = _CTX_KEYS[key]
             ctx[pos] = v

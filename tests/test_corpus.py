@@ -656,9 +656,8 @@ _VALUES = {
     "sentiment": st.tuples(_NUMBER, _CONF_PART).map("".join),
     "ctx": st.just("1"),
     "dim.scale": st.tuples(_NUMBER, _NUMBER).map(":".join),
-    "dim.level": _NAME,
-    "dim.value": _NUMBER,
-    **{key: _NUMBER for key in stimkb.corpus._DIM_KEYS},
+    **{key: _NAME if kind is None else _NUMBER
+       for key, (_, kind) in stimkb.corpus._DIM_KEYS.items()},
     **{key: _NAME if kind is None else _NUMBER
        for key, (_, kind) in stimkb.corpus._CTX_KEYS.items()},
 }
