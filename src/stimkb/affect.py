@@ -178,7 +178,6 @@ class EquivalenceClosure:
     def __init__(self, axioms=()):
         neighbours = {}
         for a, b in axioms:
-            a, b = self._check(a), self._check(b)
             if a != b:
                 neighbours.setdefault(a, set()).add(b)
                 neighbours.setdefault(b, set()).add(a)
@@ -196,12 +195,6 @@ class EquivalenceClosure:
                 members = frozenset(members)
                 self._class_of.update(dict.fromkeys(members, members))
 
-    @staticmethod
-    def _check(term):
-        if term.count(".") < 1 or term.startswith(".") or term.endswith("."):
-            raise ParseError(f"malformed qualified term {term!r}")
-        return term
-
     def are_equivalent(self, a, b):
         return a == b or b in self._class_of.get(a, ())
 
@@ -215,11 +208,17 @@ class EquivalenceClosure:
 
 
 def parse_axioms(text):
-    """Parse `vocabA<TAB>termA<TAB>vocabB<TAB>termB` lines into term pairs."""
+    """Parse `vocabA<TAB>termA<TAB>vocabB<TAB>termB` lines into pairs of
+    qualified terms `vocab.term`; a qualified term must not start or end
+    with `.`."""
     axioms = []
     shape = "vocabA<TAB>termA<TAB>vocabB<TAB>termB"
     for lineno, (va, ta, vb, tb) in tab_rows(text, shape):
         if not all((va, ta, vb, tb)):
             raise ParseError("empty field in axiom", line=lineno)
-        axioms.append((f"{va}.{ta}", f"{vb}.{tb}"))
+        pair = (f"{va}.{ta}", f"{vb}.{tb}")
+        for term in pair:
+            if term.startswith(".") or term.endswith("."):
+                raise ParseError(f"malformed qualified term {term!r}", line=lineno)
+        axioms.append(pair)
     return axioms

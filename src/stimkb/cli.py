@@ -28,9 +28,18 @@ EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
 
+def _manifest_workspace(path):
+    """build_workspace of the manifest file at `path`.  An input it names
+    that cannot be read names the manifest as well as the input."""
+    manifest = parse_manifest(path)
+    try:
+        return build_workspace(manifest)
+    except OSError as e:
+        raise OSError(f"manifest file {path}: {e}") from None
+
+
 def _cmd_ingest(args):
-    manifest = parse_manifest(args.manifest)
-    ws = build_workspace(manifest)
+    ws = _manifest_workspace(args.manifest)
     save_snapshot(ws, args.snapshot)
     mapped = len(ws.mapping) if ws.mapping is not None else 0
     print(
@@ -44,8 +53,7 @@ def _cmd_ingest(args):
 
 
 def _cmd_validate(args):
-    manifest = parse_manifest(args.manifest)
-    ws = build_workspace(manifest)
+    ws = _manifest_workspace(args.manifest)
     print(f"ok: {len(ws.corpus)} records, {len(ws.graph.concepts)} concepts")
     return EXIT_OK
 

@@ -28,7 +28,6 @@ Legacy table format: TSV with header
 the 1..9 scale.
 """
 
-import re
 from collections import deque, namedtuple
 from itertools import chain, compress, repeat
 from operator import itemgetter
@@ -346,9 +345,18 @@ def _repeated(key, lineno):
     return ParseError(f"repeated record field {key!r}", line=lineno)
 
 
-def _parse_record_line(line, lineno, interned):
-    """The general record-line parser: what parse_record_line does for a
-    line that no plan handles, token by token."""
+def parse_record_line(line, lineno, interned):
+    """Parse one record line (format in the module docstring), token by
+    token; the first malformed token raises ParseError, naming `lineno`
+    unless it is None.  Does not validate.
+
+    `interned` maps ("sem" or "cat", value) to the annotation parsed from
+    it, and ("ctx", the line's `ctx.*` tokens in field order, tab-joined)
+    to the ContextRecord built from them.  Pass one dict to all the lines
+    of a file, so that records with the same `sem=`/`cat=` value, or the
+    same context tokens, share one object; only values that parse are
+    stored, and a context only once its whole line has parsed.
+    """
     db = rid = dim = ctx = None
     sems, cats, apps, tends, sents, phys = [], [], [], [], [], []
     for token in line.split("\t"):
@@ -484,223 +492,6 @@ def _parse_record_line(line, lineno, interned):
         context,
         tuple(phys),
     ))
-
-
-# Plans: parse_record_line's fast path.  A plan is a function generated for
-# one key layout, the tuple of a line's token keys ("" for an empty token).
-# One regex fullmatch checks that a line has that layout and extracts every
-# value; the plan then converts, interns and builds in token order, as the
-# general parser does.  It returns the record, or None when the line is not
-# of its layout or has a bad value; the general parser then parses the line
-# again and raises the same ParseError at the same token.
-_SINGLE_KEYS = frozenset({"db", "id", "dim.scale", *_DIM_KEYS, *_CTX_KEYS})
-_REPEATABLE_KEYS = frozenset(
-    {"", "sem", "cat", "appraisal", "tendency", "sentiment", "phys", "ctx"}
-)
-# A plan takes about 1 ms to generate and compile (2-vCPU host), as long
-# as the general parser takes for ~50 lines; the bound keeps a file whose
-# every line has a new layout close to the general parser's speed.
-_MAX_PLANS = 16
-# Each plan under the tab count of its layout; _PLAN_LAYOUTS holds the
-# layouts.  Filled as layouts are first seen, up to _MAX_PLANS plans.
-_PLANS = {}
-_PLAN_LAYOUTS = set()
-
-
-def _intern_items(out, field, value, interned, parse):
-    """Append to `out` the interned annotation of each non-empty
-    `;`-separated item of `value`, parsing the new ones."""
-    for v in value.split(";"):
-        if v:
-            ann = interned.get((field, v))
-            if ann is None:
-                ann = interned[(field, v)] = parse(v, None)
-            out.append(ann)
-
-
-def _plan_source(layout):
-    """(regex, source of `plan(line, interned)`) for a layout, or None
-    when it has a key the general parser rejects: an unknown or repeated
-    single-valued key, no db or id, or `dim.*` keys without dim.scale."""
-    singles = [k for k in layout if k in _SINGLE_KEYS]
-    dims = [k for k in singles if k.startswith("dim.")]
-    if (
-        not _SINGLE_KEYS.union(_REPEATABLE_KEYS).issuperset(layout)
-        or len(singles) != len(set(singles))
-        or "db" not in singles
-        or "id" not in singles
-        or (dims and "dim.scale" not in dims)
-    ):
-        return None
-    pattern, groups, body = [], [], []
-    lists = set()  # record fields collected in lists: sems, cats, apps...
-    dim = {}  # DimensionAnnotation field -> local name
-    ctx = {}  # ContextRecord position -> local name of the value
-    ctx_tokens = {}  # ContextRecord position -> f-string text of the token
-    has_ctx = False
-    for i, key in enumerate(layout):
-        v = f"v{i}"
-        if not key:
-            pattern.append("")
-        elif key == "dim.scale":
-            pattern.append(r"dim\.scale=([^\t:]*):([^\t]*)")
-            groups += [f"{v}lo", f"{v}hi"]
-            body.append(f"{v}lo = float({v}lo); {v}hi = float({v}hi)")
-            dim["scale_min"], dim["scale_max"] = f"{v}lo", f"{v}hi"
-        else:
-            value = "[^\t]+" if key in ("db", "id") else "[^\t]*"
-            pattern.append(f"{re.escape(key)}=({value})")
-            groups.append(v)
-        if key in ("sem", "cat"):
-            lists.add(f"{key}s")
-            body += [
-                f"a = get(({key!r}, {v}))",
-                f"if a is None: intern_items({key}s, {key!r}, {v}, interned, "
-                f"parse_{key})",
-                f"else: {key}s.append(a)",
-            ]
-        elif key in _DIM_KEYS:
-            pos, kind = _DIM_KEYS[key]
-            if kind is not None:
-                body.append(f"{v} = float({v})")
-            dim[_DIM_ORDER[pos]] = v
-        elif key in _CTX_KEYS:
-            pos, kind = _CTX_KEYS[key]
-            ctx[pos] = v
-            if kind is not None:
-                # The number goes to its own local: the key needs the text.
-                ctx[pos] = f"{v}n"
-                body.append(f"{v}n = {kind.__name__}({v})")
-            ctx_tokens[pos] = f"{key}={{{v}}}"
-        elif key == "ctx":
-            has_ctx = True
-        elif key == "appraisal":
-            lists.add("apps")
-            body += [
-                f"for item in {v}.split(';'):",
-                "    if item:",
-                "        name, sep, num = item.rpartition(':')",
-                "        if not sep: return None",
-                "        apps.append((name, float(num)))",
-            ]
-        elif key == "tendency":
-            lists.add("tends")
-            body.append(f"tends.append(Tendency(*split_confidence({v}, None)))")
-        elif key == "sentiment":
-            lists.add("sents")
-            body += [
-                f"payload, level, cvalue = split_confidence({v}, None)",
-                "sents.append(Sentiment(float(payload), level, cvalue))",
-            ]
-        elif key == "phys":
-            lists.add("phys")
-            body += [
-                f"for item in {v}.split(';'):",
-                "    if item:",
-                "        path, _, channel = item.partition(' ')",
-                "        phys.append(Physiology(path, channel or None))",
-            ]
-
-    def collected(name):
-        return f"tuple({name})" if name in lists else "()"
-
-    db, rid = f"v{layout.index('db')}", f"v{layout.index('id')}"
-    dimensions = context = "None"
-    intern_context = []
-    if dim:
-        args = ", ".join(dim.get(name, "None") for name in _DIM_ORDER)
-        dimensions = f"Dimension({args})"
-    if ctx or has_ctx:
-        # Interned after every value has converted, as the general parser
-        # does, under the ctx tokens' raw text in field order.
-        text = "\t".join(ctx_tokens[i] for i in sorted(ctx_tokens))
-        ckey = f"('ctx', f{text!r})" if text else "('ctx', '')"
-        args = ", ".join(ctx.get(i, "None") for i in range(len(_CTX_ORDER)))
-        context = "context"
-        intern_context = [
-            f"    ckey = {ckey}",
-            "    context = get(ckey)",
-            f"    if context is None: context = interned[ckey] = Context({args})",
-        ]
-    appraisals = "(Appraisal(tuple(apps)),) if apps else ()"
-    if "apps" not in lists:
-        appraisals = "()"
-    source = "\n".join([
-        "def plan(line, interned):",
-        "    m = match(line)",
-        "    if m is None: return None",
-        f"    {', '.join(groups)}, = m.groups()",
-        "    get = interned.get",
-        *(f"    {name} = []" for name in sorted(lists)),
-        "    try:",
-        *(f"        {stmt}" for stmt in body or ["pass"]),
-        "    except (ValueError, ParseError):",
-        "        return None",
-        *intern_context,
-        f"    return Record({db}, {rid}, {collected('sems')}, {collected('cats')}, "
-        f"{dimensions}, {appraisals}, {collected('tends')}, "
-        f"{collected('sents')}, {context}, {collected('phys')})",
-    ])
-    return "\t".join(pattern), source
-
-
-def _compile_plan(layout):
-    """The plan for a layout, or None when it gets none (see _plan_source)."""
-    generated = _plan_source(layout)
-    if generated is None:
-        return None
-    pattern, source = generated
-    namespace = {
-        "match": re.compile(pattern).fullmatch,
-        "ParseError": ParseError,
-        "intern_items": _intern_items,
-        "parse_sem": _parse_sem,
-        "parse_cat": _parse_cat,
-        "split_confidence": _split_confidence,
-        "Record": StimulusRecord,
-        "Dimension": DimensionAnnotation,
-        "Context": ContextRecord,
-        "Physiology": PhysiologyRef,
-        "Appraisal": AppraisalAnnotation,
-        "Tendency": ActionTendencyAnnotation,
-        "Sentiment": SentimentAnnotation,
-    }
-    exec(source, namespace)
-    return namespace["plan"]
-
-
-def parse_record_line(line, lineno, interned):
-    """Parse one record line (format in the module docstring); the first
-    malformed token raises ParseError, naming `lineno` unless it is None.
-    Does not validate.
-
-    `interned` maps ("sem" or "cat", value) to the annotation parsed from
-    it, and ("ctx", the line's `ctx.*` tokens in field order, tab-joined)
-    to the ContextRecord built from them.  Pass one dict to all the lines
-    of a file, so that records with the same `sem=`/`cat=` value, or the
-    same context tokens, share one object; only values that parse are
-    stored, and a context only once its whole line has parsed.
-
-    A line is parsed by the plan of its key layout, compiled when the
-    layout is first seen while the plan table has room; any line no plan
-    handles goes to the general parser.  Records, errors and interning
-    are the same either way.
-    """
-    for plan in _PLANS.get(line.count("\t"), ()):
-        rec = plan(line, interned)
-        if rec is not None:
-            return rec
-    if len(_PLAN_LAYOUTS) < _MAX_PLANS:
-        layout = tuple(token.partition("=")[0] for token in line.split("\t"))
-        if layout not in _PLAN_LAYOUTS:
-            plan = _compile_plan(layout)
-            if plan is not None:
-                _PLAN_LAYOUTS.add(layout)
-                _PLANS.setdefault(len(layout) - 1, []).append(plan)
-                rec = plan(line, interned)
-                if rec is not None:
-                    return rec
-    return _parse_record_line(line, lineno, interned)
 
 
 def parse_record_file(text):

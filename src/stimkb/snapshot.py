@@ -58,7 +58,6 @@ from .lines import (
     data_lines,
     decode_input,
     parse_input,
-    read_input,
     read_input_bytes,
 )
 from .taxonomy import parse_mapping, parse_taxonomy
@@ -157,18 +156,25 @@ class Manifest(namedtuple("Manifest", "paths seed limit", defaults=(0, None))):
 
 
 def parse_manifest(path):
-    """Each key may appear once; a line's own error comes before a repeat."""
+    """The Manifest of the manifest file at `path`; an error names the file
+    and, where it has one, the line."""
     path = Path(path)
+    return parse_input(_parse_manifest_text, path, "manifest file", path.parent)
+
+
+def _parse_manifest_text(text, base):
+    """Each key may appear once; a line's own error comes before a repeat.
+    Input paths are resolved relative to the directory `base`."""
     paths = {}
     options = {}
-    for lineno, raw in data_lines(read_input(path, "manifest")):
+    for lineno, raw in data_lines(text):
         key, sep, value = raw.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not value:
             raise ParseError(f"expected `key=value`, got {raw!r}", line=lineno)
         if key in MANIFEST_FILE_KEYS:
             found = paths
-            value = (path.parent / value).resolve()
+            value = (base / value).resolve()
         elif key in MANIFEST_OPTION_KEYS:
             found = options
             value = _int_option(key, value, lineno)

@@ -179,15 +179,8 @@ def layout(line):
     return tuple(token.partition("=")[0] for token in line.split("\t"))
 
 
-def empty_plan_table(monkeypatch):
-    """Give `stimkb.corpus` an empty record-line plan table."""
-    monkeypatch.setattr(stimkb.corpus, "_PLANS", {})
-    monkeypatch.setattr(stimkb.corpus, "_PLAN_LAYOUTS", set())
-
-
 def many_layout_lines(n):
-    """`n` good record lines, each of its own key layout; many share a
-    tab count."""
+    """`n` good record lines, each of its own key layout."""
     ctx_keys = sorted(k for k in stimkb.corpus._CTX_KEYS if k != "ctx.widthPx")
     rng = random.Random(n)
     lines = []
@@ -206,7 +199,7 @@ def many_layout_lines(n):
 
 def _fmt_num(v):
     if isinstance(v, float) and v.is_integer():
-        return str(int(v))
+        return f"{v:.0f}"  # "-0" for -0.0
     return repr(v) if isinstance(v, float) else str(v)
 
 

@@ -100,8 +100,11 @@ def test_empty_closure_is_identity():
 
 
 def test_malformed_qualified_term():
-    with pytest.raises(ParseError):
-        EquivalenceClosure([("noqualifier", "A.x")])
+    for row, term in ((".\tx\tBigSix\tanger", "..x"),
+                      ("BigSix\tanger\tA\tx.", "A.x.")):
+        with pytest.raises(ParseError) as exc:
+            parse_axioms(f"# c\n{row}\n")
+        assert str(exc.value) == f"line 2: malformed qualified term {term!r}"
 
 
 def _oracle_components(axioms):

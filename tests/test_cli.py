@@ -471,6 +471,7 @@ def test_eval_parse_error_exits_2_naming_its_file(
     ("vocabularies", "x\ty\tz",
      r" line 132: expected `vocab<TAB>term`, got 'x\ty\tz'"),
     ("axioms", "BigSix\t\tFSRE\tfear", " line 5: empty field in axiom"),
+    ("axioms", ".\tx\tBigSix\tanger", " line 5: malformed qualified term '..x'"),
     ("records", "db=IAPS\tid=666\tdb=X", " line 4: repeated record field 'db'"),
     ("legacy", "x\ty\tz", " line 4: expected 9 columns, got 3"),
 ])
@@ -485,6 +486,21 @@ def test_ingest_parse_error_names_its_file(name, line, message, workspace,
     assert rc == 2
     assert err == f"error: {name} file {path.resolve()}{message}\n"
     assert not (workspace / "snap.json").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "validate"])
+def test_unreadable_input_names_the_manifest(command, workspace, capsys):
+    manifest = workspace / "manifest.txt"
+    text = manifest.read_text()
+    manifest.write_text(text.replace("records=records.tsv", "records=nowhere"))
+    argv = [command, "--manifest", str(manifest)]
+    if command == "ingest":
+        argv += ["--snapshot", str(workspace / "snap.json")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"error: manifest file {manifest}: records file not found: "
+                   f"{(workspace / 'nowhere').resolve()}\n")
 
 
 @pytest.mark.parametrize("name, old, new, message", [
@@ -665,7 +681,7 @@ def test_ingest_bad_manifest_option_exits_2(option, message, workspace, capsys):
                "--snapshot", str(workspace / "snap.json")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err == f"error: {message}\n"
+    assert err == f"error: manifest file {manifest} {message}\n"
     assert not (workspace / "snap.json").exists()
 
 
@@ -824,6 +840,52 @@ def test_fuzzed_snapshot_exits_with_a_documented_code(fuzz_snapshot, data):
                         ["query", "category:FSRECategory.anger mode:filter"]):
             argv = command[:1] + ["--snapshot", str(bad)] + command[1:]
             assert _exit_code(argv) in (0, 3)
+
+
+# The manifest and the six inputs it names.
+INGEST_INPUTS = sorted(f.name for f in FIXTURES.iterdir())
+
+
+@st.composite
+def edited_inputs(draw):
+    """(name, new text) of one fixture input after one edit: truncated,
+    a stretch replaced by a stretch of any input, or a line duplicated."""
+    name = draw(st.sampled_from(INGEST_INPUTS))
+    text = (FIXTURES / name).read_text()
+    edit = draw(st.sampled_from(["truncate", "splice", "duplicate"]))
+    if edit == "truncate":
+        return name, text[:draw(st.integers(0, len(text)))]
+    if edit == "splice":
+        donor = (FIXTURES / draw(st.sampled_from(INGEST_INPUTS))).read_text()
+        a, b = sorted(draw(st.lists(st.integers(0, len(text)),
+                                    min_size=2, max_size=2)))
+        c, d = sorted(draw(st.lists(st.integers(0, len(donor)),
+                                    min_size=2, max_size=2)))
+        return name, text[:a] + donor[c:d] + text[b:]
+    lines = text.splitlines(keepends=True)
+    line = lines[draw(st.integers(0, len(lines) - 1))]
+    lines.insert(draw(st.integers(0, len(lines))), line.rstrip("\n") + "\n")
+    return name, "".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edited=edited_inputs())
+def test_fuzzed_ingest_exits_with_a_documented_code(edited, tmp_path_factory):
+    # A bad input is a parse error (2) or a data error (3), never an
+    # internal one (4), and its message names the input at fault.
+    ws = tmp_path_factory.mktemp("ingest").resolve()
+    for name in INGEST_INPUTS:
+        shutil.copy(FIXTURES / name, ws / name)
+    name, text = edited
+    (ws / name).write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["ingest", "--manifest", str(ws / "manifest.txt"),
+                   "--snapshot", str(ws / "snap.json")])
+    assert rc in (0, 2, 3), err.getvalue()
+    if rc:
+        assert any(str(ws / n) in err.getvalue() for n in INGEST_INPUTS), \
+            err.getvalue()
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():

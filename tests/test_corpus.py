@@ -45,12 +45,7 @@ from stimkb.sequence import SequenceItem, StimulusSequence, SyncEvent
 from stimkb.snapshot import Manifest, Workspace
 from stimkb.taxonomy import parse_mapping
 
-from conftest import (
-    empty_plan_table,
-    layout,
-    many_layout_lines,
-    serialize_record,
-)
+from conftest import serialize_record
 
 BIG_SIX = load_vocabularies("")
 
@@ -340,17 +335,7 @@ def test_interned_annotations_are_shared_per_field_and_value():
     assert parse_record_line(line.format(2), 2, {}) == second
 
 
-@pytest.fixture(params=["plans", "general parser"])
-def record_parser(request, monkeypatch):
-    """parse_record_line with an empty plan table, or with no plans at
-    all, so that every line goes to the general parser."""
-    empty_plan_table(monkeypatch)
-    if request.param == "general parser":
-        monkeypatch.setattr(stimkb.corpus, "_MAX_PLANS", 0)
-    return parse_record_line
-
-
-def test_equal_context_tokens_share_one_context_per_load(record_parser):
+def test_equal_context_tokens_share_one_context_per_load():
     lines = [
         "db=X\tid=1\tctx.mediaFormat=wav\tctx.lengthSeconds=6",
         "db=X\tid=2\tctx.lengthSeconds=6\tsem=Object:keyword:a\tctx.mediaFormat=wav",
@@ -362,7 +347,7 @@ def test_equal_context_tokens_share_one_context_per_load(record_parser):
     loads = []
     for _ in range(2):
         interned = {}
-        loads.append([record_parser(line, i, interned)
+        loads.append([parse_record_line(line, i, interned)
                       for i, line in enumerate(lines)])
     first, second = loads
     assert first[0].context == ContextRecord(media_format="wav",
@@ -380,10 +365,10 @@ def test_equal_context_tokens_share_one_context_per_load(record_parser):
 
 
 @pytest.mark.parametrize("key", ["widthPx", "lengthSeconds"])
-def test_contexts_differ_when_their_raw_text_does(record_parser, key):
+def test_contexts_differ_when_their_raw_text_does(key):
     interned = {}
     zero, minus_zero, zero_again = (
-        record_parser(f"db=X\tid={i}\tctx.{key}={v}", i, interned)
+        parse_record_line(f"db=X\tid={i}\tctx.{key}={v}", i, interned)
         for i, v in enumerate(["0", "-0", "0"])
     )
     assert minus_zero.context is not zero.context
@@ -401,10 +386,10 @@ def test_contexts_differ_when_their_raw_text_does(record_parser, key):
     "db=X\tctx.mediaFormat=wav",
     "db=X\tid=1\tctx.mediaFormat=wav\tnosuch=1",
 ])
-def test_bad_line_interns_no_context(record_parser, line):
+def test_bad_line_interns_no_context(line):
     interned = {}
     with pytest.raises(ParseError):
-        record_parser(line, 3, interned)
+        parse_record_line(line, 3, interned)
     assert not [k for k in interned if k[0] == "ctx"]
 
 
@@ -621,8 +606,8 @@ def test_record_line_round_trip(rec):
     assert parse_record_line(_packed(line), None, {}) == rec
 
 
-# Differential test of the plans against the general parser.  Values are
-# well formed, but a line may have one value replaced by `_ODD` text, which
+# Generated record lines for the parser's property test.  Values are well
+# formed, but a line may have one value replaced by `_ODD` text, which
 # holds the wire separators, or one odd token.
 _NAME = st.text(string.ascii_letters + string.digits, min_size=1, max_size=4)
 _ODD = st.text("aZ1-_ .:@,=;", max_size=5)
@@ -662,7 +647,7 @@ _VALUES = {
        for key, (_, kind) in stimkb.corpus._CTX_KEYS.items()},
 }
 _OPTIONAL_SINGLE_KEYS = sorted(
-    k for k in stimkb.corpus._SINGLE_KEYS if k not in ("db", "id")
+    {"dim.scale", *stimkb.corpus._DIM_KEYS, *stimkb.corpus._CTX_KEYS}
 )
 _REPEATABLE_KEYS = ["sem", "cat", "appraisal", "phys", "tendency", "sentiment",
                     "ctx"]
@@ -690,35 +675,18 @@ def _differential_lines(draw):
     return "\t".join(draw(st.permutations(tokens)))
 
 
-def _outcome(parse, line):
-    """repr of the record or the ParseError text, repr of the interned
-    objects, and whether parsing the line again into the same dict gives
-    the same context object.  repr, as records holding NaN are not equal
-    to themselves."""
-    interned = {}
-    try:
-        rec = parse(line, 3, interned)
-    except ParseError as e:
-        return str(e), repr(interned), None
-    shared = parse(line, 3, interned).context is rec.context
-    return repr(rec), repr(interned), shared
-
-
 @settings(max_examples=400)
 @given(_differential_lines())
-def test_plans_match_the_general_parser(line):
-    expected = _outcome(stimkb.corpus._parse_record_line, line)
-    plan = stimkb.corpus._compile_plan(layout(line))
-    if plan is not None:
-        # A plan handles every good line of its layout and no bad one.
-        rec = plan(line, {})
-        if expected[0].startswith("line 3: "):
-            assert rec is None
-        else:
-            assert repr(rec) == expected[0]
-    with pytest.MonkeyPatch.context() as mp:
-        empty_plan_table(mp)
-        assert _outcome(parse_record_line, line) == expected
+def test_record_line_parses_or_names_its_line(line):
+    """A line either gives a record that serialize_record writes back as a
+    line parsing to the same record, or raises a ParseError naming its
+    line.  Records are compared by repr, as NaN is not equal to itself."""
+    try:
+        rec = parse_record_line(line, 3, {})
+    except ParseError as e:
+        assert str(e).startswith("line 3: ")
+        return
+    assert repr(parse_record_line(serialize_record(rec), 3, {})) == repr(rec)
 
 
 @pytest.mark.parametrize("bad", [
@@ -726,30 +694,12 @@ def test_plans_match_the_general_parser(line):
     "appraisal=p:x", "appraisal=5", "tendency=t@value=x", "sentiment=x",
     "sem=K:idea:C", "cat=V.t@mood=1",
 ])
-def test_plans_intern_up_to_the_first_bad_token(bad, monkeypatch):
-    empty_plan_table(monkeypatch)
+def test_plans_intern_up_to_the_first_bad_token(bad):
     line = f"db=X\tid=1\tsem=K:concept:A\t{bad}\tsem=K:concept:B\tcat=V.t"
     interned = {}
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(ParseError):
         parse_record_line(line, 3, interned)
     assert list(interned) == [("sem", "K:concept:A")]
-    with pytest.raises(ParseError) as general:
-        stimkb.corpus._parse_record_line(line, 3, {})
-    assert str(exc.value) == str(general.value)
-    assert len(stimkb.corpus._PLAN_LAYOUTS) == 1
-
-
-def test_more_layouts_than_plans(monkeypatch):
-    empty_plan_table(monkeypatch)
-    lines = many_layout_lines(3 * stimkb.corpus._MAX_PLANS)
-    parsed = stimkb.corpus.parse_record_file("\n".join(lines))
-    interned = {}
-    assert parsed == [
-        (i, stimkb.corpus._parse_record_line(line, i, interned))
-        for i, line in enumerate(lines, start=1)
-    ]
-    assert len(stimkb.corpus._PLAN_LAYOUTS) == stimkb.corpus._MAX_PLANS
-    assert sum(map(len, stimkb.corpus._PLANS.values())) == stimkb.corpus._MAX_PLANS
 
 
 # The validation rules and the constants they check against, pinned.  A

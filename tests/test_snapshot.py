@@ -29,6 +29,7 @@ from stimkb.corpus import (
     PhysiologyRef,
     SemanticsAnnotation,
     StimulusRecord,
+    parse_record_line,
 )
 from stimkb.errors import ParseError, SnapshotError, StimKbError, ValidationError
 from stimkb.snapshot import (
@@ -45,7 +46,6 @@ from conftest import (
     PAPER_MANIFEST,
     SEAL_END,
     SEAL_HEAD,
-    empty_plan_table,
     many_layout_lines,
     seal_text,
     serialize_record,
@@ -437,26 +437,20 @@ def test_snapshot_sealed_under_older_rules_is_validated(
     assert "X/1" in load_snapshot(snap).corpus.records
 
 
-def test_ingest_of_more_layouts_than_plans_loads_without_parsing(
-    tmp_path, monkeypatch
-):
-    """A records file whose every line has its own key layout, more than
-    the plan table holds: ingest parses each line once, the general parser
-    gives the records past the table, and the load parses none."""
-    empty_plan_table(monkeypatch)
-    lines = many_layout_lines(3 * stimkb.corpus._MAX_PLANS)
+def test_ingest_of_many_layouts_loads_without_parsing(tmp_path, monkeypatch):
+    """A records file whose every line has its own key layout: ingest
+    parses each line once, and the load parses none."""
+    lines = many_layout_lines(48)
+    interned = {}
+    expected = [parse_record_line(line, None, interned) for line in lines]
     shutil.copy(PAPER_MANIFEST.parent / "taxonomy.tsv", tmp_path)
     (tmp_path / "records.tsv").write_text("\n".join(lines) + "\n")
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("taxonomy=taxonomy.tsv\nrecords=records.tsv\n")
     parsed = _count_parses(monkeypatch)
     built = build_workspace(parse_manifest(manifest))
-    interned = {}
-    assert list(built.corpus) == [
-        stimkb.corpus._parse_record_line(line, None, interned) for line in lines
-    ]
+    assert list(built.corpus) == expected
     assert parsed == lines
-    assert len(stimkb.corpus._PLAN_LAYOUTS) == stimkb.corpus._MAX_PLANS
     snap = tmp_path / "snap.json"
     save_snapshot(built, snap)
     parsed.clear()
