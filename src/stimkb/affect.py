@@ -172,7 +172,8 @@ class EquivalenceClosure:
     pairs induce: each class is a connected component of the pairs.
 
     Unknown terms, and terms paired only with themselves, behave as
-    singleton classes.
+    singleton classes.  The terms are taken as given: parse_axioms checks
+    their form.
     """
 
     def __init__(self, axioms=()):
