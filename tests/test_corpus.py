@@ -45,7 +45,7 @@ from stimkb.sequence import SequenceItem, StimulusSequence, SyncEvent
 from stimkb.snapshot import Manifest, Workspace
 from stimkb.taxonomy import parse_mapping
 
-from conftest import serialize_record
+from conftest import many_layout_lines, serialize_record
 
 BIG_SIX = load_vocabularies("")
 
@@ -335,7 +335,20 @@ def test_interned_annotations_are_shared_per_field_and_value():
     assert parse_record_line(line.format(2), 2, {}) == second
 
 
-def test_equal_context_tokens_share_one_context_per_load():
+@pytest.fixture(params=["plans", "general parser"])
+def record_parser(request):
+    """parse_record_line, either after lines of many key layouts have gone
+    through it ("plans": the state that once filled a per-layout plan
+    table) or fresh ("general parser").  The parser keeps no state between
+    calls but the `interned` dict it is given, so both must agree."""
+    if request.param == "plans":
+        interned = {}
+        for lineno, line in enumerate(many_layout_lines(48)):
+            parse_record_line(line, lineno, interned)
+    return parse_record_line
+
+
+def test_equal_context_tokens_share_one_context_per_load(record_parser):
     lines = [
         "db=X\tid=1\tctx.mediaFormat=wav\tctx.lengthSeconds=6",
         "db=X\tid=2\tctx.lengthSeconds=6\tsem=Object:keyword:a\tctx.mediaFormat=wav",
@@ -347,7 +360,7 @@ def test_equal_context_tokens_share_one_context_per_load():
     loads = []
     for _ in range(2):
         interned = {}
-        loads.append([parse_record_line(line, i, interned)
+        loads.append([record_parser(line, i, interned)
                       for i, line in enumerate(lines)])
     first, second = loads
     assert first[0].context == ContextRecord(media_format="wav",
@@ -365,10 +378,10 @@ def test_equal_context_tokens_share_one_context_per_load():
 
 
 @pytest.mark.parametrize("key", ["widthPx", "lengthSeconds"])
-def test_contexts_differ_when_their_raw_text_does(key):
+def test_contexts_differ_when_their_raw_text_does(record_parser, key):
     interned = {}
     zero, minus_zero, zero_again = (
-        parse_record_line(f"db=X\tid={i}\tctx.{key}={v}", i, interned)
+        record_parser(f"db=X\tid={i}\tctx.{key}={v}", i, interned)
         for i, v in enumerate(["0", "-0", "0"])
     )
     assert minus_zero.context is not zero.context
@@ -386,10 +399,10 @@ def test_contexts_differ_when_their_raw_text_does(key):
     "db=X\tctx.mediaFormat=wav",
     "db=X\tid=1\tctx.mediaFormat=wav\tnosuch=1",
 ])
-def test_bad_line_interns_no_context(line):
+def test_bad_line_interns_no_context(record_parser, line):
     interned = {}
     with pytest.raises(ParseError):
-        parse_record_line(line, 3, interned)
+        record_parser(line, 3, interned)
     assert not [k for k in interned if k[0] == "ctx"]
 
 
