@@ -116,9 +116,15 @@ def _cmd_eval(args):
         seed=args.seed if args.seed is not None else ws.seed,
         max_resamples=args.retries,
     )
-    report = run_experiment(
-        ws.corpus, ws.graph, queries, relevant, args.measures, config
-    )
+    try:
+        report = run_experiment(
+            ws.corpus, ws.graph, queries, relevant, args.measures, config
+        )
+    except ValidationError as e:
+        # A query with an unknown concept, or with no judgments: name both
+        # inputs, as the fault may lie in either.
+        raise ValidationError(f"queries file {args.queries} with judgments "
+                              f"file {args.judgments}: {e}") from e
     text = report_to_tsv(report)
     if args.out:
         Path(args.out).write_text(text)

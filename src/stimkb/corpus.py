@@ -29,6 +29,7 @@ the 1..9 scale.
 """
 
 from collections import deque, namedtuple
+from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import itemgetter
 
@@ -199,16 +200,23 @@ def validate_stimulus(rec, graph, vocabs):
 
 class Corpus:
     """Append-only store of records validated against `graph` and `vocabs`,
-    with a concept index; treat as immutable once queries start."""
+    keyed by "db/id", with a concept index built on first use; treat as
+    immutable once queries start."""
 
     def __init__(self, graph, vocabs):
         self.graph = graph
         self.vocabs = vocabs
         self.records = {}
-        self.concept_index = {}
+
+    @cached_property
+    def concept_index(self):
+        """Each annotation concept -> the set of keys of the records that
+        carry it.  Built on first use, so that a command that never reads
+        it (most do not) never pays for it."""
+        return _concept_index(self.records.values(), self.records.keys())
 
     def add_stimulus(self, rec):
-        """Validate `rec` against the graph and vocabularies and index it;
+        """Validate `rec` against the graph and vocabularies and store it;
         a key already in the corpus raises ValidationError."""
         problems = validate_stimulus(rec, self.graph, self.vocabs)
         if problems:
@@ -217,18 +225,15 @@ class Corpus:
         if key in self.records:
             raise ValidationError(f"duplicate stimulus key {key}")
         self.records[key] = rec
-        for sem in rec.semantics:
-            if sem.concept:
-                self.concept_index.setdefault(sem.concept, set()).add(key)
+        self.__dict__.pop("concept_index", None)  # rebuilt on its next use
 
     def index_all(self, records, keys):
-        """Index `records`, whose keys are `keys`, in one pass into this
+        """Store `records`, whose keys are `keys`, in one pass into this
         empty corpus, as add_stimulus would one by one, but without
         validating them.  Return the position of the first record whose
         key repeats an earlier one's, or len(records) if none does; a
         corpus with a repeated key is incomplete and must be dropped."""
         self.records = dict(zip(keys, records))
-        self.concept_index = _concept_index(records, keys)
         if len(self.records) == len(records):
             return len(records)
         seen = set()
@@ -245,8 +250,8 @@ class Corpus:
 
 
 def _concept_index(records, keys):
-    """Corpus.concept_index of `records`, whose keys are `keys`: each
-    annotation concept -> the set of keys of the records that carry it."""
+    """Corpus.concept_index of the iterable `records`, whose keys are
+    `keys`, in order."""
     # Field 2 of a record is its semantics; field 1 of those, the concept.
     semantics = list(map(itemgetter(2), records))
     concepts = list(map(itemgetter(1), chain.from_iterable(semantics)))

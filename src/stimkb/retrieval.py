@@ -190,15 +190,18 @@ def _check_concept(graph, q):
         raise UnknownConceptError(f"unknown concept in query: {q.concept!r}")
 
 
-def _candidates(records, q, closure):
-    """Yield each of `records` that passes the query's db, box and category
-    clauses: the candidate set of both filter and rank mode.  A category
-    clause matches any term of its equivalence class, taken once per query."""
+def _candidates(items, q, closure):
+    """Yield each (key, record) pair of `items` whose record passes the
+    query's db, box and category clauses: the candidate set of both filter
+    and rank mode.  The keys are the corpus's own strings, so no candidate
+    formats its key again.  A category clause matches any term of its
+    equivalence class, taken once per query."""
     wanted = None
     if q.category is not None:
         want = "{}.{}".format(*q.category)
         wanted = closure.equivalents(want)
-    for rec in records:
+    for item in items:
+        rec = item[1]
         if q.db_name is not None and rec.db != q.db_name:
             continue
         if q.boxes and not _passes_boxes(rec, q.boxes):
@@ -207,7 +210,7 @@ def _candidates(records, q, closure):
             cat.qualified for cat in rec.categories
         ):
             continue
-        yield rec
+        yield item
 
 
 def filter_query(corpus, graph, q, closure):
@@ -217,14 +220,14 @@ def filter_query(corpus, graph, q, closure):
     if q.mode != MODE_FILTER:
         raise ValidationError("filter_query requires a filter-mode query")
     _check_concept(graph, q)
-    records = corpus
+    items = corpus.records.items()
     if q.concept is not None:
         keys = set()
         for concept, concept_keys in corpus.concept_index.items():
             if graph.is_subclass_of(concept, q.concept):
                 keys |= concept_keys
-        records = map(corpus.records.__getitem__, keys)
-    return {rec.key for rec in _candidates(records, q, closure)}
+        items = zip(keys, map(corpus.records.__getitem__, keys))
+    return {key for key, _ in _candidates(items, q, closure)}
 
 
 class OperandScores:
@@ -292,8 +295,8 @@ def ranked_query(corpus, graph, q, closure):
     _check_measure_kind(q)
     _check_concept(graph, q)
     scored = [
-        (rec.key, score_record(q.measure, q.term, rec, graph=graph))
-        for rec in _candidates(corpus, q, closure)
+        (key, score_record(q.measure, q.term, rec, graph=graph))
+        for key, rec in _candidates(corpus.records.items(), q, closure)
     ]
     scored.sort(key=lambda e: (-e[1], e[0]))
     if q.limit is not None:

@@ -6,14 +6,20 @@ limit); paths are resolved relative to the manifest.  Ingest
 builds everything once and writes a single versioned JSON snapshot, so
 queries and evaluation never re-parse the raw inputs.
 
-The snapshot stores the records as positional columns (format version 2):
-one JSON array per record field over tables of the distinct annotations,
+The snapshot stores the records as positional columns (format version 3):
+one column per record field over tables of the distinct annotations,
 contexts, database names and physiology channels, so that a load builds
 every record with C-level `map`/`zip` calls and parses no record text.
+The integer columns (table indices and per-record counts) are packed:
+a `[typecode, base64]` pair of a little-endian array of unsigned
+integers, which the load decodes without parsing any number text.
 """
 
 import gc
 import json
+import sys
+from array import array
+from binascii import a2b_base64, b2a_base64
 from collections import namedtuple
 from functools import partial
 from itertools import chain, compress, count, groupby, islice, repeat, zip_longest
@@ -62,7 +68,7 @@ from .lines import (
 )
 from .taxonomy import parse_mapping, parse_taxonomy
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 MANIFEST_FILE_KEYS = (
     "taxonomy",
@@ -136,19 +142,25 @@ _DIMENSION_TYPES = tuple(
     else _OPT_NUM
     for f in DimensionAnnotation._fields
 )
+# A packed column's typecodes and their item sizes in bytes.  The writer
+# uses the narrowest that holds the column's largest item.
+_PACKED_SIZES = {"B": 1, "H": 2, "I": 4, "Q": 8}
+_BIG_ENDIAN = sys.byteorder == "big"
+# In the column schemas below: a packed column, whose items are unsigned.
+_PACKED = None
 # The record columns: one item per record (`<tag>_n` and `phys_n` count
 # the record's items in the flat column `<tag>`, or in `path` and `chan`),
 # then the flat columns.  Indices point into the tables.
 _RECORD_COLUMNS = {
-    "db": {int},
+    "db": _PACKED,
     "id": _TEXT,
-    **{f"{tag}_n": {int} for tag in _ANNOTATIONS},
+    **{f"{tag}_n": _PACKED for tag in _ANNOTATIONS},
     "dim": {list, _NULL},
     "ctx": _OPT_INT,
-    "phys_n": {int},
+    "phys_n": _PACKED,
 }
-_FLAT_COLUMNS = {**{tag: {int} for tag in _ANNOTATIONS}, "path": _TEXT,
-                 "chan": {int}}
+_FLAT_COLUMNS = {**{tag: _PACKED for tag in _ANNOTATIONS}, "path": _TEXT,
+                 "chan": _PACKED}
 
 
 class Manifest(namedtuple("Manifest", "paths seed limit", defaults=(0, None))):
@@ -374,9 +386,52 @@ def _record_columns(records):
     columns["phys_n"] = list(map(len, fields["physiology"]))
     columns["path"] = list(map(itemgetter(0), refs))  # PhysiologyRef.path
     channels, columns["chan"] = _interned(list(map(itemgetter(1), refs)))
+    for key, allowed in {**_RECORD_COLUMNS, **_FLAT_COLUMNS}.items():
+        if allowed is _PACKED:
+            columns[key] = _packed(columns[key])
     tables = {"annotations": rows, "contexts": contexts, "dbs": dbs,
               "channels": channels}
     return tables, columns
+
+
+def _packed(values):
+    """The packed column ([typecode, base64 text]) of the unsigned
+    integers `values`."""
+    top = max(values, default=0)
+    code = next(c for c, size in _PACKED_SIZES.items() if top < 1 << 8 * size)
+    items = array(code, values)
+    if _BIG_ENDIAN:
+        items.byteswap()
+    return [code, b2a_base64(items.tobytes(), newline=False).decode()]
+
+
+def _unpacked(name, pair):
+    """The array of unsigned integers that packed column `pair` holds;
+    SnapshotError unless it is a [typecode, base64 text] pair of a known
+    typecode and of whole items."""
+    if type(pair) is not list or len(pair) != 2 or not all(
+            type(v) is str for v in pair):
+        raise SnapshotError(f"{name} is not a [typecode, base64] pair")
+    code, text = pair
+    size = _PACKED_SIZES.get(code)
+    if size is None:
+        raise SnapshotError(f"{name} has unknown typecode {code!r}")
+    # a2b_base64 skips characters outside the alphabet, so the text must
+    # also be what the bytes encode to.
+    try:
+        data = a2b_base64(text)
+        canonical = b2a_base64(data, newline=False) == text.encode()
+    except ValueError:
+        canonical = False
+    if not canonical:
+        raise SnapshotError(f"{name} is not base64 text")
+    if len(data) % size:
+        raise SnapshotError(
+            f"{name} has {len(data)} bytes, not whole {size}-byte items")
+    items = array(code, data)
+    if _BIG_ENDIAN:
+        items.byteswap()
+    return items
 
 
 def _set_fields(vector):
@@ -484,19 +539,24 @@ def _annotations(tag, rows):
     return list(map(build, rows))
 
 
-def _per_record(counts, items):
-    """The items of iterator `items`, in order, regrouped into one tuple
-    per record: counts[k] of them for record k."""
+def _per_record(counts, items, total):
+    """The `total` items of iterator `items`, in order, regrouped into one
+    tuple per record: counts[k] of them for record k.  With no items, every
+    count is 0 (the counts are unsigned and sum to `total`), and each
+    record gets the shared empty tuple."""
+    if not total:
+        return repeat((), len(counts))
     return map(tuple, map(islice, repeat(items), counts))
 
 
 def _records(tables, columns):
     """(the records stored in `tables` and `columns`, in order, and their
     keys).  Every column is checked first, whatever the seal: its item
-    types, its length, that its indices point into their table, and the
-    rules a record must meet to be built at all (a non-empty db and id, a
-    scale with any dimension values, exactly one of concept or keyword per
-    semantics annotation).  The first problem raises SnapshotError."""
+    types (a packed column is decoded in place), its length, that its
+    indices point into their table, and the rules a record must meet to be
+    built at all (a non-empty db and id, a scale with any dimension values,
+    exactly one of concept or keyword per semantics annotation).  The first
+    problem raises SnapshotError."""
     for group, holder, schema in (("tables", tables, _TABLES),
                                   ("records", columns,
                                    {**_RECORD_COLUMNS, **_FLAT_COLUMNS})):
@@ -504,10 +564,13 @@ def _records(tables, columns):
             name = f"'{group}.{key}'"
             if key not in holder:
                 raise SnapshotError(f"missing key {name}")
-            if type(holder[key]) is not list:
+            if allowed is _PACKED:
+                holder[key] = _unpacked(name, holder[key])
+            elif type(holder[key]) is not list:
                 raise SnapshotError(
                     f"{name} has type {type(holder[key]).__name__}")
-            _check_types(name, holder[key], allowed)
+            else:
+                _check_types(name, holder[key], allowed)
     ids = columns["id"]
     n = len(ids)
     for key in _RECORD_COLUMNS:
@@ -523,8 +586,6 @@ def _records(tables, columns):
     for key, flat in (*((f"{tag}_n", tag) for tag in _ANNOTATIONS),
                       ("phys_n", "path"), ("phys_n", "chan")):
         counts = columns[key]
-        if counts and min(counts) < 0:
-            raise SnapshotError(f"'records.{key}' holds a negative count")
         if sum(counts) != len(columns[flat]):
             raise SnapshotError(
                 f"'records.{key}' sums to {sum(counts)}, not to the "
@@ -553,7 +614,8 @@ def _records(tables, columns):
         start, size = per_tag.get(tag, (0, 0))
         _check_indices(f"'records.{tag}'", columns[tag], size, start)
         fields[field] = _per_record(
-            columns[f"{tag}_n"], map(annotations.__getitem__, columns[tag]))
+            columns[f"{tag}_n"], map(annotations.__getitem__, columns[tag]),
+            len(columns[tag]))
 
     # A dimension vector holds its scale and then the other fields up to
     # the last one set; the load pads it with nulls.
@@ -597,7 +659,8 @@ def _records(tables, columns):
     _check_indices("'records.chan'", columns["chan"], len(channels))
     refs = map(partial(tuple.__new__, PhysiologyRef),
                zip(columns["path"], map(channels.__getitem__, columns["chan"])))
-    fields["physiology"] = _per_record(columns["phys_n"], refs)
+    fields["physiology"] = _per_record(columns["phys_n"], refs,
+                                       len(columns["path"]))
 
     db_names = list(map(dbs.__getitem__, columns["db"]))
     fields["db"], fields["id"] = db_names, ids
@@ -625,18 +688,40 @@ def load_snapshot(path):
     path = Path(path)
     data = read_input_bytes(path, "snapshot")
     sealed = _seal_matches(data)
-    # The bytes and the text are each dropped once used: only one whole
-    # copy of the file is alive beside the parsed document.
+    # The document and the records hold no reference cycles, so the cyclic
+    # collector would only rescan them: paused while they pile up, and once
+    # they are all built, moved to the permanent generation, which no
+    # collection scans.  Refcounting alone still frees the workspace when it
+    # is dropped.  Every way out restores the collector's state.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        text = decode_input(data, path, "snapshot")
-        del data
-        doc = json.loads(text)
-    except (ParseError, ValueError, RecursionError) as e:
-        raise SnapshotError(f"bad snapshot {path}: not JSON: {e}") from e
-    del text
+        # The bytes and the text are each dropped once used: only one whole
+        # copy of the file is alive beside the parsed document.
+        try:
+            text = decode_input(data, path, "snapshot")
+            del data
+            doc = json.loads(text)
+        except (ParseError, ValueError, RecursionError) as e:
+            raise SnapshotError(f"not JSON: {e}") from e
+        del text
+        workspace = _workspace(doc, sealed)
+    except SnapshotError as e:
+        raise SnapshotError(f"bad snapshot {path}: {e}") from e.__cause__
+    else:
+        gc.freeze()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return workspace
+
+
+def _workspace(doc, sealed):
+    """The workspace that snapshot document `doc` stores; its records are
+    validated unless `sealed`.  The first problem raises SnapshotError."""
     problem = _snapshot_problem(doc)
     if problem is not None:
-        raise SnapshotError(f"bad snapshot {path}: {problem}")
+        raise SnapshotError(problem)
     try:
         graph = parse_taxonomy(doc["taxonomy"])
         mapping = parse_mapping(doc["mapping"], graph) if doc["mapping"] else None
@@ -644,40 +729,25 @@ def load_snapshot(path):
         axioms = parse_axioms(doc["axioms"] or "")
         closure = EquivalenceClosure(axioms)
     except StimKbError as e:
-        raise SnapshotError(f"bad snapshot {path}: {e}") from e
+        raise SnapshotError(str(e)) from e
     corpus = Corpus(graph, vocabs)
-    # The records hold no reference cycles, so the cyclic collector would
-    # only rescan them: paused while they pile up, and once they are all
-    # built, moved to the permanent generation, which no collection scans.
-    # Refcounting alone still frees the workspace when it is dropped.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        records, keys = _records(doc["tables"], doc["records"])
-        del doc["tables"], doc["records"]  # freed before the index is built
-        repeated = corpus.index_all(records, keys)
-        if not sealed:
-            # Validated in order up to the first repeated key, so that the
-            # first problem is reported as add_stimulus would report it.
-            # Looked up on the module at each load, so that call wrappers
-            # installed there (as the benchmark's traced run does) see
-            # every record.
-            validate = corpus_module.validate_stimulus
-            for i, rec in enumerate(records[:repeated + 1]):
-                problems = validate(rec, graph, vocabs)
-                if problems:
-                    raise SnapshotError(
-                        f"records[{i}]: {invalid_record(rec, problems)}")
-        if repeated < len(records):
-            raise SnapshotError(
-                f"records[{repeated}]: duplicate stimulus key {keys[repeated]}")
-    except SnapshotError as e:
-        raise SnapshotError(f"bad snapshot {path}: {e}") from None
-    else:
-        gc.freeze()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    records, keys = _records(doc.pop("tables"), doc.pop("records"))
+    repeated = corpus.index_all(records, keys)
+    if not sealed:
+        # Validated in order up to the first repeated key, so that the
+        # first problem is reported as add_stimulus would report it.
+        # Looked up on the module at each load, so that call wrappers
+        # installed there (as the benchmark's traced run does) see every
+        # record.
+        validate = corpus_module.validate_stimulus
+        for i, rec in enumerate(records[:repeated + 1]):
+            problems = validate(rec, graph, vocabs)
+            if problems:
+                raise SnapshotError(
+                    f"records[{i}]: {invalid_record(rec, problems)}")
+    if repeated < len(records):
+        raise SnapshotError(
+            f"records[{repeated}]: duplicate stimulus key {keys[repeated]}")
     return Workspace(
         graph=graph,
         mapping=mapping,

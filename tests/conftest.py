@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import stimkb.corpus
+import stimkb.snapshot
 from stimkb.corpus import VALIDATION_RULES
 from stimkb.snapshot import build_workspace, parse_manifest
 from stimkb.taxonomy import TaxonomyGraph
@@ -21,6 +22,14 @@ def paper_workspace():
 @pytest.fixture(scope="session")
 def paper_graph(paper_workspace):
     return paper_workspace.graph
+
+
+# The record columns a snapshot stores packed, as [typecode, base64] pairs.
+PACKED_COLUMNS = sorted(
+    key for key, allowed in {**stimkb.snapshot._RECORD_COLUMNS,
+                             **stimkb.snapshot._FLAT_COLUMNS}.items()
+    if allowed is stimkb.snapshot._PACKED
+)
 
 
 # The seal line's layout, written out here as a check on the format: a
@@ -136,6 +145,15 @@ def oracle_up_distance(edges, c, ancestor):
         frontier = set().union(*(edges.get(node, ()) for node in frontier))
         d += 1
     raise AssertionError(f"{ancestor} is not above {c}")
+
+
+def oracle_concept_index(corpus):
+    """Corpus.concept_index rebuilt record by record."""
+    index = {}
+    for rec in corpus:
+        for c in rec.concepts():
+            index.setdefault(c, set()).add(rec.key)
+    return index
 
 
 def oracle_edit_distance(a, b):

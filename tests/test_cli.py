@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stimkb
+import stimkb.snapshot
 from stimkb.affect import EquivalenceClosure
 from stimkb.cli import main
 from stimkb.snapshot import Workspace, save_snapshot
 from stimkb.synthetic import generate
 
-from conftest import seal_text
+from conftest import PACKED_COLUMNS, seal_text
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "paper"
 
@@ -655,7 +656,8 @@ def test_eval_unknown_query_concept_exits_3(snapshot, workspace, capsys):
                "--judgments", str(judgments), "--candidates", "4"])
     err = capsys.readouterr().err
     assert rc == 3
-    assert err == "error: unknown concept: 'Nowhere'\n"
+    assert err == (f"error: queries file {queries} with judgments file "
+                   f"{judgments}: unknown concept: 'Nowhere'\n")
 
 
 @pytest.mark.parametrize(
@@ -776,6 +778,8 @@ SPLICE_TEXT = st.text(
 # An item put into a table or a column: any JSON value, or an index near
 # the bounds of the fixture's tables (19 annotations, 3 contexts, 2 dbs).
 ITEMS = JSON_VALUES | st.integers(-3, 22)
+# A value put into a packed column.
+PACKED_ITEMS = st.integers(0, 22) | st.integers(0, 2**64 - 1)
 
 
 def _rows(doc):
@@ -790,11 +794,13 @@ def _rows(doc):
 def mutated_snapshots(draw, text):
     """The text of a snapshot (its seal dropped) with one edit: truncated;
     a key of the document, its tables or its record columns dropped or its
-    value replaced by any JSON value; an item of a table, a column or a row
-    replaced, added or removed; or a splice into a text input or into one
-    string of a table or a column."""
+    value replaced by any JSON value; an item of a table, a column, a row
+    or a packed column's [typecode, base64] pair replaced, added or
+    removed; a value of a packed column replaced, added or removed, and
+    the column packed again; or a splice into a text input or into one
+    string of a table, a column or a packed pair."""
     kind = draw(st.sampled_from(["truncate", "drop", "replace", "item",
-                                 "resize", "splice"]))
+                                 "resize", "values", "splice"]))
     if kind == "truncate":
         return text[: draw(st.integers(0, len(text) - 1))]
     doc = json.loads(text)
@@ -813,6 +819,21 @@ def mutated_snapshots(draw, text):
             del row[draw(st.integers(0, len(row) - 1))]
         else:
             row.insert(draw(st.integers(0, len(row))), draw(ITEMS))
+    elif kind == "values":
+        key = draw(st.sampled_from(PACKED_COLUMNS))
+        columns = doc["records"]
+        values = list(stimkb.snapshot._unpacked(key, columns[key]))
+        edit = draw(st.sampled_from(["set", "delete", "insert"])
+                    if values else st.just("insert"))
+        if edit == "insert":
+            values.insert(draw(st.integers(0, len(values))), draw(PACKED_ITEMS))
+        else:
+            i = draw(st.integers(0, len(values) - 1))
+            if edit == "delete":
+                del values[i]
+            else:
+                values[i] = draw(PACKED_ITEMS)
+        columns[key] = stimkb.snapshot._packed(values)
     else:
         holder, key = draw(st.sampled_from(
             [(doc, k) for k in ("taxonomy", "mapping", "vocabularies",
@@ -846,17 +867,17 @@ def test_fuzzed_snapshot_exits_with_a_documented_code(fuzz_snapshot, data):
 INGEST_INPUTS = sorted(f.name for f in FIXTURES.iterdir())
 
 
-@st.composite
-def edited_inputs(draw):
-    """(name, new text) of one fixture input after one edit: truncated,
-    a stretch replaced by a stretch of any input, or a line duplicated."""
-    name = draw(st.sampled_from(INGEST_INPUTS))
-    text = (FIXTURES / name).read_text()
+def _edited(draw, texts):
+    """(name, new text) of one of `texts` (name -> text) after one edit:
+    truncated, a stretch replaced by a stretch of any of them, or a line
+    duplicated."""
+    name = draw(st.sampled_from(sorted(texts)))
+    text = texts[name]
     edit = draw(st.sampled_from(["truncate", "splice", "duplicate"]))
     if edit == "truncate":
         return name, text[:draw(st.integers(0, len(text)))]
     if edit == "splice":
-        donor = (FIXTURES / draw(st.sampled_from(INGEST_INPUTS))).read_text()
+        donor = texts[draw(st.sampled_from(sorted(texts)))]
         a, b = sorted(draw(st.lists(st.integers(0, len(text)),
                                     min_size=2, max_size=2)))
         c, d = sorted(draw(st.lists(st.integers(0, len(donor)),
@@ -866,6 +887,13 @@ def edited_inputs(draw):
     line = lines[draw(st.integers(0, len(lines) - 1))]
     lines.insert(draw(st.integers(0, len(lines))), line.rstrip("\n") + "\n")
     return name, "".join(lines)
+
+
+@st.composite
+def edited_inputs(draw):
+    """(name, new text) of one fixture input after one edit (see _edited)."""
+    return _edited(draw, {name: (FIXTURES / name).read_text()
+                          for name in INGEST_INPUTS})
 
 
 @settings(max_examples=200, deadline=None)
@@ -886,6 +914,36 @@ def test_fuzzed_ingest_exits_with_a_documented_code(edited, tmp_path_factory):
     if rc:
         assert any(str(ws / n) in err.getvalue() for n in INGEST_INPUTS), \
             err.getvalue()
+
+
+# eval's two inputs over the fuzz snapshot (the paper fixture).
+EVAL_INPUTS = {
+    "queries.tsv": "q1\tGroupOfPeople\tCrowd2\nq2\tHuman\tParachute\n",
+    "judgments.tsv": (
+        "q1\tIADS/311\t1\nq1\tIAPS/8163\t0\nq1\tIAPS/5635\t0\n"
+        "q2\tIAPS/8163\t1\nq2\tIADS/311\t0\nq2\tIAPS/7039\t0\n"
+    ),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_eval_inputs_exit_with_a_documented_code(fuzz_snapshot, data):
+    # One edit of the queries or the judgments file: a parse error (2) or
+    # a data error (3), never an internal one (4), naming the file at fault.
+    name, text = _edited(data.draw, EVAL_INPUTS)
+    paths = {n: fuzz_snapshot.with_name(n) for n in EVAL_INPUTS}
+    for n, path in paths.items():
+        path.write_text(text if n == name else EVAL_INPUTS[n])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["eval", "--snapshot", str(fuzz_snapshot),
+                   "--queries", str(paths["queries.tsv"]),
+                   "--judgments", str(paths["judgments.tsv"]),
+                   "--seed", "7", "--candidates", "3", "--retries", "1"])
+    assert rc in (0, 2, 3), err.getvalue()
+    if rc:
+        assert str(paths[name]) in err.getvalue(), err.getvalue()
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():

@@ -45,7 +45,7 @@ from stimkb.sequence import SequenceItem, StimulusSequence, SyncEvent
 from stimkb.snapshot import Manifest, Workspace
 from stimkb.taxonomy import parse_mapping
 
-from conftest import many_layout_lines, serialize_record
+from conftest import many_layout_lines, oracle_concept_index, serialize_record
 
 BIG_SIX = load_vocabularies("")
 
@@ -225,11 +225,19 @@ def test_corpus_indices(paper_workspace):
 
 def test_index_consistency_full_rebuild(paper_workspace):
     corpus = paper_workspace.corpus
-    concept_index = {}
-    for rec in corpus:
-        for c in rec.concepts():
-            concept_index.setdefault(c, set()).add(rec.key)
-    assert concept_index == corpus.concept_index
+    assert oracle_concept_index(corpus) == corpus.concept_index
+
+
+def test_add_stimulus_drops_the_concept_index_it_outdates(paper_workspace):
+    records = list(paper_workspace.corpus)
+    corpus = Corpus(paper_workspace.graph, paper_workspace.corpus.vocabs)
+    for rec in records[:2]:
+        corpus.add_stimulus(rec)
+    first = corpus.concept_index
+    assert first == oracle_concept_index(corpus)
+    assert corpus.concept_index is first  # built once, then kept
+    corpus.add_stimulus(records[2])
+    assert corpus.concept_index == oracle_concept_index(corpus) != first
 
 
 def test_add_get_round_trip_and_duplicates():

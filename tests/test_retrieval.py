@@ -138,6 +138,20 @@ def test_category_class_taken_once_per_query(paper_workspace, monkeypatch):
     assert calls == ["FSRECategory.happiness"] * 2
 
 
+def test_results_hold_the_corpus_own_key_strings(paper_workspace):
+    # Filter and rank return the corpus's key objects, not new strings.
+    ws = paper_workspace
+    own = {id(key): key for key in ws.corpus.records}
+    for text in ("concept:Human measure:pathlen", "keyword:Crowd",
+                 "concept:Entity db:IAPS valence:[1,9]"):
+        entries = ranked_query(ws.corpus, ws.graph, parse_query(text),
+                               ws.closure).entries
+        assert entries and all(own.get(id(key)) is key for key, _ in entries)
+    for text in ("concept:Entity mode:filter", "db:IAPS valence:[1,9] mode:filter"):
+        keys = filter_query(ws.corpus, ws.graph, parse_query(text), ws.closure)
+        assert keys and all(own.get(id(key)) is key for key in keys)
+
+
 def test_filter_unknown_concept(paper_workspace):
     ws = paper_workspace
     q = parse_query("concept:Entity mode:filter")._replace(concept="NoSuchConcept")

@@ -5,6 +5,8 @@ import random
 import shutil
 import tempfile
 import weakref
+from array import array
+from base64 import b64encode
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,7 @@ from stimkb.corpus import (
 )
 from stimkb.errors import ParseError, SnapshotError, StimKbError, ValidationError
 from stimkb.snapshot import (
+    SNAPSHOT_VERSION,
     Workspace,
     build_workspace,
     load_snapshot,
@@ -43,10 +46,12 @@ from stimkb.synthetic import generate
 from stimkb.taxonomy import parse_taxonomy
 
 from conftest import (
+    PACKED_COLUMNS,
     PAPER_MANIFEST,
     SEAL_END,
     SEAL_HEAD,
     many_layout_lines,
+    oracle_concept_index,
     seal_text,
     serialize_record,
 )
@@ -458,17 +463,38 @@ def test_ingest_of_many_layouts_loads_without_parsing(tmp_path, monkeypatch):
     assert parsed == []
 
 
+def _packed_edit(key, edit):
+    """An edit of the values of packed column `key`: decoded, changed in
+    place by edit(values), and packed again.  A negative value is packed
+    as its two's complement in the column's item width, as a writer of
+    signed items would leave it."""
+    def edit_columns(tables, columns):
+        values = list(stimkb.snapshot._unpacked(key, columns[key]))
+        edit(values)
+        wrap = 1 << 8 * array(columns[key][0]).itemsize
+        columns[key] = stimkb.snapshot._packed([v % wrap for v in values])
+
+    return _columns(edit_columns)
+
+
 def _set(key, i, value):
     """An edit of one item of a record column."""
+    if key in PACKED_COLUMNS:
+        return _packed_edit(key, lambda values: values.__setitem__(i, value))
     return _columns(lambda tables, columns: columns[key].__setitem__(i, value))
+
+
+def _packed_text(code, values):
+    """The packed column of `values` under `code`, whatever the code."""
+    return [code, b64encode(array(code, values).tobytes()).decode()]
 
 
 # (case, edit, error text, whether a matching seal still fails the load).
 # A failed check of the structure fails every load, sealed or not; a
 # record that only fails validation loads when its seal matches.
 BAD_SNAPSHOTS = [
-    ("version only", _doc(lambda doc: '{"version": 2}'), "missing key 'seed'",
-     True),
+    ("version only", _doc(lambda doc: json.dumps({"version": SNAPSHOT_VERSION})),
+     "missing key 'seed'", True),
     ("no vocabularies", _doc(lambda doc: json.dumps(
         {k: v for k, v in doc.items() if k != "vocabularies"})),
      "missing key 'vocabularies'", True),
@@ -477,8 +503,11 @@ BAD_SNAPSHOTS = [
     ("top level list", _doc(lambda doc: "[1, 2]"), "not a JSON object", True),
     ("version 1", _doc(lambda doc: json.dumps({**doc, "version": 1})),
      "unsupported snapshot version 1; re-ingest", True),
-    ("unknown version", _doc(lambda doc: json.dumps({**doc, "version": 3})),
-     "unsupported snapshot version 3; re-ingest", True),
+    ("version 2", _doc(lambda doc: json.dumps({**doc, "version": 2})),
+     "unsupported snapshot version 2; re-ingest", True),
+    ("unknown version", _doc(lambda doc: json.dumps(
+        {**doc, "version": SNAPSHOT_VERSION + 1})),
+     f"unsupported snapshot version {SNAPSHOT_VERSION + 1}; re-ingest", True),
     ("records not an object", _doc(lambda doc: json.dumps(
         {**doc, "records": ["db=X\tid=1"]})), "'records' has type list", True),
     ("limit not an integer", _doc(lambda doc: json.dumps({**doc, "limit": "9"})),
@@ -493,19 +522,40 @@ BAD_SNAPSHOTS = [
      "'records.id' has type str", True),
     ("id not a string", _set("id", 1, 8163), "'records.id' holds an integer",
      True),
-    ("boolean index", _set("db", 0, True), "'records.db' holds a boolean",
-     True),
+    ("boolean typecode", _columns(lambda t, c: c["db"].__setitem__(0, True)),
+     "'records.db' is not a [typecode, base64] pair", True),
+    ("column of numbers", _columns(lambda t, c: c.update(db=[0, 1, 1, 0])),
+     "'records.db' is not a [typecode, base64] pair", True),
+    ("column of three", _columns(lambda t, c: c["chan"].append("B")),
+     "'records.chan' is not a [typecode, base64] pair", True),
+    ("unknown typecode", _columns(lambda t, c: c.update(
+        db=_packed_text("d", [0, 1, 1, 0]))),
+     "'records.db' has unknown typecode 'd'", True),
+    ("not base64", _columns(lambda t, c: c["db"].__setitem__(1, "not base64")),
+     "'records.db' is not base64 text", True),
+    # a2b_base64 alone would skip the '!' and read [0, 1, 1, 0].
+    ("stray character in base64", _columns(
+        lambda t, c: c["db"].__setitem__(1, "AAE!BAA==")),
+     "'records.db' is not base64 text", True),
+    ("partial item", _columns(lambda t, c: c.update(
+        sem=["H", b64encode(b"\0\0\1").decode()])),
+     "'records.sem' has 3 bytes, not whole 2-byte items", True),
     ("number as an index", _set("ctx", 0, 0.0), "'records.ctx' holds a number",
      True),
-    ("column too short", _columns(lambda t, c: c["db"].pop()),
+    ("column too short", _packed_edit("db", list.pop),
      "'records.db' has 3 items, not 4", True),
-    ("flat column too long", _columns(lambda t, c: c["sem"].append(0)),
+    ("flat column too long", _packed_edit("sem", lambda v: v.append(0)),
      "'records.sem_n' sums to 19, not to the 20 items of 'records.sem'", True),
     ("count that does not sum", _set("phys_n", 1, 1),
      "'records.phys_n' sums to 1, not to the 2 items of 'records.path'", True),
-    ("negative count", _columns(lambda t, c: c["sem_n"].__setitem__(
-        slice(0, 2), [-1, 8])), "'records.sem_n' holds a negative count", True),
+    # Counts are unsigned: a negative one needs a signed typecode.
+    ("negative count under a signed typecode", _columns(lambda t, c: c.update(
+        sem_n=_packed_text("b", [-1, 8, 4, 8]))),
+     "'records.sem_n' has unknown typecode 'b'", True),
     ("negative db index", _set("db", 0, -1),
+     "'records.db' holds an index outside [0, 2)", True),
+    ("8-byte db index", _columns(lambda t, c: c.update(
+        db=stimkb.snapshot._packed([1 << 40, 1, 1, 0]))),
      "'records.db' holds an index outside [0, 2)", True),
     ("context index past the table", _set("ctx", 0, 3),
      "'records.ctx' holds an index outside [0, 3)", True),
@@ -725,6 +775,40 @@ def test_load_equals_build_workspace(tmp_path):
         built.unmapped_keywords, built.seed, built.limit)
 
 
+def test_concept_index_is_built_on_first_use(tmp_path, monkeypatch, capsys):
+    built, loaded = _built_and_loaded(tmp_path)
+    calls = []
+    build = stimkb.corpus._concept_index
+
+    def counting_build(records, keys):
+        calls.append(1)
+        return build(records, keys)
+
+    monkeypatch.setattr(stimkb.corpus, "_concept_index", counting_build)
+    for ws in (built, loaded):
+        assert ws.corpus.concept_index == oracle_concept_index(ws.corpus)
+        assert ws.corpus.concept_index is ws.corpus.concept_index
+    assert len(calls) == 2
+    # Loads for commands that read no concept clause build no index, a
+    # ranked concept query included; a concept filter and stats build one.
+    snap = tmp_path / "snap.json"
+    for argv, builds in (
+        (["stats"], 1),
+        (["query", "keyword:fichipado"], 0),
+        (["query", "concept:kagor"], 0),
+        (["query", "category:BigSix.anger mode:filter"], 0),
+        (["query", "valence:[1,9] mode:filter"], 0),
+        (["query", "concept:kagor mode:filter"], 1),
+    ):
+        calls.clear()
+        assert main(argv[:1] + ["--snapshot", str(snap)] + argv[1:]) == 0
+        assert len(calls) == builds, argv
+    capsys.readouterr()
+    calls.clear()
+    load_snapshot(snap)
+    assert calls == []
+
+
 def test_loaded_records_share_one_annotation_per_token(tmp_path):
     _, loaded = _built_and_loaded(tmp_path)
     objects = {}
@@ -770,20 +854,45 @@ def _unloadable(doc):
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_load_restores_the_collector_state(enabled, tmp_path, paper_workspace):
+    # The collector is paused from before the document is parsed, so every
+    # way out of a load, early or late, must restore it.
     doc = _snapshot_doc(paper_workspace, tmp_path)
     good = tmp_path / "good.json"
-    bad = tmp_path / "bad.json"
-    bad.write_text(_unloadable(doc))
+    unsealed = {k: v for k, v in doc.items() if k != "seal"}
+    bad_texts = {
+        "not JSON": "not json {",
+        "bad taxonomy": json.dumps({**unsealed, "taxonomy": "A\tB\nB\tA\n"}),
+        "bad column": _unloadable(doc),
+        "invalid record": _record(1, semantics=(
+            SemanticsAnnotation("Object", "NoSuch"),))(
+                unsealed, list(paper_workspace.corpus)),
+    }
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
         load_snapshot(good)
         assert gc.isenabled() is enabled
-        with pytest.raises(SnapshotError):
-            load_snapshot(bad)
-        assert gc.isenabled() is enabled
+        for case, text in bad_texts.items():
+            bad = tmp_path / "bad.json"
+            bad.write_text(text)
+            with pytest.raises(SnapshotError, match=f"bad snapshot {bad}: "):
+                load_snapshot(bad)
+            assert gc.isenabled() is enabled, case
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+def test_packed_columns_are_little_endian():
+    # Fixed texts: a packed item's byte order is the format's, not the
+    # host's, and each column takes the narrowest typecode that holds it.
+    packed = stimkb.snapshot._packed
+    assert packed([1, 258]) == ["H", "AQACAQ=="]
+    assert packed([1 << 16, 7]) == ["I", "AAABAAcAAAA="]
+    assert packed([0, 255]) == ["B", "AP8="]
+    assert packed([]) == ["B", ""]
+    unpacked = stimkb.snapshot._unpacked
+    assert list(unpacked("'x'", ["H", "AQACAQ=="])) == [1, 258]
+    assert list(unpacked("'x'", ["Q", "AQAAAAAAAAA="])) == [1]
 
 
 @pytest.mark.parametrize("enabled", [True, False])
