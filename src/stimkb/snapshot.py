@@ -4,15 +4,17 @@ A manifest is a flat `key=value` file naming the input files (taxonomy,
 mapping, vocabularies, axioms, records, legacy) plus defaults (seed,
 limit); paths are resolved relative to the manifest.  Ingest
 builds everything once and writes a single versioned JSON snapshot, so
-queries and evaluation never re-parse the raw inputs.
+queries and evaluation never re-parse the raw inputs.  Keyword expansion
+happens at ingest, so the snapshot stores no keyword mapping.
 
-The snapshot stores the records as positional columns (format version 3):
+The snapshot stores the records as positional columns (format version 4):
 one column per record field over tables of the distinct annotations,
-contexts, database names and physiology channels, so that a load builds
-every record with C-level `map`/`zip` calls and parses no record text.
-The integer columns (table indices and per-record counts) are packed:
-a `[typecode, base64]` pair of a little-endian array of unsigned
-integers, which the load decodes without parsing any number text.
+contexts, database names, physiology directories and channels, dimension
+scales and semantics kinds, so that a load builds every record with
+C-level `map`/`zip` calls and parses no record text.  The integer columns
+(table indices and per-record counts) are packed: a `[typecode, base64]`
+pair of a little-endian array of unsigned integers, which the load
+decodes without parsing any number text.
 """
 
 import gc
@@ -22,8 +24,8 @@ from array import array
 from binascii import a2b_base64, b2a_base64
 from collections import namedtuple
 from functools import partial
-from itertools import chain, compress, count, groupby, islice, repeat, zip_longest
-from operator import add, is_, is_not, itemgetter
+from itertools import chain, compress, count, islice, repeat, zip_longest
+from operator import add, is_, is_not, itemgetter, ne
 from pathlib import Path
 
 try:
@@ -68,7 +70,7 @@ from .lines import (
 )
 from .taxonomy import parse_mapping, parse_taxonomy
 
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 MANIFEST_FILE_KEYS = (
     "taxonomy",
@@ -94,10 +96,8 @@ _SNAPSHOT_KEYS = {
     "seed": (int,),
     "limit": (int, _NULL),
     "taxonomy": (str,),
-    "mapping": (str, _NULL),
     "vocabularies": (str,),
     "axioms": (str, _NULL),
-    "unmapped_keywords": (list,),
     "tables": (dict,),
     "records": (dict,),
 }
@@ -109,20 +109,33 @@ _JSON_NAMES = {dict: "an object", list: "an array", str: "a string",
                int: "an integer", float: "a number", bool: "a boolean",
                _NULL: "a null"}
 
-# The tables and the types of their items.  An annotation row is its tag
-# (a key of _ANNOTATIONS) then its fields; the rows of one tag are
-# contiguous.  A context row holds the ContextRecord fields, in order.
+# A packed column's typecodes and their item sizes in bytes.  The writer
+# uses the narrowest that holds the column's largest item.
+_PACKED_SIZES = {"B": 1, "H": 2, "I": 4, "Q": 8}
+_BIG_ENDIAN = sys.byteorder == "big"
+# In the column schemas below: a packed column, whose items are unsigned.
+_PACKED = None
+
+# The tables and the types of their items.  `annotations` holds one
+# section per tag of _ANNOTATIONS, in its order: the tag, then the tag's
+# field columns.  A context row holds the ContextRecord fields, in order;
+# a scale row the scale's [min, max]; a dir is the text of a physiology
+# path up to and including its last `/`.
 _TABLES = {
     "annotations": {list},
+    "kinds": _TEXT,
     "contexts": {list},
+    "scales": {list},
     "dbs": _TEXT,
+    "dirs": _TEXT,
     "channels": _OPT_TEXT,
 }
-# Per annotation tag: the class its rows build, the JSON types of the row's
-# fields after the tag, and its record field.  An "app" row is instead a
-# flat list of (name, value) pairs.
+# Per annotation tag: the class its rows build, the JSON types of its
+# field columns (the semantics kind is packed, an index into `kinds`), and
+# its record field.  An "app" section holds rows instead, each a flat list
+# of (name, value) pairs.
 _ANNOTATIONS = {
-    "sem": (SemanticsAnnotation, (_TEXT, _OPT_TEXT, _OPT_TEXT), "semantics"),
+    "sem": (SemanticsAnnotation, (_PACKED, _OPT_TEXT, _OPT_TEXT), "semantics"),
     "cat": (CategoryAnnotation, (_TEXT, _TEXT, _OPT_TEXT, _OPT_NUM),
             "categories"),
     "app": (AppraisalAnnotation, None, "appraisals"),
@@ -134,33 +147,29 @@ _CONTEXT_TYPES = tuple(
     {int: _OPT_INT, float: _OPT_NUM}.get(CONTEXT_NUMBER_TYPES.get(f), _OPT_TEXT)
     for f in ContextRecord._fields
 )
-# A dimension vector holds the DimensionAnnotation fields, in order, up to
-# the last one set; its scale is required.
+# A dimension vector holds the DimensionAnnotation fields after the scale,
+# in order, up to the last one set; the scale is a row of `scales`.
 _DIMENSION_FIELDS = len(DimensionAnnotation._fields)
-_DIMENSION_TYPES = tuple(
-    _NUM if f.startswith("scale") else _OPT_TEXT if f == "confidence_level"
-    else _OPT_NUM
-    for f in DimensionAnnotation._fields
+_VECTOR_FIELDS = _DIMENSION_FIELDS - 2
+_VECTOR_TYPES = tuple(
+    _OPT_TEXT if f == "confidence_level" else _OPT_NUM
+    for f in DimensionAnnotation._fields[2:]
 )
-# A packed column's typecodes and their item sizes in bytes.  The writer
-# uses the narrowest that holds the column's largest item.
-_PACKED_SIZES = {"B": 1, "H": 2, "I": 4, "Q": 8}
-_BIG_ENDIAN = sys.byteorder == "big"
-# In the column schemas below: a packed column, whose items are unsigned.
-_PACKED = None
 # The record columns: one item per record (`<tag>_n` and `phys_n` count
-# the record's items in the flat column `<tag>`, or in `path` and `chan`),
-# then the flat columns.  Indices point into the tables.
+# the record's items in the flat column `<tag>`, or in `dir`, `path` and
+# `chan`), then the flat columns.  Indices point into the tables; in
+# `scale` and `ctx`, 0 is none and k is the table's row k - 1.
 _RECORD_COLUMNS = {
     "db": _PACKED,
     "id": _TEXT,
     **{f"{tag}_n": _PACKED for tag in _ANNOTATIONS},
     "dim": {list, _NULL},
-    "ctx": _OPT_INT,
+    "scale": _PACKED,
+    "ctx": _PACKED,
     "phys_n": _PACKED,
 }
-_FLAT_COLUMNS = {**{tag: _PACKED for tag in _ANNOTATIONS}, "path": _TEXT,
-                 "chan": _PACKED}
+_FLAT_COLUMNS = {**{tag: _PACKED for tag in _ANNOTATIONS}, "dir": _PACKED,
+                 "path": _TEXT, "chan": _PACKED}
 
 
 class Manifest(namedtuple("Manifest", "paths seed limit", defaults=(0, None))):
@@ -227,7 +236,13 @@ class Workspace(namedtuple(
     "graph mapping closure corpus unmapped_keywords seed limit",
     defaults=(0, None),
 )):
-    """All the commands need, fully built; the vocabularies are corpus.vocabs."""
+    """All the commands need, fully built; the vocabularies are corpus.vocabs.
+
+    Only build_workspace fills `mapping` (the keyword mapping, or None) and
+    `unmapped_keywords` (the record keywords it maps to no concept): both
+    serve keyword expansion, which happens at ingest.  A loaded workspace
+    has `mapping` None and `unmapped_keywords` ().
+    """
 
     __slots__ = ()
 
@@ -281,12 +296,14 @@ def build_workspace(manifest):
 def save_snapshot(workspace, path):
     """Persist the workspace as a versioned JSON document.
 
-    The taxonomy/mapping/vocab/axiom inputs are stored in their wire
-    formats and re-parsed at load, which keeps the snapshot format tied to
-    the already-tested parsers.  The taxonomy and the vocabularies written
-    are the corpus's: the ones Corpus.add_stimulus validated every record
-    against.  The records are stored as the columns of _record_columns,
-    and the document is written compact (no indentation).
+    The taxonomy/vocab/axiom inputs are stored in their wire formats and
+    re-parsed at load, which keeps the snapshot format tied to the
+    already-tested parsers.  The taxonomy and the vocabularies written are
+    the corpus's: the ones Corpus.add_stimulus validated every record
+    against.  The keyword mapping and the unmapped keywords are not stored:
+    the records hold their expanded concepts, and no command reads either
+    after a load.  The records are stored as the columns of
+    _record_columns, and the document is written compact (no indentation).
 
     The document is therefore always sealed: its first key, "seal", is a
     digest of the validation rules version and the rest of the file, and
@@ -294,13 +311,6 @@ def save_snapshot(workspace, path):
     integrity check, not a security boundary: anyone can compute it.
     """
     corpus = workspace.corpus
-    mapping_lines = None
-    if workspace.mapping is not None:
-        mapping_lines = [
-            f"{kw}\t{c}"
-            for kw, cs in sorted(workspace.mapping.entries.items())
-            for c in sorted(cs)
-        ]
     vocab_lines = [
         f"{vid}\t{term}"
         for vid, vocab in sorted(corpus.vocabs.items())
@@ -317,10 +327,8 @@ def save_snapshot(workspace, path):
         "seed": workspace.seed,
         "limit": workspace.limit,
         "taxonomy": corpus.graph.serialize(),
-        "mapping": "\n".join(mapping_lines) + "\n" if mapping_lines else None,
         "vocabularies": "\n".join(vocab_lines) + "\n",
         "axioms": "\n".join(axiom_lines) + "\n" if axiom_lines else None,
-        "unmapped_keywords": workspace.unmapped_keywords,
         "tables": tables,
         "records": columns,
     }
@@ -351,11 +359,13 @@ def _record_columns(records):
     """The tables and the record columns (see _TABLES and _RECORD_COLUMNS)
     that store `records`, in order.
 
-    Annotations and contexts are interned by the text they are written as:
-    records that share one in memory, or hold equal ones written alike,
-    share its row.  Semantics annotations hold only text, so equal ones are
-    written alike; the others are keyed by `repr`, which tells -0.0 from
-    0.0 and 1 from 1.0 as the JSON text does.
+    Annotations, contexts and scales are interned by the text they are
+    written as: records that share one in memory, or hold equal ones
+    written alike, share its row.  Semantics annotations hold only text, so
+    equal ones are written alike; the others are keyed by `repr`, which
+    tells -0.0 from 0.0 and 1 from 1.0 as the JSON text does.  Every table
+    lists its items in first-seen order, so the bytes written do not
+    depend on the hash seed.
     """
     if records:
         fields = dict(zip(StimulusRecord._fields, zip(*records)))
@@ -363,35 +373,52 @@ def _record_columns(records):
         fields = dict.fromkeys(StimulusRecord._fields, ())
     dbs, db_column = _interned(fields["db"])
     columns = {"db": db_column, "id": list(fields["id"])}
-    rows = []
-    for tag, (_, _, field) in _ANNOTATIONS.items():
+    sections = []
+    kinds = []
+    for tag, (_, types, field) in _ANNOTATIONS.items():
         per_record = fields[field]
-        distinct, index = _interned(list(chain.from_iterable(per_record)),
-                                    None if tag == "sem" else repr)
         columns[f"{tag}_n"] = list(map(len, per_record))
-        columns[tag] = list(map(len(rows).__add__, index))
-        if tag == "app":
-            rows += (("app", *chain.from_iterable(a.values)) for a in distinct)
-        else:
-            rows += map(add, repeat((tag,)), distinct)
-    columns["dim"] = [d if d is None else _set_fields(d)
-                      for d in fields["dimensions"]]
+        distinct, columns[tag] = _interned(
+            list(chain.from_iterable(per_record)),
+            None if tag == "sem" else repr)
+        if types is None:
+            sections.append([tag, *(list(chain.from_iterable(a.values))
+                                    for a in distinct)])
+            continue
+        section = [tag, *map(list, zip(*distinct))] if distinct else [
+            tag, *([] for _ in types)]
+        if tag == "sem":
+            kinds, index = _interned(section[1])
+            section[1] = _packed(index)
+        sections.append(section)
 
-    present = list(map(is_not, fields["context"], repeat(None)))
-    contexts, index = _interned(list(compress(fields["context"], present)), repr)
-    at = dict(zip(compress(count(), present), index))
-    columns["ctx"] = list(map(at.get, range(len(records))))
+    dims = fields["dimensions"]
+    columns["dim"] = [None if d is None else _vector(d) for d in dims]
+    scales, columns["scale"] = _optional_rows(
+        [None if d is None else d[:2] for d in dims])
+    contexts, columns["ctx"] = _optional_rows(fields["context"])
 
     refs = list(chain.from_iterable(fields["physiology"]))
     columns["phys_n"] = list(map(len, fields["physiology"]))
-    columns["path"] = list(map(itemgetter(0), refs))  # PhysiologyRef.path
+    # (text before the last `/`, the `/` or "", the name) per path.
+    parts = list(map(str.rpartition, map(itemgetter(0), refs), repeat("/")))
+    dirs, columns["dir"] = _interned(
+        list(map(add, map(itemgetter(0), parts), map(itemgetter(1), parts))))
+    columns["path"] = list(map(itemgetter(2), parts))
     channels, columns["chan"] = _interned(list(map(itemgetter(1), refs)))
     for key, allowed in {**_RECORD_COLUMNS, **_FLAT_COLUMNS}.items():
         if allowed is _PACKED:
             columns[key] = _packed(columns[key])
-    tables = {"annotations": rows, "contexts": contexts, "dbs": dbs,
-              "channels": channels}
+    tables = {"annotations": sections, "kinds": kinds, "contexts": contexts,
+              "scales": scales, "dbs": dbs, "dirs": dirs, "channels": channels}
     return tables, columns
+
+
+def _optional_rows(items):
+    """(the distinct items that are not None, interned by `repr`, and per
+    item 0 for None or else 1 + its row among them)."""
+    distinct, index = _interned([None, *items], repr)
+    return distinct[1:], index[1:]
 
 
 def _packed(values):
@@ -434,13 +461,13 @@ def _unpacked(name, pair):
     return items
 
 
-def _set_fields(vector):
-    """Dimension vector `vector` up to its last field that is not None,
-    and at least its scale."""
-    end = len(vector)
-    while end > 2 and vector[end - 1] is None:
+def _vector(dimensions):
+    """The fields of DimensionAnnotation `dimensions` after its scale, up
+    to the last one that is not None."""
+    end = len(dimensions)
+    while end > 2 and dimensions[end - 1] is None:
         end -= 1
-    return vector[:end]
+    return dimensions[2:end]
 
 
 def _seal(*chunks):
@@ -472,8 +499,6 @@ def _snapshot_problem(doc):
             return f"{key!r} has type {type(doc[key]).__name__}"
     if doc["limit"] is not None and doc["limit"] < 1:
         return f"'limit' is {doc['limit']}, not >= 1"
-    if not all(type(v) is str for v in doc["unmapped_keywords"]):
-        return "'unmapped_keywords' holds a non-string item"
     return None
 
 
@@ -494,30 +519,30 @@ def _check_types(name, items, allowed):
             raise SnapshotError(f"{name} holds a tab or a line break")
 
 
-def _check_indices(name, indices, size, start=0):
-    """Raise SnapshotError unless every index is in [start, start + size)."""
-    if indices and (min(indices) < start or max(indices) >= start + size):
-        raise SnapshotError(
-            f"{name} holds an index outside [{start}, {start + size})")
+def _check_indices(name, indices, size):
+    """Raise SnapshotError unless every index is in [0, size)."""
+    if indices and max(indices) >= size:
+        raise SnapshotError(f"{name} holds an index outside [0, {size})")
 
 
 def _check_rows(name, rows, types):
-    """Check that each row has one item per entry of `types`, of its types;
-    return the rows' columns."""
+    """Check that each row has one item per entry of `types`, of its types."""
     if set(map(len, rows)) - {len(types)}:
         raise SnapshotError(f"{name} has a row without {len(types)} fields")
-    columns = list(zip(*rows)) or [()] * len(types)
-    for i, (column, allowed) in enumerate(zip(columns, types)):
+    for i, (column, allowed) in enumerate(zip(zip(*rows), types)):
         _check_types(f"{name} field {i}", column, allowed)
-    return columns
 
 
-def _annotations(tag, rows):
-    """The annotation objects that the rows (tag dropped) of `tag` build."""
+def _annotations(tag, fields, kinds):
+    """The annotation objects that the section of `tag` builds from
+    `fields`, the section without its tag (a packed column is decoded in
+    place)."""
     cls, types, _ = _ANNOTATIONS[tag]
     name = f"'tables.annotations' tag {tag!r}"
     build = partial(tuple.__new__, cls)
     if types is None:
+        rows = fields
+        _check_types(name, rows, {list})
         lengths = set(map(len, rows))
         if 0 in lengths or any(k % 2 for k in lengths):
             raise SnapshotError(f"{name} is not a list of (name, value) pairs")
@@ -526,17 +551,31 @@ def _annotations(tag, rows):
         _check_types(f"{name} name", list(chain.from_iterable(names)), _TEXT)
         _check_types(f"{name} value", list(chain.from_iterable(values)), _NUM)
         return list(map(build, zip(map(tuple, map(zip, names, values)))))
-    columns = _check_rows(name, rows, types)
+    if len(fields) != len(types):
+        raise SnapshotError(
+            f"{name} has {len(fields)} field columns, not {len(types)}")
+    for i, allowed in enumerate(types):
+        field = f"{name} field {i}"
+        if allowed is _PACKED:
+            fields[i] = _unpacked(field, fields[i])
+            _check_indices(field, fields[i], len(kinds))
+        elif type(fields[i]) is not list:
+            raise SnapshotError(f"{field} has type {type(fields[i]).__name__}")
+        else:
+            _check_types(field, fields[i], allowed)
+    if len(set(map(len, fields))) > 1:
+        raise SnapshotError(f"{name} has a row without {len(types)} fields")
     if tag == "sem":
-        kind, concept, keyword = columns
+        kind, concept, keyword = fields
         if list(map(is_not, concept, repeat(None))) != list(
                 map(is_, keyword, repeat(None))):
             raise SnapshotError(f"{name} needs exactly one of concept and keyword")
         if "" in concept or "" in keyword:
             raise SnapshotError(f"{name} has an empty concept or keyword")
-    elif tag == "cat" and ("" in columns[0] or "" in columns[1]):
+        fields[0] = map(kinds.__getitem__, kind)
+    elif tag == "cat" and ("" in fields[0] or "" in fields[1]):
         raise SnapshotError(f"{name} has an empty vocabulary or term")
-    return list(map(build, rows))
+    return list(map(build, zip(*fields)))
 
 
 def _per_record(counts, items, total):
@@ -551,12 +590,12 @@ def _per_record(counts, items, total):
 
 def _records(tables, columns):
     """(the records stored in `tables` and `columns`, in order, and their
-    keys).  Every column is checked first, whatever the seal: its item
-    types (a packed column is decoded in place), its length, that its
-    indices point into their table, and the rules a record must meet to be
-    built at all (a non-empty db and id, a scale with any dimension values,
-    exactly one of concept or keyword per semantics annotation).  The first
-    problem raises SnapshotError."""
+    keys).  Every table and column is checked first, whatever the seal:
+    its item types (a packed column is decoded in place), its length, that
+    its indices point into their table, and the rules a record must meet
+    to be built at all (a non-empty db and id, a scale exactly when there
+    is a dimension vector, exactly one of concept or keyword per semantics
+    annotation).  The first problem raises SnapshotError."""
     for group, holder, schema in (("tables", tables, _TABLES),
                                   ("records", columns,
                                    {**_RECORD_COLUMNS, **_FLAT_COLUMNS})):
@@ -584,83 +623,85 @@ def _records(tables, columns):
         raise SnapshotError("'tables.dbs' holds an empty name")
     _check_indices("'records.db'", columns["db"], len(dbs))
     for key, flat in (*((f"{tag}_n", tag) for tag in _ANNOTATIONS),
-                      ("phys_n", "path"), ("phys_n", "chan")):
+                      ("phys_n", "path"), ("phys_n", "dir"), ("phys_n", "chan")):
         counts = columns[key]
         if sum(counts) != len(columns[flat]):
             raise SnapshotError(
                 f"'records.{key}' sums to {sum(counts)}, not to the "
                 f"{len(columns[flat])} items of 'records.{flat}'")
 
-    # The annotation table: each tag's rows are contiguous, and its
-    # record column points into them.
-    rows = tables["annotations"]
-    if not all(rows):
-        raise SnapshotError("'tables.annotations' holds an empty row")
-    tags = list(map(itemgetter(0), rows))
-    _check_types("'tables.annotations' tags", tags, _TEXT)
-    annotations = []
-    per_tag = {}
-    for tag, run in groupby(tags):
-        if tag not in _ANNOTATIONS or tag in per_tag:
-            raise SnapshotError(
-                f"'tables.annotations' has a stray row tagged {tag!r}")
-        start = len(annotations)
-        size = len(list(run))
-        annotations += _annotations(tag, list(map(
-            itemgetter(slice(1, None)), rows[start:start + size])))
-        per_tag[tag] = (start, size)
+    # The annotation table: one section per tag, in order, and each tag's
+    # record column points into its section's rows.
+    sections = tables["annotations"]
+    if not all(sections):
+        raise SnapshotError("'tables.annotations' holds an empty section")
+    tags = list(map(itemgetter(0), sections))
+    if tags != list(_ANNOTATIONS):
+        raise SnapshotError(f"'tables.annotations' has sections tagged "
+                            f"{tags!r}, not {list(_ANNOTATIONS)!r}")
+    kinds = tables["kinds"]
+    if "" in kinds:
+        raise SnapshotError("'tables.kinds' holds an empty name")
     fields = {}
-    for tag, (_, _, field) in _ANNOTATIONS.items():
-        start, size = per_tag.get(tag, (0, 0))
-        _check_indices(f"'records.{tag}'", columns[tag], size, start)
-        fields[field] = _per_record(
+    for tag, section in zip(_ANNOTATIONS, sections):
+        annotations = _annotations(tag, section[1:], kinds)
+        _check_indices(f"'records.{tag}'", columns[tag], len(annotations))
+        fields[_ANNOTATIONS[tag][2]] = _per_record(
             columns[f"{tag}_n"], map(annotations.__getitem__, columns[tag]),
             len(columns[tag]))
 
-    # A dimension vector holds its scale and then the other fields up to
-    # the last one set; the load pads it with nulls.
-    dims = columns["dim"]
+    # A record has a dimension vector exactly when its scale is not 0.  The
+    # vector holds the fields after the scale up to the last one set; the
+    # load puts the scale row before it and pads it with nulls.
+    scales = tables["scales"]
+    _check_rows("'tables.scales'", scales, (_NUM, _NUM))
+    scale, dims = columns["scale"], columns["dim"]
+    _check_indices("'records.scale'", scale, len(scales) + 1)
     present = list(map(is_not, dims, repeat(None)))
+    scaled = list(map(bool, scale))
+    if present != scaled:
+        i = next(compress(count(), map(ne, present, scaled)))
+        raise SnapshotError(f"records[{i}]: " + (
+            "dimensions without a scale" if present[i]
+            else "a scale without dimensions"))
     vectors = list(compress(dims, present))
-    lengths = set(map(len, vectors))
-    if lengths and not 2 <= min(lengths) <= max(lengths) <= _DIMENSION_FIELDS:
-        raise SnapshotError(
-            f"'records.dim' holds a vector of {min(lengths)} or "
-            f"{max(lengths)} fields, not 2 to {_DIMENSION_FIELDS}")
+    longest = max(map(len, vectors), default=0)
+    if longest > _VECTOR_FIELDS:
+        raise SnapshotError(f"'records.dim' holds a vector of {longest} "
+                            f"fields, not 0 to {_VECTOR_FIELDS}")
     for i, (column, allowed) in enumerate(
-            zip(zip_longest(*vectors), _DIMENSION_TYPES)):
+            zip(zip_longest(*vectors), _VECTOR_TYPES)):
         _check_types(f"'records.dim' field {i}", column, allowed)
-    padding = [[None] * (_DIMENSION_FIELDS - k)
-               for k in range(_DIMENSION_FIELDS + 1)]
-    full = map(add, vectors, map(padding.__getitem__, map(len, vectors)))
+    padding = [[None] * (_VECTOR_FIELDS - k) for k in range(_VECTOR_FIELDS + 1)]
+    scale_at = [None, *scales]
+    full = map(add, map(scale_at.__getitem__, compress(scale, present)),
+               map(add, vectors, map(padding.__getitem__, map(len, vectors))))
     dims_at = dict(zip(compress(count(), present),
                        map(partial(tuple.__new__, DimensionAnnotation), full)))
     fields["dimensions"] = map(dims_at.get, range(n))
 
     contexts = tables["contexts"]
     _check_rows("'tables.contexts'", contexts, _CONTEXT_TYPES)
-    ctx = columns["ctx"]
-    _check_indices("'records.ctx'",
-                   list(compress(ctx, map(is_not, ctx, repeat(None)))),
-                   len(contexts))
-    context_at = dict(enumerate(
-        map(partial(tuple.__new__, ContextRecord), contexts)))
-    context_at[None] = None
-    fields["context"] = map(context_at.__getitem__, ctx)
+    _check_indices("'records.ctx'", columns["ctx"], len(contexts) + 1)
+    context_at = [None, *map(partial(tuple.__new__, ContextRecord), contexts)]
+    fields["context"] = map(context_at.__getitem__, columns["ctx"])
 
     # A records file writes a reference `path channel`, and packs several
-    # with `;`.
-    paths = "".join(columns["path"])
-    if " " in paths or ";" in paths:
-        raise SnapshotError("'records.path' holds a space or a ';'")
+    # with `;`.  A path is its dir and then its name.
+    dirs, names = tables["dirs"], columns["path"]
+    for name, text in (("'tables.dirs'", "".join(dirs)),
+                       ("'records.path'", "".join(names))):
+        if " " in text or ";" in text:
+            raise SnapshotError(f"{name} holds a space or a ';'")
+    _check_indices("'records.dir'", columns["dir"], len(dirs))
     channels = tables["channels"]
     if "" in channels or ";" in "".join(filter(None, channels)):
         raise SnapshotError("'tables.channels' holds an empty name or a ';'")
     _check_indices("'records.chan'", columns["chan"], len(channels))
+    paths = map(add, map(dirs.__getitem__, columns["dir"]), names)
     refs = map(partial(tuple.__new__, PhysiologyRef),
-               zip(columns["path"], map(channels.__getitem__, columns["chan"])))
-    fields["physiology"] = _per_record(columns["phys_n"], refs,
-                                       len(columns["path"]))
+               zip(paths, map(channels.__getitem__, columns["chan"])))
+    fields["physiology"] = _per_record(columns["phys_n"], refs, len(names))
 
     db_names = list(map(dbs.__getitem__, columns["db"]))
     fields["db"], fields["id"] = db_names, ids
@@ -724,7 +765,6 @@ def _workspace(doc, sealed):
         raise SnapshotError(problem)
     try:
         graph = parse_taxonomy(doc["taxonomy"])
-        mapping = parse_mapping(doc["mapping"], graph) if doc["mapping"] else None
         vocabs = load_vocabularies(doc["vocabularies"])
         axioms = parse_axioms(doc["axioms"] or "")
         closure = EquivalenceClosure(axioms)
@@ -750,10 +790,10 @@ def _workspace(doc, sealed):
             f"records[{repeated}]: duplicate stimulus key {keys[repeated]}")
     return Workspace(
         graph=graph,
-        mapping=mapping,
+        mapping=None,
         closure=closure,
         corpus=corpus,
-        unmapped_keywords=doc["unmapped_keywords"],
+        unmapped_keywords=(),
         seed=doc["seed"],
         limit=doc["limit"],
     )

@@ -762,6 +762,48 @@ def test_fuzzed_query_exits_with_a_documented_code(fuzz_snapshot, query, fmt):
     assert _exit_code(argv) in DOCUMENTED_EXITS
 
 
+# The text of a numeric option: an integer (zero, negative, huge), or text
+# that may not be one (a fraction, an exponent, other digits, spaces).
+NUMBER_TEXT = st.one_of(
+    st.integers(-10**18 - 1, 10**18 + 1).map(str),
+    st.sampled_from(["0", "-0", "-1", str(10**18), str(-10**18), "1.5", "2e3",
+                     "", " ", " 3 ", "+3", "1_0", "0x10", "x", "nan", "inf",
+                     "\u0661\u0662", "\u00b2"]),
+    st.text(max_size=6),
+)
+
+
+def _option(low, high):
+    """Text for an integer option whose good values run from `low` to
+    `high`: one of them, often an end of the range, two times in three;
+    else any NUMBER_TEXT that is no integer above `high`."""
+    def at_most_high(text):
+        try:
+            return int(text) <= high
+        except ValueError:
+            return True
+
+    return st.one_of(st.integers(low, high).map(str),
+                     st.sampled_from([str(low), str(high)]),
+                     NUMBER_TEXT.filter(at_most_high))
+
+
+# --count stays at 50 or less, so that no example builds a large sequence.
+@settings(max_examples=200, deadline=None)
+@given(count=_option(1, 50), duration=_option(1, 10**18),
+       isi=_option(0, 10**18))
+def test_fuzzed_sequence_options_exit_with_a_documented_code(
+    fuzz_snapshot, count, duration, isi
+):
+    # A bad value is a usage error (2), or a data error (3) when the query
+    # has fewer results than --count; never an internal one (4).  The
+    # `--flag=value` form passes a value that starts with `-` as a value.
+    argv = ["sequence", "--snapshot", str(fuzz_snapshot), f"--count={count}",
+            f"--duration={duration}", f"--isi={isi}",
+            "concept:Entity measure:pathlen"]
+    assert _exit_code(argv) in (0, 2, 3)
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.text(max_size=12),
@@ -775,30 +817,48 @@ SPLICE_TEXT = st.text(
 )
 
 
-# An item put into a table or a column: any JSON value, or an index near
-# the bounds of the fixture's tables (19 annotations, 3 contexts, 2 dbs).
+# An item put into a table or a column: any JSON value, or a number near
+# the bounds of the fixture's tables (18 semantics annotations, 3 contexts,
+# 2 dbs, 1 scale, 1 kind).
 ITEMS = JSON_VALUES | st.integers(-3, 22)
 # A value put into a packed column.
 PACKED_ITEMS = st.integers(0, 22) | st.integers(0, 2**64 - 1)
 
 
 def _rows(doc):
-    """The lists a mutation may edit: every table and record column, and
-    every annotation row, context row and dimension vector."""
+    """The lists a mutation may edit: every table and record column, every
+    annotation section and its field columns or rows, and every context
+    row, scale row and dimension vector."""
     tables, columns = doc["tables"], doc["records"]
-    return [*tables.values(), *columns.values(), *tables["annotations"],
-            *tables["contexts"], *(v for v in columns["dim"] if v)]
+    sections = tables["annotations"]
+    return [*tables.values(), *columns.values(), *sections,
+            *(field for section in sections for field in section[1:]),
+            *tables["contexts"], *tables["scales"],
+            *(v for v in columns["dim"] if v)]
+
+
+def _packed_columns(doc):
+    """(holder, key) of every packed column: the packed record columns and
+    the packed field columns of the annotation sections."""
+    found = [(doc["records"], key) for key in PACKED_COLUMNS]
+    for section in doc["tables"]["annotations"]:
+        types = stimkb.snapshot._ANNOTATIONS[section[0]][1] or ()
+        found += [(section, i) for i, allowed in enumerate(types, start=1)
+                  if allowed is stimkb.snapshot._PACKED]
+    return found
 
 
 @st.composite
 def mutated_snapshots(draw, text):
     """The text of a snapshot (its seal dropped) with one edit: truncated;
     a key of the document, its tables or its record columns dropped or its
-    value replaced by any JSON value; an item of a table, a column, a row
-    or a packed column's [typecode, base64] pair replaced, added or
-    removed; a value of a packed column replaced, added or removed, and
-    the column packed again; or a splice into a text input or into one
-    string of a table, a column or a packed pair."""
+    value replaced by any JSON value; an item of a table, a column, an
+    annotation section or its field columns, a row or a packed column's
+    [typecode, base64] pair replaced, added or removed; a value of a
+    packed column (a record column or an annotation field column)
+    replaced, added or removed, and the column packed again; or a splice
+    into a text input or into one string of a table, a column or a packed
+    pair."""
     kind = draw(st.sampled_from(["truncate", "drop", "replace", "item",
                                  "resize", "values", "splice"]))
     if kind == "truncate":
@@ -820,8 +880,7 @@ def mutated_snapshots(draw, text):
         else:
             row.insert(draw(st.integers(0, len(row))), draw(ITEMS))
     elif kind == "values":
-        key = draw(st.sampled_from(PACKED_COLUMNS))
-        columns = doc["records"]
+        columns, key = draw(st.sampled_from(_packed_columns(doc)))
         values = list(stimkb.snapshot._unpacked(key, columns[key]))
         edit = draw(st.sampled_from(["set", "delete", "insert"])
                     if values else st.just("insert"))
@@ -836,8 +895,7 @@ def mutated_snapshots(draw, text):
         columns[key] = stimkb.snapshot._packed(values)
     else:
         holder, key = draw(st.sampled_from(
-            [(doc, k) for k in ("taxonomy", "mapping", "vocabularies",
-                                "axioms")]
+            [(doc, k) for k in ("taxonomy", "vocabularies", "axioms")]
             + [(row, i) for row in _rows(doc)
                for i, v in enumerate(row) if type(v) is str]))
         old = holder[key]

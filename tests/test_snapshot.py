@@ -1,8 +1,11 @@
 import gc
 import json
 import math
+import os
 import random
 import shutil
+import subprocess
+import sys
 import tempfile
 import weakref
 from array import array
@@ -12,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import golden
 import stimkb.corpus
 import stimkb.snapshot
 from stimkb.affect import (
@@ -256,6 +260,26 @@ def test_ingest_writes_identical_sealed_snapshots(which, tmp_path, capsys):
     assert snaps[0].read_bytes().startswith(SEAL_HEAD)
 
 
+def test_snapshot_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # Every table interns in first-seen order, never in set order: ingest
+    # of a generated workspace under two hash seeds, one process each,
+    # writes the same bytes.
+    ws = golden._load_gen().generate(tmp_path / "ws", 7, 200, 1100,
+                                     golden.FIXTURES)
+    src = str(Path(stimkb.snapshot.__file__).resolve().parent.parent)
+    written = []
+    for seed in ("1", "2"):
+        snap = tmp_path / f"snap-{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stimkb.cli", "ingest",
+             "--manifest", str(ws.manifest), "--snapshot", str(snap)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        written.append(snap.read_bytes())
+    assert written[0] == written[1]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.none() | st.tuples(st.integers(0, 10**6), st.integers(2, 40),
                              st.integers(1, 120)))
@@ -376,6 +400,9 @@ def _record(i, **changes):
 
 
 NAN = float("nan")
+# The position of the confidence level in a stored dimension vector, which
+# starts after the scale.
+LEVEL = DimensionAnnotation._fields.index("confidence_level") - 2
 # Record 1 of the paper workspace is IAPS/8163, with dimensions on [1, 9].
 DIMENSIONS_8163 = DimensionAnnotation(1.0, 9.0, valence=7.14, arousal=6.53)
 
@@ -463,16 +490,18 @@ def test_ingest_of_many_layouts_loads_without_parsing(tmp_path, monkeypatch):
     assert parsed == []
 
 
-def _packed_edit(key, edit):
-    """An edit of the values of packed column `key`: decoded, changed in
-    place by edit(values), and packed again.  A negative value is packed
-    as its two's complement in the column's item width, as a writer of
-    signed items would leave it."""
+def _packed_edit(key, edit, holder=lambda tables, columns: columns):
+    """An edit of the values of packed column `key` of holder(tables,
+    columns), the record columns unless given: decoded, changed in place
+    by edit(values), and packed again.  A negative value is packed as its
+    two's complement in the column's item width, as a writer of signed
+    items would leave it."""
     def edit_columns(tables, columns):
-        values = list(stimkb.snapshot._unpacked(key, columns[key]))
+        where = holder(tables, columns)
+        values = list(stimkb.snapshot._unpacked(key, where[key]))
         edit(values)
-        wrap = 1 << 8 * array(columns[key][0]).itemsize
-        columns[key] = stimkb.snapshot._packed([v % wrap for v in values])
+        wrap = 1 << 8 * array(where[key][0]).itemsize
+        where[key] = stimkb.snapshot._packed([v % wrap for v in values])
 
     return _columns(edit_columns)
 
@@ -482,6 +511,19 @@ def _set(key, i, value):
     if key in PACKED_COLUMNS:
         return _packed_edit(key, lambda values: values.__setitem__(i, value))
     return _columns(lambda tables, columns: columns[key].__setitem__(i, value))
+
+
+def _kind(i, value):
+    """An edit of item `i` of the semantics kind column, the packed field
+    column that follows the tag of the `sem` section."""
+    return _packed_edit(1, lambda values: values.__setitem__(i, value),
+                        lambda tables, columns: tables["annotations"][0])
+
+
+def _section(tag, edit):
+    """An edit of the section of annotation tag `tag`, in place."""
+    return _columns(lambda tables, columns: edit(next(
+        s for s in tables["annotations"] if s[0] == tag)))
 
 
 def _packed_text(code, values):
@@ -505,6 +547,8 @@ BAD_SNAPSHOTS = [
      "unsupported snapshot version 1; re-ingest", True),
     ("version 2", _doc(lambda doc: json.dumps({**doc, "version": 2})),
      "unsupported snapshot version 2; re-ingest", True),
+    ("version 3", _doc(lambda doc: json.dumps({**doc, "version": 3})),
+     "unsupported snapshot version 3; re-ingest", True),
     ("unknown version", _doc(lambda doc: json.dumps(
         {**doc, "version": SNAPSHOT_VERSION + 1})),
      f"unsupported snapshot version {SNAPSHOT_VERSION + 1}; re-ingest", True),
@@ -540,8 +584,9 @@ BAD_SNAPSHOTS = [
     ("partial item", _columns(lambda t, c: c.update(
         sem=["H", b64encode(b"\0\0\1").decode()])),
      "'records.sem' has 3 bytes, not whole 2-byte items", True),
-    ("number as an index", _set("ctx", 0, 0.0), "'records.ctx' holds a number",
-     True),
+    # A JSON array of indices and nulls, as format 3 stored `ctx`.
+    ("number as an index", _columns(lambda t, c: c.update(ctx=[0.0, 1, 2, 2])),
+     "'records.ctx' is not a [typecode, base64] pair", True),
     ("column too short", _packed_edit("db", list.pop),
      "'records.db' has 3 items, not 4", True),
     ("flat column too long", _packed_edit("sem", lambda v: v.append(0)),
@@ -557,74 +602,139 @@ BAD_SNAPSHOTS = [
     ("8-byte db index", _columns(lambda t, c: c.update(
         db=stimkb.snapshot._packed([1 << 40, 1, 1, 0]))),
      "'records.db' holds an index outside [0, 2)", True),
-    ("context index past the table", _set("ctx", 0, 3),
-     "'records.ctx' holds an index outside [0, 3)", True),
+    # `ctx` and `scale` hold 0 for none and k for row k - 1: the fixture's
+    # 3 contexts take 0 to 3, its 1 scale 0 to 1.
+    ("context index past the table", _set("ctx", 0, 4),
+     "'records.ctx' holds an index outside [0, 4)", True),
+    ("scale index past the table", _set("scale", 1, 2),
+     "'records.scale' holds an index outside [0, 2)", True),
     ("negative annotation index", _set("sem", 0, -1),
      "'records.sem' holds an index outside [0, 18)", True),
-    ("semantics index at a category row", _set("sem", 0, 18),
+    # Each tag's record column indexes its own section: 18 semantics rows
+    # and 1 category row.
+    ("semantics index past its section", _set("sem", 0, 18),
      "'records.sem' holds an index outside [0, 18)", True),
-    ("category index at a semantics row", _set("cat", 0, 0),
-     "'records.cat' holds an index outside [18, 19)", True),
+    ("category index past its section", _set("cat", 0, 1),
+     "'records.cat' holds an index outside [0, 1)", True),
+    ("kind index past the table", _kind(3, 1),
+     "'tables.annotations' tag 'sem' field 0 holds an index outside [0, 1)",
+     True),
     ("negative channel index", _set("chan", 0, -2),
      "'records.chan' holds an index outside [0, 2)", True),
+    ("dir index past the table", _set("dir", 1, 1),
+     "'records.dir' holds an index outside [0, 1)", True),
     ("empty id", _set("id", 1, ""), "records[1]: empty id", True),
     ("empty db name", _columns(lambda t, c: t["dbs"].__setitem__(0, "")),
      "'tables.dbs' holds an empty name", True),
-    ("stray tag", _columns(lambda t, c: t["annotations"][0].__setitem__(
-        0, "bogus")), "a stray row tagged 'bogus'", True),
+    # The sections are tagged `sem`, `cat`, `app`, `tend`, `sent`, in order.
+    ("stray tag", _section("sem", lambda s: s.__setitem__(0, "bogus")),
+     "'tables.annotations' has sections tagged ['bogus', 'cat',", True),
     ("tag rows not together", _columns(lambda t, c: t["annotations"].append(
-        t["annotations"][0])), "a stray row tagged 'sem'", True),
-    ("empty annotation row", _columns(lambda t, c: t["annotations"].append([])),
-     "'tables.annotations' holds an empty row", True),
-    ("annotation row too short", _columns(lambda t, c: t["annotations"][0].pop()),
+        t["annotations"][0])),
+     "has sections tagged ['sem', 'cat', 'app', 'tend', 'sent', 'sem'], "
+     "not ['sem', 'cat', 'app', 'tend', 'sent']", True),
+    ("missing annotation section", _columns(lambda t, c: t["annotations"].pop()),
+     "has sections tagged ['sem', 'cat', 'app', 'tend'], not", True),
+    ("empty annotation section", _columns(
+        lambda t, c: t["annotations"].append([])),
+     "'tables.annotations' holds an empty section", True),
+    # Appraisal sections keep one row per annotation.
+    ("empty annotation row", _section("app", lambda s: s.append([])),
+     "tag 'app' is not a list of (name, value) pairs", True),
+    ("appraisal row not a list", _section("app", lambda s: s.append(
+        "pleasantness")), "tag 'app' holds a string", True),
+    ("annotation row too short", _section("sem", lambda s: s[3].pop()),
      "tag 'sem' has a row without 3 fields", True),
-    ("concept and keyword", _columns(lambda t, c: t["annotations"][0].__setitem__(
-        3, "crowd")), "tag 'sem' needs exactly one of concept and keyword",
+    ("annotation section without a column", _section("cat", list.pop),
+     "tag 'cat' has 3 field columns, not 4", True),
+    ("annotation column not a list", _section("cat", lambda s: s.__setitem__(
+        1, "BigSix")), "tag 'cat' field 0 has type str", True),
+    ("kind column not packed", _section("sem", lambda s: s.__setitem__(
+        1, ["Object"] * 18)),
+     "tag 'sem' field 0 is not a [typecode, base64] pair", True),
+    ("concept and keyword", _section("sem", lambda s: s[3].__setitem__(
+        0, "crowd")), "tag 'sem' needs exactly one of concept and keyword",
      True),
-    ("no concept nor keyword", _columns(
-        lambda t, c: t["annotations"][0].__setitem__(2, None)),
-     "tag 'sem' needs exactly one of concept and keyword", True),
-    ("empty concept", _columns(lambda t, c: t["annotations"][0].__setitem__(
-        2, "")), "tag 'sem' has an empty concept or keyword", True),
-    ("empty category term", _columns(
-        lambda t, c: t["annotations"][18].__setitem__(2, "")),
+    ("no concept nor keyword", _section("sem", lambda s: s[2].__setitem__(
+        0, None)), "tag 'sem' needs exactly one of concept and keyword", True),
+    ("empty concept", _section("sem", lambda s: s[2].__setitem__(0, "")),
+     "tag 'sem' has an empty concept or keyword", True),
+    ("empty category term", _section("cat", lambda s: s[2].__setitem__(0, "")),
      "tag 'cat' has an empty vocabulary or term", True),
+    ("empty kind", _columns(lambda t, c: t["kinds"].__setitem__(0, "")),
+     "'tables.kinds' holds an empty name", True),
+    ("kind not a string", _columns(lambda t, c: t["kinds"].__setitem__(0, 1)),
+     "'tables.kinds' holds an integer", True),
+    ("tab in a kind", _columns(lambda t, c: t["kinds"].__setitem__(0, "Obj\tect")),
+     "'tables.kinds' holds a tab or a line break", True),
     ("context row too long", _columns(lambda t, c: t["contexts"][0].append(None)),
      "'tables.contexts' has a row without 15 fields", True),
     ("fractional context width", _columns(
         lambda t, c: t["contexts"][0].__setitem__(1, 1.5)),
      "'tables.contexts' field 1 holds a number", True),
-    ("dimensions without a scale", _set("dim", 1, [1.0]),
-     "'records.dim' holds a vector of 1 or 4 fields, not 2 to 13", True),
-    ("empty dimension vector", _set("dim", 1, []),
-     "'records.dim' holds a vector of 0 or 4 fields, not 2 to 13", True),
-    ("null scale", _set("dim", 1, [None, 9.0, 7.14]),
-     "'records.dim' field 0 holds a null", True),
-    ("dimension as text", _set("dim", 1, [1.0, 9.0, "7.14"]),
-     "'records.dim' field 2 holds a string", True),
+    # A dimension vector holds the fields after the scale, which is a row
+    # of `scales`; records 1-3 have dimensions, record 0 has none.
+    ("dimensions without a scale", _set("scale", 1, 0),
+     "records[1]: dimensions without a scale", True),
+    ("empty dimension vector", _set("dim", 0, []),
+     "records[0]: dimensions without a scale", True),
+    ("scale without dimensions", _set("scale", 0, 1),
+     "records[0]: a scale without dimensions", True),
+    ("scale without its vector", _set("dim", 2, None),
+     "records[2]: a scale without dimensions", True),
+    ("dimension vector too long", _set("dim", 1, [7.14] * 12),
+     "'records.dim' holds a vector of 12 fields, not 0 to 11", True),
+    ("null scale", _columns(lambda t, c: t["scales"][0].__setitem__(0, None)),
+     "'tables.scales' field 0 holds a null", True),
+    ("scale row of three", _columns(lambda t, c: t["scales"][0].append(5.0)),
+     "'tables.scales' has a row without 2 fields", True),
+    ("scale row of one", _columns(lambda t, c: t["scales"][0].pop()),
+     "'tables.scales' has a row without 2 fields", True),
+    ("scale as text", _columns(lambda t, c: t["scales"][0].__setitem__(
+        1, "9")), "'tables.scales' field 1 holds a string", True),
+    ("scale row not a list", _columns(lambda t, c: t["scales"].__setitem__(
+        0, 1.0)), "'tables.scales' holds a number", True),
+    ("dimension as text", _set("dim", 1, ["7.14"]),
+     "'records.dim' field 0 holds a string", True),
     ("tab in an id", _set("id", 1, "81\t63"),
      "'records.id' holds a tab or a line break", True),
     ("tab in a db name", _columns(lambda t, c: t["dbs"].__setitem__(0, "IA\tDS")),
      "'tables.dbs' holds a tab or a line break", True),
-    ("line break in a keyword", _columns(
-        lambda t, c: t["annotations"][6].__setitem__(3, "Winter\nStreet")),
-     "tag 'sem' field 2 holds a tab or a line break", True),
-    ("tab in a category term", _columns(
-        lambda t, c: t["annotations"][18].__setitem__(2, "happi\tness")),
-     "tag 'cat' field 1 holds a tab or a line break", True),
+    ("line break in a keyword", _section("sem", lambda s: s[3].__setitem__(
+        6, "Winter\nStreet")), "tag 'sem' field 2 holds a tab or a line break",
+     True),
+    ("tab in a category term", _section("cat", lambda s: s[2].__setitem__(
+        0, "happi\tness")), "tag 'cat' field 1 holds a tab or a line break",
+     True),
     ("line break in a context field", _columns(
         lambda t, c: t["contexts"][0].__setitem__(0, "w\rav")),
      "'tables.contexts' field 0 holds a tab or a line break", True),
-    ("tab in a dimension level", _set("dim", 1, [1.0, 9.0] + [None] * (
-        DimensionAnnotation._fields.index("confidence_level") - 2) + ["a\tb"]),
-     f"'records.dim' field {DimensionAnnotation._fields.index('confidence_level')}"
-     " holds a tab or a line break", True),
-    ("space in a physiology path", _set("path", 0, "http://x/s1 hr"),
+    ("tab in a dimension level", _set("dim", 1, [None] * LEVEL + ["a\tb"]),
+     f"'records.dim' field {LEVEL} holds a tab or a line break", True),
+    # A physiology path is stored as its dir, up to its last `/`, and the
+    # name after it.
+    ("space in a physiology path", _set("path", 0, "subject1 hr"),
      "'records.path' holds a space or a ';'", True),
-    ("';' in a physiology path", _set("path", 1, "http://x/s1;hr"),
+    ("';' in a physiology path", _set("path", 1, "subject1;hr"),
      "'records.path' holds a space or a ';'", True),
-    ("tab in a physiology path", _set("path", 1, "http://x/s1\thr"),
+    ("tab in a physiology path", _set("path", 1, "subject1\thr"),
      "'records.path' holds a tab or a line break", True),
+    ("line break in a physiology path", _set("path", 0, "subject1\nhr"),
+     "'records.path' holds a tab or a line break", True),
+    ("space in a physiology dir", _columns(lambda t, c: t["dirs"].__setitem__(
+        0, "http://www.foo.com/a b/")), "'tables.dirs' holds a space or a ';'",
+     True),
+    ("';' in a physiology dir", _columns(lambda t, c: t["dirs"].__setitem__(
+        0, "http://www.foo.com/a;b/")), "'tables.dirs' holds a space or a ';'",
+     True),
+    ("tab in a physiology dir", _columns(lambda t, c: t["dirs"].__setitem__(
+        0, "http://www.foo.com/a\tb/")),
+     "'tables.dirs' holds a tab or a line break", True),
+    ("line break in a physiology dir", _columns(
+        lambda t, c: t["dirs"].__setitem__(0, "http://www.foo.com/\r")),
+     "'tables.dirs' holds a tab or a line break", True),
+    ("dir not a string", _columns(lambda t, c: t["dirs"].__setitem__(0, None)),
+     "'tables.dirs' holds a null", True),
     ("empty channel", _columns(lambda t, c: t["channels"].__setitem__(0, "")),
      "'tables.channels' holds an empty name or a ';'", True),
     ("';' in a channel", _columns(lambda t, c: t["channels"].__setitem__(1, "S;R")),
@@ -771,8 +881,23 @@ def test_load_equals_build_workspace(tmp_path):
     assert loaded.graph.parent_edges == built.graph.parent_edges
     assert loaded.corpus.vocabs == built.corpus.vocabs
     assert loaded.closure.classes() == built.closure.classes()
-    assert (loaded.unmapped_keywords, loaded.seed, loaded.limit) == (
-        built.unmapped_keywords, built.seed, built.limit)
+    assert (loaded.seed, loaded.limit) == (built.seed, built.limit)
+    # Only a build fills the keyword mapping and the unmapped keywords.
+    assert (loaded.mapping, loaded.unmapped_keywords) == (None, ())
+
+
+def test_snapshot_stores_no_keyword_mapping(tmp_path, paper_workspace):
+    # Keywords are expanded at ingest: the records hold their concepts, and
+    # no command reads the mapping after a load.
+    assert paper_workspace.mapping is not None
+    snap = tmp_path / "snap.json"
+    save_snapshot(paper_workspace, snap)
+    doc = json.loads(snap.read_text())
+    assert sorted(doc) == sorted(["seal", *stimkb.snapshot._SNAPSHOT_KEYS])
+    assert "mapping" not in doc and "unmapped_keywords" not in doc
+    loaded = load_snapshot(snap)
+    assert (loaded.mapping, loaded.unmapped_keywords) == (None, ())
+    assert list(loaded.corpus) == list(paper_workspace.corpus)
 
 
 def test_concept_index_is_built_on_first_use(tmp_path, monkeypatch, capsys):
@@ -929,7 +1054,7 @@ def test_loaded_workspace_is_freed_by_refcounting(tmp_path, paper_workspace):
     try:
         loaded = load_snapshot(snap)
         refs = [weakref.ref(obj) for obj in (
-            loaded.corpus, loaded.graph, loaded.mapping, loaded.closure,
+            loaded.corpus, loaded.graph, loaded.closure,
         )]
         del loaded
         assert [ref() for ref in refs] == [None] * len(refs)
