@@ -385,8 +385,8 @@ def _record_columns(records):
             sections.append([tag, *(list(chain.from_iterable(a.values))
                                     for a in distinct)])
             continue
-        section = [tag, *map(list, zip(*distinct))] if distinct else [
-            tag, *([] for _ in types)]
+        field_columns = list(zip(*distinct)) or [()] * len(types)
+        section = [tag, *map(list, field_columns)]
         if tag == "sem":
             kinds, index = _interned(section[1])
             section[1] = _packed(index)
