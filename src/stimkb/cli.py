@@ -106,7 +106,7 @@ def _cmd_eval(args):
     relevant, judged = parse_input(parse_judgments, args.judgments,
                                    "judgments file")
     for key, lineno in judged.items():
-        if key not in ws.corpus.records:
+        if key not in ws.corpus.positions:
             raise ValidationError(
                 f"judgments file {args.judgments} line {lineno}: "
                 f"unknown stimulus {key!r}"
@@ -164,7 +164,8 @@ def _cmd_stats(args):
     ws = load_snapshot(args.snapshot)
     print(f"{len(ws.corpus)} records")
     keywords = {
-        s.keyword.casefold() for rec in ws.corpus for s in rec.semantics if s.keyword
+        s.keyword.casefold()
+        for semantics in ws.corpus.semantics for s in semantics if s.keyword
     }
     print(f"{len(keywords)} distinct keywords")
     print(f"{len(ws.corpus.concept_index)} distinct concepts")

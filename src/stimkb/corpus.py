@@ -29,8 +29,8 @@ the 1..9 scale.
 """
 
 from collections import deque, namedtuple
-from functools import cached_property
-from itertools import chain, compress, repeat
+from functools import cached_property, partial
+from itertools import chain, compress, count, repeat
 from operator import itemgetter
 
 from .affect import (
@@ -198,22 +198,88 @@ def validate_stimulus(rec, graph, vocabs):
     return problems
 
 
+def _field(name):
+    """The Corpus attribute of StimulusRecord field `name`: a list of that
+    field of every record, in order, built on first use from what the
+    corpus's builder for it returns and the records added since.  The
+    builder is then dropped, and with it whatever only it kept alive; each
+    record added later is appended.  Two threads that read the field
+    before it is kept may both build it; the builds are equal, and the
+    first one kept is the one both return."""
+    i = StimulusRecord._fields.index(name)
+
+    def build(self):
+        builder = self._builders.get(name)
+        if builder is None:  # another thread has just kept its build
+            return self.__dict__[name]
+        built = builder()
+        built += map(itemgetter(i), self._added)
+        values = self.__dict__.setdefault(name, built)
+        if values is built:
+            self._built.append((values, i))
+        self._builders.pop(name, None)
+        return values
+
+    build.__name__ = name
+    return cached_property(build)
+
+
+_RECORD = partial(tuple.__new__, StimulusRecord)
+
+
 class Corpus:
-    """Append-only store of records validated against `graph` and `vocabs`,
-    keyed by "db/id", with a concept index built on first use; treat as
-    immutable once queries start."""
+    """Append-only store of records validated against `graph` and
+    `vocabs`, treated as immutable once queries start.
+
+    The store holds `keys` (each record's "db/id", in order), `positions`
+    (key -> its position) and one list per StimulusRecord field, each an
+    attribute of that field's name (`corpus.semantics[i]` is the semantics
+    of the record keyed `keys[i]`).  A field is built on first use, so a
+    command reads only the fields its clauses need; `records`, the whole
+    records, and `concept_index` are built on first use too.  A loaded
+    corpus builds its fields from the snapshot's columns (index_all); an
+    added record goes into every field built so far, and into each other
+    field when it is built.
+    """
+
+    db = _field("db")
+    id = _field("id")
+    semantics = _field("semantics")
+    categories = _field("categories")
+    dimensions = _field("dimensions")
+    appraisals = _field("appraisals")
+    action_tendencies = _field("action_tendencies")
+    sentiments = _field("sentiments")
+    context = _field("context")
+    physiology = _field("physiology")
 
     def __init__(self, graph, vocabs):
         self.graph = graph
         self.vocabs = vocabs
-        self.records = {}
+        self.keys = []
+        self.positions = {}
+        self._builders = dict.fromkeys(StimulusRecord._fields, list)
+        self._added = []  # the records add_stimulus stored, in order
+        self._built = []  # (list, field index) of each field built so far
+
+    @cached_property
+    def records(self):
+        """Each key -> its StimulusRecord, in order, zipped from every
+        field on first use."""
+        return dict(zip(self.keys, self.zipped()))
 
     @cached_property
     def concept_index(self):
         """Each annotation concept -> the set of keys of the records that
         carry it.  Built on first use, so that a command that never reads
         it (most do not) never pays for it."""
-        return _concept_index(self.records.values(), self.records.keys())
+        return _concept_index(self.semantics, self.keys)
+
+    def zipped(self):
+        """A new StimulusRecord per position, in order, zipped from every
+        field (so a repeated key gives one record per position)."""
+        fields = map(partial(getattr, self), StimulusRecord._fields)
+        return map(_RECORD, zip(*fields))
 
     def add_stimulus(self, rec):
         """Validate `rec` against the graph and vocabularies and store it;
@@ -222,20 +288,31 @@ class Corpus:
         if problems:
             raise invalid_record(rec, problems)
         key = rec.key
-        if key in self.records:
+        if key in self.positions:
             raise ValidationError(f"duplicate stimulus key {key}")
-        self.records[key] = rec
+        self.positions[key] = len(self.keys)
+        self.keys.append(key)
+        self._added.append(rec)
+        for values, i in self._built:
+            values.append(rec[i])
+        records = self.__dict__.get("records")
+        if records is not None:
+            records[key] = rec
         self.__dict__.pop("concept_index", None)  # rebuilt on its next use
 
-    def index_all(self, records, keys):
-        """Store `records`, whose keys are `keys`, in one pass into this
-        empty corpus, as add_stimulus would one by one, but without
-        validating them.  Return the position of the first record whose
-        key repeats an earlier one's, or len(records) if none does; a
-        corpus with a repeated key is incomplete and must be dropped."""
-        self.records = dict(zip(keys, records))
-        if len(self.records) == len(records):
-            return len(records)
+    def index_all(self, keys, builders):
+        """Hold the records whose keys are `keys`, in order, in this empty
+        corpus, as add_stimulus would one by one, but without validating
+        them: `builders` maps each StimulusRecord field to a function,
+        called on the field's first use, that returns the field of every
+        record, in order.  Return the position of the first key that
+        repeats an earlier one, or len(keys) if none does; a corpus with a
+        repeated key is incomplete and must be dropped."""
+        self.keys = keys
+        self.positions = dict(zip(keys, count()))
+        self._builders = dict(builders)
+        if len(self.positions) == len(keys):
+            return len(keys)
         seen = set()
         for i, key in enumerate(keys):
             if key in seen:
@@ -243,17 +320,16 @@ class Corpus:
             seen.add(key)
 
     def __len__(self):
-        return len(self.records)
+        return len(self.keys)
 
     def __iter__(self):
         return iter(self.records.values())
 
 
-def _concept_index(records, keys):
-    """Corpus.concept_index of the iterable `records`, whose keys are
-    `keys`, in order."""
-    # Field 2 of a record is its semantics; field 1 of those, the concept.
-    semantics = list(map(itemgetter(2), records))
+def _concept_index(semantics, keys):
+    """Corpus.concept_index of the records whose semantics are `semantics`
+    and whose keys are `keys`, in order."""
+    # Field 1 of a semantics annotation is its concept.
     concepts = list(map(itemgetter(1), chain.from_iterable(semantics)))
     owners = chain.from_iterable(map(repeat, keys, map(len, semantics)))
     # index.setdefault(concept, set()).add(key) for each (concept, key)

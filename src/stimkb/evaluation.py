@@ -165,8 +165,8 @@ def run_experiment(corpus, graph, queries, judgments, measures, config):
     """
     measures = sorted({parse_measure(m) for m in measures},
                       key=lambda m: (_scheme_of(m), m.value))
-    records = corpus.records
-    all_keys = sorted(records)
+    positions, semantics = corpus.positions, corpus.semantics
+    all_keys = sorted(corpus.keys)
     rows = []
     notes = []
     for measure in measures:
@@ -200,8 +200,8 @@ def run_experiment(corpus, graph, queries, judgments, measures, config):
                 continue
             memo = OperandScores(measure, term, graph)
             scored = [
-                (k, score_record(measure, term, records[k], graph=graph,
-                                 memo=memo))
+                (k, score_record(measure, term, semantics[positions[k]],
+                                 graph=graph, memo=memo))
                 for k in candidates
             ]
             scored.sort(key=lambda e: (-e[1], e[0]))

@@ -175,11 +175,11 @@ def _check_measure_kind(q):
         )
 
 
-def _passes_boxes(rec, boxes):
-    if rec.dimensions is None:
+def _passes_boxes(dims, boxes):
+    if dims is None:
         return False
     for dim, (lo, hi) in boxes.items():
-        v = getattr(rec.dimensions, dim)
+        v = getattr(dims, dim)
         if v is None or not lo <= v <= hi:
             return False
     return True
@@ -190,44 +190,45 @@ def _check_concept(graph, q):
         raise UnknownConceptError(f"unknown concept in query: {q.concept!r}")
 
 
-def _candidates(items, q, closure):
-    """Yield each (key, record) pair of `items` whose record passes the
+def _candidates(corpus, q, closure, positions):
+    """The `positions` of the corpus records, in order, that pass the
     query's db, box and category clauses: the candidate set of both filter
-    and rank mode.  The keys are the corpus's own strings, so no candidate
-    formats its key again.  A category clause matches any term of its
-    equivalence class, taken once per query."""
-    wanted = None
+    and rank mode.  Each clause reads only its own field of the corpus
+    (`db`, `dimensions`, `categories`).  A category clause matches any
+    term of its equivalence class, taken once per query."""
+    if q.db_name is not None:
+        db = corpus.db
+        positions = [i for i in positions if db[i] == q.db_name]
+    if q.boxes:
+        dims = corpus.dimensions
+        positions = [i for i in positions if _passes_boxes(dims[i], q.boxes)]
     if q.category is not None:
-        want = "{}.{}".format(*q.category)
-        wanted = closure.equivalents(want)
-    for item in items:
-        rec = item[1]
-        if q.db_name is not None and rec.db != q.db_name:
-            continue
-        if q.boxes and not _passes_boxes(rec, q.boxes):
-            continue
-        if wanted is not None and wanted.isdisjoint(
-            cat.qualified for cat in rec.categories
-        ):
-            continue
-        yield item
+        wanted = closure.equivalents("{}.{}".format(*q.category))
+        cats = corpus.categories
+        positions = [
+            i for i in positions
+            if not wanted.isdisjoint(cat.qualified for cat in cats[i])
+        ]
+    return positions
 
 
 def filter_query(corpus, graph, q, closure):
     """Return the set of stimulus keys satisfying all present clauses.  A
     concept clause is read from the concept index: one subsumption test per
-    distinct annotation concept, not per record."""
+    distinct annotation concept, not per record.  The keys are the
+    corpus's own strings."""
     if q.mode != MODE_FILTER:
         raise ValidationError("filter_query requires a filter-mode query")
     _check_concept(graph, q)
-    items = corpus.records.items()
+    positions = range(len(corpus))
     if q.concept is not None:
         keys = set()
         for concept, concept_keys in corpus.concept_index.items():
             if graph.is_subclass_of(concept, q.concept):
                 keys |= concept_keys
-        items = zip(keys, map(corpus.records.__getitem__, keys))
-    return {key for key, _ in _candidates(items, q, closure)}
+        positions = list(map(corpus.positions.__getitem__, keys))
+    keys = corpus.keys
+    return set(map(keys.__getitem__, _candidates(corpus, q, closure, positions)))
 
 
 class OperandScores:
@@ -265,8 +266,9 @@ class OperandScores:
         return distance_rel(self.measure, self.graph, self.term, op, d)
 
 
-def score_record(measure, term, rec, graph, memo=None):
-    """MAX over the record's semantics annotations of relatedness to `term`.
+def score_record(measure, term, semantics, graph, memo=None):
+    """MAX over the semantics annotations `semantics` (one record's) of
+    relatedness to `term`.
 
     Concept measures read annotation concepts, lexical measures read
     annotation keywords; a record with no annotation of the matching kind
@@ -274,8 +276,9 @@ def score_record(measure, term, rec, graph, memo=None):
     scores each distinct operand once across the records it is passed with.
     """
     operands = (
-        rec.concepts() if measure in CONCEPT_MEASURES
-        else [s.keyword for s in rec.semantics if s.keyword]
+        sorted({s.concept for s in semantics if s.concept})
+        if measure in CONCEPT_MEASURES
+        else [s.keyword for s in semantics if s.keyword]
     )
     best = 0.0
     for op in operands:
@@ -294,9 +297,10 @@ def ranked_query(corpus, graph, q, closure):
         raise ValidationError("ranked_query requires a rank-mode query")
     _check_measure_kind(q)
     _check_concept(graph, q)
+    keys, semantics = corpus.keys, corpus.semantics
     scored = [
-        (key, score_record(q.measure, q.term, rec, graph=graph))
-        for key, rec in _candidates(corpus.records.items(), q, closure)
+        (keys[i], score_record(q.measure, q.term, semantics[i], graph=graph))
+        for i in _candidates(corpus, q, closure, range(len(corpus)))
     ]
     scored.sort(key=lambda e: (-e[1], e[0]))
     if q.limit is not None:

@@ -10,11 +10,12 @@ happens at ingest, so the snapshot stores no keyword mapping.
 The snapshot stores the records as positional columns (format version 4):
 one column per record field over tables of the distinct annotations,
 contexts, database names, physiology directories and channels, dimension
-scales and semantics kinds, so that a load builds every record with
-C-level `map`/`zip` calls and parses no record text.  The integer columns
-(table indices and per-record counts) are packed: a `[typecode, base64]`
-pair of a little-endian array of unsigned integers, which the load
-decodes without parsing any number text.
+scales and semantics kinds, so that a load parses no record text and
+builds each record field with C-level `map`/`zip` calls, on the field's
+first use.  The integer columns (table indices and per-record counts)
+are packed: a `[typecode, base64]` pair of a little-endian array of
+unsigned integers, which the load decodes without parsing any number
+text.
 """
 
 import gc
@@ -321,7 +322,8 @@ def save_snapshot(workspace, path):
         for cls in workspace.closure.classes()
         for a, b in zip(cls, cls[1:])
     ]
-    tables, columns = _record_columns(list(corpus))
+    tables, columns = _record_columns(
+        {field: getattr(corpus, field) for field in StimulusRecord._fields})
     doc = {
         "version": SNAPSHOT_VERSION,
         "seed": workspace.seed,
@@ -355,9 +357,10 @@ def _interned(items, key=None):
     return list(distinct.values()), list(map(position.__getitem__, keys))
 
 
-def _record_columns(records):
+def _record_columns(fields):
     """The tables and the record columns (see _TABLES and _RECORD_COLUMNS)
-    that store `records`, in order.
+    that store the records whose fields are `fields`: each StimulusRecord
+    field -> its value for every record, in order.
 
     Annotations, contexts and scales are interned by the text they are
     written as: records that share one in memory, or hold equal ones
@@ -367,10 +370,6 @@ def _record_columns(records):
     lists its items in first-seen order, so the bytes written do not
     depend on the hash seed.
     """
-    if records:
-        fields = dict(zip(StimulusRecord._fields, zip(*records)))
-    else:
-        fields = dict.fromkeys(StimulusRecord._fields, ())
     dbs, db_column = _interned(fields["db"])
     columns = {"db": db_column, "id": list(fields["id"])}
     sections = []
@@ -534,9 +533,10 @@ def _check_rows(name, rows, types):
 
 
 def _annotations(tag, fields, kinds):
-    """The annotation objects that the section of `tag` builds from
-    `fields`, the section without its tag (a packed column is decoded in
-    place)."""
+    """(the number of rows of the section of `tag`, and a function that
+    builds their annotation objects, in order).  `fields`, the section
+    without its tag, is checked here; a packed column is decoded in
+    place."""
     cls, types, _ = _ANNOTATIONS[tag]
     name = f"'tables.annotations' tag {tag!r}"
     build = partial(tuple.__new__, cls)
@@ -550,7 +550,8 @@ def _annotations(tag, fields, kinds):
         values = list(map(itemgetter(slice(1, None, 2)), rows))
         _check_types(f"{name} name", list(chain.from_iterable(names)), _TEXT)
         _check_types(f"{name} value", list(chain.from_iterable(values)), _NUM)
-        return list(map(build, zip(map(tuple, map(zip, names, values)))))
+        return len(rows), lambda: list(
+            map(build, zip(map(tuple, map(zip, names, values)))))
     if len(fields) != len(types):
         raise SnapshotError(
             f"{name} has {len(fields)} field columns, not {len(types)}")
@@ -572,30 +573,86 @@ def _annotations(tag, fields, kinds):
             raise SnapshotError(f"{name} needs exactly one of concept and keyword")
         if "" in concept or "" in keyword:
             raise SnapshotError(f"{name} has an empty concept or keyword")
-        fields[0] = map(kinds.__getitem__, kind)
-    elif tag == "cat" and ("" in fields[0] or "" in fields[1]):
+        return len(kind), lambda: list(
+            map(build, zip(map(kinds.__getitem__, kind), concept, keyword)))
+    if tag == "cat" and ("" in fields[0] or "" in fields[1]):
         raise SnapshotError(f"{name} has an empty vocabulary or term")
-    return list(map(build, zip(*fields)))
+    return len(fields[0]), lambda: list(map(build, zip(*fields)))
 
 
 def _per_record(counts, items, total):
-    """The `total` items of iterator `items`, in order, regrouped into one
-    tuple per record: counts[k] of them for record k.  With no items, every
-    count is 0 (the counts are unsigned and sum to `total`), and each
-    record gets the shared empty tuple."""
+    """The `total` items of iterator `items`, in order, regrouped into a
+    list of one tuple per record: counts[k] of them for record k.  With no
+    items, every count is 0 (the counts are unsigned and sum to `total`),
+    and each record gets the shared empty tuple."""
     if not total:
-        return repeat((), len(counts))
-    return map(tuple, map(islice, repeat(items), counts))
+        return [()] * len(counts)
+    return list(map(tuple, map(islice, repeat(items), counts)))
+
+
+def _grouped(build, counts, indices):
+    """The annotations of one tag per record: build() makes the section's
+    annotation objects, and record k holds counts[k] of them, in the order
+    of their `indices`."""
+    annotations = build()
+    return _per_record(counts, map(annotations.__getitem__, indices),
+                       len(indices))
+
+
+def _dimensions(scales, scale, present, vectors):
+    """The DimensionAnnotation or None of each record: its scale row (a
+    `scale` of 0 is none) before its vector, padded with nulls; `present`
+    tells which records have a vector, and `vectors` lists theirs."""
+    padding = [[None] * (_VECTOR_FIELDS - k) for k in range(_VECTOR_FIELDS + 1)]
+    scale_at = [None, *scales]
+    full = map(add, map(scale_at.__getitem__, compress(scale, present)),
+               map(add, vectors, map(padding.__getitem__, map(len, vectors))))
+    built = map(partial(tuple.__new__, DimensionAnnotation), full)
+    return [next(built) if has else None for has in present]
+
+
+def _contexts(rows, indices):
+    """The ContextRecord or None of each record: index 0 is none, and k is
+    row k - 1, one object per row."""
+    context_at = [None, *map(partial(tuple.__new__, ContextRecord), rows)]
+    return list(map(context_at.__getitem__, indices))
+
+
+def _physiology(dirs, dir_indices, names, channels, chan_indices, counts):
+    """The PhysiologyRef tuple of each record, counts[k] of them for record
+    k; a path is its dir and then its name."""
+    paths = map(add, map(dirs.__getitem__, dir_indices), names)
+    refs = map(partial(tuple.__new__, PhysiologyRef),
+               zip(paths, map(channels.__getitem__, chan_indices)))
+    return _per_record(counts, refs, len(names))
+
+
+def _uncollected(build):
+    """build(), run with the cyclic collector paused, as load_snapshot runs,
+    and what it made then frozen out of the collector (`gc.freeze`): a
+    field built from a snapshot holds no reference cycle either."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        built = build()
+        gc.freeze()
+        return built
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _records(tables, columns):
-    """(the records stored in `tables` and `columns`, in order, and their
-    keys).  Every table and column is checked first, whatever the seal:
-    its item types (a packed column is decoded in place), its length, that
-    its indices point into their table, and the rules a record must meet
-    to be built at all (a non-empty db and id, a scale exactly when there
-    is a dimension vector, exactly one of concept or keyword per semantics
-    annotation).  The first problem raises SnapshotError."""
+    """(the keys of the records stored in `tables` and `columns`, in order,
+    and a builder per StimulusRecord field: a function that returns the
+    field of every record, in order, as a list).  Every table and column is
+    checked here, whatever the seal: its item types (a packed column is
+    decoded in place), its length, that its indices point into their
+    table, and the rules a record must meet to be built at all (a
+    non-empty db and id, a scale exactly when there is a dimension vector,
+    exactly one of concept or keyword per semantics annotation).  The
+    first problem raises SnapshotError; a builder checks nothing and never
+    raises."""
     for group, holder, schema in (("tables", tables, _TABLES),
                                   ("records", columns,
                                    {**_RECORD_COLUMNS, **_FLAT_COLUMNS})):
@@ -642,17 +699,15 @@ def _records(tables, columns):
     kinds = tables["kinds"]
     if "" in kinds:
         raise SnapshotError("'tables.kinds' holds an empty name")
-    fields = {}
+    builders = {}
     for tag, section in zip(_ANNOTATIONS, sections):
-        annotations = _annotations(tag, section[1:], kinds)
-        _check_indices(f"'records.{tag}'", columns[tag], len(annotations))
-        fields[_ANNOTATIONS[tag][2]] = _per_record(
-            columns[f"{tag}_n"], map(annotations.__getitem__, columns[tag]),
-            len(columns[tag]))
+        size, build = _annotations(tag, section[1:], kinds)
+        _check_indices(f"'records.{tag}'", columns[tag], size)
+        builders[_ANNOTATIONS[tag][2]] = partial(
+            _grouped, build, columns[f"{tag}_n"], columns[tag])
 
     # A record has a dimension vector exactly when its scale is not 0.  The
-    # vector holds the fields after the scale up to the last one set; the
-    # load puts the scale row before it and pads it with nulls.
+    # vector holds the fields after the scale up to the last one set.
     scales = tables["scales"]
     _check_rows("'tables.scales'", scales, (_NUM, _NUM))
     scale, dims = columns["scale"], columns["dim"]
@@ -672,22 +727,16 @@ def _records(tables, columns):
     for i, (column, allowed) in enumerate(
             zip(zip_longest(*vectors), _VECTOR_TYPES)):
         _check_types(f"'records.dim' field {i}", column, allowed)
-    padding = [[None] * (_VECTOR_FIELDS - k) for k in range(_VECTOR_FIELDS + 1)]
-    scale_at = [None, *scales]
-    full = map(add, map(scale_at.__getitem__, compress(scale, present)),
-               map(add, vectors, map(padding.__getitem__, map(len, vectors))))
-    dims_at = dict(zip(compress(count(), present),
-                       map(partial(tuple.__new__, DimensionAnnotation), full)))
-    fields["dimensions"] = map(dims_at.get, range(n))
+    builders["dimensions"] = partial(_dimensions, scales, scale, present,
+                                     vectors)
 
     contexts = tables["contexts"]
     _check_rows("'tables.contexts'", contexts, _CONTEXT_TYPES)
     _check_indices("'records.ctx'", columns["ctx"], len(contexts) + 1)
-    context_at = [None, *map(partial(tuple.__new__, ContextRecord), contexts)]
-    fields["context"] = map(context_at.__getitem__, columns["ctx"])
+    builders["context"] = partial(_contexts, contexts, columns["ctx"])
 
     # A records file writes a reference `path channel`, and packs several
-    # with `;`.  A path is its dir and then its name.
+    # with `;`.
     dirs, names = tables["dirs"], columns["path"]
     for name, text in (("'tables.dirs'", "".join(dirs)),
                        ("'records.path'", "".join(names))):
@@ -698,42 +747,45 @@ def _records(tables, columns):
     if "" in channels or ";" in "".join(filter(None, channels)):
         raise SnapshotError("'tables.channels' holds an empty name or a ';'")
     _check_indices("'records.chan'", columns["chan"], len(channels))
-    paths = map(add, map(dirs.__getitem__, columns["dir"]), names)
-    refs = map(partial(tuple.__new__, PhysiologyRef),
-               zip(paths, map(channels.__getitem__, columns["chan"])))
-    fields["physiology"] = _per_record(columns["phys_n"], refs, len(names))
+    builders["physiology"] = partial(
+        _physiology, dirs, columns["dir"], names, channels, columns["chan"],
+        columns["phys_n"])
 
     db_names = list(map(dbs.__getitem__, columns["db"]))
-    fields["db"], fields["id"] = db_names, ids
-    records = list(map(
-        partial(tuple.__new__, StimulusRecord),
-        zip(*map(fields.__getitem__, StimulusRecord._fields)),
-    ))
-    return records, list(map("/".join, zip(db_names, ids)))
+    builders["db"], builders["id"] = db_names.copy, ids.copy
+    keys = list(map("/".join, zip(db_names, ids)))
+    return keys, {field: partial(_uncollected, build)
+                  for field, build in builders.items()}
 
 
 def load_snapshot(path):
     """Rebuild the workspace saved by save_snapshot.
 
-    The records are built from the snapshot's columns (see _records),
-    which are checked at every load.  Unless the snapshot's seal matches,
-    each record is then validated against the taxonomy and the
-    vocabularies, in order.  A matching seal means that ingest validated
-    the records under the current rules, and that no byte has changed
-    since.  Records that share an annotation or a context row share one
-    object.  After a good load, every object then alive is frozen out of
-    the cyclic garbage collector (`gc.freeze`).  A snapshot that is not
-    JSON (or not UTF-8), has the wrong structure or holds a bad input
-    raises SnapshotError naming the file.
+    Every load checks the whole snapshot: its top level, the taxonomy (a
+    cycle included), the vocabularies and axioms, and every table and
+    column (see _records), which also gives the record keys, checked for
+    a repeat.  Unless the snapshot's seal matches, each record is then
+    built and validated against the taxonomy and the vocabularies, in
+    order.  A matching seal means that ingest validated the records under
+    the current rules, and that no byte has changed since; such a load
+    builds no record field, and the corpus builds each one on its first
+    use (see Corpus), as the graph does its tables.  A snapshot that is
+    not JSON (or not UTF-8), has the wrong structure or holds a bad input
+    raises SnapshotError naming the file, here and never later: building
+    a field checks nothing.  Records that share an annotation or a
+    context row share one object.  After a good load, and after each
+    field is built, every object then alive is frozen out of the cyclic
+    garbage collector (`gc.freeze`).
     """
     path = Path(path)
     data = read_input_bytes(path, "snapshot")
     sealed = _seal_matches(data)
     # The document and the records hold no reference cycles, so the cyclic
     # collector would only rescan them: paused while they pile up, and once
-    # they are all built, moved to the permanent generation, which no
-    # collection scans.  Refcounting alone still frees the workspace when it
-    # is dropped.  Every way out restores the collector's state.
+    # the load is done, moved to the permanent generation, which no
+    # collection scans (each field builds the same way, in _uncollected).
+    # Refcounting alone still frees the workspace when it is dropped.
+    # Every way out restores the collector's state.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -771,8 +823,8 @@ def _workspace(doc, sealed):
     except StimKbError as e:
         raise SnapshotError(str(e)) from e
     corpus = Corpus(graph, vocabs)
-    records, keys = _records(doc.pop("tables"), doc.pop("records"))
-    repeated = corpus.index_all(records, keys)
+    keys, builders = _records(doc.pop("tables"), doc.pop("records"))
+    repeated = corpus.index_all(keys, builders)
     if not sealed:
         # Validated in order up to the first repeated key, so that the
         # first problem is reported as add_stimulus would report it.
@@ -780,12 +832,12 @@ def _workspace(doc, sealed):
         # installed there (as the benchmark's traced run does) see every
         # record.
         validate = corpus_module.validate_stimulus
-        for i, rec in enumerate(records[:repeated + 1]):
+        for i, rec in enumerate(islice(corpus.zipped(), repeated + 1)):
             problems = validate(rec, graph, vocabs)
             if problems:
                 raise SnapshotError(
                     f"records[{i}]: {invalid_record(rec, problems)}")
-    if repeated < len(records):
+    if repeated < len(keys):
         raise SnapshotError(
             f"records[{repeated}]: duplicate stimulus key {keys[repeated]}")
     return Workspace(

@@ -1,12 +1,17 @@
 """Rooted concept hierarchy (IS-A DAG) and its serializations.
 
 Concepts are case-sensitive identifiers arranged in a single-rooted DAG.
-Depth is the minimum distance to the root, with depth(root) = 1.  The
-ancestor closure, depths and undirected adjacency are materialized once at
-construction; a built graph is immutable and safe for concurrent readers.
+Depth is the minimum distance to the root, with depth(root) = 1.
+Construction builds the edge tables and checks that the graph is acyclic.
+The ancestor closure, the depths and the undirected adjacency are each
+built on first use and then kept, so a command that reads none of them
+(a keyword rank, a db, box or category filter) never pays for them.  A
+graph is immutable.  Two threads that read a table before it is kept
+may each build it; the builds are equal, and one of them is kept.
 """
 
 import re
+from functools import cached_property
 
 from .errors import CycleError, ParseError, UnknownConceptError, ValidationError
 from .lines import tab_rows
@@ -33,16 +38,17 @@ def _levels(c, adjacency):
 
 
 class TaxonomyGraph:
-    """Immutable rooted DAG of concepts.  Built once at construction: the
-    ancestor closure, the depths, and `neighbors`, each concept's parents
-    and children in one tuple (the undirected adjacency `_levels` walks)."""
+    """Immutable rooted DAG of concepts.  Construction keeps the edge
+    tables; the ancestor closure, the depths and `neighbors`, each
+    concept's parents and children in one tuple (the undirected adjacency
+    `_levels` walks), are built on first use."""
 
     def __init__(self, parent_edges):
         """Build from a child -> iterable-of-parents mapping.
 
         Nodes appearing only as parents are created implicitly.  If more
         than one node is parentless, a virtual root "Entity" is inserted
-        above all of them.
+        above all of them.  A cycle raises CycleError.
         """
         edges = {}
         nodes = set()
@@ -74,31 +80,23 @@ class TaxonomyGraph:
             for p in parents:
                 child_edges[p].add(child)
 
-        # One parents-first (Kahn) pass: a concept is resolved once all its
-        # parents are, and its closure and depth are built from theirs.
-        # Depth is the minimum root distance, so 1 + the shallowest parent.
-        closure = {root: frozenset()}
-        depths = {root: 1}
+        # Kahn's order, parents first: a concept comes once all its parents
+        # have.  The concepts it never reaches lie on or under a cycle.
         unresolved_parents = {c: len(ps) for c, ps in edges.items()}
-        ready = [root]
-        while ready:
-            node = ready.pop()
+        order = [root]
+        for node in order:  # `order` grows as concepts resolve
             for child in child_edges[node]:
                 unresolved_parents[child] -= 1
                 if not unresolved_parents[child]:
-                    parents = edges[child]
-                    closure[child] = frozenset(parents).union(
-                        *(closure[p] for p in parents)
-                    )
-                    depths[child] = 1 + min(depths[p] for p in parents)
-                    ready.append(child)
-        if len(closure) < len(nodes):
+                    order.append(child)
+        if len(order) < len(nodes):
             # Every unresolved concept has an unresolved parent, so walking
             # up smallest such parents must revisit a concept on a cycle.
+            resolved = set(order)
             up = {
-                c: min(p for p in ps if p not in closure)
+                c: min(p for p in ps if p not in resolved)
                 for c, ps in edges.items()
-                if c not in closure
+                if c not in resolved
             }
             c, seen = min(up), set()
             while c not in seen:
@@ -108,11 +106,41 @@ class TaxonomyGraph:
 
         self.concepts = frozenset(nodes)
         self.parent_edges = {c: frozenset(ps) for c, ps in edges.items()}
-        self.neighbors = {c: (*edges[c], *child_edges[c]) for c in nodes}
         self.root = root
-        self.ancestor_closure = closure  # concept -> its strict ancestors
-        self.depth_cache = depths
-        self.max_depth = max(depths.values())
+        self._children = child_edges
+        self._order = order
+
+    @cached_property
+    def ancestor_closure(self):
+        """Each concept -> the frozenset of its strict ancestors, built
+        parents first from the parents' own."""
+        closure = {}
+        parent_edges = self.parent_edges
+        for c in self._order:
+            parents = parent_edges[c]
+            closure[c] = parents.union(*map(closure.__getitem__, parents))
+        return closure
+
+    @cached_property
+    def depth_cache(self):
+        """Each concept -> its depth: the minimum root distance, so 1 + the
+        shallowest parent's."""
+        depths = {}
+        parent_edges = self.parent_edges
+        for c in self._order:
+            depths[c] = 1 + min(map(depths.__getitem__, parent_edges[c]),
+                                default=0)
+        return depths
+
+    @cached_property
+    def max_depth(self):
+        return max(self.depth_cache.values())
+
+    @cached_property
+    def neighbors(self):
+        """Each concept -> its parents and children, in one tuple."""
+        return {c: (*ps, *self._children[c])
+                for c, ps in self.parent_edges.items()}
 
     def _require(self, c):
         if c not in self.concepts:

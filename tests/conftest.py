@@ -7,6 +7,7 @@ import pytest
 import stimkb.corpus
 import stimkb.snapshot
 from stimkb.corpus import VALIDATION_RULES
+from stimkb.similarity import relatedness
 from stimkb.snapshot import build_workspace, parse_manifest
 from stimkb.taxonomy import TaxonomyGraph
 
@@ -154,6 +155,54 @@ def oracle_concept_index(corpus):
         for c in rec.concepts():
             index.setdefault(c, set()).add(rec.key)
     return index
+
+
+def oracle_candidates(corpus, closure, q):
+    """The records of `corpus`, in order, that pass the db, box and
+    category clauses of query `q`, each clause tested record by record; a
+    category matches any term of its class among closure.classes()."""
+    want = None
+    if q.category is not None:
+        term = "{}.{}".format(*q.category)
+        want = next((set(c) for c in closure.classes() if term in c), {term})
+    for rec in corpus:
+        if q.db_name is not None and rec.db != q.db_name:
+            continue
+        values = [None if rec.dimensions is None else getattr(rec.dimensions, d)
+                  for d in q.boxes]
+        if not all(v is not None and lo <= v <= hi
+                   for v, (lo, hi) in zip(values, q.boxes.values())):
+            continue
+        if want is not None and not any(c.qualified in want
+                                        for c in rec.categories):
+            continue
+        yield rec
+
+
+def oracle_filter(corpus, graph, closure, q):
+    """retrieval.filter_query, record by record: a concept clause tests
+    each record concept against its naive ancestors."""
+    return {
+        rec.key for rec in oracle_candidates(corpus, closure, q)
+        if q.concept is None or any(
+            c == q.concept or q.concept in oracle_ancestors(graph.parent_edges, c)
+            for c in rec.concepts())
+    }
+
+
+def oracle_ranking(corpus, graph, closure, q):
+    """retrieval.ranked_query's entries, scored pair by pair: every
+    candidate's MAX relatedness over its operands (0.0 with none), sorted
+    by score, then key, then cut to the limit."""
+    scored = []
+    for rec in oracle_candidates(corpus, closure, q):
+        operands = (rec.concepts() if q.concept is not None
+                    else [s.keyword for s in rec.semantics if s.keyword])
+        scored.append((rec.key, max(
+            (relatedness(q.measure, q.term, op, graph=graph) for op in operands),
+            default=0.0)))
+    scored.sort(key=lambda e: (-e[1], e[0]))
+    return scored[:q.limit]
 
 
 def oracle_edit_distance(a, b):

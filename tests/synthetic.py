@@ -11,10 +11,10 @@ lexical keyword matching.
 import random
 import string
 
-from .affect import load_vocabularies
-from .corpus import Corpus, SemanticsAnnotation, StimulusRecord
-from .evaluation import ExperimentQuery
-from .taxonomy import TaxonomyGraph
+from stimkb.affect import load_vocabularies
+from stimkb.corpus import Corpus, SemanticsAnnotation, StimulusRecord
+from stimkb.evaluation import ExperimentQuery
+from stimkb.taxonomy import TaxonomyGraph
 
 _SYLLABLES = [
     "ba", "do", "fi", "gu", "ka", "lo", "me", "nu", "pa", "re",

@@ -33,7 +33,6 @@ from stimkb.similarity import (
     Measure,
 )
 from stimkb.snapshot import build_workspace, parse_manifest
-from stimkb.synthetic import generate
 
 from conftest import (
     PAPER_MANIFEST,
@@ -44,6 +43,7 @@ from conftest import (
     random_dag,
     random_dag_edges,
 )
+from synthetic import generate
 
 FIXTURES = Path(PAPER_MANIFEST).parent
 

@@ -15,9 +15,9 @@ import stimkb.snapshot
 from stimkb.affect import EquivalenceClosure
 from stimkb.cli import main
 from stimkb.snapshot import Workspace, save_snapshot
-from stimkb.synthetic import generate
 
 from conftest import PACKED_COLUMNS, seal_text
+from synthetic import generate
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "paper"
 

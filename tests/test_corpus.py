@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import string
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,6 +251,50 @@ def test_add_get_round_trip_and_duplicates():
     with pytest.raises(ValidationError, match="duplicate"):
         corpus.add_stimulus(rec)
     assert list(corpus.records) == ["X/1"]
+
+
+def test_fields_are_appended_to_and_zipped_into_records(paper_workspace):
+    records = list(paper_workspace.corpus)
+    corpus = Corpus(paper_workspace.graph, paper_workspace.corpus.vocabs)
+    for rec in records[:2]:
+        corpus.add_stimulus(rec)
+    assert corpus.semantics == [r.semantics for r in records[:2]]
+    assert list(corpus.zipped()) == records[:2]
+    view = corpus.records
+    corpus.add_stimulus(records[2])  # a built view gets the record too
+    assert corpus.records is view and list(view.values()) == records[:3]
+    assert corpus.keys == [r.key for r in records[:3]]
+    assert corpus.positions == {r.key: i for i, r in enumerate(records[:3])}
+    assert corpus.physiology == [r.physiology for r in records[:3]]
+
+
+def test_a_field_read_by_two_threads_at_once_is_one_list():
+    # Without a lock in the property (Python 3.12 on), both threads may
+    # run the builder; the first list kept is the one both get.  With a
+    # lock, one builds while the other waits, and the barrier times out.
+    corpus = Corpus(_tiny_graph(), BIG_SIX)
+    barrier = threading.Barrier(2, timeout=0.5)
+    builds = []
+
+    def build():
+        builds.append(len(builds))
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:
+            pass
+        return [(), ()]
+
+    corpus.index_all(["X/1", "X/2"], {"semantics": build})
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(corpus.semantics))
+               for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(got) == 2 and got[0] is got[1] is corpus.semantics
+    assert got[0] == [(), ()] and builds in ([0], [0, 1])
+    assert corpus._builders == {}  # the builder, and what it held, dropped
 
 
 def test_add_rejects_invalid():

@@ -23,8 +23,9 @@ from stimkb.evaluation import (
 )
 from stimkb.retrieval import OperandScores, score_record
 from stimkb.similarity import CONCEPT_MEASURES, Measure
-from stimkb.synthetic import generate
 from stimkb.taxonomy import TaxonomyGraph
+
+from synthetic import generate
 
 
 def _ranked(relevance):
@@ -251,9 +252,9 @@ def test_parse_queries():
     )
 
 
-def _per_pair_score_record(measure, term, rec, graph, memo=None):
+def _per_pair_score_record(measure, term, semantics, graph, memo=None):
     """score_record without the memo: one relatedness call per operand."""
-    return score_record(measure, term, rec, graph=graph)
+    return score_record(measure, term, semantics, graph=graph)
 
 
 @pytest.mark.parametrize("measure", list(Measure))
@@ -263,9 +264,9 @@ def test_memoised_scores_equal_per_pair_scores(measure):
     for query in queries:
         term = query.concept if measure in CONCEPT_MEASURES else query.keyword
         memo = OperandScores(measure, term, g)
-        for rec in corpus:
-            assert score_record(measure, term, rec, graph=g, memo=memo) == \
-                score_record(measure, term, rec, graph=g)
+        for sems in corpus.semantics:
+            assert score_record(measure, term, sems, graph=g, memo=memo) == \
+                score_record(measure, term, sems, graph=g)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -350,7 +350,8 @@ def test_score_record_max_aggregation(paper_graph):
             SemanticsAnnotation(kind="Object", concept="Entity"),
         ),
     )
-    s = score_record(Measure.PATH_LENGTH, "Human", rec, graph=paper_graph)
+    s = score_record(Measure.PATH_LENGTH, "Human", rec.semantics,
+                     graph=paper_graph)
     assert s == 1.0
 
 

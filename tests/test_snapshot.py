@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import weakref
 from array import array
 from base64 import b64encode
@@ -16,8 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden
+import stimkb.cli
 import stimkb.corpus
 import stimkb.snapshot
+from stimkb import retrieval
 from stimkb.affect import (
     ActionTendencyAnnotation,
     AppraisalAnnotation,
@@ -38,6 +41,8 @@ from stimkb.corpus import (
     parse_record_line,
 )
 from stimkb.errors import ParseError, SnapshotError, StimKbError, ValidationError
+from stimkb.sequence import build_sequence
+from stimkb.similarity import CONCEPT_MEASURES, Measure
 from stimkb.snapshot import (
     SNAPSHOT_VERSION,
     Workspace,
@@ -46,7 +51,6 @@ from stimkb.snapshot import (
     parse_manifest,
     save_snapshot,
 )
-from stimkb.synthetic import generate
 from stimkb.taxonomy import parse_taxonomy
 
 from conftest import (
@@ -56,9 +60,12 @@ from conftest import (
     SEAL_HEAD,
     many_layout_lines,
     oracle_concept_index,
+    oracle_filter,
+    oracle_ranking,
     seal_text,
     serialize_record,
 )
+from synthetic import generate
 
 
 def test_snapshot_round_trip(tmp_path, paper_workspace):
@@ -388,12 +395,18 @@ def _columns(edit):
     return edit_doc
 
 
+def _record_columns(records):
+    """The tables and the record columns that store `records`, in order."""
+    return stimkb.snapshot._record_columns(
+        dict(zip(StimulusRecord._fields, zip(*records))))
+
+
 def _record(i, **changes):
     """The document of the records with record `i` changed, unvalidated."""
     def edit_doc(doc, records):
         records = list(records)
         records[i] = records[i]._replace(**changes)
-        doc["tables"], doc["records"] = stimkb.snapshot._record_columns(records)
+        doc["tables"], doc["records"] = _record_columns(records)
         return json.dumps(doc)
 
     return edit_doc
@@ -454,7 +467,7 @@ def test_snapshot_sealed_under_older_rules_is_validated(
         1.0, 9.0, valence=5.0, arousalSD=NAN))
     records = list(paper_workspace.corpus)
     records[1] = bad
-    doc["tables"], doc["records"] = stimkb.snapshot._record_columns(records)
+    doc["tables"], doc["records"] = _record_columns(records)
     text = json.dumps(doc, indent=1) + "\n"
     snap = tmp_path / "stale.json"
     snap.write_bytes(seal_text(text, VALIDATION_RULES - 1))
@@ -932,6 +945,219 @@ def test_concept_index_is_built_on_first_use(tmp_path, monkeypatch, capsys):
     calls.clear()
     load_snapshot(snap)
     assert calls == []
+
+
+# What a load builds on first use: the corpus fields, its whole records
+# and its concept index, and the graph's tables.
+LAZY_CORPUS = {*StimulusRecord._fields, "records", "concept_index"}
+LAZY_GRAPH = {"ancestor_closure", "depth_cache", "max_depth", "neighbors"}
+
+
+def _built(ws):
+    """(the lazy corpus attributes, the lazy graph tables) that `ws` has
+    built so far: the ones its objects keep."""
+    return (LAZY_CORPUS & set(vars(ws.corpus)),
+            LAZY_GRAPH & set(vars(ws.graph)))
+
+
+def test_each_command_builds_only_what_it_reads(
+    tmp_path, monkeypatch, capsys, paper_workspace
+):
+    snap = tmp_path / "snap.json"
+    save_snapshot(paper_workspace, snap)
+    # A keyword rank, a category filter and a keyword sequence, one after
+    # another on one loaded workspace, read semantics and categories only.
+    ws = load_snapshot(snap)
+    assert _built(ws) == (set(), set())
+    ranked = retrieval.ranked_query(
+        ws.corpus, ws.graph, retrieval.parse_query("keyword:Crowd"), ws.closure)
+    assert ranked.entries
+    q = retrieval.parse_query("category:FSRECategory.happiness mode:filter")
+    assert retrieval.filter_query(ws.corpus, ws.graph, q, ws.closure)
+    q = retrieval.parse_query("keyword:street measure:inclusion")
+    entries = retrieval.ranked_query(ws.corpus, ws.graph, q, ws.closure).entries
+    assert build_sequence(entries, count=2, duration_ms=100).items
+    assert _built(ws) == ({"semantics", "categories"}, set())
+
+    # Each command on its own load: the fields its clauses read, and the
+    # graph tables it reads, only.
+    loaded = []
+    load = stimkb.cli.load_snapshot
+    monkeypatch.setattr(stimkb.cli, "load_snapshot",
+                        lambda path: loaded.append(load(path)) or loaded[-1])
+    for argv, fields, tables in (
+        (["query", "keyword:Crowd"], {"semantics"}, set()),
+        (["query", "category:FSRECategory.happiness mode:filter"],
+         {"categories"}, set()),
+        (["sequence", "--count", "2", "--duration", "100", "keyword:Crowd"],
+         {"semantics"}, set()),
+        (["query", "valence:[1,9] mode:filter"], {"dimensions"}, set()),
+        (["query", "keyword:Crowd db:IAPS arousal:[1,9]"],
+         {"db", "dimensions", "semantics"}, set()),
+        (["query", "concept:Human mode:filter"],
+         {"semantics", "concept_index"}, {"ancestor_closure"}),
+        (["stats"], {"semantics", "concept_index"}, {"depth_cache", "max_depth"}),
+    ):
+        assert main(argv[:1] + ["--snapshot", str(snap)] + argv[1:]) == 0
+        assert _built(loaded.pop()) == (fields, tables), argv
+    capsys.readouterr()
+
+
+def test_threads_reading_a_loaded_workspace_share_each_build(
+    tmp_path, paper_workspace
+):
+    # More threads than cores read every field, the records and every
+    # graph table at once, each in its own order, switching often: each
+    # field is one list for all of them, and everything read equals the
+    # built workspace's.
+    snap = tmp_path / "snap.json"
+    save_snapshot(paper_workspace, snap)
+    ws = load_snapshot(snap)
+    names = [*StimulusRecord._fields, "records", "concept_index"]
+    seen = []
+
+    def read(seed):
+        order = random.Random(seed).sample(names, len(names))
+        got = {name: getattr(ws.corpus, name) for name in order}
+        got.update((t, getattr(ws.graph, t)) for t in sorted(LAZY_GRAPH))
+        seen.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(seen) == 6
+    for field in StimulusRecord._fields:
+        assert all(got[field] is getattr(ws.corpus, field) for got in seen)
+    built = paper_workspace
+    for got in seen:
+        assert got["records"] == built.corpus.records
+        assert got["concept_index"] == built.corpus.concept_index
+        assert all(got[t] == getattr(built.graph, t)
+                   for t in LAZY_GRAPH - {"neighbors"})
+        assert {c: set(n) for c, n in got["neighbors"].items()} == {
+            c: set(n) for c, n in built.graph.neighbors.items()}
+
+
+@pytest.mark.parametrize("sealed", [False, True], ids=["unsealed", "sealed"])
+@pytest.mark.parametrize(
+    "edit, message, structural", [c[1:] for c in BAD_SNAPSHOTS],
+    ids=[c[0] for c in BAD_SNAPSHOTS],
+)
+def test_a_bad_snapshot_fails_inside_load_snapshot(
+    edit, message, structural, sealed, tmp_path, paper_workspace
+):
+    # Fields are built on first use, but no check waits for one: behind a
+    # matching seal a load builds nothing, so every fault of the layout,
+    # in a field that no query reads too, must fail load_snapshot itself.
+    doc = _snapshot_doc(paper_workspace, tmp_path)
+    text = edit({k: v for k, v in doc.items() if k != "seal"},
+                list(paper_workspace.corpus))
+    bad = tmp_path / "bad.json"
+    sealable = sealed and text.startswith("{")
+    bad.write_bytes(seal_text(text) if sealable else text.encode())
+    if sealable and not structural:
+        # A record that only fails validation loads behind its seal, and
+        # then every field builds without raising.
+        ws = load_snapshot(bad)
+        assert _built(ws) == (set(), set())
+        assert list(ws.corpus.zipped()) == list(ws.corpus)
+        assert len(ws.corpus.records) == len(paper_workspace.corpus)
+        assert _built(ws)[0] == LAZY_CORPUS - {"concept_index"}
+        return
+    with pytest.raises(SnapshotError) as exc:
+        load_snapshot(bad)
+    assert str(exc.value).startswith(f"bad snapshot {bad}: ")
+    assert message in str(exc.value)
+
+
+# The category terms of generated records, and the terms the generated
+# axioms make equivalent to some of them.
+GENERATED_CATEGORIES = ("BigSix.anger", "BigSix.fear", "BigSix.happiness",
+                        "OCCCategory.anger", "FSRECategory.anger",
+                        "FSRECategory.happiness")
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """(a workspace of 60 generated concepts and about 330 records over
+    three dbs, with dimensions and categories, built from its manifest;
+    the snapshot ingest writes of it; its concepts; some keywords and
+    keyword prefixes of its records)."""
+    root = tmp_path_factory.mktemp("generated")
+    made = golden._load_gen().generate(root / "ws", 11, 60, 300,
+                                       golden.FIXTURES)
+    built = build_workspace(parse_manifest(made.manifest))
+    snap = root / "kb.json"
+    save_snapshot(built, snap)
+    words = sorted({s.keyword for sems in built.corpus.semantics
+                    for s in sems if s.keyword})[::10]
+    return (built, snap, sorted(built.graph.concepts),
+            words + [w[:3] for w in words])
+
+
+@st.composite
+def _generated_queries(draw, concepts, keywords, n_records):
+    """A filter query, or a rank query of any measure with a limit below
+    or past the record count, with some db, box and category clauses."""
+    measure = draw(st.sampled_from([None, *Measure]))
+    parts = []
+    if measure is not None:
+        kind, terms = (("concept", concepts) if measure in CONCEPT_MEASURES
+                       else ("keyword", keywords))
+        limit = draw(st.integers(1, 30) | st.integers(n_records - 5, n_records + 5))
+        parts += [f"{kind}:{draw(st.sampled_from(terms))}",
+                  f"measure:{measure.value}", f"limit:{limit}"]
+    if draw(st.booleans()):
+        parts.append(f"db:{draw(st.sampled_from(('IAPS', 'IADS', 'GAPED')))}")
+    for dim in draw(st.lists(st.sampled_from(("valence", "arousal", "dominance")),
+                             unique=True, max_size=2)):
+        lo = draw(st.integers(1, 6))
+        parts.append(f"{dim}:[{lo},{draw(st.integers(lo + 2, 9))}]")
+    if draw(st.booleans()):
+        parts.append(f"category:{draw(st.sampled_from(GENERATED_CATEGORIES))}")
+    if measure is None:
+        if draw(st.booleans()) or not any("[" in p or "category:" in p
+                                          for p in parts):
+            parts.append(f"concept:{draw(st.sampled_from(concepts))}")
+        parts.append("mode:filter")
+    return " ".join(parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_loaded_queries_equal_the_built_ones_and_the_oracles(generated, data):
+    built, snap, concepts, keywords = generated
+    loaded = load_snapshot(snap)
+    for field in data.draw(st.lists(st.sampled_from(StimulusRecord._fields),
+                                    unique=True)):
+        getattr(loaded.corpus, field)
+    queries = _generated_queries(concepts, keywords, len(built.corpus))
+    for text in data.draw(st.lists(queries, min_size=1, max_size=3)):
+        q = retrieval.parse_query(text)
+        args = (q, built.closure)
+        if q.mode == retrieval.MODE_FILTER:
+            got = retrieval.filter_query(loaded.corpus, loaded.graph, *args)
+            assert got == retrieval.filter_query(built.corpus, built.graph, *args)
+            assert got == oracle_filter(built.corpus, built.graph, built.closure, q)
+        else:
+            got = retrieval.ranked_query(
+                loaded.corpus, loaded.graph, q, loaded.closure).entries
+            assert got == retrieval.ranked_query(
+                built.corpus, built.graph, *args).entries
+            assert list(got) == oracle_ranking(
+                built.corpus, built.graph, built.closure, q)
+    for name in data.draw(st.permutations(sorted(LAZY_CORPUS))):
+        getattr(loaded.corpus, name)
+    assert loaded.corpus.records == built.corpus.records
+    assert list(loaded.corpus.records) == list(built.corpus.records)
+    assert loaded.corpus.concept_index == built.corpus.concept_index
 
 
 def test_loaded_records_share_one_annotation_per_token(tmp_path):
