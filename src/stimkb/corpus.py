@@ -231,15 +231,15 @@ class Corpus:
     """Append-only store of records validated against `graph` and
     `vocabs`, treated as immutable once queries start.
 
-    The store holds `keys` (each record's "db/id", in order), `positions`
-    (key -> its position) and one list per StimulusRecord field, each an
-    attribute of that field's name (`corpus.semantics[i]` is the semantics
-    of the record keyed `keys[i]`).  A field is built on first use, so a
-    command reads only the fields its clauses need; `records`, the whole
-    records, and `concept_index` are built on first use too.  A loaded
-    corpus builds its fields from the snapshot's columns (index_all); an
-    added record goes into every field built so far, and into each other
-    field when it is built.
+    The store holds `keys` (each record's "db/id", in order) and one list
+    per StimulusRecord field, each an attribute of that field's name
+    (`corpus.semantics[i]` is the semantics of the record keyed
+    `keys[i]`).  A field is built on first use, so a command reads only
+    the fields its clauses need; `positions` (key -> its position),
+    `records`, the whole records, and `concept_index` are built on first
+    use too.  A loaded corpus builds its fields from the snapshot's
+    columns (index_all); an added record goes into every field built so
+    far, and into each other field when it is built.
     """
 
     db = _field("db")
@@ -257,10 +257,14 @@ class Corpus:
         self.graph = graph
         self.vocabs = vocabs
         self.keys = []
-        self.positions = {}
         self._builders = dict.fromkeys(StimulusRecord._fields, list)
         self._added = []  # the records add_stimulus stored, in order
         self._built = []  # (list, field index) of each field built so far
+
+    @cached_property
+    def positions(self):
+        """Each key -> its position, built on first use."""
+        return dict(zip(self.keys, count()))
 
     @cached_property
     def records(self):
@@ -288,9 +292,10 @@ class Corpus:
         if problems:
             raise invalid_record(rec, problems)
         key = rec.key
-        if key in self.positions:
+        positions = self.positions
+        if key in positions:
             raise ValidationError(f"duplicate stimulus key {key}")
-        self.positions[key] = len(self.keys)
+        positions[key] = len(self.keys)
         self.keys.append(key)
         self._added.append(rec)
         for values, i in self._built:
@@ -309,9 +314,8 @@ class Corpus:
         repeats an earlier one, or len(keys) if none does; a corpus with a
         repeated key is incomplete and must be dropped."""
         self.keys = keys
-        self.positions = dict(zip(keys, count()))
         self._builders = dict(builders)
-        if len(self.positions) == len(keys):
+        if len(set(keys)) == len(keys):
             return len(keys)
         seen = set()
         for i, key in enumerate(keys):

@@ -947,9 +947,9 @@ def test_concept_index_is_built_on_first_use(tmp_path, monkeypatch, capsys):
     assert calls == []
 
 
-# What a load builds on first use: the corpus fields, its whole records
-# and its concept index, and the graph's tables.
-LAZY_CORPUS = {*StimulusRecord._fields, "records", "concept_index"}
+# What a load builds on first use: the corpus fields, its key positions,
+# its whole records and its concept index, and the graph's tables.
+LAZY_CORPUS = {*StimulusRecord._fields, "positions", "records", "concept_index"}
 LAZY_GRAPH = {"ancestor_closure", "depth_cache", "max_depth", "neighbors"}
 
 
@@ -995,7 +995,7 @@ def test_each_command_builds_only_what_it_reads(
         (["query", "keyword:Crowd db:IAPS arousal:[1,9]"],
          {"db", "dimensions", "semantics"}, set()),
         (["query", "concept:Human mode:filter"],
-         {"semantics", "concept_index"}, {"ancestor_closure"}),
+         {"semantics", "concept_index", "positions"}, {"ancestor_closure"}),
         (["stats"], {"semantics", "concept_index"}, {"depth_cache", "max_depth"}),
     ):
         assert main(argv[:1] + ["--snapshot", str(snap)] + argv[1:]) == 0
@@ -1069,7 +1069,7 @@ def test_a_bad_snapshot_fails_inside_load_snapshot(
         assert _built(ws) == (set(), set())
         assert list(ws.corpus.zipped()) == list(ws.corpus)
         assert len(ws.corpus.records) == len(paper_workspace.corpus)
-        assert _built(ws)[0] == LAZY_CORPUS - {"concept_index"}
+        assert _built(ws)[0] == LAZY_CORPUS - {"positions", "concept_index"}
         return
     with pytest.raises(SnapshotError) as exc:
         load_snapshot(bad)
