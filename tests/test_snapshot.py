@@ -1269,6 +1269,32 @@ def test_good_load_freezes_the_workspace(enabled, tmp_path):
         (gc.enable if was_enabled else gc.disable)()
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_field_builds_with_the_collector_paused_then_frozen(
+    enabled, tmp_path, monkeypatch
+):
+    # A field built after the load is built as the load builds: with the
+    # cyclic collector paused, and then frozen out of it.
+    ws = _synthetic_workspace()
+    snap = tmp_path / "snap.json"
+    save_snapshot(ws, snap)
+    states = []
+    grouped = stimkb.snapshot._grouped
+    monkeypatch.setattr(stimkb.snapshot, "_grouped", lambda *args: (
+        states.append(gc.isenabled()) or grouped(*args)))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        loaded = load_snapshot(snap)
+        before = gc.get_freeze_count()
+        assert loaded.corpus.semantics == ws.corpus.semantics
+        assert states == [False]
+        assert gc.get_freeze_count() - before >= len(ws.corpus)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
 def test_loaded_workspace_is_freed_by_refcounting(tmp_path, paper_workspace):
     # Frozen objects are never collected, so a reference cycle in a loaded
     # workspace would leak it.  The Workspace tuple takes no weak reference;
