@@ -37,6 +37,16 @@ def _levels(c, adjacency):
         frontier = reached
 
 
+def _children(parent_edges):
+    """Each concept of the child -> parents table `parent_edges` (which
+    holds every concept) -> the set of its children."""
+    children = {c: set() for c in parent_edges}
+    for child, parents in parent_edges.items():
+        for p in parents:
+            children[p].add(child)
+    return children
+
+
 class TaxonomyGraph:
     """Immutable rooted DAG of concepts.  Construction keeps the edge
     tables; the ancestor closure, the depths and `neighbors`, each
@@ -75,10 +85,7 @@ class TaxonomyGraph:
         else:
             raise CycleError("every concept has a parent; taxonomy is cyclic")
 
-        child_edges = {c: set() for c in nodes}
-        for child, parents in edges.items():
-            for p in parents:
-                child_edges[p].add(child)
+        child_edges = _children(edges)
 
         # Kahn's order, parents first: a concept comes once all its parents
         # have.  The concepts it never reaches lie on or under a cycle.
@@ -107,7 +114,6 @@ class TaxonomyGraph:
         self.concepts = frozenset(nodes)
         self.parent_edges = {c: frozenset(ps) for c, ps in edges.items()}
         self.root = root
-        self._children = child_edges
         self._order = order
 
     @cached_property
@@ -139,8 +145,8 @@ class TaxonomyGraph:
     @cached_property
     def neighbors(self):
         """Each concept -> its parents and children, in one tuple."""
-        return {c: (*ps, *self._children[c])
-                for c, ps in self.parent_edges.items()}
+        children = _children(self.parent_edges)
+        return {c: (*ps, *children[c]) for c, ps in self.parent_edges.items()}
 
     def _require(self, c):
         if c not in self.concepts:
