@@ -200,23 +200,17 @@ def validate_stimulus(rec, graph, vocabs):
 
 def _field(name):
     """The Corpus attribute of StimulusRecord field `name`: a list of that
-    field of every record, in order, built on first use from what the
-    corpus's builder for it returns and the records added since.  The
-    builder is then dropped, and with it whatever only it kept alive; each
-    record added later is appended.  Two threads that read the field
-    before it is kept may both build it; the builds are equal, and the
-    first one kept is the one both return."""
-    i = StimulusRecord._fields.index(name)
+    field of every record, in order, built on first use by the corpus's
+    builder for it, which is then dropped, and with it whatever only it
+    kept alive.  Two threads that read the field before it is kept may
+    both build it; the builds are equal, and the first one kept is the one
+    both return."""
 
     def build(self):
         builder = self._builders.get(name)
         if builder is None:  # another thread has just kept its build
             return self.__dict__[name]
-        built = builder()
-        built += map(itemgetter(i), self._added)
-        values = self.__dict__.setdefault(name, built)
-        if values is built:
-            self._built.append((values, i))
+        values = self.__dict__.setdefault(name, builder())
         self._builders.pop(name, None)
         return values
 
@@ -225,6 +219,8 @@ def _field(name):
 
 
 _RECORD = partial(tuple.__new__, StimulusRecord)
+# Every field of a corpus whose fields are all built, from its __dict__.
+_FIELDS = itemgetter(*StimulusRecord._fields)
 
 
 class Corpus:
@@ -238,8 +234,8 @@ class Corpus:
     the fields its clauses need; `positions` (key -> its position),
     `records`, the whole records, and `concept_index` are built on first
     use too.  A loaded corpus builds its fields from the snapshot's
-    columns (index_all); an added record goes into every field built so
-    far, and into each other field when it is built.
+    columns (index_all); add_stimulus appends each added record to every
+    field, building first any field not built yet.
     """
 
     db = _field("db")
@@ -258,8 +254,6 @@ class Corpus:
         self.vocabs = vocabs
         self.keys = []
         self._builders = dict.fromkeys(StimulusRecord._fields, list)
-        self._added = []  # the records add_stimulus stored, in order
-        self._built = []  # (list, field index) of each field built so far
 
     @cached_property
     def positions(self):
@@ -295,11 +289,12 @@ class Corpus:
         positions = self.positions
         if key in positions:
             raise ValidationError(f"duplicate stimulus key {key}")
+        for name in tuple(self._builders):  # each field not built yet
+            getattr(self, name)
         positions[key] = len(self.keys)
         self.keys.append(key)
-        self._added.append(rec)
-        for values, i in self._built:
-            values.append(rec[i])
+        for values, value in zip(_FIELDS(self.__dict__), rec):
+            values.append(value)
         records = self.__dict__.get("records")
         if records is not None:
             records[key] = rec

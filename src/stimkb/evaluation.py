@@ -200,8 +200,7 @@ def run_experiment(corpus, graph, queries, judgments, measures, config):
                 continue
             memo = OperandScores(measure, term, graph)
             scored = [
-                (k, score_record(measure, term, semantics[positions[k]],
-                                 graph=graph, memo=memo))
+                (k, score_record(measure, semantics[positions[k]], memo))
                 for k in candidates
             ]
             scored.sort(key=lambda e: (-e[1], e[0]))

@@ -266,14 +266,14 @@ class OperandScores:
         return distance_rel(self.measure, self.graph, self.term, op, d)
 
 
-def score_record(measure, term, semantics, graph, memo=None):
+def score_record(measure, semantics, score):
     """MAX over the semantics annotations `semantics` (one record's) of
-    relatedness to `term`.
+    `score`, the relatedness of one operand to the query term under
+    `measure`.
 
     Concept measures read annotation concepts, lexical measures read
     annotation keywords; a record with no annotation of the matching kind
-    scores 0.  `memo`, an OperandScores for the same measure and term,
-    scores each distinct operand once across the records it is passed with.
+    scores 0.
     """
     operands = (
         sorted({s.concept for s in semantics if s.concept})
@@ -282,11 +282,7 @@ def score_record(measure, term, semantics, graph, memo=None):
     )
     best = 0.0
     for op in operands:
-        score = (
-            memo(op) if memo is not None
-            else relatedness(measure, term, op, graph=graph)
-        )
-        best = max(best, score)
+        best = max(best, score(op))
     return best
 
 
@@ -298,8 +294,16 @@ def ranked_query(corpus, graph, q, closure):
     _check_measure_kind(q)
     _check_concept(graph, q)
     keys, semantics = corpus.keys, corpus.semantics
+    measure, term = q.measure, q.term
+
+    def score(op):
+        # One call per (record, operand) pair.  `relatedness` is looked up
+        # at each call, so that a wrapper installed on this module sees
+        # every one.
+        return relatedness(measure, term, op, graph)
+
     scored = [
-        (keys[i], score_record(q.measure, q.term, semantics[i], graph=graph))
+        (keys[i], score_record(measure, semantics[i], score))
         for i in _candidates(corpus, q, closure, range(len(corpus)))
     ]
     scored.sort(key=lambda e: (-e[1], e[0]))

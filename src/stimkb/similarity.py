@@ -142,22 +142,17 @@ def wu_palmer_rel(g, a, b):
     return 2.0 * dl / (da + db + 2.0 * dl)
 
 
-def relatedness(measure, x, y, graph=None):
+def relatedness(measure, x, y, graph):
     """Dispatch to the measure matching the operand kind.
 
-    Lexical measures take keyword strings; concept measures take concept
-    names and require `graph`.
+    Lexical measures take keyword strings and do not read `graph`; concept
+    measures take concept names of the taxonomy `graph`.
     """
     measure = Measure(measure)
     if measure in LEXICAL_MEASURES:
         if measure is Measure.INCLUSION:
             return inclusion_rel(x, y)
         return levenshtein_rel(x, y)
-    if graph is None:
-        raise ValidationError(
-            f"measure {measure.value!r} needs a taxonomy; it cannot be "
-            "applied to raw keywords"
-        )
     if measure is Measure.WU_PALMER:
         return wu_palmer_rel(graph, x, y)
     return distance_rel(measure, graph, x, y, graph.shortest_path(x, y))

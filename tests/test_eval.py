@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +23,7 @@ from stimkb.evaluation import (
     select_threshold,
 )
 from stimkb.retrieval import OperandScores, score_record
-from stimkb.similarity import CONCEPT_MEASURES, Measure
+from stimkb.similarity import CONCEPT_MEASURES, Measure, relatedness
 from stimkb.taxonomy import TaxonomyGraph
 
 from synthetic import generate
@@ -252,9 +253,11 @@ def test_parse_queries():
     )
 
 
-def _per_pair_score_record(measure, term, semantics, graph, memo=None):
-    """score_record without the memo: one relatedness call per operand."""
-    return score_record(measure, term, semantics, graph=graph)
+def _per_pair_score_record(measure, semantics, score):
+    """score_record without the memo `score` (an OperandScores): one
+    relatedness call per operand."""
+    return score_record(measure, semantics, partial(
+        relatedness, measure, score.term, graph=score.graph))
 
 
 @pytest.mark.parametrize("measure", list(Measure))
@@ -264,9 +267,10 @@ def test_memoised_scores_equal_per_pair_scores(measure):
     for query in queries:
         term = query.concept if measure in CONCEPT_MEASURES else query.keyword
         memo = OperandScores(measure, term, g)
+        per_pair = partial(relatedness, measure, term, graph=g)
         for sems in corpus.semantics:
-            assert score_record(measure, term, sems, graph=g, memo=memo) == \
-                score_record(measure, term, sems, graph=g)
+            assert score_record(measure, sems, memo) == \
+                score_record(measure, sems, per_pair)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -1,8 +1,10 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stimkb import retrieval
 from stimkb.affect import (
     CategoryAnnotation,
     DimensionAnnotation,
@@ -14,6 +16,7 @@ from stimkb.errors import QueryError, UnknownConceptError, ValidationError
 from stimkb.retrieval import (
     MODE_FILTER,
     MODE_RANK,
+    OperandScores,
     filter_query,
     parse_query,
     ranked_query,
@@ -296,6 +299,39 @@ def test_ranking_matches_score_all_then_sort_oracle(seed):
 
 
 @settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 40), st.sampled_from(list(Measure)),
+       st.data())
+def test_ranking_through_operand_scores_equals_ranked_query(
+    seed, n_nodes, measure, data
+):
+    # Scoring each distinct operand once, through OperandScores, ranks the
+    # candidates exactly as ranked_query does, floats and tie order
+    # included, with or without db, box and category clauses, and under
+    # limits below and above the candidate count.
+    from conftest import random_dag
+
+    graph = random_dag(seed, n_nodes)
+    corpus = _random_corpus(seed, graph)
+    if measure in CONCEPT_MEASURES:
+        kind, term = "concept", data.draw(st.sampled_from(sorted(graph.concepts)))
+    else:
+        kind, term = "keyword", data.draw(st.text("abcd", min_size=1, max_size=5))
+    clauses, _ = _random_clauses(random.Random(data.draw(st.integers())))
+    q = parse_query(f"{kind}:{term} measure:{measure.value} {clauses}")
+    candidates = retrieval._candidates(
+        corpus, q, RANDOM_CLOSURE, range(len(corpus)))
+    q = q._replace(limit=data.draw(st.integers(1, len(candidates) + 2)))
+    score = OperandScores(measure, term, graph)
+    memoised = sorted(
+        ((corpus.keys[i], score_record(measure, corpus.semantics[i], score))
+         for i in candidates),
+        key=lambda e: (-e[1], e[0]),
+    )
+    result = ranked_query(corpus, graph, q, RANDOM_CLOSURE)
+    assert result.entries == tuple(memoised[:q.limit])
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 40), st.booleans(), st.data())
 def test_filter_matches_per_record_scan(seed, n_nodes, with_concept, data):
     from conftest import random_dag
@@ -350,8 +386,8 @@ def test_score_record_max_aggregation(paper_graph):
             SemanticsAnnotation(kind="Object", concept="Entity"),
         ),
     )
-    s = score_record(Measure.PATH_LENGTH, "Human", rec.semantics,
-                     graph=paper_graph)
+    s = score_record(Measure.PATH_LENGTH, rec.semantics, partial(
+        relatedness, Measure.PATH_LENGTH, "Human", graph=paper_graph))
     assert s == 1.0
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stimkb.errors import ValidationError
+from stimkb.errors import UnknownConceptError, ValidationError
 from stimkb.similarity import (
     CONCEPT_MEASURES,
     LI_ALPHA,
@@ -208,10 +208,11 @@ def test_lexical_measure_axioms(a, b):
 
 def test_dispatch():
     g = parse_taxonomy("Dog\tAnimal")
-    assert relatedness(Measure.LEVENSHTEIN, "a", "a") == 1.0
+    assert relatedness(Measure.LEVENSHTEIN, "a", "a", graph=g) == 1.0
     assert relatedness(Measure.PATH_LENGTH, "Dog", "Dog", graph=g) == 1.0
-    with pytest.raises(ValidationError):
-        relatedness(Measure.WU_PALMER, "dog", "cat")
+    # A concept measure on keywords: they are not concepts of the graph.
+    with pytest.raises(UnknownConceptError, match="unknown concept: 'dog'"):
+        relatedness(Measure.WU_PALMER, "dog", "cat", graph=g)
 
 
 def test_parse_measure_names():

@@ -1003,6 +1003,39 @@ def test_each_command_builds_only_what_it_reads(
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("read_first", [(), ("semantics",)],
+                         ids=["nothing-read", "semantics-read"])
+def test_adding_to_a_loaded_corpus_equals_adding_in_order(
+    read_first, tmp_path, paper_workspace
+):
+    # Two records added to a loaded corpus whose fields are still to be
+    # built: the first after `read_first` only, the second after only
+    # semantics has been read too.
+    snap = tmp_path / "snap.json"
+    save_snapshot(paper_workspace, snap)
+    ws = load_snapshot(snap)
+    corpus = ws.corpus
+    assert _built(ws) == (set(), set())
+    stored = list(paper_workspace.corpus)
+    added = [rec._replace(db="NEW") for rec in stored[:2]]
+    for name in read_first:
+        getattr(corpus, name)
+    corpus.add_stimulus(added[0])
+    corpus.semantics
+    corpus.add_stimulus(added[1])
+
+    expected = Corpus(ws.graph, ws.corpus.vocabs)
+    for rec in stored + added:
+        expected.add_stimulus(rec)
+    for field in StimulusRecord._fields:
+        assert getattr(corpus, field) == getattr(expected, field), field
+    assert list(corpus.zipped()) == list(expected.zipped())
+    assert list(corpus.records.items()) == list(expected.records.items())
+    assert corpus.keys == expected.keys
+    assert corpus.positions == expected.positions
+    assert corpus.concept_index == expected.concept_index
+
+
 def test_threads_reading_a_loaded_workspace_share_each_build(
     tmp_path, paper_workspace
 ):
