@@ -231,11 +231,13 @@ class Corpus:
     per StimulusRecord field, each an attribute of that field's name
     (`corpus.semantics[i]` is the semantics of the record keyed
     `keys[i]`).  A field is built on first use, so a command reads only
-    the fields its clauses need; `positions` (key -> its position),
-    `records`, the whole records, and `concept_index` are built on first
-    use too.  A loaded corpus builds its fields from the snapshot's
-    columns (index_all); add_stimulus appends each added record to every
-    field, building first any field not built yet.
+    the fields its clauses need; `positions` (key -> its position) and
+    `concept_index` are built on first use too.  Iterating the corpus
+    zips every field into the whole records.  Records get in two ways:
+    add_stimulus validates one record and appends it to every field,
+    building first any field not built yet (ingest, and a load that must
+    validate), and index_all holds the columns of a sealed snapshot
+    unvalidated, building each field from them on its first use.
     """
 
     db = _field("db")
@@ -261,23 +263,11 @@ class Corpus:
         return dict(zip(self.keys, count()))
 
     @cached_property
-    def records(self):
-        """Each key -> its StimulusRecord, in order, zipped from every
-        field on first use."""
-        return dict(zip(self.keys, self.zipped()))
-
-    @cached_property
     def concept_index(self):
         """Each annotation concept -> the set of keys of the records that
         carry it.  Built on first use, so that a command that never reads
         it (most do not) never pays for it."""
         return _concept_index(self.semantics, self.keys)
-
-    def zipped(self):
-        """A new StimulusRecord per position, in order, zipped from every
-        field (so a repeated key gives one record per position)."""
-        fields = map(partial(getattr, self), StimulusRecord._fields)
-        return map(_RECORD, zip(*fields))
 
     def add_stimulus(self, rec):
         """Validate `rec` against the graph and vocabularies and store it;
@@ -295,34 +285,25 @@ class Corpus:
         self.keys.append(key)
         for values, value in zip(_FIELDS(self.__dict__), rec):
             values.append(value)
-        records = self.__dict__.get("records")
-        if records is not None:
-            records[key] = rec
         self.__dict__.pop("concept_index", None)  # rebuilt on its next use
 
     def index_all(self, keys, builders):
         """Hold the records whose keys are `keys`, in order, in this empty
         corpus, as add_stimulus would one by one, but without validating
-        them: `builders` maps each StimulusRecord field to a function,
-        called on the field's first use, that returns the field of every
-        record, in order.  Return the position of the first key that
-        repeats an earlier one, or len(keys) if none does; a corpus with a
-        repeated key is incomplete and must be dropped."""
+        them or checking their keys for a repeat: `builders` maps each
+        StimulusRecord field to a function, called on the field's first
+        use, that returns the field of every record, in order."""
         self.keys = keys
         self._builders = dict(builders)
-        if len(set(keys)) == len(keys):
-            return len(keys)
-        seen = set()
-        for i, key in enumerate(keys):
-            if key in seen:
-                return i
-            seen.add(key)
 
     def __len__(self):
         return len(self.keys)
 
     def __iter__(self):
-        return iter(self.records.values())
+        """A new StimulusRecord per position, in order, zipped from every
+        field."""
+        fields = map(partial(getattr, self), StimulusRecord._fields)
+        return map(_RECORD, zip(*fields))
 
 
 def _concept_index(semantics, keys):

@@ -37,7 +37,6 @@ try:
 except ImportError:
     from hashlib import blake2b
 
-from . import corpus as corpus_module
 from .affect import (
     ActionTendencyAnnotation,
     AppraisalAnnotation,
@@ -57,7 +56,6 @@ from .corpus import (
     SemanticsAnnotation,
     StimulusRecord,
     expand_keywords,
-    invalid_record,
     parse_corpus_records,  # noqa: F401  wrapped here by perfbench/calltrace.py
     parse_legacy_table,
     parse_record_file,
@@ -274,12 +272,9 @@ def build_workspace(manifest):
             corpus.add_stimulus(rec)
     except ValidationError as e:
         # The failed record is the len(corpus)-th: name its file and line.
-        i = len(corpus)
-        for key, rows in sources:
-            if i < len(rows):
-                break
-            i -= len(rows)
-        e.args = (f"{key} file {manifest.paths[key]} line {rows[i][0]}: {e}",)
+        key, lineno = [(k, n) for k, rows in sources
+                       for n, _ in rows][len(corpus)]
+        e.args = (f"{key} file {manifest.paths[key]} line {lineno}: {e}",)
         raise
 
     return Workspace(
@@ -580,13 +575,10 @@ def _annotations(tag, fields, kinds):
     return len(fields[0]), lambda: list(map(build, zip(*fields)))
 
 
-def _per_record(counts, items, total):
-    """The `total` items of iterator `items`, in order, regrouped into a
-    list of one tuple per record: counts[k] of them for record k.  With no
-    items, every count is 0 (the counts are unsigned and sum to `total`),
-    and each record gets the shared empty tuple."""
-    if not total:
-        return [()] * len(counts)
+def _per_record(counts, items):
+    """The items of iterator `items`, in order, regrouped into a list of
+    one tuple per record: counts[k] of them for record k.  A record with
+    none gets the shared empty tuple."""
     return list(map(tuple, map(islice, repeat(items), counts)))
 
 
@@ -595,8 +587,7 @@ def _grouped(build, counts, indices):
     annotation objects, and record k holds counts[k] of them, in the order
     of their `indices`."""
     annotations = build()
-    return _per_record(counts, map(annotations.__getitem__, indices),
-                       len(indices))
+    return _per_record(counts, map(annotations.__getitem__, indices))
 
 
 def _dimensions(scales, scale, present, vectors):
@@ -624,7 +615,7 @@ def _physiology(dirs, dir_indices, names, channels, chan_indices, counts):
     paths = map(add, map(dirs.__getitem__, dir_indices), names)
     refs = map(partial(tuple.__new__, PhysiologyRef),
                zip(paths, map(channels.__getitem__, chan_indices)))
-    return _per_record(counts, refs, len(names))
+    return _per_record(counts, refs)
 
 
 def _uncollected(build):
@@ -763,16 +754,17 @@ def load_snapshot(path):
 
     Every load checks the whole snapshot: its top level, the taxonomy (a
     cycle included), the vocabularies and axioms, and every table and
-    column (see _records), which also gives the record keys, checked for
-    a repeat.  Unless the snapshot's seal matches, each record is then
-    built and validated against the taxonomy and the vocabularies, in
-    order.  A matching seal means that ingest validated the records under
-    the current rules, and that no byte has changed since; such a load
-    builds no record field, and the corpus builds each one on its first
-    use (see Corpus), as the graph does its tables.  A snapshot that is
-    not JSON (or not UTF-8), has the wrong structure or holds a bad input
-    raises SnapshotError naming the file, here and never later: building
-    a field checks nothing.  Records that share an annotation or a
+    column (see _records), which also gives the record keys.  Unless the
+    snapshot's seal matches and no key repeats, each record is then built
+    and added again to a new corpus, in order, as ingest adds it
+    (Corpus.add_stimulus, which validates it against the taxonomy and the
+    vocabularies and rejects a repeated key).  A matching seal means that
+    ingest validated the records under the current rules, and that no
+    byte has changed since; such a load builds no record field, and the
+    corpus builds each one on its first use (see Corpus), as the graph
+    does its tables.  A snapshot that is not JSON (or not UTF-8), has the
+    wrong structure or holds a bad input raises SnapshotError naming the
+    file, here and never later: building a field checks nothing.  Records that share an annotation or a
     context row share one object.  After a good load, and after each
     field is built, every object then alive is frozen out of the cyclic
     garbage collector (`gc.freeze`).
@@ -810,8 +802,10 @@ def load_snapshot(path):
 
 
 def _workspace(doc, sealed):
-    """The workspace that snapshot document `doc` stores; its records are
-    validated unless `sealed`.  The first problem raises SnapshotError."""
+    """The workspace that snapshot document `doc` stores.  Unless `sealed`
+    and no key repeats, its records are added again, one by one, to a new
+    corpus, so that the first invalid record or repeated key is reported
+    as ingest reports it.  The first problem raises SnapshotError."""
     problem = _snapshot_problem(doc)
     if problem is not None:
         raise SnapshotError(problem)
@@ -824,22 +818,14 @@ def _workspace(doc, sealed):
         raise SnapshotError(str(e)) from e
     corpus = Corpus(graph, vocabs)
     keys, builders = _records(doc.pop("tables"), doc.pop("records"))
-    repeated = corpus.index_all(keys, builders)
-    if not sealed:
-        # Validated in order up to the first repeated key, so that the
-        # first problem is reported as add_stimulus would report it.
-        # Looked up on the module at each load, so that call wrappers
-        # installed there (as the benchmark's traced run does) see every
-        # record.
-        validate = corpus_module.validate_stimulus
-        for i, rec in enumerate(islice(corpus.zipped(), repeated + 1)):
-            problems = validate(rec, graph, vocabs)
-            if problems:
-                raise SnapshotError(
-                    f"records[{i}]: {invalid_record(rec, problems)}")
-    if repeated < len(keys):
-        raise SnapshotError(
-            f"records[{repeated}]: duplicate stimulus key {keys[repeated]}")
+    corpus.index_all(keys, builders)
+    if not sealed or len(set(keys)) < len(keys):
+        stored, corpus = corpus, Corpus(graph, vocabs)
+        try:
+            for rec in stored:
+                corpus.add_stimulus(rec)
+        except ValidationError as e:
+            raise SnapshotError(f"records[{len(corpus)}]: {e}") from e
     return Workspace(
         graph=graph,
         mapping=None,

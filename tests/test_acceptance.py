@@ -56,20 +56,21 @@ def test_fixture_suite():
     start = time.perf_counter()
     ws = build_workspace(parse_manifest(PAPER_MANIFEST))
     assert len(ws.corpus) == 4
+    records = dict(zip(ws.corpus.keys, ws.corpus))
 
-    r311 = ws.corpus.records["IADS/311"]
+    r311 = records["IADS/311"]
     assert "GroupOfPeople" in r311.concepts()
     assert r311.context.length_seconds == 6
 
-    r8163 = ws.corpus.records["IAPS/8163"]
+    r8163 = records["IAPS/8163"]
     assert r8163.dimensions.valence == 7.14
     assert r8163.dimensions.arousal == 6.53
     assert len(r8163.semantics) == 6
     assert len(r8163.physiology) == 2
 
-    r5635 = ws.corpus.records["IAPS/5635"]
+    r5635 = records["IAPS/5635"]
     assert (r5635.dimensions.valence, r5635.dimensions.arousal) == (6.25, 3.97)
-    r7039 = ws.corpus.records["IAPS/7039"]
+    r7039 = records["IAPS/7039"]
     assert (r7039.dimensions.valence, r7039.dimensions.arousal) == (5.93, 3.29)
 
     box = parse_query(

@@ -1007,12 +1007,14 @@ def test_fuzzed_eval_inputs_exit_with_a_documented_code(fuzz_snapshot, data):
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     # Each CLI command is a fresh process, so what `import stimkb.cli`
     # loads is paid on every op.  `-I -S` keeps the environment and the
-    # `site` module (which may load `typing` itself) out of the count.
+    # `site` module (which may load `typing` itself) out of the count;
+    # `-I` also ignores PYTHONDONTWRITEBYTECODE, so `-B` keeps the import
+    # from writing `__pycache__` into the checkout.
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import stimkb.cli; "
         "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     )
     src = str(Path(stimkb.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+    proc = subprocess.run([sys.executable, "-B", "-I", "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -51,14 +51,19 @@ from conftest import many_layout_lines, oracle_concept_index, serialize_record
 BIG_SIX = load_vocabularies("")
 
 
+def _record(ws, key):
+    """The record of `ws` keyed `key`."""
+    return dict(zip(ws.corpus.keys, ws.corpus))[key]
+
+
 def test_parse_iads_311(paper_workspace):
-    rec = paper_workspace.corpus.records["IADS/311"]
+    rec = _record(paper_workspace, "IADS/311")
     assert rec.context.length_seconds == 6
     assert rec.concepts() == ["GroupOfPeople"]
 
 
 def test_parse_iaps_8163(paper_workspace):
-    rec = paper_workspace.corpus.records["IAPS/8163"]
+    rec = _record(paper_workspace, "IAPS/8163")
     assert len(rec.semantics) == 6
     assert rec.dimensions.valence == 7.14
     assert rec.dimensions.arousal == 6.53
@@ -247,10 +252,10 @@ def test_add_get_round_trip_and_duplicates():
         db="X", id="1", physiology=(PhysiologyRef("http://p"),)
     )
     corpus.add_stimulus(rec)
-    assert corpus.records["X/1"] == rec
+    assert list(corpus) == [rec]
     with pytest.raises(ValidationError, match="duplicate"):
         corpus.add_stimulus(rec)
-    assert list(corpus.records) == ["X/1"]
+    assert list(corpus) == [rec] and corpus.keys == ["X/1"]
 
 
 def test_fields_are_appended_to_and_zipped_into_records(paper_workspace):
@@ -259,10 +264,9 @@ def test_fields_are_appended_to_and_zipped_into_records(paper_workspace):
     for rec in records[:2]:
         corpus.add_stimulus(rec)
     assert corpus.semantics == [r.semantics for r in records[:2]]
-    assert list(corpus.zipped()) == records[:2]
-    view = corpus.records
-    corpus.add_stimulus(records[2])  # a built view gets the record too
-    assert corpus.records is view and list(view.values()) == records[:3]
+    assert list(corpus) == records[:2]
+    corpus.add_stimulus(records[2])
+    assert list(corpus) == records[:3]
     assert corpus.keys == [r.key for r in records[:3]]
     assert corpus.positions == {r.key: i for i, r in enumerate(records[:3])}
     assert corpus.physiology == [r.physiology for r in records[:3]]

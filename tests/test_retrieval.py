@@ -144,7 +144,7 @@ def test_category_class_taken_once_per_query(paper_workspace, monkeypatch):
 def test_results_hold_the_corpus_own_key_strings(paper_workspace):
     # Filter and rank return the corpus's key objects, not new strings.
     ws = paper_workspace
-    own = {id(key): key for key in ws.corpus.records}
+    own = {id(key): key for key in ws.corpus.keys}
     for text in ("concept:Human measure:pathlen", "keyword:Crowd",
                  "concept:Entity db:IAPS valence:[1,9]"):
         entries = ranked_query(ws.corpus, ws.graph, parse_query(text),

@@ -163,6 +163,19 @@ def _count_validations(monkeypatch):
     return validated
 
 
+def _count_adds(monkeypatch):
+    """Record the key of every Corpus.add_stimulus call."""
+    added = []
+    add = Corpus.add_stimulus
+
+    def counting_add(self, rec):
+        added.append(rec.key)
+        return add(self, rec)
+
+    monkeypatch.setattr(Corpus, "add_stimulus", counting_add)
+    return added
+
+
 def _count_parses(monkeypatch):
     """Record the line of every corpus.parse_record_line call."""
     parsed = []
@@ -197,6 +210,7 @@ def test_unsealed_load_validates_each_record_once_and_parses_none(
         raise AssertionError("load_snapshot must not use parse_corpus_records")
 
     validated = _count_validations(monkeypatch)
+    added = _count_adds(monkeypatch)
     parsed = _count_parses(monkeypatch)
     monkeypatch.setattr(stimkb.snapshot, "parse_corpus_records", no_bulk_parser)
     loaded = load_snapshot(snap)
@@ -204,6 +218,7 @@ def test_unsealed_load_validates_each_record_once_and_parses_none(
     assert list(loaded.corpus) == list(ws.corpus)
     assert loaded.corpus.concept_index == ws.corpus.concept_index
     assert validated == [r.key for r in ws.corpus]
+    assert added == [r.key for r in ws.corpus]
     assert parsed == []
 
 
@@ -220,12 +235,14 @@ def test_sealed_load_validates_and_parses_none(
     assert snap.read_bytes().startswith(SEAL_HEAD)
 
     validated = _count_validations(monkeypatch)
+    added = _count_adds(monkeypatch)
     parsed = _count_parses(monkeypatch)
     loaded = load_snapshot(snap)
 
     assert list(loaded.corpus) == list(ws.corpus)
     assert loaded.corpus.concept_index == ws.corpus.concept_index
     assert validated == []
+    assert added == []
     assert parsed == []
 
 
@@ -298,8 +315,8 @@ def test_sealed_load_equals_full_validation(paper_workspace, spec):
         sealed = load_snapshot(snap)
         _strip_seal(snap)
         full = load_snapshot(snap)
-    assert sealed.corpus.records == full.corpus.records
-    assert list(sealed.corpus.records) == list(full.corpus.records)
+    assert list(sealed.corpus) == list(full.corpus)
+    assert sealed.corpus.keys == full.corpus.keys
     assert sealed.corpus.concept_index == full.corpus.concept_index
     assert sealed.graph.parent_edges == full.graph.parent_edges
     assert sealed.graph.concepts == full.graph.concepts
@@ -364,7 +381,7 @@ def test_load_round_trip_keeps_records_and_shares_by_text(
         loaded = load_snapshot(snap)
     # Equal records in the same order; the reprs also tell -0.0 from 0.0
     # and 1 from 1.0.
-    assert list(loaded.corpus.records) == list(ws.corpus.records)
+    assert loaded.corpus.keys == ws.corpus.keys
     assert repr(list(loaded.corpus)) == repr(list(ws.corpus))
     assert loaded.corpus.concept_index == ws.corpus.concept_index
     # One object per distinct written text, and one text per object.
@@ -479,7 +496,9 @@ def test_snapshot_sealed_under_older_rules_is_validated(
     # Only the seal skips the check: anyone can seal bad records under the
     # current rules, so the seal is no security boundary.
     snap.write_bytes(seal_text(text))
-    assert "X/1" in load_snapshot(snap).corpus.records
+    corpus = load_snapshot(snap).corpus
+    # (compared by repr, since the NaN SD is not equal to itself)
+    assert repr(dict(zip(corpus.keys, corpus))["X/1"]) == repr(bad)
 
 
 def test_ingest_of_many_layouts_loads_without_parsing(tmp_path, monkeypatch):
@@ -812,8 +831,8 @@ def test_bad_snapshot_exits_3_naming_file(
 def test_invalid_record_is_reported_before_a_later_repeat(
     tmp_path, paper_workspace
 ):
-    # Records are validated in order up to the first repeated key, so the
-    # first bad record is reported, as a record-by-record load would.
+    # Records are added again in order, sealed or not, since a key
+    # repeats: the first bad record is reported, as ingest would report it.
     doc = _snapshot_doc(paper_workspace, tmp_path)
     del doc["seal"]
     text = _record(3, id="5635", semantics=(
@@ -821,7 +840,8 @@ def test_invalid_record_is_reported_before_a_later_repeat(
     snap = tmp_path / "snap.json"
     for data, message in (
         (text.encode(), "records[3]: record IAPS/5635: unknown concept 'NoSuch'"),
-        (seal_text(text), "records[3]: duplicate stimulus key IAPS/5635"),
+        (seal_text(text),
+         "records[3]: record IAPS/5635: unknown concept 'NoSuch'"),
     ):
         snap.write_bytes(data)
         with pytest.raises(SnapshotError) as exc:
@@ -897,6 +917,10 @@ def test_load_equals_build_workspace(tmp_path):
     assert (loaded.seed, loaded.limit) == (built.seed, built.limit)
     # Only a build fills the keyword mapping and the unmapped keywords.
     assert (loaded.mapping, loaded.unmapped_keywords) == (None, ())
+    # An annotation kind that no record carries gives every record the
+    # one shared empty tuple.
+    for field in ("appraisals", "action_tendencies", "sentiments"):
+        assert set(map(id, getattr(loaded.corpus, field))) == {id(())}
 
 
 def test_snapshot_stores_no_keyword_mapping(tmp_path, paper_workspace):
@@ -947,9 +971,9 @@ def test_concept_index_is_built_on_first_use(tmp_path, monkeypatch, capsys):
     assert calls == []
 
 
-# What a load builds on first use: the corpus fields, its key positions,
-# its whole records and its concept index, and the graph's tables.
-LAZY_CORPUS = {*StimulusRecord._fields, "positions", "records", "concept_index"}
+# What a load builds on first use: the corpus fields, its key positions
+# and its concept index, and the graph's tables.
+LAZY_CORPUS = {*StimulusRecord._fields, "positions", "concept_index"}
 LAZY_GRAPH = {"ancestor_closure", "depth_cache", "max_depth", "neighbors"}
 
 
@@ -1029,8 +1053,7 @@ def test_adding_to_a_loaded_corpus_equals_adding_in_order(
         expected.add_stimulus(rec)
     for field in StimulusRecord._fields:
         assert getattr(corpus, field) == getattr(expected, field), field
-    assert list(corpus.zipped()) == list(expected.zipped())
-    assert list(corpus.records.items()) == list(expected.records.items())
+    assert list(corpus) == list(expected)
     assert corpus.keys == expected.keys
     assert corpus.positions == expected.positions
     assert corpus.concept_index == expected.concept_index
@@ -1051,7 +1074,8 @@ def test_threads_reading_a_loaded_workspace_share_each_build(
 
     def read(seed):
         order = random.Random(seed).sample(names, len(names))
-        got = {name: getattr(ws.corpus, name) for name in order}
+        got = {name: list(ws.corpus) if name == "records"
+               else getattr(ws.corpus, name) for name in order}
         got.update((t, getattr(ws.graph, t)) for t in sorted(LAZY_GRAPH))
         seen.append(got)
 
@@ -1070,7 +1094,7 @@ def test_threads_reading_a_loaded_workspace_share_each_build(
         assert all(got[field] is getattr(ws.corpus, field) for got in seen)
     built = paper_workspace
     for got in seen:
-        assert got["records"] == built.corpus.records
+        assert got["records"] == list(built.corpus)
         assert got["concept_index"] == built.corpus.concept_index
         assert all(got[t] == getattr(built.graph, t)
                    for t in LAZY_GRAPH - {"neighbors"})
@@ -1100,8 +1124,9 @@ def test_a_bad_snapshot_fails_inside_load_snapshot(
         # then every field builds without raising.
         ws = load_snapshot(bad)
         assert _built(ws) == (set(), set())
-        assert list(ws.corpus.zipped()) == list(ws.corpus)
-        assert len(ws.corpus.records) == len(paper_workspace.corpus)
+        records = list(ws.corpus)
+        assert [r.key for r in records] == ws.corpus.keys
+        assert len(records) == len(paper_workspace.corpus)
         assert _built(ws)[0] == LAZY_CORPUS - {"positions", "concept_index"}
         return
     with pytest.raises(SnapshotError) as exc:
@@ -1188,8 +1213,8 @@ def test_loaded_queries_equal_the_built_ones_and_the_oracles(generated, data):
                 built.corpus, built.graph, built.closure, q)
     for name in data.draw(st.permutations(sorted(LAZY_CORPUS))):
         getattr(loaded.corpus, name)
-    assert loaded.corpus.records == built.corpus.records
-    assert list(loaded.corpus.records) == list(built.corpus.records)
+    assert list(loaded.corpus) == list(built.corpus)
+    assert loaded.corpus.keys == built.corpus.keys
     assert loaded.corpus.concept_index == built.corpus.concept_index
 
 
