@@ -163,12 +163,15 @@ def _cmd_sequence(args):
 def _cmd_stats(args):
     ws = load_snapshot(args.snapshot)
     print(f"{len(ws.corpus)} records")
-    keywords = {
-        s.keyword.casefold()
-        for semantics in ws.corpus.semantics for s in semantics if s.keyword
-    }
+    keywords, concepts = set(), set()
+    for semantics in ws.corpus.semantics:
+        for s in semantics:
+            if s.keyword:
+                keywords.add(s.keyword.casefold())
+            if s.concept:
+                concepts.add(s.concept)
     print(f"{len(keywords)} distinct keywords")
-    print(f"{len(ws.corpus.concept_index)} distinct concepts")
+    print(f"{len(concepts)} distinct concepts")
     print(f"{len(ws.graph.concepts)} taxonomy concepts, max depth "
           f"{ws.graph.max_depth}")
     return EXIT_OK

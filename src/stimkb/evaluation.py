@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from .errors import ParseError, ValidationError
 from .lines import tab_rows
-from .retrieval import OperandScores, score_record
+from .retrieval import OperandScores, score_record, sort_ranked
 from .similarity import CONCEPT_MEASURES, parse_measure
 
 
@@ -203,7 +203,7 @@ def run_experiment(corpus, graph, queries, judgments, measures, config):
                 (k, score_record(measure, semantics[positions[k]], memo))
                 for k in candidates
             ]
-            scored.sort(key=lambda e: (-e[1], e[0]))
+            sort_ranked(scored)
             local_judgments = {k: k in relevant for k, _ in scored}
             curve = lift_curve(scored, local_judgments)
             t = select_threshold(curve)

@@ -7,20 +7,24 @@ builds everything once and writes a single versioned JSON snapshot, so
 queries and evaluation never re-parse the raw inputs.  Keyword expansion
 happens at ingest, so the snapshot stores no keyword mapping.
 
-The snapshot stores the records as positional columns (format version 4):
+The snapshot stores the records as positional columns (format version 5):
 one column per record field over tables of the distinct annotations,
 contexts, database names, physiology directories and channels, dimension
 scales and semantics kinds, so that a load parses no record text and
 builds each record field with C-level `map`/`zip` calls, on the field's
 first use.  The integer columns (table indices and per-record counts)
 are packed: a `[typecode, base64]` pair of a little-endian array of
-unsigned integers, which the load decodes without parsing any number
-text.
+unsigned integers, deflated (a zlib stream, RFC 1950) before the base64
+step, which the load decodes without parsing any number text.  A load
+inflates each column to at most one item and one byte past the length
+the rest of the snapshot gives it, so that no stream inflates past what
+its column may hold.
 """
 
 import gc
 import json
 import sys
+import zlib
 from array import array
 from binascii import a2b_base64, b2a_base64
 from collections import namedtuple
@@ -69,7 +73,7 @@ from .lines import (
 )
 from .taxonomy import parse_mapping, parse_taxonomy
 
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 MANIFEST_FILE_KEYS = (
     "taxonomy",
@@ -157,10 +161,11 @@ _VECTOR_TYPES = tuple(
 # The record columns: one item per record (`<tag>_n` and `phys_n` count
 # the record's items in the flat column `<tag>`, or in `dir`, `path` and
 # `chan`), then the flat columns.  Indices point into the tables; in
-# `scale` and `ctx`, 0 is none and k is the table's row k - 1.
+# `scale` and `ctx`, 0 is none and k is the table's row k - 1.  `id` comes
+# first: its length is the one a packed record column is inflated to.
 _RECORD_COLUMNS = {
-    "db": _PACKED,
     "id": _TEXT,
+    "db": _PACKED,
     **{f"{tag}_n": _PACKED for tag in _ANNOTATIONS},
     "dim": {list, _NULL},
     "scale": _PACKED,
@@ -169,6 +174,9 @@ _RECORD_COLUMNS = {
 }
 _FLAT_COLUMNS = {**{tag: _PACKED for tag in _ANNOTATIONS}, "dir": _PACKED,
                  "path": _TEXT, "chan": _PACKED}
+# Each flat column's count column, whose sum is the flat column's length.
+_COUNTS = {**{tag: f"{tag}_n" for tag in _ANNOTATIONS}, "path": "phys_n",
+           "dir": "phys_n", "chan": "phys_n"}
 
 
 class Manifest(namedtuple("Manifest", "paths seed limit", defaults=(0, None))):
@@ -417,19 +425,25 @@ def _optional_rows(items):
 
 def _packed(values):
     """The packed column ([typecode, base64 text]) of the unsigned
-    integers `values`."""
+    integers `values`: their little-endian bytes, deflated at zlib's
+    default level."""
     top = max(values, default=0)
     code = next(c for c, size in _PACKED_SIZES.items() if top < 1 << 8 * size)
     items = array(code, values)
     if _BIG_ENDIAN:
         items.byteswap()
-    return [code, b2a_base64(items.tobytes(), newline=False).decode()]
+    stream = zlib.compress(items.tobytes())
+    return [code, b2a_base64(stream, newline=False).decode()]
 
 
-def _unpacked(name, pair):
-    """The array of unsigned integers that packed column `pair` holds;
-    SnapshotError unless it is a [typecode, base64 text] pair of a known
-    typecode and of whole items."""
+def _unpacked(name, pair, length):
+    """The array of unsigned integers that packed column `pair` holds, a
+    column expected to hold `length` items; SnapshotError unless it is a
+    [typecode, base64 text] pair of a known typecode whose bytes are one
+    whole zlib stream of whole items.  The stream is inflated to at most
+    one item and one byte past `length` items, and one that would inflate
+    further raises: a column of one item more or fewer is left to the
+    caller's length checks, which name both lengths."""
     if type(pair) is not list or len(pair) != 2 or not all(
             type(v) is str for v in pair):
         raise SnapshotError(f"{name} is not a [typecode, base64] pair")
@@ -440,12 +454,26 @@ def _unpacked(name, pair):
     # a2b_base64 skips characters outside the alphabet, so the text must
     # also be what the bytes encode to.
     try:
-        data = a2b_base64(text)
-        canonical = b2a_base64(data, newline=False) == text.encode()
+        stream = a2b_base64(text)
+        canonical = b2a_base64(stream, newline=False) == text.encode()
     except ValueError:
         canonical = False
     if not canonical:
         raise SnapshotError(f"{name} is not base64 text")
+    # A count column may sum past any length an inflate can take.
+    limit = min((length + 1) * size + 1, sys.maxsize)
+    inflate = zlib.decompressobj()
+    try:
+        data = inflate.decompress(stream, limit)
+    except zlib.error:
+        raise SnapshotError(f"{name} is not a zlib stream") from None
+    if len(data) == limit:
+        raise SnapshotError(
+            f"{name} holds more than {length + 1} items, not {length}")
+    if not inflate.eof:
+        raise SnapshotError(f"{name} ends inside its zlib stream")
+    if inflate.unused_data:
+        raise SnapshotError(f"{name} has bytes after its zlib stream")
     if len(data) % size:
         raise SnapshotError(
             f"{name} has {len(data)} bytes, not whole {size}-byte items")
@@ -550,15 +578,19 @@ def _annotations(tag, fields, kinds):
     if len(fields) != len(types):
         raise SnapshotError(
             f"{name} has {len(fields)} field columns, not {len(types)}")
-    for i, allowed in enumerate(types):
+    # The list columns first: the longest gives the row count that a packed
+    # column is inflated to.
+    rows = 0
+    for i in sorted(range(len(types)), key=lambda i: types[i] is _PACKED):
         field = f"{name} field {i}"
-        if allowed is _PACKED:
-            fields[i] = _unpacked(field, fields[i])
+        if types[i] is _PACKED:
+            fields[i] = _unpacked(field, fields[i], rows)
             _check_indices(field, fields[i], len(kinds))
         elif type(fields[i]) is not list:
             raise SnapshotError(f"{field} has type {type(fields[i]).__name__}")
         else:
-            _check_types(field, fields[i], allowed)
+            _check_types(field, fields[i], types[i])
+            rows = max(rows, len(fields[i]))
     if len(set(map(len, fields))) > 1:
         raise SnapshotError(f"{name} has a row without {len(types)} fields")
     if tag == "sem":
@@ -638,7 +670,9 @@ def _records(tables, columns):
     and a builder per StimulusRecord field: a function that returns the
     field of every record, in order, as a list).  Every table and column is
     checked here, whatever the seal: its item types (a packed column is
-    decoded in place), its length, that its indices point into their
+    decoded in place, inflated no further than one item past its expected
+    length: the number of ids for a record column, the sum of its count
+    column for a flat one), its length, that its indices point into their
     table, and the rules a record must meet to be built at all (a
     non-empty db and id, a scale exactly when there is a dimension vector,
     exactly one of concept or keyword per semantics annotation).  The
@@ -652,7 +686,9 @@ def _records(tables, columns):
             if key not in holder:
                 raise SnapshotError(f"missing key {name}")
             if allowed is _PACKED:
-                holder[key] = _unpacked(name, holder[key])
+                length = (sum(columns[_COUNTS[key]]) if key in _COUNTS
+                          else len(columns["id"]))
+                holder[key] = _unpacked(name, holder[key], length)
             elif type(holder[key]) is not list:
                 raise SnapshotError(
                     f"{name} has type {type(holder[key]).__name__}")
@@ -670,8 +706,7 @@ def _records(tables, columns):
     if "" in dbs:
         raise SnapshotError("'tables.dbs' holds an empty name")
     _check_indices("'records.db'", columns["db"], len(dbs))
-    for key, flat in (*((f"{tag}_n", tag) for tag in _ANNOTATIONS),
-                      ("phys_n", "path"), ("phys_n", "dir"), ("phys_n", "chan")):
+    for flat, key in _COUNTS.items():
         counts = columns[key]
         if sum(counts) != len(columns[flat]):
             raise SnapshotError(

@@ -1,5 +1,9 @@
 import hashlib
 import random
+import sys
+import zlib
+from array import array
+from base64 import b64decode, b64encode
 from pathlib import Path
 
 import pytest
@@ -25,12 +29,32 @@ def paper_graph(paper_workspace):
     return paper_workspace.graph
 
 
-# The record columns a snapshot stores packed, as [typecode, base64] pairs.
+# The record columns a snapshot stores packed, as [typecode, base64] pairs
+# whose text encodes a zlib stream of the column's little-endian items.
 PACKED_COLUMNS = sorted(
     key for key, allowed in {**stimkb.snapshot._RECORD_COLUMNS,
                              **stimkb.snapshot._FLAT_COLUMNS}.items()
     if allowed is stimkb.snapshot._PACKED
 )
+
+
+def packed_values(pair):
+    """The list of the integers that packed column `pair` holds, however
+    many: the items of its inflated stream, read as little-endian."""
+    code, text = pair
+    items = array(code, zlib.decompress(b64decode(text)))
+    if sys.byteorder == "big":
+        items.byteswap()
+    return list(items)
+
+
+def packed_pair(code, values):
+    """The packed column of `values` under typecode `code`, whatever the
+    code, signed or not: their little-endian bytes, deflated."""
+    items = array(code, values)
+    if sys.byteorder == "big":
+        items.byteswap()
+    return [code, b64encode(zlib.compress(items.tobytes())).decode()]
 
 
 # The seal line's layout, written out here as a check on the format: a

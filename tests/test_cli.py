@@ -5,6 +5,8 @@ import shlex
 import shutil
 import subprocess
 import sys
+import zlib
+from base64 import b64decode, b64encode
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ from stimkb.affect import EquivalenceClosure
 from stimkb.cli import main
 from stimkb.snapshot import Workspace, save_snapshot
 
-from conftest import PACKED_COLUMNS, seal_text
+from conftest import PACKED_COLUMNS, packed_values, seal_text
 from synthetic import generate
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "paper"
@@ -849,6 +851,28 @@ def _packed_columns(doc):
 
 
 @st.composite
+def _streams(draw, data):
+    """Bytes in place of a packed column's zlib stream of bytes `data`: a
+    valid stream (of `data` or of any bytes, deflated at any level), one
+    cut short, followed by more bytes or inflating to far more items than
+    the column should hold, or bytes that are no zlib stream (`data`
+    itself, as format 4 stored it)."""
+    edit = draw(st.sampled_from(["valid", "cut", "trailing", "long", "raw"]))
+    if edit == "raw":
+        return data
+    if edit == "valid" and draw(st.booleans()):
+        data = draw(st.binary(max_size=48))
+    elif edit == "long":
+        data += bytes(draw(st.integers(1, 1 << 16)))
+    stream = zlib.compress(data, draw(st.integers(0, 9)))
+    if edit == "cut":
+        return stream[:draw(st.integers(0, len(stream) - 1))]
+    if edit == "trailing":
+        return stream + draw(st.binary(min_size=1, max_size=8))
+    return stream
+
+
+@st.composite
 def mutated_snapshots(draw, text):
     """The text of a snapshot (its seal dropped) with one edit: truncated;
     a key of the document, its tables or its record columns dropped or its
@@ -856,11 +880,12 @@ def mutated_snapshots(draw, text):
     annotation section or its field columns, a row or a packed column's
     [typecode, base64] pair replaced, added or removed; a value of a
     packed column (a record column or an annotation field column)
-    replaced, added or removed, and the column packed again; or a splice
+    replaced, added or removed, and the column packed again; a packed
+    column's stream replaced (see _streams), under any typecode; or a splice
     into a text input or into one string of a table, a column or a packed
     pair."""
     kind = draw(st.sampled_from(["truncate", "drop", "replace", "item",
-                                 "resize", "values", "splice"]))
+                                 "resize", "values", "stream", "splice"]))
     if kind == "truncate":
         return text[: draw(st.integers(0, len(text) - 1))]
     doc = json.loads(text)
@@ -881,7 +906,7 @@ def mutated_snapshots(draw, text):
             row.insert(draw(st.integers(0, len(row))), draw(ITEMS))
     elif kind == "values":
         columns, key = draw(st.sampled_from(_packed_columns(doc)))
-        values = list(stimkb.snapshot._unpacked(key, columns[key]))
+        values = packed_values(columns[key])
         edit = draw(st.sampled_from(["set", "delete", "insert"])
                     if values else st.just("insert"))
         if edit == "insert":
@@ -893,6 +918,11 @@ def mutated_snapshots(draw, text):
             else:
                 values[i] = draw(PACKED_ITEMS)
         columns[key] = stimkb.snapshot._packed(values)
+    elif kind == "stream":
+        columns, key = draw(st.sampled_from(_packed_columns(doc)))
+        code = draw(st.sampled_from(["B", "H", "I", "Q", columns[key][0]]))
+        stream = draw(_streams(zlib.decompress(b64decode(columns[key][1]))))
+        columns[key] = [code, b64encode(stream).decode()]
     else:
         holder, key = draw(st.sampled_from(
             [(doc, k) for k in ("taxonomy", "vocabularies", "axioms")]

@@ -21,6 +21,7 @@ from stimkb.retrieval import (
     parse_query,
     ranked_query,
     score_record,
+    sort_ranked,
 )
 from stimkb.similarity import CONCEPT_MEASURES, Measure, relatedness
 from stimkb.taxonomy import parse_taxonomy
@@ -352,6 +353,25 @@ def test_filter_matches_per_record_scan(seed, n_nodes, with_concept, data):
                                     for c in rec.concepts()))
     }
     assert filter_query(corpus, graph, q, RANDOM_CLOSURE) == expected
+
+
+# Scores drawn from a few values, -0.0 and 0.0 among them, so that most
+# lists hold many ties; keys are distinct, as a corpus's are.
+TIED_SCORES = st.sampled_from([0.0, -0.0, 0, 0.25, 1.0, 1, -3.5, 1e-300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.text(max_size=4), TIED_SCORES),
+                unique_by=lambda e: e[0], max_size=40)
+       | st.lists(st.tuples(st.text(max_size=4),
+                            st.floats(allow_nan=False)),
+                  unique_by=lambda e: e[0], max_size=40))
+def test_sort_ranked_equals_the_tuple_key_sort(entries):
+    expected = sorted(entries, key=lambda e: (-e[1], e[0]))
+    sort_ranked(entries)
+    assert entries == expected
+    # The same objects in the same order, 0 kept apart from 0.0 and -0.0.
+    assert list(map(repr, entries)) == list(map(repr, expected))
 
 
 def test_truncation_happens_after_sorting(paper_workspace):

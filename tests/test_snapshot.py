@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import math
@@ -8,9 +9,12 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import weakref
+import zlib
 from array import array
-from base64 import b64encode
+from base64 import b64decode, b64encode
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -62,6 +66,8 @@ from conftest import (
     oracle_concept_index,
     oracle_filter,
     oracle_ranking,
+    packed_pair,
+    packed_values,
     seal_text,
     serialize_record,
 )
@@ -530,7 +536,7 @@ def _packed_edit(key, edit, holder=lambda tables, columns: columns):
     items would leave it."""
     def edit_columns(tables, columns):
         where = holder(tables, columns)
-        values = list(stimkb.snapshot._unpacked(key, where[key]))
+        values = packed_values(where[key])
         edit(values)
         wrap = 1 << 8 * array(where[key][0]).itemsize
         where[key] = stimkb.snapshot._packed([v % wrap for v in values])
@@ -558,9 +564,23 @@ def _section(tag, edit):
         s for s in tables["annotations"] if s[0] == tag)))
 
 
-def _packed_text(code, values):
-    """The packed column of `values` under `code`, whatever the code."""
-    return [code, b64encode(array(code, values).tobytes()).decode()]
+def _stream(key, stream, code="B"):
+    """An edit that sets packed record column `key` to the bytes that
+    stream() returns, under typecode `code`."""
+    return _columns(lambda t, c: c.update(
+        {key: [code, b64encode(stream()).decode()]}))
+
+
+@functools.cache
+def _inflating_to_64_mib():
+    """A zlib stream of 64 MiB of zero bytes, made 1 MiB at a time."""
+    deflate = zlib.compressobj()
+    chunk = bytes(1 << 20)
+    return b"".join([*map(deflate.compress, repeat(chunk, 64)), deflate.flush()])
+
+
+# The items of the paper snapshot's 4-record `db` column.
+DB_ITEMS = bytes([0, 1, 1, 0])
 
 
 # (case, edit, error text, whether a matching seal still fails the load).
@@ -581,6 +601,8 @@ BAD_SNAPSHOTS = [
      "unsupported snapshot version 2; re-ingest", True),
     ("version 3", _doc(lambda doc: json.dumps({**doc, "version": 3})),
      "unsupported snapshot version 3; re-ingest", True),
+    ("version 4", _doc(lambda doc: json.dumps({**doc, "version": 4})),
+     "unsupported snapshot version 4; re-ingest", True),
     ("unknown version", _doc(lambda doc: json.dumps(
         {**doc, "version": SNAPSHOT_VERSION + 1})),
      f"unsupported snapshot version {SNAPSHOT_VERSION + 1}; re-ingest", True),
@@ -605,7 +627,7 @@ BAD_SNAPSHOTS = [
     ("column of three", _columns(lambda t, c: c["chan"].append("B")),
      "'records.chan' is not a [typecode, base64] pair", True),
     ("unknown typecode", _columns(lambda t, c: c.update(
-        db=_packed_text("d", [0, 1, 1, 0]))),
+        db=packed_pair("d", [0, 1, 1, 0]))),
      "'records.db' has unknown typecode 'd'", True),
     ("not base64", _columns(lambda t, c: c["db"].__setitem__(1, "not base64")),
      "'records.db' is not base64 text", True),
@@ -613,9 +635,24 @@ BAD_SNAPSHOTS = [
     ("stray character in base64", _columns(
         lambda t, c: c["db"].__setitem__(1, "AAE!BAA==")),
      "'records.db' is not base64 text", True),
-    ("partial item", _columns(lambda t, c: c.update(
-        sem=["H", b64encode(b"\0\0\1").decode()])),
+    ("partial item", _stream("sem", lambda: zlib.compress(b"\0\0\1"), "H"),
      "'records.sem' has 3 bytes, not whole 2-byte items", True),
+    # A packed column's bytes are one whole zlib stream: not the items
+    # themselves, as format 4 stored them, nor a stream cut short or
+    # followed by more bytes.
+    ("items not deflated", _stream("db", lambda: DB_ITEMS),
+     "'records.db' is not a zlib stream", True),
+    ("zlib stream cut short", _stream(
+        "db", lambda: zlib.compress(DB_ITEMS)[:-1]),
+     "'records.db' ends inside its zlib stream", True),
+    ("bytes after the zlib stream", _stream(
+        "db", lambda: zlib.compress(DB_ITEMS) + b"\0"),
+     "'records.db' has bytes after its zlib stream", True),
+    # 64 MiB of zeros in a 4-record column: the load inflates at most one
+    # item and one byte past 4 items (see
+    # test_a_column_that_inflates_far_past_its_length_is_never_held).
+    ("column inflating to 64 MiB", _stream("ctx", _inflating_to_64_mib),
+     "'records.ctx' holds more than 5 items, not 4", True),
     # A JSON array of indices and nulls, as format 3 stored `ctx`.
     ("number as an index", _columns(lambda t, c: c.update(ctx=[0.0, 1, 2, 2])),
      "'records.ctx' is not a [typecode, base64] pair", True),
@@ -627,8 +664,14 @@ BAD_SNAPSHOTS = [
      "'records.phys_n' sums to 1, not to the 2 items of 'records.path'", True),
     # Counts are unsigned: a negative one needs a signed typecode.
     ("negative count under a signed typecode", _columns(lambda t, c: c.update(
-        sem_n=_packed_text("b", [-1, 8, 4, 8]))),
+        sem_n=packed_pair("b", [-1, 8, 4, 8]))),
      "'records.sem_n' has unknown typecode 'b'", True),
+    # The `sem` column is inflated to at most one item past the counts'
+    # sum, here past any length an inflate takes: the sum is then reported.
+    ("counts summing past 64 bits", _columns(lambda t, c: c.update(
+        sem_n=packed_pair("Q", [1 << 63, 1 << 63, 4, 8]))),
+     "'records.sem_n' sums to 18446744073709551628, not to the 19 items of "
+     "'records.sem'", True),
     ("negative db index", _set("db", 0, -1),
      "'records.db' holds an index outside [0, 2)", True),
     ("8-byte db index", _columns(lambda t, c: c.update(
@@ -952,10 +995,11 @@ def test_concept_index_is_built_on_first_use(tmp_path, monkeypatch, capsys):
         assert ws.corpus.concept_index is ws.corpus.concept_index
     assert len(calls) == 2
     # Loads for commands that read no concept clause build no index, a
-    # ranked concept query included; a concept filter and stats build one.
+    # ranked concept query included; a concept filter builds one.  Stats
+    # counts the distinct concepts without one.
     snap = tmp_path / "snap.json"
     for argv, builds in (
-        (["stats"], 1),
+        (["stats"], 0),
         (["query", "keyword:fichipado"], 0),
         (["query", "concept:kagor"], 0),
         (["query", "category:BigSix.anger mode:filter"], 0),
@@ -1020,7 +1064,7 @@ def test_each_command_builds_only_what_it_reads(
          {"db", "dimensions", "semantics"}, set()),
         (["query", "concept:Human mode:filter"],
          {"semantics", "concept_index", "positions"}, {"ancestor_closure"}),
-        (["stats"], {"semantics", "concept_index"}, {"depth_cache", "max_depth"}),
+        (["stats"], {"semantics"}, {"depth_cache", "max_depth"}),
     ):
         assert main(argv[:1] + ["--snapshot", str(snap)] + argv[1:]) == 0
         assert _built(loaded.pop()) == (fields, tables), argv
@@ -1292,16 +1336,57 @@ def test_load_restores_the_collector_state(enabled, tmp_path, paper_workspace):
 
 
 def test_packed_columns_are_little_endian():
-    # Fixed texts: a packed item's byte order is the format's, not the
+    # Fixed bytes: a packed item's byte order is the format's, not the
     # host's, and each column takes the narrowest typecode that holds it.
+    # The deflated text may differ between zlib builds; what it inflates
+    # to may not.
+    def inflated(pair):
+        return pair[0], zlib.decompress(b64decode(pair[1]))
+
     packed = stimkb.snapshot._packed
-    assert packed([1, 258]) == ["H", "AQACAQ=="]
-    assert packed([1 << 16, 7]) == ["I", "AAABAAcAAAA="]
-    assert packed([0, 255]) == ["B", "AP8="]
-    assert packed([]) == ["B", ""]
+    assert inflated(packed([1, 258])) == ("H", b"\1\0\2\1")
+    assert inflated(packed([1 << 16, 7])) == ("I", b"\0\0\1\0\7\0\0\0")
+    assert inflated(packed([0, 255])) == ("B", b"\0\xff")
+    assert inflated(packed([])) == ("B", b"")
+    # Fixed texts, which any zlib build inflates alike.
     unpacked = stimkb.snapshot._unpacked
-    assert list(unpacked("'x'", ["H", "AQACAQ=="])) == [1, 258]
-    assert list(unpacked("'x'", ["Q", "AQAAAAAAAAA="])) == [1]
+    assert list(unpacked("'x'", ["H", "eJxjZGBiBAAADQAF"], 2)) == [1, 258]
+    assert list(unpacked("'x'", ["Q", "eJxjZIAAAAAQAAI="], 1)) == [1]
+
+
+@pytest.mark.parametrize("code", ["B", "H", "I", "Q"])
+@pytest.mark.parametrize("length", [0, 1, 4, 300])
+def test_packed_column_inflates_to_at_most_one_item_more(code, length):
+    # One item fewer or more is returned, for the caller's length checks
+    # to name; any longer stream raises, whatever the typecode.
+    unpacked = stimkb.snapshot._unpacked
+    for n in range(max(0, length - 1), length + 2):
+        assert len(unpacked("'x'", packed_pair(code, [7] * n), length)) == n
+    for extra in (1, 2, 1000):
+        data = zlib.compress(bytes((length + 1) * array(code).itemsize + extra))
+        with pytest.raises(SnapshotError, match=(
+                f"^'x' holds more than {length + 1} items, not {length}$")):
+            unpacked("'x'", [code, b64encode(data).decode()], length)
+
+
+def test_a_column_that_inflates_far_past_its_length_is_never_held(
+    tmp_path, paper_workspace
+):
+    # A 4-record column whose stream inflates to 64 MiB fails the load
+    # without the 64 MiB ever being held: the load's peak allocation stays
+    # under 1 MiB.
+    doc = _snapshot_doc(paper_workspace, tmp_path)
+    del doc["seal"]
+    bad = tmp_path / "bomb.json"
+    bad.write_text(_stream("ctx", _inflating_to_64_mib)(doc, ()))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SnapshotError, match="holds more than 5 items"):
+            load_snapshot(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("enabled", [True, False])
