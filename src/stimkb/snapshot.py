@@ -2,23 +2,19 @@
 
 A manifest is a flat `key=value` file naming the input files (taxonomy,
 mapping, vocabularies, axioms, records, legacy) plus defaults (seed,
-limit); paths are resolved relative to the manifest.  Ingest
-builds everything once and writes a single versioned JSON snapshot, so
-queries and evaluation never re-parse the raw inputs.  Keyword expansion
-happens at ingest, so the snapshot stores no keyword mapping.
+limit); paths are resolved relative to the manifest.  Ingest builds
+everything once, expanding keywords, and writes a single versioned JSON
+snapshot, so queries and evaluation never re-parse the raw inputs.
 
-The snapshot stores the records as positional columns (format version 5):
-one column per record field over tables of the distinct annotations,
-contexts, database names, physiology directories and channels, dimension
-scales and semantics kinds, so that a load parses no record text and
-builds each record field with C-level `map`/`zip` calls, on the field's
-first use.  The integer columns (table indices and per-record counts)
-are packed: a `[typecode, base64]` pair of a little-endian array of
-unsigned integers, deflated (a zlib stream, RFC 1950) before the base64
-step, which the load decodes without parsing any number text.  A load
-inflates each column to at most one item and one byte past the length
-the rest of the snapshot gives it, so that no stream inflates past what
-its column may hold.
+The snapshot (format version 6) stores the records as one column per
+record field over tables of their distinct values, so that a load parses
+no record text and builds each field with C-level `map`/`zip` calls, on
+its first use.  Every column is deflated (a zlib stream, RFC 1950) and
+written as base64: an integer column (table indices and per-record
+counts) as `[typecode, base64]` of its little-endian unsigned items, a
+text column as `[length, base64]` of its items' UTF-8 text, each followed
+by a line break.  A load inflates no stream past one item and one byte
+beyond the length the rest of the snapshot gives its column (see README).
 """
 
 import gc
@@ -29,7 +25,7 @@ from array import array
 from binascii import a2b_base64, b2a_base64
 from collections import namedtuple
 from functools import partial
-from itertools import chain, compress, count, islice, repeat, zip_longest
+from itertools import chain, compress, count, islice, repeat
 from operator import add, is_, is_not, itemgetter, ne
 from pathlib import Path
 
@@ -42,47 +38,25 @@ except ImportError:
     from hashlib import blake2b
 
 from .affect import (
-    ActionTendencyAnnotation,
-    AppraisalAnnotation,
-    CategoryAnnotation,
-    DimensionAnnotation,
-    EquivalenceClosure,
-    SentimentAnnotation,
-    load_vocabularies,
-    parse_axioms,
+    ActionTendencyAnnotation, AppraisalAnnotation, CategoryAnnotation,
+    DimensionAnnotation, EquivalenceClosure, SentimentAnnotation,
+    load_vocabularies, parse_axioms,
 )
 from .corpus import (
-    CONTEXT_NUMBER_TYPES,
-    VALIDATION_RULES,
-    ContextRecord,
-    Corpus,
-    PhysiologyRef,
-    SemanticsAnnotation,
-    StimulusRecord,
-    expand_keywords,
-    parse_corpus_records,  # noqa: F401  wrapped here by perfbench/calltrace.py
-    parse_legacy_table,
-    parse_record_file,
+    CONTEXT_NUMBER_TYPES, VALIDATION_RULES, ContextRecord, Corpus,
+    PhysiologyRef, SemanticsAnnotation, StimulusRecord, expand_keywords,
+    parse_legacy_table, parse_record_file,
 )
+# perfbench/calltrace.py wraps parse_corpus_records here.
+from .corpus import parse_corpus_records  # noqa: F401
 from .errors import ParseError, SnapshotError, StimKbError, ValidationError
-from .lines import (
-    data_lines,
-    decode_input,
-    parse_input,
-    read_input_bytes,
-)
+from .lines import data_lines, decode_input, parse_input, read_input_bytes
 from .taxonomy import parse_mapping, parse_taxonomy
 
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
-MANIFEST_FILE_KEYS = (
-    "taxonomy",
-    "mapping",
-    "vocabularies",
-    "axioms",
-    "records",
-    "legacy",
-)
+MANIFEST_FILE_KEYS = ("taxonomy", "mapping", "vocabularies", "axioms",
+                      "records", "legacy")
 MANIFEST_OPTION_KEYS = ("seed", "limit")
 
 # A sealed snapshot starts `{\n "seal": "<64 hex digits>",` and then goes
@@ -95,14 +69,9 @@ _SEAL_END = len(_SEAL_HEAD) + 64
 _NULL = type(None)
 # The top-level keys save_snapshot writes and the JSON types of their values.
 _SNAPSHOT_KEYS = {
-    "version": (int,),
-    "seed": (int,),
-    "limit": (int, _NULL),
-    "taxonomy": (str,),
-    "vocabularies": (str,),
-    "axioms": (str, _NULL),
-    "tables": (dict,),
-    "records": (dict,),
+    "version": (int,), "seed": (int,), "limit": (int, _NULL),
+    "taxonomy": (str,), "vocabularies": (str,), "axioms": (str, _NULL),
+    "tables": (dict,), "records": (dict,),
 }
 
 # JSON item types, as sets of the Python types json.loads gives them.
@@ -116,29 +85,27 @@ _JSON_NAMES = {dict: "an object", list: "an array", str: "a string",
 # uses the narrowest that holds the column's largest item.
 _PACKED_SIZES = {"B": 1, "H": 2, "I": 4, "Q": 8}
 _BIG_ENDIAN = sys.byteorder == "big"
-# In the column schemas below: a packed column, whose items are unsigned.
-_PACKED = None
+# The most bytes one inflate step makes: one block of zlib's output
+# buffer, which it returns without a copy.
+_CHUNK = 1 << 15
+# In the column schemas below: a packed column and a text column (whose
+# empty item is null in a table section).
+_PACKED, _LINES = None, "lines"
 
 # The tables and the types of their items.  `annotations` holds one
-# section per tag of _ANNOTATIONS, in its order: the tag, then the tag's
-# field columns.  A context row holds the ContextRecord fields, in order;
-# a scale row the scale's [min, max]; a dir is the text of a physiology
-# path up to and including its last `/`.
+# section per tag of _ANNOTATIONS, in order: the tag, then its field
+# columns.  A context row holds the ContextRecord fields; a scale row the
+# [min, max]; a dir is a physiology path up to and including its last `/`.
 _TABLES = {
-    "annotations": {list},
-    "kinds": _TEXT,
-    "contexts": {list},
-    "scales": {list},
-    "dbs": _TEXT,
-    "dirs": _TEXT,
-    "channels": _OPT_TEXT,
+    "annotations": {list}, "kinds": _TEXT, "contexts": {list},
+    "scales": {list}, "values": _NUM, "levels": _TEXT, "dbs": _TEXT,
+    "dirs": _TEXT, "channels": _OPT_TEXT,
 }
-# Per annotation tag: the class its rows build, the JSON types of its
-# field columns (the semantics kind is packed, an index into `kinds`), and
-# its record field.  An "app" section holds rows instead, each a flat list
-# of (name, value) pairs.
+# Per annotation tag: the class its rows build, the types of its field
+# columns (the semantics kind indexes `kinds`), and its record field.  An
+# "app" section holds rows instead, each a flat list of (name, value) pairs.
 _ANNOTATIONS = {
-    "sem": (SemanticsAnnotation, (_PACKED, _OPT_TEXT, _OPT_TEXT), "semantics"),
+    "sem": (SemanticsAnnotation, (_PACKED, _LINES, _LINES), "semantics"),
     "cat": (CategoryAnnotation, (_TEXT, _TEXT, _OPT_TEXT, _OPT_NUM),
             "categories"),
     "app": (AppraisalAnnotation, None, "appraisals"),
@@ -150,30 +117,25 @@ _CONTEXT_TYPES = tuple(
     {int: _OPT_INT, float: _OPT_NUM}.get(CONTEXT_NUMBER_TYPES.get(f), _OPT_TEXT)
     for f in ContextRecord._fields
 )
-# A dimension vector holds the DimensionAnnotation fields after the scale,
-# in order, up to the last one set; the scale is a row of `scales`.
+# The DimensionAnnotation fields after the scale: the confidence level, an
+# index into `levels`, and the others, indices into `values`.
 _DIMENSION_FIELDS = len(DimensionAnnotation._fields)
-_VECTOR_FIELDS = _DIMENSION_FIELDS - 2
-_VECTOR_TYPES = tuple(
-    _OPT_TEXT if f == "confidence_level" else _OPT_NUM
-    for f in DimensionAnnotation._fields[2:]
-)
+_LEVEL = DimensionAnnotation._fields.index("confidence_level")
+_VALUE_FIELDS = [i for i in range(2, _DIMENSION_FIELDS) if i != _LEVEL]
 # The record columns: one item per record (`<tag>_n` and `phys_n` count
-# the record's items in the flat column `<tag>`, or in `dir`, `path` and
-# `chan`), then the flat columns.  Indices point into the tables; in
-# `scale` and `ctx`, 0 is none and k is the table's row k - 1.  `id` comes
+# its items in the flat column `<tag>`, or in `dir`, `path` and `chan`),
+# but `dim`, one per record for each of _VALUE_FIELDS, field after field;
+# then the flat columns.  Indices point into the tables; in `scale`,
+# `dim`, `level` and `ctx`, 0 is none and k is row k - 1.  `id` comes
 # first: its length is the one a packed record column is inflated to.
 _RECORD_COLUMNS = {
-    "id": _TEXT,
-    "db": _PACKED,
+    "id": _LINES, "db": _PACKED,
     **{f"{tag}_n": _PACKED for tag in _ANNOTATIONS},
-    "dim": {list, _NULL},
-    "scale": _PACKED,
-    "ctx": _PACKED,
-    "phys_n": _PACKED,
+    **dict.fromkeys(("dim", "level", "scale", "ctx", "phys_n"), _PACKED),
 }
+_WIDTHS = {"dim": len(_VALUE_FIELDS)}
 _FLAT_COLUMNS = {**{tag: _PACKED for tag in _ANNOTATIONS}, "dir": _PACKED,
-                 "path": _TEXT, "chan": _PACKED}
+                 "path": _LINES, "chan": _PACKED}
 # Each flat column's count column, whose sum is the flat column's length.
 _COUNTS = {**{tag: f"{tag}_n" for tag in _ANNOTATIONS}, "path": "phys_n",
            "dir": "phys_n", "chan": "phys_n"}
@@ -244,12 +206,9 @@ class Workspace(namedtuple(
     defaults=(0, None),
 )):
     """All the commands need, fully built; the vocabularies are corpus.vocabs.
-
     Only build_workspace fills `mapping` (the keyword mapping, or None) and
-    `unmapped_keywords` (the record keywords it maps to no concept): both
-    serve keyword expansion, which happens at ingest.  A loaded workspace
-    has `mapping` None and `unmapped_keywords` ().
-    """
+    `unmapped_keywords` (the record keywords it maps to no concept), which
+    serve keyword expansion at ingest; a loaded workspace has None and ()."""
 
     __slots__ = ()
 
@@ -285,34 +244,22 @@ def build_workspace(manifest):
         e.args = (f"{key} file {manifest.paths[key]} line {lineno}: {e}",)
         raise
 
-    return Workspace(
-        graph=graph,
-        mapping=mapping,
-        closure=closure,
-        corpus=corpus,
-        unmapped_keywords=unmapped,
-        seed=manifest.seed,
-        limit=manifest.limit,
-    )
-
+    return Workspace(graph, mapping, closure, corpus, unmapped, manifest.seed,
+                     manifest.limit)
 
 
 def save_snapshot(workspace, path):
-    """Persist the workspace as a versioned JSON document.
+    """Persist the workspace as a compact versioned JSON document.
 
-    The taxonomy/vocab/axiom inputs are stored in their wire formats and
-    re-parsed at load, which keeps the snapshot format tied to the
-    already-tested parsers.  The taxonomy and the vocabularies written are
-    the corpus's: the ones Corpus.add_stimulus validated every record
-    against.  The keyword mapping and the unmapped keywords are not stored:
-    the records hold their expanded concepts, and no command reads either
-    after a load.  The records are stored as the columns of
-    _record_columns, and the document is written compact (no indentation).
-
-    The document is therefore always sealed: its first key, "seal", is a
-    digest of the validation rules version and the rest of the file, and
-    a load whose seal matches skips record validation.  The seal is an
-    integrity check, not a security boundary: anyone can compute it.
+    The taxonomy, vocabularies and axioms are stored in their input
+    formats and re-parsed at load; the taxonomy and the vocabularies are
+    the corpus's, which Corpus.add_stimulus validated every record against.
+    The keyword mapping and the unmapped keywords are not stored.  The
+    records are stored as the columns of _record_columns.  The document is
+    always sealed: its first key, "seal", is a digest of the validation
+    rules version and the rest of the file, and a load whose seal matches
+    skips record validation.  The seal is an integrity check, not a
+    security boundary: anyone can compute it.
     """
     corpus = workspace.corpus
     vocab_lines = [
@@ -325,8 +272,9 @@ def save_snapshot(workspace, path):
         for cls in workspace.closure.classes()
         for a, b in zip(cls, cls[1:])
     ]
-    tables, columns = _record_columns(
-        {field: getattr(corpus, field) for field in StimulusRecord._fields})
+    # Interning allocates in bulk, and the records hold no reference cycle.
+    tables, columns = _paused(partial(_record_columns, {
+        field: getattr(corpus, field) for field in StimulusRecord._fields}))
     doc = {
         "version": SNAPSHOT_VERSION,
         "seed": workspace.seed,
@@ -363,18 +311,13 @@ def _interned(items, key=None):
 def _record_columns(fields):
     """The tables and the record columns (see _TABLES and _RECORD_COLUMNS)
     that store the records whose fields are `fields`: each StimulusRecord
-    field -> its value for every record, in order.
-
-    Annotations, contexts and scales are interned by the text they are
-    written as: records that share one in memory, or hold equal ones
-    written alike, share its row.  Semantics annotations hold only text, so
-    equal ones are written alike; the others are keyed by `repr`, which
-    tells -0.0 from 0.0 and 1 from 1.0 as the JSON text does.  Every table
-    lists its items in first-seen order, so the bytes written do not
-    depend on the hash seed.
-    """
+    field -> its value for every record, in order.  A table row is interned
+    by the text it is written as, which for an item not only of text is
+    its `repr` (telling -0.0 from 0.0 and 1 from 1.0 as JSON does), and
+    every table lists its items in first-seen order, so the bytes written
+    do not depend on the hash seed."""
     dbs, db_column = _interned(fields["db"])
-    columns = {"db": db_column, "id": list(fields["id"])}
+    columns = {"db": db_column, "id": fields["id"]}
     sections = []
     kinds = []
     for tag, (_, types, field) in _ANNOTATIONS.items():
@@ -391,14 +334,15 @@ def _record_columns(fields):
         section = [tag, *map(list, field_columns)]
         if tag == "sem":
             kinds, index = _interned(section[1])
-            section[1] = _packed(index)
+            section[1:] = [_packed(index),
+                           *(_text([v or "" for v in column])
+                             for column in section[2:])]
         sections.append(section)
 
-    dims = fields["dimensions"]
-    columns["dim"] = [None if d is None else _vector(d) for d in dims]
-    scales, columns["scale"] = _optional_rows(
-        [None if d is None else d[:2] for d in dims])
-    contexts, columns["ctx"] = _optional_rows(fields["context"])
+    scales, values, levels, *dims = _dimension_columns(fields["dimensions"])
+    columns.update(zip(("scale", "dim", "level"), dims))
+    contexts, ctx = _interned([None, *fields["context"]], repr)
+    contexts, columns["ctx"] = contexts[1:], ctx[1:]
 
     refs = list(chain.from_iterable(fields["physiology"]))
     columns["phys_n"] = list(map(len, fields["physiology"]))
@@ -406,51 +350,83 @@ def _record_columns(fields):
     parts = list(map(str.rpartition, map(itemgetter(0), refs), repeat("/")))
     dirs, columns["dir"] = _interned(
         list(map(add, map(itemgetter(0), parts), map(itemgetter(1), parts))))
-    columns["path"] = list(map(itemgetter(2), parts))
+    columns["path"] = map(itemgetter(2), parts)
     channels, columns["chan"] = _interned(list(map(itemgetter(1), refs)))
     for key, allowed in {**_RECORD_COLUMNS, **_FLAT_COLUMNS}.items():
-        if allowed is _PACKED:
-            columns[key] = _packed(columns[key])
+        columns[key] = (_packed if allowed is _PACKED else _text)(columns[key])
     tables = {"annotations": sections, "kinds": kinds, "contexts": contexts,
-              "scales": scales, "dbs": dbs, "dirs": dirs, "channels": channels}
+              "scales": scales, "values": values, "levels": levels,
+              "dbs": dbs, "dirs": dirs, "channels": channels}
     return tables, columns
 
 
-def _optional_rows(items):
-    """(the distinct items that are not None, interned by `repr`, and per
-    item 0 for None or else 1 + its row among them)."""
-    distinct, index = _interned([None, *items], repr)
-    return distinct[1:], index[1:]
+def _dimension_columns(dims):
+    """(the `scales`, `values` and `levels` tables, the `scale`, `dim` and
+    `level` columns) of each record's DimensionAnnotation or None in
+    `dims`; only set values are interned, numbers by `repr`."""
+    none = (None,) * _DIMENSION_FIELDS
+    slots = list(chain.from_iterable([none if d is None else d for d in dims]))
+    fields = [slots[i::_DIMENSION_FIELDS] for i in range(_DIMENSION_FIELDS)]
+    scales = [v for v in chain(fields[0], fields[1]) if v is not None]
+    scales, scale = _interned([(None, None), *zip(fields[0], fields[1])],
+                              repr if _distinct(scales) is None else None)
+    slots = list(chain.from_iterable(map(fields.__getitem__, _VALUE_FIELDS)))
+    numbers = [v for v in slots if v is not None]
+    values = _distinct(numbers)
+    if values is not None:
+        row = dict(zip(values, count(1)))
+        values = list(values)
+    else:  # each number object looked up by its id
+        values, index = _interned(numbers, repr)
+        row = dict(zip(map(id, numbers), map((1).__add__, index)))
+        slots = map(id, slots)
+    levels = dict.fromkeys(v for v in fields[_LEVEL] if v is not None)
+    level = dict(zip(levels, count(1)))
+    return (scales[1:], values, list(levels), scale[1:],
+            list(map(row.get, slots, repeat(0))),
+            list(map(level.get, fields[_LEVEL], repeat(0))))
+
+
+def _distinct(numbers):
+    """The distinct numbers of list `numbers` (dict keys, first seen first)
+    if equal ones have one `repr`, so that interning them by value (faster)
+    interns them by `repr`: one type, no two NaNs, no zeros of two signs."""
+    distinct = dict.fromkeys(numbers)
+    zeros = filter({0}.__contains__, numbers) if 0 in distinct else ()
+    alike = (len(set(map(type, numbers))) < 2
+             and len(set(map(repr, zeros))) < 2
+             and len(set(map(repr, distinct))) == len(distinct))
+    return distinct if alike else None
 
 
 def _packed(values):
     """The packed column ([typecode, base64 text]) of the unsigned
-    integers `values`: their little-endian bytes, deflated at zlib's
-    default level."""
-    top = max(values, default=0)
-    code = next(c for c, size in _PACKED_SIZES.items() if top < 1 << 8 * size)
-    items = array(code, values)
-    if _BIG_ENDIAN:
-        items.byteswap()
-    stream = zlib.compress(items.tobytes())
-    return [code, b2a_base64(stream, newline=False).decode()]
+    integers `values` under the narrowest typecode that holds them all:
+    their little-endian bytes, deflated at zlib's default level."""
+    for code in _PACKED_SIZES:
+        try:
+            items = array(code, values)
+        except OverflowError:
+            continue
+        if _BIG_ENDIAN:
+            items.byteswap()
+        return [code, b2a_base64(zlib.compress(items.tobytes()),
+                                 newline=False).decode()]
 
 
-def _unpacked(name, pair, length):
-    """The array of unsigned integers that packed column `pair` holds, a
-    column expected to hold `length` items; SnapshotError unless it is a
-    [typecode, base64 text] pair of a known typecode whose bytes are one
-    whole zlib stream of whole items.  The stream is inflated to at most
-    one item and one byte past `length` items, and one that would inflate
-    further raises: a column of one item more or fewer is left to the
-    caller's length checks, which name both lengths."""
-    if type(pair) is not list or len(pair) != 2 or not all(
-            type(v) is str for v in pair):
-        raise SnapshotError(f"{name} is not a [typecode, base64] pair")
-    code, text = pair
-    size = _PACKED_SIZES.get(code)
-    if size is None:
-        raise SnapshotError(f"{name} has unknown typecode {code!r}")
+def _text(items):
+    """The text column ([length, base64 text]) of the strings `items`:
+    the UTF-8 bytes of each followed by a line break, `length` of them,
+    deflated at zlib's default level."""
+    data = "\n".join([*items, ""]).encode()
+    return [len(data), b2a_base64(zlib.compress(data), newline=False).decode()]
+
+
+def _inflated(name, text, limit):
+    """The bytes (a bytearray) that the zlib stream whose base64 text is
+    `text` inflates to, up to `limit` of them, a chunk at a time into one
+    buffer, so that they are held once; SnapshotError unless `text` is
+    canonical base64 of one whole stream, if `limit` is not reached."""
     # a2b_base64 skips characters outside the alphabet, so the text must
     # also be what the bytes encode to.
     try:
@@ -460,36 +436,81 @@ def _unpacked(name, pair, length):
         canonical = False
     if not canonical:
         raise SnapshotError(f"{name} is not base64 text")
-    # A count column may sum past any length an inflate can take.
-    limit = min((length + 1) * size + 1, sys.maxsize)
     inflate = zlib.decompressobj()
+    data = bytearray()
     try:
-        data = inflate.decompress(stream, limit)
+        while len(data) < limit:
+            want = min(limit - len(data), _CHUNK)
+            chunk = inflate.decompress(stream, want)
+            data += chunk
+            if len(chunk) < want or inflate.eof:
+                break
+            stream = inflate.unconsumed_tail
     except zlib.error:
         raise SnapshotError(f"{name} is not a zlib stream") from None
+    if len(data) < limit:
+        if not inflate.eof:
+            raise SnapshotError(f"{name} ends inside its zlib stream")
+        if inflate.unused_data:
+            raise SnapshotError(f"{name} has bytes after its zlib stream")
+    return data
+
+
+def _unpacked(name, pair, length):
+    """The unsigned integers (a memoryview, or on a big-endian host an
+    array) of packed column `pair`, expected to hold `length` items;
+    SnapshotError unless it is a [typecode, base64 text] pair of a known
+    typecode whose bytes are one whole zlib stream of whole items.  The
+    stream is inflated to at most one item and one byte past `length`
+    items: one item more or fewer is left to the caller's length checks,
+    which name both lengths, and a longer stream raises."""
+    if type(pair) is not list or len(pair) != 2 or not all(
+            type(v) is str for v in pair):
+        raise SnapshotError(f"{name} is not a [typecode, base64] pair")
+    code, text = pair
+    size = _PACKED_SIZES.get(code)
+    if size is None:
+        raise SnapshotError(f"{name} has unknown typecode {code!r}")
+    # A count column may sum past any length an inflate can take.
+    limit = min((length + 1) * size + 1, sys.maxsize)
+    data = _inflated(name, text, limit)
     if len(data) == limit:
         raise SnapshotError(
             f"{name} holds more than {length + 1} items, not {length}")
-    if not inflate.eof:
-        raise SnapshotError(f"{name} ends inside its zlib stream")
-    if inflate.unused_data:
-        raise SnapshotError(f"{name} has bytes after its zlib stream")
     if len(data) % size:
         raise SnapshotError(
             f"{name} has {len(data)} bytes, not whole {size}-byte items")
-    items = array(code, data)
     if _BIG_ENDIAN:
+        items = array(code, data)
         items.byteswap()
-    return items
+        return items
+    return memoryview(data).cast(code)
 
 
-def _vector(dimensions):
-    """The fields of DimensionAnnotation `dimensions` after its scale, up
-    to the last one that is not None."""
-    end = len(dimensions)
-    while end > 2 and dimensions[end - 1] is None:
-        end -= 1
-    return dimensions[2:end]
+def _lines(name, pair):
+    """The list of strings of text column `pair`; SnapshotError unless it
+    is a [length, base64 text] pair whose bytes are one whole zlib stream
+    of `length` bytes (inflated to at most one more) of UTF-8 text, each
+    item followed by a line break, and no item holds a tab or a CR."""
+    if type(pair) is not list or len(pair) != 2 or type(pair[0]) is not int \
+            or pair[0] < 0 or type(pair[1]) is not str:
+        raise SnapshotError(f"{name} is not a [length, base64] pair")
+    length = pair[0]
+    data = _inflated(name, pair[1], min(length + 1, sys.maxsize))
+    if len(data) > length:
+        raise SnapshotError(f"{name} holds more than {length} bytes")
+    if len(data) < length:
+        raise SnapshotError(f"{name} holds {len(data)} bytes, not {length}")
+    try:
+        text = data.decode()
+    except UnicodeDecodeError:
+        raise SnapshotError(f"{name} is not UTF-8 text") from None
+    del data
+    if text and not text.endswith("\n"):
+        raise SnapshotError(f"{name} does not end in a line break")
+    if "\t" in text or "\r" in text:
+        raise SnapshotError(f"{name} holds a tab or a line break")
+    return text.split("\n")[:-1]
 
 
 def _seal(*chunks):
@@ -525,20 +546,16 @@ def _snapshot_problem(doc):
 
 
 def _check_types(name, items, allowed):
-    """Raise SnapshotError unless every item of list `items` has a JSON
-    type in `allowed` and no string among them holds a tab or a line
-    break, which no input line can hold and which would shift the columns
-    of the TSV output."""
+    """Raise SnapshotError unless every item of list `items` has a JSON type
+    in `allowed` and no string holds a tab or a line break, which no input
+    line can hold and which would shift the columns of the TSV output."""
     found = set(map(type, items))
     if not found <= allowed:
         wrong = sorted(_JSON_NAMES[t] for t in found - allowed)
         raise SnapshotError(f"{name} holds {wrong[0]}")
-    if str in found:
-        if found != {str}:
-            items = compress(items, map(is_, map(type, items), repeat(str)))
-        text = "".join(items)
-        if "\t" in text or "\n" in text or "\r" in text:
-            raise SnapshotError(f"{name} holds a tab or a line break")
+    text = "".join(item for item in items if type(item) is str)
+    if "\t" in text or "\n" in text or "\r" in text:
+        raise SnapshotError(f"{name} holds a tab or a line break")
 
 
 def _check_indices(name, indices, size):
@@ -578,14 +595,17 @@ def _annotations(tag, fields, kinds):
     if len(fields) != len(types):
         raise SnapshotError(
             f"{name} has {len(fields)} field columns, not {len(types)}")
-    # The list columns first: the longest gives the row count that a packed
-    # column is inflated to.
+    # The list and text columns first: the longest gives the row count that
+    # a packed column is inflated to.
     rows = 0
     for i in sorted(range(len(types)), key=lambda i: types[i] is _PACKED):
         field = f"{name} field {i}"
         if types[i] is _PACKED:
             fields[i] = _unpacked(field, fields[i], rows)
             _check_indices(field, fields[i], len(kinds))
+        elif types[i] is _LINES:
+            fields[i] = [item or None for item in _lines(field, fields[i])]
+            rows = max(rows, len(fields[i]))
         elif type(fields[i]) is not list:
             raise SnapshotError(f"{field} has type {type(fields[i]).__name__}")
         else:
@@ -598,8 +618,6 @@ def _annotations(tag, fields, kinds):
         if list(map(is_not, concept, repeat(None))) != list(
                 map(is_, keyword, repeat(None))):
             raise SnapshotError(f"{name} needs exactly one of concept and keyword")
-        if "" in concept or "" in keyword:
-            raise SnapshotError(f"{name} has an empty concept or keyword")
         return len(kind), lambda: list(
             map(build, zip(map(kinds.__getitem__, kind), concept, keyword)))
     if tag == "cat" and ("" in fields[0] or "" in fields[1]):
@@ -622,16 +640,21 @@ def _grouped(build, counts, indices):
     return _per_record(counts, map(annotations.__getitem__, indices))
 
 
-def _dimensions(scales, scale, present, vectors):
-    """The DimensionAnnotation or None of each record: its scale row (a
-    `scale` of 0 is none) before its vector, padded with nulls; `present`
-    tells which records have a vector, and `vectors` lists theirs."""
-    padding = [[None] * (_VECTOR_FIELDS - k) for k in range(_VECTOR_FIELDS + 1)]
-    scale_at = [None, *scales]
-    full = map(add, map(scale_at.__getitem__, compress(scale, present)),
-               map(add, vectors, map(padding.__getitem__, map(len, vectors))))
-    built = map(partial(tuple.__new__, DimensionAnnotation), full)
-    return [next(built) if has else None for has in present]
+def _dimensions(scales, scale, values, fields, levels, level):
+    """The DimensionAnnotation or None of each record: none where its
+    `scale` is 0, or else its scale row, then per field its index into
+    `values` (one column per field of `fields`) or into `levels` (the
+    `level` column), where 0 is none and k is row k - 1."""
+    has = list(map(bool, scale))
+    value_at = [None, *values]
+    columns = [([None, *map(itemgetter(0), scales)], scale),
+               ([None, *map(itemgetter(1), scales)], scale),
+               *zip(repeat(value_at), fields)]
+    columns.insert(_LEVEL, ([None, *levels], level))
+    built = map(partial(tuple.__new__, DimensionAnnotation), zip(*(
+        map(table.__getitem__, compress(column, has))
+        for table, column in columns)))
+    return [next(built) if h else None for h in has]
 
 
 def _contexts(rows, indices):
@@ -650,15 +673,18 @@ def _physiology(dirs, dir_indices, names, channels, chan_indices, counts):
     return _per_record(counts, refs)
 
 
-def _uncollected(build):
-    """build(), run with the cyclic collector paused, as load_snapshot runs,
-    and what it made then frozen out of the collector (`gc.freeze`): a
-    field built from a snapshot holds no reference cycle either."""
+def _paused(build, freeze=False):
+    """build(), run with the cyclic collector paused, and if `freeze`, what
+    it made then moved to the permanent generation (`gc.freeze`), which no
+    collection scans: a loaded workspace, and each field built from it,
+    holds no reference cycle, so refcounting alone frees it.  Every way out
+    restores the collector's state."""
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         built = build()
-        gc.freeze()
+        if freeze:
+            gc.freeze()
         return built
     finally:
         if gc_was_enabled:
@@ -667,17 +693,15 @@ def _uncollected(build):
 
 def _records(tables, columns):
     """(the keys of the records stored in `tables` and `columns`, in order,
-    and a builder per StimulusRecord field: a function that returns the
-    field of every record, in order, as a list).  Every table and column is
-    checked here, whatever the seal: its item types (a packed column is
-    decoded in place, inflated no further than one item past its expected
-    length: the number of ids for a record column, the sum of its count
-    column for a flat one), its length, that its indices point into their
-    table, and the rules a record must meet to be built at all (a
-    non-empty db and id, a scale exactly when there is a dimension vector,
-    exactly one of concept or keyword per semantics annotation).  The
-    first problem raises SnapshotError; a builder checks nothing and never
-    raises."""
+    and per StimulusRecord field a builder of the list of its values).
+    Whatever the seal, every table and column is checked here (an encoded
+    column is decoded in place, a packed one inflated to at most one item
+    past the number of ids, times its width, or the sum of its counts): its
+    item types, its length, that its indices point into their table, and
+    the rules a record must meet to be built at all (a non-empty db and id,
+    a scale exactly when some dimension field is set, exactly one of
+    concept or keyword per semantics annotation).  The first problem raises
+    SnapshotError; a builder checks nothing and never raises."""
     for group, holder, schema in (("tables", tables, _TABLES),
                                   ("records", columns,
                                    {**_RECORD_COLUMNS, **_FLAT_COLUMNS})):
@@ -685,9 +709,11 @@ def _records(tables, columns):
             name = f"'{group}.{key}'"
             if key not in holder:
                 raise SnapshotError(f"missing key {name}")
-            if allowed is _PACKED:
+            if allowed is _LINES:
+                holder[key] = _lines(name, holder[key])
+            elif allowed is _PACKED:
                 length = (sum(columns[_COUNTS[key]]) if key in _COUNTS
-                          else len(columns["id"]))
+                          else len(columns["id"]) * _WIDTHS.get(key, 1))
                 holder[key] = _unpacked(name, holder[key], length)
             elif type(holder[key]) is not list:
                 raise SnapshotError(
@@ -697,9 +723,9 @@ def _records(tables, columns):
     ids = columns["id"]
     n = len(ids)
     for key in _RECORD_COLUMNS:
-        if len(columns[key]) != n:
-            raise SnapshotError(
-                f"'records.{key}' has {len(columns[key])} items, not {n}")
+        if len(columns[key]) != n * _WIDTHS.get(key, 1):
+            raise SnapshotError(f"'records.{key}' has {len(columns[key])} "
+                                f"items, not {n * _WIDTHS.get(key, 1)}")
     if "" in ids:
         raise SnapshotError(f"records[{ids.index('')}]: empty id")
     dbs = tables["dbs"]
@@ -732,29 +758,24 @@ def _records(tables, columns):
         builders[_ANNOTATIONS[tag][2]] = partial(
             _grouped, build, columns[f"{tag}_n"], columns[tag])
 
-    # A record has a dimension vector exactly when its scale is not 0.  The
-    # vector holds the fields after the scale up to the last one set.
+    # A record has dimensions exactly when its scale is not 0.
     scales = tables["scales"]
     _check_rows("'tables.scales'", scales, (_NUM, _NUM))
-    scale, dims = columns["scale"], columns["dim"]
+    scale, dim, level = columns["scale"], columns["dim"], columns["level"]
     _check_indices("'records.scale'", scale, len(scales) + 1)
-    present = list(map(is_not, dims, repeat(None)))
+    _check_indices("'records.dim'", dim, len(tables["values"]) + 1)
+    _check_indices("'records.level'", level, len(tables["levels"]) + 1)
+    fields = [dim[k * n:k * n + n] for k in range(_WIDTHS["dim"])]
+    present = list(map(any, zip(level, *fields)))
     scaled = list(map(bool, scale))
     if present != scaled:
         i = next(compress(count(), map(ne, present, scaled)))
         raise SnapshotError(f"records[{i}]: " + (
             "dimensions without a scale" if present[i]
             else "a scale without dimensions"))
-    vectors = list(compress(dims, present))
-    longest = max(map(len, vectors), default=0)
-    if longest > _VECTOR_FIELDS:
-        raise SnapshotError(f"'records.dim' holds a vector of {longest} "
-                            f"fields, not 0 to {_VECTOR_FIELDS}")
-    for i, (column, allowed) in enumerate(
-            zip(zip_longest(*vectors), _VECTOR_TYPES)):
-        _check_types(f"'records.dim' field {i}", column, allowed)
-    builders["dimensions"] = partial(_dimensions, scales, scale, present,
-                                     vectors)
+    builders["dimensions"] = partial(_dimensions, scales, scale,
+                                     tables["values"], fields,
+                                     tables["levels"], level)
 
     contexts = tables["contexts"]
     _check_rows("'tables.contexts'", contexts, _CONTEXT_TYPES)
@@ -780,7 +801,7 @@ def _records(tables, columns):
     db_names = list(map(dbs.__getitem__, columns["db"]))
     builders["db"], builders["id"] = db_names.copy, ids.copy
     keys = list(map("/".join, zip(db_names, ids)))
-    return keys, {field: partial(_uncollected, build)
+    return keys, {field: partial(_paused, build, True)
                   for field, build in builders.items()}
 
 
@@ -789,51 +810,37 @@ def load_snapshot(path):
 
     Every load checks the whole snapshot: its top level, the taxonomy (a
     cycle included), the vocabularies and axioms, and every table and
-    column (see _records), which also gives the record keys.  Unless the
-    snapshot's seal matches and no key repeats, each record is then built
-    and added again to a new corpus, in order, as ingest adds it
-    (Corpus.add_stimulus, which validates it against the taxonomy and the
-    vocabularies and rejects a repeated key).  A matching seal means that
-    ingest validated the records under the current rules, and that no
-    byte has changed since; such a load builds no record field, and the
-    corpus builds each one on its first use (see Corpus), as the graph
-    does its tables.  A snapshot that is not JSON (or not UTF-8), has the
-    wrong structure or holds a bad input raises SnapshotError naming the
-    file, here and never later: building a field checks nothing.  Records that share an annotation or a
-    context row share one object.  After a good load, and after each
-    field is built, every object then alive is frozen out of the cyclic
-    garbage collector (`gc.freeze`).
+    column (see _records).  Unless the seal matches and no key repeats,
+    each record is then added again to a new corpus, in order, through
+    Corpus.add_stimulus, as ingest adds it.  A matching seal means that
+    ingest validated the records under the current rules, and that no byte
+    has changed since; such a load builds no record field, and the corpus
+    builds each one on its first use, as the graph does its tables.  A bad
+    snapshot raises SnapshotError naming the file, here and never later.
+    Records that share a table row share one object.
     """
     path = Path(path)
     data = read_input_bytes(path, "snapshot")
     sealed = _seal_matches(data)
-    # The document and the records hold no reference cycles, so the cyclic
-    # collector would only rescan them: paused while they pile up, and once
-    # the load is done, moved to the permanent generation, which no
-    # collection scans (each field builds the same way, in _uncollected).
-    # Refcounting alone still frees the workspace when it is dropped.
-    # Every way out restores the collector's state.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        # The bytes and the text are each dropped once used: only one whole
-        # copy of the file is alive beside the parsed document.
+
+    # The cyclic collector would only rescan the document and the records
+    # (see _paused).  The bytes and the text are each dropped once used:
+    # one whole copy of the file is alive beside the parsed document.
+    def load():
+        nonlocal data
         try:
             text = decode_input(data, path, "snapshot")
-            del data
+            data = None
             doc = json.loads(text)
         except (ParseError, ValueError, RecursionError) as e:
             raise SnapshotError(f"not JSON: {e}") from e
         del text
-        workspace = _workspace(doc, sealed)
+        return _workspace(doc, sealed)
+
+    try:
+        return _paused(load, True)
     except SnapshotError as e:
         raise SnapshotError(f"bad snapshot {path}: {e}") from e.__cause__
-    else:
-        gc.freeze()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return workspace
 
 
 def _workspace(doc, sealed):
@@ -861,12 +868,5 @@ def _workspace(doc, sealed):
                 corpus.add_stimulus(rec)
         except ValidationError as e:
             raise SnapshotError(f"records[{len(corpus)}]: {e}") from e
-    return Workspace(
-        graph=graph,
-        mapping=None,
-        closure=closure,
-        corpus=corpus,
-        unmapped_keywords=(),
-        seed=doc["seed"],
-        limit=doc["limit"],
-    )
+    return Workspace(graph, None, closure, corpus, (), doc["seed"],
+                     doc["limit"])

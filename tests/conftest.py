@@ -48,6 +48,35 @@ def packed_values(pair):
     return list(items)
 
 
+# The record columns a snapshot stores as text, [length, base64] pairs
+# whose text encodes a zlib stream of `length` bytes: the UTF-8 text of the
+# column's items, each followed by a line break.
+TEXT_COLUMNS = sorted(
+    key for key, allowed in {**stimkb.snapshot._RECORD_COLUMNS,
+                             **stimkb.snapshot._FLAT_COLUMNS}.items()
+    if allowed is stimkb.snapshot._LINES
+)
+
+
+def text_items(pair):
+    """The list of the strings that text column `pair` holds, whatever
+    its declared length."""
+    return zlib.decompress(b64decode(pair[1])).decode().split("\n")[:-1]
+
+
+def text_pair(items):
+    """The text column of strings `items`: the UTF-8 text of each followed
+    by a line break, deflated, and its length."""
+    data = "".join(item + "\n" for item in items).encode()
+    return text_stream(zlib.compress(data), len(data))
+
+
+def text_stream(stream, length):
+    """The text column whose base64 text encodes bytes `stream`, with
+    `length` declared."""
+    return [length, b64encode(stream).decode()]
+
+
 def packed_pair(code, values):
     """The packed column of `values` under typecode `code`, whatever the
     code, signed or not: their little-endian bytes, deflated."""

@@ -18,7 +18,14 @@ from stimkb.affect import EquivalenceClosure
 from stimkb.cli import main
 from stimkb.snapshot import Workspace, save_snapshot
 
-from conftest import PACKED_COLUMNS, packed_values, seal_text
+from conftest import (
+    PACKED_COLUMNS,
+    TEXT_COLUMNS,
+    packed_values,
+    seal_text,
+    text_items,
+    text_stream,
+)
 from synthetic import generate
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "paper"
@@ -830,23 +837,23 @@ PACKED_ITEMS = st.integers(0, 22) | st.integers(0, 2**64 - 1)
 def _rows(doc):
     """The lists a mutation may edit: every table and record column, every
     annotation section and its field columns or rows, and every context
-    row, scale row and dimension vector."""
+    row and scale row."""
     tables, columns = doc["tables"], doc["records"]
     sections = tables["annotations"]
     return [*tables.values(), *columns.values(), *sections,
             *(field for section in sections for field in section[1:]),
-            *tables["contexts"], *tables["scales"],
-            *(v for v in columns["dim"] if v)]
+            *tables["contexts"], *tables["scales"]]
 
 
-def _packed_columns(doc):
-    """(holder, key) of every packed column: the packed record columns and
-    the packed field columns of the annotation sections."""
-    found = [(doc["records"], key) for key in PACKED_COLUMNS]
+def _encoded_columns(doc, keys, schema):
+    """(holder, key) of every column stored as `schema` (packed or text):
+    the record columns `keys` and the annotation sections' field
+    columns."""
+    found = [(doc["records"], key) for key in keys]
     for section in doc["tables"]["annotations"]:
         types = stimkb.snapshot._ANNOTATIONS[section[0]][1] or ()
         found += [(section, i) for i, allowed in enumerate(types, start=1)
-                  if allowed is stimkb.snapshot._PACKED]
+                  if allowed is schema]
     return found
 
 
@@ -873,6 +880,33 @@ def _streams(draw, data):
 
 
 @st.composite
+def _texts(draw, items):
+    """A text column in place of one of strings `items`: the items, one
+    perhaps spliced, their UTF-8 text perhaps spliced with any bytes,
+    deflated at any level, with the stream whole, cut short or followed by
+    more bytes, or not deflated at all, and their byte length declared, or
+    one byte more or fewer; or the text without its last byte, whole."""
+    if items and draw(st.booleans()):
+        items[draw(st.integers(0, len(items) - 1))] = draw(SPLICE_TEXT)
+    data = "".join(item + "\n" for item in items).encode()
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(data)))
+        data = data[:i] + draw(st.binary(min_size=1, max_size=4)) + data[i:]
+    edit = draw(st.sampled_from(["valid", "truncated", "trailing", "raw",
+                                 "short", "long", "unended"]))
+    if edit == "unended":
+        data = data[:-1]
+    stream = zlib.compress(data, draw(st.integers(0, 9)))
+    if edit == "truncated":
+        stream = stream[:draw(st.integers(0, len(stream) - 1))]
+    elif edit == "trailing":
+        stream += draw(st.binary(min_size=1, max_size=8))
+    elif edit == "raw":
+        stream = data
+    return text_stream(stream, len(data) + {"short": -1, "long": 1}.get(edit, 0))
+
+
+@st.composite
 def mutated_snapshots(draw, text):
     """The text of a snapshot (its seal dropped) with one edit: truncated;
     a key of the document, its tables or its record columns dropped or its
@@ -881,11 +915,13 @@ def mutated_snapshots(draw, text):
     [typecode, base64] pair replaced, added or removed; a value of a
     packed column (a record column or an annotation field column)
     replaced, added or removed, and the column packed again; a packed
-    column's stream replaced (see _streams), under any typecode; or a splice
-    into a text input or into one string of a table, a column or a packed
-    pair."""
+    column's stream replaced (see _streams), under any typecode; a text
+    column (a record column or an annotation field column) replaced (see
+    _texts); or a splice into a text input or into one string of a table,
+    a column or an encoded pair."""
     kind = draw(st.sampled_from(["truncate", "drop", "replace", "item",
-                                 "resize", "values", "stream", "splice"]))
+                                 "resize", "values", "stream", "text",
+                                 "splice"]))
     if kind == "truncate":
         return text[: draw(st.integers(0, len(text) - 1))]
     doc = json.loads(text)
@@ -905,7 +941,8 @@ def mutated_snapshots(draw, text):
         else:
             row.insert(draw(st.integers(0, len(row))), draw(ITEMS))
     elif kind == "values":
-        columns, key = draw(st.sampled_from(_packed_columns(doc)))
+        columns, key = draw(st.sampled_from(_encoded_columns(
+            doc, PACKED_COLUMNS, stimkb.snapshot._PACKED)))
         values = packed_values(columns[key])
         edit = draw(st.sampled_from(["set", "delete", "insert"])
                     if values else st.just("insert"))
@@ -919,10 +956,15 @@ def mutated_snapshots(draw, text):
                 values[i] = draw(PACKED_ITEMS)
         columns[key] = stimkb.snapshot._packed(values)
     elif kind == "stream":
-        columns, key = draw(st.sampled_from(_packed_columns(doc)))
+        columns, key = draw(st.sampled_from(_encoded_columns(
+            doc, PACKED_COLUMNS, stimkb.snapshot._PACKED)))
         code = draw(st.sampled_from(["B", "H", "I", "Q", columns[key][0]]))
         stream = draw(_streams(zlib.decompress(b64decode(columns[key][1]))))
         columns[key] = [code, b64encode(stream).decode()]
+    elif kind == "text":
+        columns, key = draw(st.sampled_from(_encoded_columns(
+            doc, TEXT_COLUMNS, stimkb.snapshot._LINES)))
+        columns[key] = draw(_texts(text_items(columns[key])))
     else:
         holder, key = draw(st.sampled_from(
             [(doc, k) for k in ("taxonomy", "vocabularies", "axioms")]

@@ -62,6 +62,7 @@ from conftest import (
     PAPER_MANIFEST,
     SEAL_END,
     SEAL_HEAD,
+    TEXT_COLUMNS,
     many_layout_lines,
     oracle_concept_index,
     oracle_filter,
@@ -70,6 +71,9 @@ from conftest import (
     packed_values,
     seal_text,
     serialize_record,
+    text_items,
+    text_pair,
+    text_stream,
 )
 from synthetic import generate
 
@@ -436,9 +440,6 @@ def _record(i, **changes):
 
 
 NAN = float("nan")
-# The position of the confidence level in a stored dimension vector, which
-# starts after the scale.
-LEVEL = DimensionAnnotation._fields.index("confidence_level") - 2
 # Record 1 of the paper workspace is IAPS/8163, with dimensions on [1, 9].
 DIMENSIONS_8163 = DimensionAnnotation(1.0, 9.0, valence=7.14, arousal=6.53)
 
@@ -544,11 +545,43 @@ def _packed_edit(key, edit, holder=lambda tables, columns: columns):
     return _columns(edit_columns)
 
 
+def _text_edit(key, edit, holder=lambda tables, columns: columns):
+    """An edit of the items of text column `key` of holder(tables,
+    columns), the record columns unless given: decoded, changed in place by
+    edit(items), and written again."""
+    def edit_columns(tables, columns):
+        where = holder(tables, columns)
+        items = text_items(where[key])
+        edit(items)
+        where[key] = text_pair(items)
+
+    return _columns(edit_columns)
+
+
 def _set(key, i, value):
-    """An edit of one item of a record column."""
-    if key in PACKED_COLUMNS:
-        return _packed_edit(key, lambda values: values.__setitem__(i, value))
-    return _columns(lambda tables, columns: columns[key].__setitem__(i, value))
+    """An edit of one item of a packed or text record column."""
+    if key in TEXT_COLUMNS:
+        return _text_edit(key, lambda items: items.__setitem__(i, value))
+    return _packed_edit(key, lambda values: values.__setitem__(i, value))
+
+
+def _semantics(field, edit):
+    """An edit of the items of text field column `field` (1 concept, 2
+    keyword) of the `sem` section, where the empty item is null."""
+    return _text_edit(field + 1, edit,
+                      lambda tables, columns: tables["annotations"][0])
+
+
+def _level(i):
+    """An edit that gives record `i` the confidence level High, and no other
+    dimension field."""
+    def edit(tables, columns):
+        tables["levels"].append("High")
+        level = packed_values(columns["level"])
+        level[i] = len(tables["levels"])
+        columns["level"] = stimkb.snapshot._packed(level)
+
+    return _columns(edit)
 
 
 def _kind(i, value):
@@ -571,6 +604,14 @@ def _stream(key, stream, code="B"):
         {key: [code, b64encode(stream()).decode()]}))
 
 
+def _text_stream(key, stream, length, holder=lambda tables, columns: columns):
+    """An edit that sets text column `key` of holder(tables, columns), the
+    record columns unless given, to the bytes that stream() returns, with
+    `length` declared."""
+    return _columns(lambda t, c: holder(t, c).__setitem__(
+        key, text_stream(stream(), length)))
+
+
 @functools.cache
 def _inflating_to_64_mib():
     """A zlib stream of 64 MiB of zero bytes, made 1 MiB at a time."""
@@ -579,8 +620,10 @@ def _inflating_to_64_mib():
     return b"".join([*map(deflate.compress, repeat(chunk, 64)), deflate.flush()])
 
 
-# The items of the paper snapshot's 4-record `db` column.
+# The items of the paper snapshot's 4-record `db` column, and the text of
+# its `id` column.
 DB_ITEMS = bytes([0, 1, 1, 0])
+IDS = b"311\n8163\n5635\n7039\n"
 
 
 # (case, edit, error text, whether a matching seal still fails the load).
@@ -603,6 +646,8 @@ BAD_SNAPSHOTS = [
      "unsupported snapshot version 3; re-ingest", True),
     ("version 4", _doc(lambda doc: json.dumps({**doc, "version": 4})),
      "unsupported snapshot version 4; re-ingest", True),
+    ("version 5", _doc(lambda doc: json.dumps({**doc, "version": 5})),
+     "unsupported snapshot version 5; re-ingest", True),
     ("unknown version", _doc(lambda doc: json.dumps(
         {**doc, "version": SNAPSHOT_VERSION + 1})),
      f"unsupported snapshot version {SNAPSHOT_VERSION + 1}; re-ingest", True),
@@ -617,9 +662,54 @@ BAD_SNAPSHOTS = [
     ("missing table", _columns(lambda t, c: t.pop("contexts")),
      "missing key 'tables.contexts'", True),
     ("column not a list", _columns(lambda t, c: c.update(id="x")),
-     "'records.id' has type str", True),
-    ("id not a string", _set("id", 1, 8163), "'records.id' holds an integer",
-     True),
+     "'records.id' is not a [length, base64] pair", True),
+    ("id not a string", _columns(lambda t, c: c["id"].__setitem__(1, 8163)),
+     "'records.id' is not a [length, base64] pair", True),
+    # A JSON array of strings, as format 5 stored `id`.
+    ("id column of strings", _columns(lambda t, c: c.update(
+        id=["311", "8163", "5635", "7039"])),
+     "'records.id' is not a [length, base64] pair", True),
+    ("text length as a string", _columns(lambda t, c: c["id"].__setitem__(
+        0, "19")), "'records.id' is not a [length, base64] pair", True),
+    ("negative text length", _columns(lambda t, c: c["id"].__setitem__(0, -1)),
+     "'records.id' is not a [length, base64] pair", True),
+    ("text length as a boolean", _columns(lambda t, c: c["id"].__setitem__(
+        0, True)), "'records.id' is not a [length, base64] pair", True),
+    ("text not base64", _columns(lambda t, c: c["path"].__setitem__(
+        1, "not base64")), "'records.path' is not base64 text", True),
+    # A text column's bytes are one whole zlib stream of exactly its
+    # declared length of UTF-8 text, each item followed by a line break.
+    ("text not deflated", _text_stream("id", lambda: IDS, 19),
+     "'records.id' is not a zlib stream", True),
+    ("text stream cut short", _text_stream(
+        "id", lambda: zlib.compress(IDS)[:-1], 19),
+     "'records.id' ends inside its zlib stream", True),
+    ("bytes after the text stream", _text_stream(
+        "id", lambda: zlib.compress(IDS) + b"\0", 19),
+     "'records.id' has bytes after its zlib stream", True),
+    ("text length one short", _text_stream(
+        "id", lambda: zlib.compress(IDS), 18),
+     "'records.id' holds more than 18 bytes", True),
+    ("text length one long", _text_stream(
+        "id", lambda: zlib.compress(IDS), 20),
+     "'records.id' holds 19 bytes, not 20", True),
+    ("no final line break", _text_stream(
+        "id", lambda: zlib.compress(IDS[:-1]), 18),
+     "'records.id' does not end in a line break", True),
+    ("text not UTF-8", _text_stream(
+        "id", lambda: zlib.compress(IDS.replace(b"816", b"8\xff6")), 19),
+     "'records.id' is not UTF-8 text", True),
+    # 64 MiB of zeros in a column that declares 11 bytes: the load
+    # inflates at most one byte past them (see
+    # test_a_text_column_that_inflates_past_its_length_is_never_held).
+    ("text column inflating to 64 MiB", _text_stream(
+        "id", _inflating_to_64_mib, 11),
+     "'records.id' holds more than 11 bytes", True),
+    ("keyword column not deflated", _text_stream(
+        3, lambda: b"crowd\n", 6, lambda t, c: t["annotations"][0]),
+     "'tables.annotations' tag 'sem' field 2 is not a zlib stream", True),
+    ("path one item short", _text_edit("path", list.pop),
+     "'records.phys_n' sums to 2, not to the 1 items of 'records.path'", True),
     ("boolean typecode", _columns(lambda t, c: c["db"].__setitem__(0, True)),
      "'records.db' is not a [typecode, base64] pair", True),
     ("column of numbers", _columns(lambda t, c: c.update(db=[0, 1, 1, 0])),
@@ -718,7 +808,7 @@ BAD_SNAPSHOTS = [
      "tag 'app' is not a list of (name, value) pairs", True),
     ("appraisal row not a list", _section("app", lambda s: s.append(
         "pleasantness")), "tag 'app' holds a string", True),
-    ("annotation row too short", _section("sem", lambda s: s[3].pop()),
+    ("annotation row too short", _semantics(2, list.pop),
      "tag 'sem' has a row without 3 fields", True),
     ("annotation section without a column", _section("cat", list.pop),
      "tag 'cat' has 3 field columns, not 4", True),
@@ -727,13 +817,15 @@ BAD_SNAPSHOTS = [
     ("kind column not packed", _section("sem", lambda s: s.__setitem__(
         1, ["Object"] * 18)),
      "tag 'sem' field 0 is not a [typecode, base64] pair", True),
-    ("concept and keyword", _section("sem", lambda s: s[3].__setitem__(
+    ("concept and keyword", _semantics(2, lambda items: items.__setitem__(
         0, "crowd")), "tag 'sem' needs exactly one of concept and keyword",
      True),
-    ("no concept nor keyword", _section("sem", lambda s: s[2].__setitem__(
-        0, None)), "tag 'sem' needs exactly one of concept and keyword", True),
-    ("empty concept", _section("sem", lambda s: s[2].__setitem__(0, "")),
-     "tag 'sem' has an empty concept or keyword", True),
+    ("no concept nor keyword", _semantics(1, lambda items: items.__setitem__(
+        0, "")), "tag 'sem' needs exactly one of concept and keyword", True),
+    # An empty concept or keyword item is null: an empty concept leaves
+    # neither.
+    ("empty concept", _semantics(1, lambda items: items.__setitem__(0, "")),
+     "tag 'sem' needs exactly one of concept and keyword", True),
     ("empty category term", _section("cat", lambda s: s[2].__setitem__(0, "")),
      "tag 'cat' has an empty vocabulary or term", True),
     ("empty kind", _columns(lambda t, c: t["kinds"].__setitem__(0, "")),
@@ -747,18 +839,34 @@ BAD_SNAPSHOTS = [
     ("fractional context width", _columns(
         lambda t, c: t["contexts"][0].__setitem__(1, 1.5)),
      "'tables.contexts' field 1 holds a number", True),
-    # A dimension vector holds the fields after the scale, which is a row
-    # of `scales`; records 1-3 have dimensions, record 0 has none.
+    # A record's dimensions are its scale, a row of `scales`, and per field
+    # after it an index into `values` (`dim`, one column of the 4 records
+    # per field) or `levels` (`level`), 0 for none.  Records 1-3 have a
+    # scale and values, record 0 has none.
     ("dimensions without a scale", _set("scale", 1, 0),
      "records[1]: dimensions without a scale", True),
-    ("empty dimension vector", _set("dim", 0, []),
+    # A level alone is dimensions too.
+    ("empty dimension vector", _level(0),
      "records[0]: dimensions without a scale", True),
     ("scale without dimensions", _set("scale", 0, 1),
      "records[0]: a scale without dimensions", True),
-    ("scale without its vector", _set("dim", 2, None),
+    ("scale without its vector", _packed_edit(
+        "dim", lambda v: v.__setitem__(slice(2, None, 4), [0] * 10)),
      "records[2]: a scale without dimensions", True),
-    ("dimension vector too long", _set("dim", 1, [7.14] * 12),
-     "'records.dim' holds a vector of 12 fields, not 0 to 11", True),
+    ("dimension vector too long", _packed_edit("dim", lambda v: v.append(0)),
+     "'records.dim' has 41 items, not 40", True),
+    ("dimension column of one record", _packed_edit(
+        "dim", lambda v: v.__delitem__(slice(10, None))),
+     "'records.dim' has 10 items, not 40", True),
+    ("dimension value index past the table", _set("dim", 5, 7),
+     "'records.dim' holds an index outside [0, 7)", True),
+    ("level index past the table", _set("level", 1, 1),
+     "'records.level' holds an index outside [0, 1)", True),
+    ("level not a string", _columns(lambda t, c: t["levels"].append(1)),
+     "'tables.levels' holds an integer", True),
+    ("null dimension value", _columns(
+        lambda t, c: t["values"].__setitem__(2, None)),
+     "'tables.values' holds a null", True),
     ("null scale", _columns(lambda t, c: t["scales"][0].__setitem__(0, None)),
      "'tables.scales' field 0 holds a null", True),
     ("scale row of three", _columns(lambda t, c: t["scales"][0].append(5.0)),
@@ -769,14 +877,15 @@ BAD_SNAPSHOTS = [
         1, "9")), "'tables.scales' field 1 holds a string", True),
     ("scale row not a list", _columns(lambda t, c: t["scales"].__setitem__(
         0, 1.0)), "'tables.scales' holds a number", True),
-    ("dimension as text", _set("dim", 1, ["7.14"]),
-     "'records.dim' field 0 holds a string", True),
+    ("dimension as text", _columns(
+        lambda t, c: t["values"].__setitem__(0, "7.14")),
+     "'tables.values' holds a string", True),
     ("tab in an id", _set("id", 1, "81\t63"),
      "'records.id' holds a tab or a line break", True),
     ("tab in a db name", _columns(lambda t, c: t["dbs"].__setitem__(0, "IA\tDS")),
      "'tables.dbs' holds a tab or a line break", True),
-    ("line break in a keyword", _section("sem", lambda s: s[3].__setitem__(
-        6, "Winter\nStreet")), "tag 'sem' field 2 holds a tab or a line break",
+    ("line break in a keyword", _semantics(2, lambda items: items.__setitem__(
+        6, "Winter\rStreet")), "tag 'sem' field 2 holds a tab or a line break",
      True),
     ("tab in a category term", _section("cat", lambda s: s[2].__setitem__(
         0, "happi\tness")), "tag 'cat' field 1 holds a tab or a line break",
@@ -784,8 +893,9 @@ BAD_SNAPSHOTS = [
     ("line break in a context field", _columns(
         lambda t, c: t["contexts"][0].__setitem__(0, "w\rav")),
      "'tables.contexts' field 0 holds a tab or a line break", True),
-    ("tab in a dimension level", _set("dim", 1, [None] * LEVEL + ["a\tb"]),
-     f"'records.dim' field {LEVEL} holds a tab or a line break", True),
+    ("tab in a dimension level", _columns(
+        lambda t, c: t["levels"].append("a\tb")),
+     "'tables.levels' holds a tab or a line break", True),
     # A physiology path is stored as its dir, up to its last `/`, and the
     # name after it.
     ("space in a physiology path", _set("path", 0, "subject1 hr"),
@@ -794,7 +904,7 @@ BAD_SNAPSHOTS = [
      "'records.path' holds a space or a ';'", True),
     ("tab in a physiology path", _set("path", 1, "subject1\thr"),
      "'records.path' holds a tab or a line break", True),
-    ("line break in a physiology path", _set("path", 0, "subject1\nhr"),
+    ("line break in a physiology path", _set("path", 0, "subject1\rhr"),
      "'records.path' holds a tab or a line break", True),
     ("space in a physiology dir", _columns(lambda t, c: t["dirs"].__setitem__(
         0, "http://www.foo.com/a b/")), "'tables.dirs' holds a space or a ';'",
@@ -1387,6 +1497,157 @@ def test_a_column_that_inflates_far_past_its_length_is_never_held(
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_text_column_that_inflates_past_its_length_is_never_held(
+    tmp_path, paper_workspace
+):
+    # A text column declaring 11 bytes whose stream inflates to 64 MiB is
+    # inflated to 12 bytes, and fails the load under a 1 MiB peak.
+    doc = _snapshot_doc(paper_workspace, tmp_path)
+    del doc["seal"]
+    bad = tmp_path / "bomb.json"
+    bad.write_text(_text_stream("id", _inflating_to_64_mib, 11)(doc, ()))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SnapshotError, match="'records.id' holds more "
+                                                "than 11 bytes"):
+            load_snapshot(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("code", ["B", "I"])
+def test_a_packed_column_is_held_once(code):
+    # The column is inflated a chunk at a time into one buffer, which its
+    # items then view: loading N inflated bytes peaks below 1.5 N.
+    n = (4 << 20) // array(code).itemsize
+    pair = packed_pair(code, [7] * n)
+    tracemalloc.start()
+    try:
+        items = stimkb.snapshot._unpacked("'x'", pair, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(items) == n and items[0] == items[-1] == 7
+    assert peak < 1.5 * (4 << 20)
+
+
+def test_text_columns_hold_lines():
+    # Fixed bytes: each item's UTF-8 text and a line break, deflated; the
+    # declared length is the inflated byte count.  Any zlib build inflates
+    # the fixed texts alike.
+    text = stimkb.snapshot._text
+    lines = stimkb.snapshot._lines
+    for items in (["a", "b"], [], [""], ["", "é"], ["x y;z"]):
+        pair = text(items)
+        data = "".join(f"{item}\n" for item in items).encode()
+        assert pair[0] == len(data)
+        assert zlib.decompress(b64decode(pair[1])) == data
+        assert lines("'x'", pair) == items
+    assert lines("'x'", [4, "eJxL5EriAgACdADY"]) == ["a", "b"]
+    assert lines("'x'", [0, "eJwDAAAAAAE="]) == []
+
+
+# Numbers on a [0, 9] scale, and the scale's bounds, written either way.
+DIMENSION_NUMBERS = st.sampled_from([-0.0, 0.0, 1, 1.0, 2.5, 9.0]) | st.floats(
+    0, 9)
+DIMENSION_SDS = st.sampled_from([-0.0, 0.0, 1]) | st.floats(0, 4)
+DIMENSION_LEVELS = st.sampled_from(stimkb.affect.CONFIDENCE_LEVELS)
+CONFIDENCE_VALUES = st.sampled_from([-0.0, 0, 0.5, 1.0])
+
+
+@st.composite
+def _dimensions(draw):
+    """None, or a valid DimensionAnnotation: any of its fields set (all 11
+    after the scale among them), a level with no value, a value with no
+    level, -0.0 and ints among the numbers."""
+    if draw(st.integers(0, 5)) == 0:
+        return None
+    lo = draw(st.sampled_from([-0.0, 0.0, 0]))
+    hi = draw(st.sampled_from([9, 9.0]))
+    everything = draw(st.booleans())
+    values = [draw(DIMENSION_NUMBERS) if everything or draw(st.booleans())
+              else None for _ in stimkb.affect.DIMENSION_NAMES]
+    if all(v is None for v in values):
+        values[draw(st.integers(0, len(values) - 1))] = draw(DIMENSION_NUMBERS)
+
+    def field(strategy):
+        return draw(strategy if everything else st.none() | strategy)
+
+    sds = [field(DIMENSION_SDS) for _ in stimkb.affect.DIMENSION_SD_NAMES]
+    return DimensionAnnotation(lo, hi, *values, *sds, field(DIMENSION_LEVELS),
+                               field(CONFIDENCE_VALUES))
+
+
+# Numbers that are equal but written apart (-0.0 and 0.0, 1, 1.0 and True,
+# two NaN objects), or alike.
+NUMBER_POOL = [-0.0, 0.0, 0, 1, 1.0, True, 2.5, NAN, float("nan"), 7.25,
+               float("inf")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.none() | st.tuples(
+    st.lists(st.sampled_from(NUMBER_POOL), min_size=2, max_size=2),
+    st.lists(st.none() | st.sampled_from(NUMBER_POOL), min_size=11,
+             max_size=11)), max_size=8))
+def test_dimension_tables_intern_by_repr(rows):
+    # Whether it interns by value or by repr, the writer's tables and
+    # columns equal a naive interning of the set numbers by repr (the
+    # records need not be valid; the level field holds numbers too).
+    dims = [None if row is None else DimensionAnnotation(*row[0], *row[1])
+            for row in rows]
+    scales, values, levels, scale, dim, level = (
+        stimkb.snapshot._dimension_columns(dims))
+    distinct = {}
+    for i in stimkb.snapshot._VALUE_FIELDS:
+        for d in dims:
+            if d is not None and d[i] is not None:
+                distinct.setdefault(repr(d[i]), len(distinct) + 1)
+    assert list(map(repr, values)) == list(distinct)
+    assert dim == [0 if d is None or d[i] is None else distinct[repr(d[i])]
+                   for i in stimkb.snapshot._VALUE_FIELDS for d in dims]
+    pairs = {}
+    for d in dims:
+        if d is not None:
+            pairs.setdefault(repr(d[:2]), len(pairs) + 1)
+    assert list(map(repr, map(tuple, scales))) == list(pairs)
+    assert scale == [0 if d is None else pairs[repr(d[:2])] for d in dims]
+    set_levels = [d.confidence_level for d in dims
+                  if d is not None and d.confidence_level is not None]
+    assert levels == list(dict.fromkeys(set_levels))
+    assert level == [0 if d is None or d.confidence_level is None
+                     else levels.index(d.confidence_level) + 1 for d in dims]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_dimensions(), min_size=1, max_size=12))
+def test_dimensions_round_trip(paper_workspace, dimensions):
+    # Records of every dimension layout: loaded sealed, unsealed, and added
+    # again through add_stimulus, each equals the ingested one (compared by
+    # repr, which tells -0.0 from 0.0 and 1 from 1.0).
+    graph, vocabs = paper_workspace.graph, paper_workspace.corpus.vocabs
+    ingested = Corpus(graph, vocabs)
+    for i, dims in enumerate(dimensions):
+        ingested.add_stimulus(StimulusRecord(
+            "X", str(i), dimensions=dims,
+            semantics=(SemanticsAnnotation("Object", "Human"),)))
+    expected = repr(list(ingested))
+    ws = paper_workspace._replace(corpus=ingested)
+    with tempfile.TemporaryDirectory() as tmp:
+        snap = Path(tmp) / "snap.json"
+        save_snapshot(ws, snap)
+        sealed = load_snapshot(snap).corpus
+        assert repr(sealed.dimensions) == repr(ingested.dimensions)
+        rebuilt = Corpus(graph, vocabs)
+        for rec in sealed:
+            rebuilt.add_stimulus(rec)
+        _strip_seal(snap)
+        unsealed = load_snapshot(snap).corpus
+    assert repr(list(sealed)) == repr(list(unsealed)) == expected
+    assert repr(list(rebuilt)) == expected
 
 
 @pytest.mark.parametrize("enabled", [True, False])
