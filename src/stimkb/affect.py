@@ -74,13 +74,14 @@ class CategoryAnnotation(namedtuple(
         return f"{self.vocabulary}.{self.term}"
 
 
-def _check_confidence(ann, problems):
-    if ann.confidence_level is not None and ann.confidence_level not in CONFIDENCE_LEVELS:
-        problems.append(
-            f"confidenceLevel {ann.confidence_level!r} not one of {CONFIDENCE_LEVELS}"
-        )
-    if ann.confidence_value is not None and not 0.0 <= ann.confidence_value <= 1.0:
-        problems.append(f"confidenceValue {ann.confidence_value} outside [0, 1]")
+def confidence_problems(level, value):
+    """The problems of a confidence level and value, either of them None."""
+    problems = []
+    if level is not None and level not in CONFIDENCE_LEVELS:
+        problems.append(f"confidenceLevel {level!r} not one of {CONFIDENCE_LEVELS}")
+    if value is not None and not 0.0 <= value <= 1.0:
+        problems.append(f"confidenceValue {value} outside [0, 1]")
+    return problems
 
 
 def validate_category(ann, vocabs):
@@ -91,8 +92,8 @@ def validate_category(ann, vocabs):
         problems.append(f"unknown vocabulary {ann.vocabulary!r}")
     elif ann.term not in vocab.terms:
         problems.append(f"term {ann.term!r} not in vocabulary {ann.vocabulary!r}")
-    _check_confidence(ann, problems)
-    return problems
+    return problems + confidence_problems(ann.confidence_level,
+                                          ann.confidence_value)
 
 
 class DimensionAnnotation(namedtuple(
@@ -105,43 +106,42 @@ class DimensionAnnotation(namedtuple(
 
     def values(self):
         """Present (name, value) pairs in DIMENSION_NAMES order."""
-        pairs = (
-            ("valence", self.valence),
-            ("arousal", self.arousal),
-            ("dominance", self.dominance),
-            ("potency", self.potency),
-            ("unpredictability", self.unpredictability),
-            ("intensity", self.intensity),
-        )
+        pairs = zip(DIMENSION_NAMES, self[2:2 + len(DIMENSION_NAMES)])
         return [pair for pair in pairs if pair[1] is not None]
 
 
+def scale_problem(lo, hi):
+    """The problem of the scale [lo, hi], or None."""
+    if lo >= hi:
+        return f"scaleMin {lo} must be < scaleMax {hi}"
+
+
+def in_scale_problem(name, value, lo, hi):
+    """The problem of dimension `name` at `value` on scale [lo, hi], or None."""
+    if not lo <= value <= hi:
+        return f"{name}={value} outside scale [{lo}, {hi}]"
+
+
+def non_negative_problem(name, value):
+    """The problem of `name` at `value` (or None) below 0 or NaN, or None."""
+    if value is not None and not value >= 0:
+        return f"{name}={value} is {'negative' if value < 0 else 'not a number'}"
+
+
 def validate_dimension(ann):
-    problems = []
-    if ann.scale_min >= ann.scale_max:
-        problems.append(
-            f"scaleMin {ann.scale_min} must be < scaleMax {ann.scale_max}"
-        )
-        return problems
+    """Return a list of problems; empty means the annotation is valid.  A
+    bad scale is reported alone."""
+    lo, hi = ann.scale_min, ann.scale_max
+    problem = scale_problem(lo, hi)
+    if problem is not None:
+        return [problem]
     present = ann.values()
-    if not present:
-        problems.append("no dimension value present")
-    for name, v in present:
-        if not ann.scale_min <= v <= ann.scale_max:
-            problems.append(
-                f"{name}={v} outside scale [{ann.scale_min}, {ann.scale_max}]"
-            )
-    sds = (
-        ("valenceSD", ann.valenceSD),
-        ("arousalSD", ann.arousalSD),
-        ("dominanceSD", ann.dominanceSD),
-    )
-    for name, sd in sds:
-        if sd is not None and not sd >= 0:  # negative, or NaN
-            what = "negative" if sd < 0 else "not a number"
-            problems.append(f"{name}={sd} is {what}")
-    _check_confidence(ann, problems)
-    return problems
+    problems = [] if present else ["no dimension value present"]
+    problems += [in_scale_problem(name, v, lo, hi) for name, v in present]
+    problems += map(non_negative_problem, DIMENSION_SD_NAMES,
+                    map(ann.__getattribute__, DIMENSION_SD_NAMES))
+    problems += confidence_problems(ann.confidence_level, ann.confidence_value)
+    return list(filter(None, problems))
 
 
 class AppraisalAnnotation(namedtuple("AppraisalAnnotation", "values")):
@@ -162,9 +162,10 @@ class SentimentAnnotation(namedtuple(
     __slots__ = ()
 
 
-def validate_unit_interval(name, value, problems):
+def unit_interval_problem(name, value):
+    """The problem of `name` at `value` outside [0, 1], or None."""
     if not 0.0 <= value <= 1.0:
-        problems.append(f"{name}={value} outside [0, 1]")
+        return f"{name}={value} outside [0, 1]"
 
 
 class EquivalenceClosure:

@@ -41,9 +41,10 @@ from .affect import (
     CategoryAnnotation,
     DimensionAnnotation,
     SentimentAnnotation,
+    non_negative_problem,
+    unit_interval_problem,
     validate_category,
     validate_dimension,
-    validate_unit_interval,
 )
 from .errors import ParseError, ValidationError
 from .lines import data_lines
@@ -61,15 +62,6 @@ LEGACY_HEADER = [
     "dominance",
     "dominanceSD",
 ]
-
-# Numeric context fields and their types; the others are text.
-_CONTEXT_NUMBER_TYPES = {
-    "widthPx": int,
-    "heightPx": int,
-    "sizeBytes": int,
-    "colorDepthBits": int,
-    "lengthSeconds": float,
-}
 
 
 class SemanticsAnnotation(namedtuple(
@@ -105,7 +97,11 @@ class ContextRecord(namedtuple(
 
 # The number type of each numeric ContextRecord field; the others are text.
 CONTEXT_NUMBER_TYPES = {
-    _CTX_ATTR[wire]: kind for wire, kind in _CONTEXT_NUMBER_TYPES.items()
+    "width_px": int,
+    "height_px": int,
+    "size_bytes": int,
+    "color_depth_bits": int,
+    "length_seconds": float,
 }
 
 
@@ -133,12 +129,23 @@ class StimulusRecord(namedtuple(
         return sorted({s.concept for s in self.semantics if s.concept})
 
 
-# The version of the record validation rules: validate_stimulus and the
-# affect rules it calls.  A snapshot's seal covers it, so a snapshot sealed
-# under other rules is validated in full at load.  Bump it whenever the
-# rules get stricter; tests/test_corpus.py pins the rules' source so that
-# an edit to them fails a test until the pin is renewed.
-VALIDATION_RULES = 1
+def kind_problem(kind):
+    """The problem of semantics kind `kind`, or None."""
+    if kind not in SEMANTIC_KINDS:
+        return f"semantics kind {kind!r} not in {SEMANTIC_KINDS}"
+
+
+def concept_problem(concept, concepts):
+    """The problem of concept `concept` (or None) not in `concepts`, or None."""
+    if concept is not None and concept not in concepts:
+        return f"unknown concept {concept!r}"
+
+
+def context_problems(ctx):
+    """The problems of the numbers of ContextRecord `ctx`."""
+    problems = map(non_negative_problem, CONTEXT_NUMBER_TYPES,
+                   map(ctx.__getattribute__, CONTEXT_NUMBER_TYPES))
+    return [f"context {p}" for p in problems if p is not None]
 
 
 def validate_stimulus(rec, graph, vocabs):
@@ -148,54 +155,35 @@ def validate_stimulus(rec, graph, vocabs):
     if not rec.db or not rec.id:
         problems.append("record key requires non-empty db and id")
 
-    has_emotion = bool(
-        rec.categories
-        or rec.dimensions is not None
-        or rec.appraisals
-        or rec.action_tendencies
-        or rec.sentiments
-    )
-    if not (rec.semantics or has_emotion or rec.context or rec.physiology):
+    # Each field after the key is empty or None when its component is
+    # missing: emotion is the categories up to the sentiments.
+    if not any(rec[2:]):
         problems.append(
             "four-component axiom violated: record has no semantics, "
             "emotion, context, or physiology component"
         )
 
     for sem in rec.semantics:
-        if sem.kind not in SEMANTIC_KINDS:
-            problems.append(f"semantics kind {sem.kind!r} not in {SEMANTIC_KINDS}")
+        problems.append(kind_problem(sem.kind))
         if sem.concept is None and sem.keyword is None:
             problems.append("semantics annotation needs a concept or a keyword")
-        if sem.concept is not None and sem.concept not in graph.concepts:
-            problems.append(f"unknown concept {sem.concept!r}")
+        problems.append(concept_problem(sem.concept, graph.concepts))
 
     for cat in rec.categories:
         problems.extend(validate_category(cat, vocabs))
     if rec.dimensions is not None:
         problems.extend(validate_dimension(rec.dimensions))
     for app in rec.appraisals:
-        for name, value in app.values:
-            validate_unit_interval(f"appraisal {name}", value, problems)
+        problems += [unit_interval_problem(f"appraisal {name}", value)
+                     for name, value in app.values]
     for sen in rec.sentiments:
-        validate_unit_interval("sentiment", sen.value, problems)
+        problems.append(unit_interval_problem("sentiment", sen.value))
     for phy in rec.physiology:
         if not phy.path:
             problems.append("physiology reference with empty path")
-
-    ctx = rec.context
-    if ctx is not None:
-        numbers = (
-            ("width_px", ctx.width_px),
-            ("height_px", ctx.height_px),
-            ("size_bytes", ctx.size_bytes),
-            ("color_depth_bits", ctx.color_depth_bits),
-            ("length_seconds", ctx.length_seconds),
-        )
-        for attr, v in numbers:
-            if v is not None and not v >= 0:  # negative, or NaN
-                what = "negative" if v < 0 else "not a number"
-                problems.append(f"context {attr}={v} is {what}")
-    return problems
+    if rec.context is not None:
+        problems.extend(context_problems(rec.context))
+    return list(filter(None, problems))
 
 
 def _field(name):
@@ -235,9 +223,10 @@ class Corpus:
     `concept_index` are built on first use too.  Iterating the corpus
     zips every field into the whole records.  Records get in two ways:
     add_stimulus validates one record and appends it to every field,
-    building first any field not built yet (ingest, and a load that must
-    validate), and index_all holds the columns of a sealed snapshot
-    unvalidated, building each field from them on its first use.
+    building first any field not built yet (ingest, and a load whose
+    checks of the snapshot's tables failed), and index_all holds the
+    columns of a snapshot that its load has checked, building each field
+    from them on its first use.
     """
 
     db = _field("db")
@@ -289,10 +278,10 @@ class Corpus:
 
     def index_all(self, keys, builders):
         """Hold the records whose keys are `keys`, in order, in this empty
-        corpus, as add_stimulus would one by one, but without validating
-        them or checking their keys for a repeat: `builders` maps each
-        StimulusRecord field to a function, called on the field's first
-        use, that returns the field of every record, in order."""
+        corpus, as add_stimulus would one by one, but leaving the checks of
+        their rules and keys to the caller (load_snapshot): `builders` maps
+        each StimulusRecord field to a function, called on the field's
+        first use, that returns the field of every record, in order."""
         self.keys = keys
         self._builders = dict(builders)
 
@@ -397,7 +386,7 @@ _DIM_KEYS["dim.level"] = (_DIM_ORDER.index("confidence_level"), None)
 _DIM_KEYS["dim.value"] = (_DIM_ORDER.index("confidence_value"), float)
 _CTX_ORDER = ContextRecord._fields
 _CTX_KEYS = {
-    f"ctx.{wire}": (_CTX_ORDER.index(attr), _CONTEXT_NUMBER_TYPES.get(wire))
+    f"ctx.{wire}": (_CTX_ORDER.index(attr), CONTEXT_NUMBER_TYPES.get(attr))
     for wire, attr in _CTX_ATTR.items()
 }
 

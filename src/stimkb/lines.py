@@ -10,11 +10,23 @@ from .errors import ParseError, ValidationError
 
 
 def read_input(path, what):
-    """The text of input file `path`, decoded as UTF-8; `what` names the
-    input in errors.  A missing file raises FileNotFoundError, one that
-    cannot be read (a directory, say) OSError, and bytes that are not
-    UTF-8 ParseError."""
-    return decode_input(read_input_bytes(path, what), path, what)
+    """The text of input file `path`, UTF-8 with CRLF and CR line ends read
+    as LF, as a text-mode read does; `what` names the input in errors.  A
+    missing file raises FileNotFoundError, one that cannot be read (a
+    directory, say) OSError, and bytes that are not UTF-8 ParseError."""
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{what} not found: {path}") from None
+    except OSError as e:
+        raise OSError(f"cannot read {what} {path}: {e.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(
+            f"{what} {path} is not UTF-8: {e.reason} at byte {e.start}"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_input(parse, path, what, *args):
@@ -29,29 +41,6 @@ def parse_input(parse, path, what, *args):
         line = getattr(e, "line", None)
         e.args = (f"{what} {path}{' ' if line is not None else ': '}{e}",)
         raise
-
-
-def read_input_bytes(path, what):
-    """The bytes of input file `path`; raises read_input's OSErrors."""
-    try:
-        return Path(path).read_bytes()
-    except FileNotFoundError:
-        raise FileNotFoundError(f"{what} not found: {path}") from None
-    except OSError as e:
-        raise OSError(f"cannot read {what} {path}: {e.strerror}") from None
-
-
-def decode_input(data, path, what):
-    """The bytes `data` of input file `path` as text: decoded as UTF-8,
-    with CRLF and CR line ends read as LF, as a text-mode read does.
-    Bytes that are not UTF-8 raise ParseError."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ParseError(
-            f"{what} {path} is not UTF-8: {e.reason} at byte {e.start}"
-        ) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def data_lines(text):

@@ -26,31 +26,25 @@ from binascii import a2b_base64, b2a_base64
 from collections import namedtuple
 from functools import partial
 from itertools import chain, compress, count, islice, repeat
-from operator import add, is_, is_not, itemgetter, ne
+from operator import add, is_, is_not, itemgetter, ne, not_
 from pathlib import Path
 
-try:
-    # Importing hashlib loads OpenSSL, which costs every CLI process 3.5 MiB
-    # of RSS and 3-4 ms (2-vCPU host); the built-in BLAKE2 module does not
-    # (`random` avoids hashlib the same way).
-    from _blake2 import blake2b
-except ImportError:
-    from hashlib import blake2b
-
 from .affect import (
-    ActionTendencyAnnotation, AppraisalAnnotation, CategoryAnnotation,
-    DimensionAnnotation, EquivalenceClosure, SentimentAnnotation,
-    load_vocabularies, parse_axioms,
+    DIMENSION_NAMES, ActionTendencyAnnotation, AppraisalAnnotation,
+    CategoryAnnotation, DimensionAnnotation, EquivalenceClosure,
+    SentimentAnnotation, confidence_problems, in_scale_problem,
+    load_vocabularies, non_negative_problem, parse_axioms, scale_problem,
+    unit_interval_problem, validate_category,
 )
 from .corpus import (
-    CONTEXT_NUMBER_TYPES, VALIDATION_RULES, ContextRecord, Corpus,
-    PhysiologyRef, SemanticsAnnotation, StimulusRecord, expand_keywords,
-    parse_legacy_table, parse_record_file,
+    CONTEXT_NUMBER_TYPES, ContextRecord, Corpus, PhysiologyRef,
+    SemanticsAnnotation, StimulusRecord, concept_problem, context_problems,
+    expand_keywords, kind_problem, parse_legacy_table, parse_record_file,
 )
 # perfbench/calltrace.py wraps parse_corpus_records here.
 from .corpus import parse_corpus_records  # noqa: F401
 from .errors import ParseError, SnapshotError, StimKbError, ValidationError
-from .lines import data_lines, decode_input, parse_input, read_input_bytes
+from .lines import data_lines, parse_input, read_input
 from .taxonomy import parse_mapping, parse_taxonomy
 
 SNAPSHOT_VERSION = 6
@@ -58,13 +52,6 @@ SNAPSHOT_VERSION = 6
 MANIFEST_FILE_KEYS = ("taxonomy", "mapping", "vocabularies", "axioms",
                       "records", "legacy")
 MANIFEST_OPTION_KEYS = ("seed", "limit")
-
-# A sealed snapshot starts `{\n "seal": "<64 hex digits>",` and then goes
-# on as the document without its seal would after its `{`.  The seal is the
-# BLAKE2b-256 digest of the validation rules version and of every byte
-# after the hex digits.
-_SEAL_HEAD = b'{\n "seal": "'
-_SEAL_END = len(_SEAL_HEAD) + 64
 
 _NULL = type(None)
 # The top-level keys save_snapshot writes and the JSON types of their values.
@@ -122,6 +109,8 @@ _CONTEXT_TYPES = tuple(
 _DIMENSION_FIELDS = len(DimensionAnnotation._fields)
 _LEVEL = DimensionAnnotation._fields.index("confidence_level")
 _VALUE_FIELDS = [i for i in range(2, _DIMENSION_FIELDS) if i != _LEVEL]
+# _VALUE_FIELDS are the _NAMED DIMENSION_NAMES, the SDs, the confidence value.
+_NAMED = len(DIMENSION_NAMES)
 # The record columns: one item per record (`<tag>_n` and `phys_n` count
 # its items in the flat column `<tag>`, or in `dir`, `path` and `chan`),
 # but `dim`, one per record for each of _VALUE_FIELDS, field after field;
@@ -249,17 +238,14 @@ def build_workspace(manifest):
 
 
 def save_snapshot(workspace, path):
-    """Persist the workspace as a compact versioned JSON document.
+    """Persist the workspace as one line of compact, versioned JSON.
 
     The taxonomy, vocabularies and axioms are stored in their input
     formats and re-parsed at load; the taxonomy and the vocabularies are
     the corpus's, which Corpus.add_stimulus validated every record against.
     The keyword mapping and the unmapped keywords are not stored.  The
-    records are stored as the columns of _record_columns.  The document is
-    always sealed: its first key, "seal", is a digest of the validation
-    rules version and the rest of the file, and a load whose seal matches
-    skips record validation.  The seal is an integrity check, not a
-    security boundary: anyone can compute it.
+    records are stored as the columns of _record_columns, which every load
+    checks against the validation rules (see load_snapshot).
     """
     corpus = workspace.corpus
     vocab_lines = [
@@ -285,12 +271,8 @@ def save_snapshot(workspace, path):
         "tables": tables,
         "records": columns,
     }
-    # The seal line ends in a line break, so that deleting it leaves `{`
-    # and then the document after its `{`.
-    body = memoryview(json.dumps(doc, separators=(",", ":")).encode())[1:]
     with open(path, "wb") as f:
-        f.write(_SEAL_HEAD + _seal(b'",\n', body, b"\n") + b'",\n')
-        f.write(body)
+        f.write(json.dumps(doc, separators=(",", ":")).encode())
         f.write(b"\n")
 
 
@@ -513,22 +495,6 @@ def _lines(name, pair):
     return text.split("\n")[:-1]
 
 
-def _seal(*chunks):
-    """The seal (64 hex digits, as bytes) over the snapshot bytes that
-    follow it, given in `chunks`."""
-    digest = blake2b(b"validation rules %d\n" % VALIDATION_RULES, digest_size=32)
-    for chunk in chunks:
-        digest.update(chunk)
-    return digest.hexdigest().encode()
-
-
-def _seal_matches(data):
-    """Whether snapshot bytes `data` begin with a seal that matches them."""
-    return data.startswith(_SEAL_HEAD) and data[len(_SEAL_HEAD):_SEAL_END] == (
-        _seal(memoryview(data)[_SEAL_END:])
-    )
-
-
 def _snapshot_problem(doc):
     """The first problem of a snapshot document's top level, or None."""
     if type(doc) is not dict:
@@ -691,17 +657,19 @@ def _paused(build, freeze=False):
             gc.enable()
 
 
-def _records(tables, columns):
+def _records(tables, columns, graph, vocabs):
     """(the keys of the records stored in `tables` and `columns`, in order,
-    and per StimulusRecord field a builder of the list of its values).
-    Whatever the seal, every table and column is checked here (an encoded
-    column is decoded in place, a packed one inflated to at most one item
-    past the number of ids, times its width, or the sum of its counts): its
-    item types, its length, that its indices point into their table, and
-    the rules a record must meet to be built at all (a non-empty db and id,
-    a scale exactly when some dimension field is set, exactly one of
-    concept or keyword per semantics annotation).  The first problem raises
-    SnapshotError; a builder checks nothing and never raises."""
+    per StimulusRecord field a builder of the list of its values, and
+    whether no key repeats and _valid_records holds).  Every table and
+    column is checked here (an encoded column is decoded in place, a packed
+    one inflated to at most one item past the number of ids, times its
+    width, or the sum of its counts): its item types, its length, that its
+    indices point into their table, and the rules a record must meet to be
+    built at all (a non-empty db and id, a scale exactly when some
+    dimension field is set, exactly one of concept or keyword per
+    semantics annotation).  The first problem raises SnapshotError; a
+    builder checks nothing and never raises."""
+    sums = {}
     for group, holder, schema in (("tables", tables, _TABLES),
                                   ("records", columns,
                                    {**_RECORD_COLUMNS, **_FLAT_COLUMNS})):
@@ -712,9 +680,11 @@ def _records(tables, columns):
             if allowed is _LINES:
                 holder[key] = _lines(name, holder[key])
             elif allowed is _PACKED:
-                length = (sum(columns[_COUNTS[key]]) if key in _COUNTS
+                length = (sums[_COUNTS[key]] if key in _COUNTS
                           else len(columns["id"]) * _WIDTHS.get(key, 1))
                 holder[key] = _unpacked(name, holder[key], length)
+                if key in _COUNTS.values():  # each is summed once
+                    sums[key] = sum(holder[key])
             elif type(holder[key]) is not list:
                 raise SnapshotError(
                     f"{name} has type {type(holder[key]).__name__}")
@@ -733,10 +703,9 @@ def _records(tables, columns):
         raise SnapshotError("'tables.dbs' holds an empty name")
     _check_indices("'records.db'", columns["db"], len(dbs))
     for flat, key in _COUNTS.items():
-        counts = columns[key]
-        if sum(counts) != len(columns[flat]):
+        if sums[key] != len(columns[flat]):
             raise SnapshotError(
-                f"'records.{key}' sums to {sum(counts)}, not to the "
+                f"'records.{key}' sums to {sums[key]}, not to the "
                 f"{len(columns[flat])} items of 'records.{flat}'")
 
     # The annotation table: one section per tag, in order, and each tag's
@@ -752,8 +721,10 @@ def _records(tables, columns):
     if "" in kinds:
         raise SnapshotError("'tables.kinds' holds an empty name")
     builders = {}
+    decoded = {}  # each tag's field columns (or rows), once decoded
     for tag, section in zip(_ANNOTATIONS, sections):
-        size, build = _annotations(tag, section[1:], kinds)
+        decoded[tag] = section[1:]
+        size, build = _annotations(tag, decoded[tag], kinds)
         _check_indices(f"'records.{tag}'", columns[tag], size)
         builders[_ANNOTATIONS[tag][2]] = partial(
             _grouped, build, columns[f"{tag}_n"], columns[tag])
@@ -763,10 +734,15 @@ def _records(tables, columns):
     _check_rows("'tables.scales'", scales, (_NUM, _NUM))
     scale, dim, level = columns["scale"], columns["dim"], columns["level"]
     _check_indices("'records.scale'", scale, len(scales) + 1)
-    _check_indices("'records.dim'", dim, len(tables["values"]) + 1)
-    _check_indices("'records.level'", level, len(tables["levels"]) + 1)
     fields = [dim[k * n:k * n + n] for k in range(_WIDTHS["dim"])]
-    present = list(map(any, zip(level, *fields)))
+    # The indices the named fields, the SDs and the confidence value hold:
+    # the validation rules read their rows, and they bound `dim`.
+    used = [set().union(*fields[:_NAMED]), set().union(*fields[_NAMED:-1]),
+            set(fields[-1])]
+    _check_indices("'records.dim'", set().union(*used), len(tables["values"]) + 1)
+    _check_indices("'records.level'", level, len(tables["levels"]) + 1)
+    named = list(map(any, zip(*fields[:_NAMED])))
+    present = list(map(any, zip(named, level, *fields[_NAMED:])))
     scaled = list(map(bool, scale))
     if present != scaled:
         i = next(compress(count(), map(ne, present, scaled)))
@@ -801,8 +777,59 @@ def _records(tables, columns):
     db_names = list(map(dbs.__getitem__, columns["db"]))
     builders["db"], builders["id"] = db_names.copy, ids.copy
     keys = list(map("/".join, zip(db_names, ids)))
+    # A record has a named dimension value wherever it has a scale.
+    valid = (named == scaled and len(set(keys)) == n and _valid_records(
+        tables, columns, decoded, fields, used, graph, vocabs))
     return keys, {field: partial(_paused, build, True)
-                  for field, build in builders.items()}
+                  for field, build in builders.items()}, valid
+
+
+def _valid_records(tables, columns, sections, fields, used, graph, vocabs):
+    """Whether the records in the checked `tables` and `columns` meet the
+    rest of validate_stimulus against `graph` and `vocabs`.  Each rule runs
+    once per distinct table row, as a column store evaluates a predicate
+    once per dictionary entry, or as a pass over record columns.  `sections`
+    holds each tag's decoded fields (app: rows), `fields` each `dim` field,
+    and `used` the `values` indices of the named fields, SDs and confidence."""
+    values, scales, scale = tables["values"], tables["scales"], columns["scale"]
+    # The rows those indices point to: 0 is none and k is row k - 1.
+    named, sds, confidences = ([values[i - 1] for i in indices if i]
+                               for indices in used)
+    # Each rule (which gives a problem or None) and the rows it runs on.
+    rules = (
+        (kind_problem, tables["kinds"]),
+        (partial(concept_problem, concepts=graph.concepts),
+         set(sections["sem"][1])),
+        (partial(validate_category, vocabs=vocabs),
+         map(CategoryAnnotation._make, zip(*sections["cat"]))),
+        (partial(unit_interval_problem, "appraisal"), chain.from_iterable(
+            map(itemgetter(slice(1, None, 2)), sections["app"]))),
+        (partial(unit_interval_problem, "sentiment"), sections["sent"][0]),
+        (context_problems, map(ContextRecord._make, tables["contexts"])),
+        (partial(confidence_problems, value=None), tables["levels"]),
+        (lambda row: scale_problem(*row), scales),
+        (partial(non_negative_problem, "SD"), sds),
+        (partial(confidence_problems, None), confidences),
+    )
+    if any(any(map(rule, rows)) for rule, rows in rules):
+        return False
+    # Each value a named field uses against each scale, or where one fails
+    # (or that would take longer), each (scale, value) pair records hold.
+    if len(scales) * len(named) > len(scale) * _NAMED or any(
+            in_scale_problem("", v, lo, hi) for lo, hi in scales for v in named):
+        pairs = set(chain.from_iterable(zip(scale, f) for f in fields[:_NAMED]))
+        if any(in_scale_problem("", values[v - 1], *scales[s - 1])
+               for s, v in pairs if v):
+            return False
+    # The four-component axiom: no record has 0 in every count column and
+    # in `scale` and `ctx`.
+    bare = list(compress(count(), map(not_, columns["sem_n"])))
+    for key in ("cat_n", "app_n", "tend_n", "sent_n", "scale", "ctx", "phys_n"):
+        bare = [i for i in bare if not columns[key][i]]
+    # No physiology path is empty: an empty dir and an empty name.
+    dirs, names = tables["dirs"], columns["path"]
+    return not bare and ("" not in names or "" not in dirs or all(
+        name or dirs[d] for d, name in zip(columns["dir"], names)))
 
 
 def load_snapshot(path):
@@ -810,32 +837,23 @@ def load_snapshot(path):
 
     Every load checks the whole snapshot: its top level, the taxonomy (a
     cycle included), the vocabularies and axioms, and every table and
-    column (see _records).  Unless the seal matches and no key repeats,
-    each record is then added again to a new corpus, in order, through
-    Corpus.add_stimulus, as ingest adds it.  A matching seal means that
-    ingest validated the records under the current rules, and that no byte
-    has changed since; such a load builds no record field, and the corpus
-    builds each one on its first use, as the graph does its tables.  A bad
-    snapshot raises SnapshotError naming the file, here and never later.
-    Records that share a table row share one object.
+    column, the validation rules included (see _records).  It builds no
+    record field: the corpus builds each one on its first use, as the
+    graph does its tables.  A bad snapshot raises SnapshotError naming the
+    file, here and never later.  Records that share a table row share one
+    object.
     """
     path = Path(path)
-    data = read_input_bytes(path, "snapshot")
-    sealed = _seal_matches(data)
 
     # The cyclic collector would only rescan the document and the records
-    # (see _paused).  The bytes and the text are each dropped once used:
-    # one whole copy of the file is alive beside the parsed document.
+    # (see _paused).  The bytes are dropped once decoded and the text once
+    # parsed: one whole copy of the file is alive beside the document.
     def load():
-        nonlocal data
         try:
-            text = decode_input(data, path, "snapshot")
-            data = None
-            doc = json.loads(text)
+            doc = json.loads(read_input(path, "snapshot"))
         except (ParseError, ValueError, RecursionError) as e:
             raise SnapshotError(f"not JSON: {e}") from e
-        del text
-        return _workspace(doc, sealed)
+        return _workspace(doc)
 
     try:
         return _paused(load, True)
@@ -843,11 +861,11 @@ def load_snapshot(path):
         raise SnapshotError(f"bad snapshot {path}: {e}") from e.__cause__
 
 
-def _workspace(doc, sealed):
-    """The workspace that snapshot document `doc` stores.  Unless `sealed`
-    and no key repeats, its records are added again, one by one, to a new
-    corpus, so that the first invalid record or repeated key is reported
-    as ingest reports it.  The first problem raises SnapshotError."""
+def _workspace(doc):
+    """The workspace that snapshot document `doc` stores.  Only if a record
+    breaks a validation rule or a key repeats (see _records) are the
+    records added again, one by one, to a new corpus, so that the first
+    problem is reported as ingest reports it.  It raises SnapshotError."""
     problem = _snapshot_problem(doc)
     if problem is not None:
         raise SnapshotError(problem)
@@ -859,9 +877,10 @@ def _workspace(doc, sealed):
     except StimKbError as e:
         raise SnapshotError(str(e)) from e
     corpus = Corpus(graph, vocabs)
-    keys, builders = _records(doc.pop("tables"), doc.pop("records"))
+    keys, builders, valid = _records(doc.pop("tables"), doc.pop("records"),
+                                     graph, vocabs)
     corpus.index_all(keys, builders)
-    if not sealed or len(set(keys)) < len(keys):
+    if not valid:
         stored, corpus = corpus, Corpus(graph, vocabs)
         try:
             for rec in stored:

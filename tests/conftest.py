@@ -10,7 +10,7 @@ import pytest
 
 import stimkb.corpus
 import stimkb.snapshot
-from stimkb.corpus import VALIDATION_RULES
+from stimkb.corpus import invalid_record
 from stimkb.similarity import relatedness
 from stimkb.snapshot import build_workspace, parse_manifest
 from stimkb.taxonomy import TaxonomyGraph
@@ -86,19 +86,31 @@ def packed_pair(code, values):
     return [code, b64encode(zlib.compress(items.tobytes())).decode()]
 
 
-# The seal line's layout, written out here as a check on the format: a
-# sealed snapshot starts with SEAL_HEAD and 64 hex digits.
-SEAL_HEAD = b'{\n "seal": "'
-SEAL_END = len(SEAL_HEAD) + 64
+def sealed_layout(data):
+    """Snapshot bytes `data`, as save_snapshot writes them, in the layout
+    it wrote while a snapshot carried a seal: `{`, then the line
+    ` "seal": "<64 hex digits>",`, then the document after its `{`.  The
+    seal is the one that layout's writer computed: the BLAKE2b-256 digest
+    of `validation rules 1` and of every byte after the hex digits."""
+    rest = b'",\n' + data[1:]
+    seal = hashlib.blake2b(b"validation rules 1\n" + rest, digest_size=32)
+    return b'{\n "seal": "' + seal.hexdigest().encode() + rest
 
 
-def seal_text(text, rules=VALIDATION_RULES):
-    """The bytes of unsealed snapshot text `text` sealed under validation
-    rules version `rules`."""
-    rest = b'",' + text.encode()[1:]
-    digest = hashlib.blake2b(b"validation rules %d\n" % rules + rest,
-                             digest_size=32)
-    return SEAL_HEAD + digest.hexdigest().encode() + rest
+def oracle_first_problem(records, graph, vocabs):
+    """The first problem of `records` in order, as a load reports it, or
+    None: each record's validate_stimulus problems against `graph` and
+    `vocabs`, then its key if an earlier record has it, as
+    Corpus.add_stimulus checks them one by one."""
+    seen = set()
+    for i, rec in enumerate(records):
+        problems = stimkb.corpus.validate_stimulus(rec, graph, vocabs)
+        if problems:
+            return f"records[{i}]: {invalid_record(rec, problems)}"
+        if rec.key in seen:
+            return f"records[{i}]: duplicate stimulus key {rec.key}"
+        seen.add(rec.key)
+    return None
 
 
 def random_dag_edges(rng, n_nodes, max_parents=3):

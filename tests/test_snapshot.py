@@ -16,6 +16,7 @@ from array import array
 from base64 import b64decode, b64encode
 from itertools import repeat
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +37,6 @@ from stimkb.affect import (
 )
 from stimkb.cli import main
 from stimkb.corpus import (
-    VALIDATION_RULES,
     ContextRecord,
     Corpus,
     PhysiologyRef,
@@ -60,16 +60,15 @@ from stimkb.taxonomy import parse_taxonomy
 from conftest import (
     PACKED_COLUMNS,
     PAPER_MANIFEST,
-    SEAL_END,
-    SEAL_HEAD,
     TEXT_COLUMNS,
     many_layout_lines,
     oracle_concept_index,
     oracle_filter,
+    oracle_first_problem,
     oracle_ranking,
     packed_pair,
     packed_values,
-    seal_text,
+    sealed_layout,
     serialize_record,
     text_items,
     text_pair,
@@ -199,22 +198,18 @@ def _count_parses(monkeypatch):
     return parsed
 
 
-def _strip_seal(path):
-    """Rewrite the sealed snapshot at `path` without its seal line."""
-    data = path.read_bytes()
-    assert data.startswith(SEAL_HEAD)
-    path.write_bytes(b"{" + data[SEAL_END + 2:])
-
-
 @pytest.mark.parametrize("which", ["paper", "synthetic"])
-def test_unsealed_load_validates_each_record_once_and_parses_none(
+def test_failed_check_adds_each_record_once_and_parses_none(
     which, tmp_path, monkeypatch, paper_workspace
 ):
+    # The last record repeats the first one's key: the load adds every
+    # record again, each validated once, and reports the repeat.
     ws = paper_workspace if which == "paper" else _synthetic_workspace()
+    records = list(ws.corpus)
+    text = _record(len(records) - 1, db=records[0].db, id=records[0].id)(
+        _snapshot_doc(ws, tmp_path), records)
     snap = tmp_path / "snap.json"
-    save_snapshot(ws, snap)
-    _strip_seal(snap)
-    assert not snap.read_bytes().startswith(SEAL_HEAD)
+    snap.write_text(text)
 
     def no_bulk_parser(*args, **kwargs):
         raise AssertionError("load_snapshot must not use parse_corpus_records")
@@ -223,12 +218,11 @@ def test_unsealed_load_validates_each_record_once_and_parses_none(
     added = _count_adds(monkeypatch)
     parsed = _count_parses(monkeypatch)
     monkeypatch.setattr(stimkb.snapshot, "parse_corpus_records", no_bulk_parser)
-    loaded = load_snapshot(snap)
-
-    assert list(loaded.corpus) == list(ws.corpus)
-    assert loaded.corpus.concept_index == ws.corpus.concept_index
-    assert validated == [r.key for r in ws.corpus]
-    assert added == [r.key for r in ws.corpus]
+    with pytest.raises(SnapshotError, match=(
+            f"records\\[{len(records) - 1}\\]: duplicate stimulus key "
+            f"{records[0].key}$")):
+        load_snapshot(snap)
+    assert validated == added == [r.key for r in records[:-1]] + [records[0].key]
     assert parsed == []
 
 
@@ -236,62 +230,62 @@ def test_unsealed_load_validates_each_record_once_and_parses_none(
 def test_sealed_load_validates_and_parses_none(
     which, tmp_path, monkeypatch, paper_workspace
 ):
+    # A good snapshot loads with no record added again, as written and in
+    # the layout it had while snapshots were sealed.
     if which == "paper":
         ws = paper_workspace
     else:
         ws = build_workspace(parse_manifest(_synthetic_manifest(tmp_path)))
     snap = tmp_path / "snap.json"
     save_snapshot(ws, snap)
-    assert snap.read_bytes().startswith(SEAL_HEAD)
-
     validated = _count_validations(monkeypatch)
     added = _count_adds(monkeypatch)
     parsed = _count_parses(monkeypatch)
-    loaded = load_snapshot(snap)
-
-    assert list(loaded.corpus) == list(ws.corpus)
-    assert loaded.corpus.concept_index == ws.corpus.concept_index
+    for data in (snap.read_bytes(), sealed_layout(snap.read_bytes())):
+        snap.write_bytes(data)
+        loaded = load_snapshot(snap)
+        assert list(loaded.corpus) == list(ws.corpus)
+        assert loaded.corpus.concept_index == ws.corpus.concept_index
     assert validated == []
     assert added == []
     assert parsed == []
 
 
-def test_save_seals_the_graph_and_vocabularies_records_were_validated_against(
+def test_save_writes_the_graph_and_vocabularies_records_were_validated_against(
     tmp_path, monkeypatch, paper_workspace
 ):
     snap = tmp_path / "snap.json"
     save_snapshot(paper_workspace, snap)
-    sealed = snap.read_bytes()
-    _strip_seal(snap)
-    unsealed = snap.read_bytes()
-    assert len(sealed) == len(unsealed) + 77
-    assert sealed == seal_text(unsealed.decode())
+    written = snap.read_bytes()
+    # One line: the compact document and a line break.
+    assert written == json.dumps(json.loads(written),
+                                 separators=(",", ":")).encode() + b"\n"
+    assert len(sealed_layout(written)) == len(written) + 78
     # The taxonomy written is the corpus's, not the workspace's own graph.
     other = parse_taxonomy("A\tB\n")
     save_snapshot(paper_workspace._replace(graph=other), snap)
-    assert snap.read_bytes() == sealed
-    # A workspace built in code saves sealed, and loads unvalidated.
+    assert snap.read_bytes() == written
+    # A workspace built in code loads unvalidated.
     ws = _synthetic_workspace()
     save_snapshot(ws, snap)
-    assert snap.read_bytes().startswith(SEAL_HEAD)
     validated = _count_validations(monkeypatch)
     assert list(load_snapshot(snap).corpus) == list(ws.corpus)
     assert validated == []
-    # A sealed load saves the same sealed bytes again.
-    snap.write_bytes(sealed)
-    save_snapshot(load_snapshot(snap), snap)
-    assert snap.read_bytes() == sealed
+    # A load saves the same bytes again, whatever its layout.
+    for data in (written, sealed_layout(written)):
+        snap.write_bytes(data)
+        save_snapshot(load_snapshot(snap), snap)
+        assert snap.read_bytes() == written
 
 
 @pytest.mark.parametrize("which", ["paper", "synthetic"])
-def test_ingest_writes_identical_sealed_snapshots(which, tmp_path, capsys):
+def test_ingest_writes_identical_snapshots(which, tmp_path, capsys):
     manifest = PAPER_MANIFEST if which == "paper" else _synthetic_manifest(tmp_path)
     snaps = [tmp_path / "a.json", tmp_path / "b.json"]
     for snap in snaps:
         assert main(["ingest", "--manifest", str(manifest),
                      "--snapshot", str(snap)]) == 0
     assert snaps[0].read_bytes() == snaps[1].read_bytes()
-    assert snaps[0].read_bytes().startswith(SEAL_HEAD)
 
 
 def test_snapshot_bytes_do_not_depend_on_the_hash_seed(tmp_path):
@@ -318,22 +312,33 @@ def test_snapshot_bytes_do_not_depend_on_the_hash_seed(tmp_path):
 @given(st.none() | st.tuples(st.integers(0, 10**6), st.integers(2, 40),
                              st.integers(1, 120)))
 def test_sealed_load_equals_full_validation(paper_workspace, spec):
+    # A snapshot in the layout written while snapshots were sealed, and a
+    # copy re-indented by `json.dumps(indent=1)`, load to the workspace
+    # that the file as written loads to; so does adding every record again
+    # through add_stimulus.
     ws = paper_workspace if spec is None else _synthetic_workspace(*spec)
     with tempfile.TemporaryDirectory() as tmp:
         snap = Path(tmp) / "snap.json"
         save_snapshot(ws, snap)
-        sealed = load_snapshot(snap)
-        _strip_seal(snap)
-        full = load_snapshot(snap)
-    assert list(sealed.corpus) == list(full.corpus)
-    assert sealed.corpus.keys == full.corpus.keys
-    assert sealed.corpus.concept_index == full.corpus.concept_index
-    assert sealed.graph.parent_edges == full.graph.parent_edges
-    assert sealed.graph.concepts == full.graph.concepts
-    assert sealed.corpus.vocabs == full.corpus.vocabs
-    assert sealed.closure.classes() == full.closure.classes()
-    assert (sealed.unmapped_keywords, sealed.seed, sealed.limit) == (
-        full.unmapped_keywords, full.seed, full.limit)
+        written = snap.read_bytes()
+        loads = []
+        for data in (written, sealed_layout(written),
+                     json.dumps(json.loads(written), indent=1).encode()):
+            snap.write_bytes(data)
+            loads.append(load_snapshot(snap))
+    full = Corpus(ws.corpus.graph, ws.corpus.vocabs)
+    for rec in loads[0].corpus:
+        full.add_stimulus(rec)
+    for loaded in loads:
+        assert list(loaded.corpus) == list(full)
+        assert loaded.corpus.keys == full.keys
+        assert loaded.corpus.concept_index == full.concept_index
+        assert loaded.graph.parent_edges == ws.corpus.graph.parent_edges
+        assert loaded.graph.concepts == ws.corpus.graph.concepts
+        assert loaded.corpus.vocabs == ws.corpus.vocabs
+        assert loaded.closure.classes() == ws.closure.classes()
+        assert (loaded.unmapped_keywords, loaded.seed, loaded.limit) == (
+            (), ws.seed, ws.limit)
 
 
 def _snapshot_doc(paper_workspace, tmp_path):
@@ -386,8 +391,8 @@ def test_load_round_trip_keeps_records_and_shares_by_text(
     with tempfile.TemporaryDirectory() as tmp:
         snap = Path(tmp) / "snap.json"
         save_snapshot(ws, snap)
-        if not sealed:
-            _strip_seal(snap)
+        if sealed:
+            snap.write_bytes(sealed_layout(snap.read_bytes()))
         loaded = load_snapshot(snap)
     # Equal records in the same order; the reprs also tell -0.0 from 0.0
     # and 1 from 1.0.
@@ -405,8 +410,8 @@ def test_load_round_trip_keeps_records_and_shares_by_text(
 
 
 # Edits of a snapshot document: edit(doc, records) -> the file text, where
-# `doc` is the paper snapshot's document without its seal and `records`
-# the paper workspace's records.
+# `doc` is the paper snapshot's document and `records` the paper
+# workspace's records.
 
 def _doc(edit):
     """An edit of the whole document: edit(doc) -> the file text."""
@@ -444,7 +449,7 @@ NAN = float("nan")
 DIMENSIONS_8163 = DimensionAnnotation(1.0, 9.0, valence=7.14, arousal=6.53)
 
 # (case, record-1 change, error text): records that parse but fail
-# validation, behind a stale seal or none.
+# validation.
 TAMPERED_RECORDS = [
     ("valence off its scale",
      {"dimensions": DIMENSIONS_8163._replace(valence=99.0)},
@@ -464,48 +469,18 @@ TAMPERED_RECORDS = [
 def test_tampered_sealed_snapshot_exits_3_as_unsealed(
     changes, message, tmp_path, paper_workspace, capsys
 ):
+    # The tampered document behind the seal line of the good file, as a
+    # hand-edited snapshot written while snapshots were sealed: the seal
+    # is read as any other key, and ignored.
     doc = _snapshot_doc(paper_workspace, tmp_path)
-    seal = doc.pop("seal")
+    seal_line = sealed_layout((tmp_path / "good.json").read_bytes())[:79]
     text = _record(1, **changes)(doc, list(paper_workspace.corpus))
     snap = tmp_path / "snap.json"
-    # The tampered document behind the good file's seal, then without it.
-    snap.write_bytes(SEAL_HEAD + seal.encode() + b'",' + text.encode()[1:])
-    outcomes = []
-    for strip in (False, True):
-        if strip:
-            _strip_seal(snap)
-        rc = main(["stats", "--snapshot", str(snap)])
-        outcomes.append((rc, capsys.readouterr().err))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0] == (
-        3, f"error: bad snapshot {snap}: records[1]: record IAPS/8163: "
-        f"{message}\n")
-
-
-def test_snapshot_sealed_under_older_rules_is_validated(
-    tmp_path, paper_workspace, capsys
-):
-    doc = _snapshot_doc(paper_workspace, tmp_path)
-    del doc["seal"]
-    bad = StimulusRecord("X", "1", dimensions=DimensionAnnotation(
-        1.0, 9.0, valence=5.0, arousalSD=NAN))
-    records = list(paper_workspace.corpus)
-    records[1] = bad
-    doc["tables"], doc["records"] = _record_columns(records)
-    text = json.dumps(doc, indent=1) + "\n"
-    snap = tmp_path / "stale.json"
-    snap.write_bytes(seal_text(text, VALIDATION_RULES - 1))
+    snap.write_bytes(seal_line + text.encode()[1:])
     assert main(["stats", "--snapshot", str(snap)]) == 3
     assert capsys.readouterr().err == (
-        f"error: bad snapshot {snap}: records[1]: record X/1: "
-        "arousalSD=nan is not a number\n"
-    )
-    # Only the seal skips the check: anyone can seal bad records under the
-    # current rules, so the seal is no security boundary.
-    snap.write_bytes(seal_text(text))
-    corpus = load_snapshot(snap).corpus
-    # (compared by repr, since the NaN SD is not equal to itself)
-    assert repr(dict(zip(corpus.keys, corpus))["X/1"]) == repr(bad)
+        f"error: bad snapshot {snap}: records[1]: record IAPS/8163: "
+        f"{message}\n")
 
 
 def test_ingest_of_many_layouts_loads_without_parsing(tmp_path, monkeypatch):
@@ -626,380 +601,433 @@ DB_ITEMS = bytes([0, 1, 1, 0])
 IDS = b"311\n8163\n5635\n7039\n"
 
 
-# (case, edit, error text, whether a matching seal still fails the load).
-# A failed check of the structure fails every load, sealed or not; a
-# record that only fails validation loads when its seal matches.
+# (case, edit, error text).
 BAD_SNAPSHOTS = [
     ("version only", _doc(lambda doc: json.dumps({"version": SNAPSHOT_VERSION})),
-     "missing key 'seed'", True),
+     "missing key 'seed'"),
     ("no vocabularies", _doc(lambda doc: json.dumps(
         {k: v for k, v in doc.items() if k != "vocabularies"})),
-     "missing key 'vocabularies'", True),
-    ("not JSON", _doc(lambda doc: "not json {"), "not JSON", True),
-    ("truncated", _doc(lambda doc: json.dumps(doc)[:200]), "not JSON", True),
-    ("top level list", _doc(lambda doc: "[1, 2]"), "not a JSON object", True),
+     "missing key 'vocabularies'"),
+    ("not JSON", _doc(lambda doc: "not json {"), "not JSON"),
+    ("truncated", _doc(lambda doc: json.dumps(doc)[:200]), "not JSON"),
+    ("top level list", _doc(lambda doc: "[1, 2]"), "not a JSON object"),
     ("version 1", _doc(lambda doc: json.dumps({**doc, "version": 1})),
-     "unsupported snapshot version 1; re-ingest", True),
+     "unsupported snapshot version 1; re-ingest"),
     ("version 2", _doc(lambda doc: json.dumps({**doc, "version": 2})),
-     "unsupported snapshot version 2; re-ingest", True),
+     "unsupported snapshot version 2; re-ingest"),
     ("version 3", _doc(lambda doc: json.dumps({**doc, "version": 3})),
-     "unsupported snapshot version 3; re-ingest", True),
+     "unsupported snapshot version 3; re-ingest"),
     ("version 4", _doc(lambda doc: json.dumps({**doc, "version": 4})),
-     "unsupported snapshot version 4; re-ingest", True),
+     "unsupported snapshot version 4; re-ingest"),
     ("version 5", _doc(lambda doc: json.dumps({**doc, "version": 5})),
-     "unsupported snapshot version 5; re-ingest", True),
+     "unsupported snapshot version 5; re-ingest"),
     ("unknown version", _doc(lambda doc: json.dumps(
         {**doc, "version": SNAPSHOT_VERSION + 1})),
-     f"unsupported snapshot version {SNAPSHOT_VERSION + 1}; re-ingest", True),
+     f"unsupported snapshot version {SNAPSHOT_VERSION + 1}; re-ingest"),
     ("records not an object", _doc(lambda doc: json.dumps(
-        {**doc, "records": ["db=X\tid=1"]})), "'records' has type list", True),
+        {**doc, "records": ["db=X\tid=1"]})), "'records' has type list"),
     ("limit not an integer", _doc(lambda doc: json.dumps({**doc, "limit": "9"})),
-     "'limit' has type str", True),
+     "'limit' has type str"),
     ("limit below 1", _doc(lambda doc: json.dumps({**doc, "limit": 0})),
-     "'limit' is 0, not >= 1", True),
+     "'limit' is 0, not >= 1"),
     ("missing column", _columns(lambda t, c: c.pop("sem")),
-     "missing key 'records.sem'", True),
+     "missing key 'records.sem'"),
     ("missing table", _columns(lambda t, c: t.pop("contexts")),
-     "missing key 'tables.contexts'", True),
+     "missing key 'tables.contexts'"),
     ("column not a list", _columns(lambda t, c: c.update(id="x")),
-     "'records.id' is not a [length, base64] pair", True),
+     "'records.id' is not a [length, base64] pair"),
     ("id not a string", _columns(lambda t, c: c["id"].__setitem__(1, 8163)),
-     "'records.id' is not a [length, base64] pair", True),
+     "'records.id' is not a [length, base64] pair"),
     # A JSON array of strings, as format 5 stored `id`.
     ("id column of strings", _columns(lambda t, c: c.update(
         id=["311", "8163", "5635", "7039"])),
-     "'records.id' is not a [length, base64] pair", True),
+     "'records.id' is not a [length, base64] pair"),
     ("text length as a string", _columns(lambda t, c: c["id"].__setitem__(
-        0, "19")), "'records.id' is not a [length, base64] pair", True),
+        0, "19")), "'records.id' is not a [length, base64] pair"),
     ("negative text length", _columns(lambda t, c: c["id"].__setitem__(0, -1)),
-     "'records.id' is not a [length, base64] pair", True),
+     "'records.id' is not a [length, base64] pair"),
     ("text length as a boolean", _columns(lambda t, c: c["id"].__setitem__(
-        0, True)), "'records.id' is not a [length, base64] pair", True),
+        0, True)), "'records.id' is not a [length, base64] pair"),
     ("text not base64", _columns(lambda t, c: c["path"].__setitem__(
-        1, "not base64")), "'records.path' is not base64 text", True),
+        1, "not base64")), "'records.path' is not base64 text"),
     # A text column's bytes are one whole zlib stream of exactly its
     # declared length of UTF-8 text, each item followed by a line break.
     ("text not deflated", _text_stream("id", lambda: IDS, 19),
-     "'records.id' is not a zlib stream", True),
+     "'records.id' is not a zlib stream"),
     ("text stream cut short", _text_stream(
         "id", lambda: zlib.compress(IDS)[:-1], 19),
-     "'records.id' ends inside its zlib stream", True),
+     "'records.id' ends inside its zlib stream"),
     ("bytes after the text stream", _text_stream(
         "id", lambda: zlib.compress(IDS) + b"\0", 19),
-     "'records.id' has bytes after its zlib stream", True),
+     "'records.id' has bytes after its zlib stream"),
     ("text length one short", _text_stream(
         "id", lambda: zlib.compress(IDS), 18),
-     "'records.id' holds more than 18 bytes", True),
+     "'records.id' holds more than 18 bytes"),
     ("text length one long", _text_stream(
         "id", lambda: zlib.compress(IDS), 20),
-     "'records.id' holds 19 bytes, not 20", True),
+     "'records.id' holds 19 bytes, not 20"),
     ("no final line break", _text_stream(
         "id", lambda: zlib.compress(IDS[:-1]), 18),
-     "'records.id' does not end in a line break", True),
+     "'records.id' does not end in a line break"),
     ("text not UTF-8", _text_stream(
         "id", lambda: zlib.compress(IDS.replace(b"816", b"8\xff6")), 19),
-     "'records.id' is not UTF-8 text", True),
+     "'records.id' is not UTF-8 text"),
     # 64 MiB of zeros in a column that declares 11 bytes: the load
     # inflates at most one byte past them (see
     # test_a_text_column_that_inflates_past_its_length_is_never_held).
     ("text column inflating to 64 MiB", _text_stream(
         "id", _inflating_to_64_mib, 11),
-     "'records.id' holds more than 11 bytes", True),
+     "'records.id' holds more than 11 bytes"),
     ("keyword column not deflated", _text_stream(
         3, lambda: b"crowd\n", 6, lambda t, c: t["annotations"][0]),
-     "'tables.annotations' tag 'sem' field 2 is not a zlib stream", True),
+     "'tables.annotations' tag 'sem' field 2 is not a zlib stream"),
     ("path one item short", _text_edit("path", list.pop),
-     "'records.phys_n' sums to 2, not to the 1 items of 'records.path'", True),
+     "'records.phys_n' sums to 2, not to the 1 items of 'records.path'"),
     ("boolean typecode", _columns(lambda t, c: c["db"].__setitem__(0, True)),
-     "'records.db' is not a [typecode, base64] pair", True),
+     "'records.db' is not a [typecode, base64] pair"),
     ("column of numbers", _columns(lambda t, c: c.update(db=[0, 1, 1, 0])),
-     "'records.db' is not a [typecode, base64] pair", True),
+     "'records.db' is not a [typecode, base64] pair"),
     ("column of three", _columns(lambda t, c: c["chan"].append("B")),
-     "'records.chan' is not a [typecode, base64] pair", True),
+     "'records.chan' is not a [typecode, base64] pair"),
     ("unknown typecode", _columns(lambda t, c: c.update(
         db=packed_pair("d", [0, 1, 1, 0]))),
-     "'records.db' has unknown typecode 'd'", True),
+     "'records.db' has unknown typecode 'd'"),
     ("not base64", _columns(lambda t, c: c["db"].__setitem__(1, "not base64")),
-     "'records.db' is not base64 text", True),
+     "'records.db' is not base64 text"),
     # a2b_base64 alone would skip the '!' and read [0, 1, 1, 0].
     ("stray character in base64", _columns(
         lambda t, c: c["db"].__setitem__(1, "AAE!BAA==")),
-     "'records.db' is not base64 text", True),
+     "'records.db' is not base64 text"),
     ("partial item", _stream("sem", lambda: zlib.compress(b"\0\0\1"), "H"),
-     "'records.sem' has 3 bytes, not whole 2-byte items", True),
+     "'records.sem' has 3 bytes, not whole 2-byte items"),
     # A packed column's bytes are one whole zlib stream: not the items
     # themselves, as format 4 stored them, nor a stream cut short or
     # followed by more bytes.
     ("items not deflated", _stream("db", lambda: DB_ITEMS),
-     "'records.db' is not a zlib stream", True),
+     "'records.db' is not a zlib stream"),
     ("zlib stream cut short", _stream(
         "db", lambda: zlib.compress(DB_ITEMS)[:-1]),
-     "'records.db' ends inside its zlib stream", True),
+     "'records.db' ends inside its zlib stream"),
     ("bytes after the zlib stream", _stream(
         "db", lambda: zlib.compress(DB_ITEMS) + b"\0"),
-     "'records.db' has bytes after its zlib stream", True),
+     "'records.db' has bytes after its zlib stream"),
     # 64 MiB of zeros in a 4-record column: the load inflates at most one
     # item and one byte past 4 items (see
     # test_a_column_that_inflates_far_past_its_length_is_never_held).
     ("column inflating to 64 MiB", _stream("ctx", _inflating_to_64_mib),
-     "'records.ctx' holds more than 5 items, not 4", True),
+     "'records.ctx' holds more than 5 items, not 4"),
     # A JSON array of indices and nulls, as format 3 stored `ctx`.
     ("number as an index", _columns(lambda t, c: c.update(ctx=[0.0, 1, 2, 2])),
-     "'records.ctx' is not a [typecode, base64] pair", True),
+     "'records.ctx' is not a [typecode, base64] pair"),
     ("column too short", _packed_edit("db", list.pop),
-     "'records.db' has 3 items, not 4", True),
+     "'records.db' has 3 items, not 4"),
     ("flat column too long", _packed_edit("sem", lambda v: v.append(0)),
-     "'records.sem_n' sums to 19, not to the 20 items of 'records.sem'", True),
+     "'records.sem_n' sums to 19, not to the 20 items of 'records.sem'"),
     ("count that does not sum", _set("phys_n", 1, 1),
-     "'records.phys_n' sums to 1, not to the 2 items of 'records.path'", True),
+     "'records.phys_n' sums to 1, not to the 2 items of 'records.path'"),
     # Counts are unsigned: a negative one needs a signed typecode.
     ("negative count under a signed typecode", _columns(lambda t, c: c.update(
         sem_n=packed_pair("b", [-1, 8, 4, 8]))),
-     "'records.sem_n' has unknown typecode 'b'", True),
+     "'records.sem_n' has unknown typecode 'b'"),
     # The `sem` column is inflated to at most one item past the counts'
     # sum, here past any length an inflate takes: the sum is then reported.
     ("counts summing past 64 bits", _columns(lambda t, c: c.update(
         sem_n=packed_pair("Q", [1 << 63, 1 << 63, 4, 8]))),
      "'records.sem_n' sums to 18446744073709551628, not to the 19 items of "
-     "'records.sem'", True),
+     "'records.sem'"),
     ("negative db index", _set("db", 0, -1),
-     "'records.db' holds an index outside [0, 2)", True),
+     "'records.db' holds an index outside [0, 2)"),
     ("8-byte db index", _columns(lambda t, c: c.update(
         db=stimkb.snapshot._packed([1 << 40, 1, 1, 0]))),
-     "'records.db' holds an index outside [0, 2)", True),
+     "'records.db' holds an index outside [0, 2)"),
     # `ctx` and `scale` hold 0 for none and k for row k - 1: the fixture's
     # 3 contexts take 0 to 3, its 1 scale 0 to 1.
     ("context index past the table", _set("ctx", 0, 4),
-     "'records.ctx' holds an index outside [0, 4)", True),
+     "'records.ctx' holds an index outside [0, 4)"),
     ("scale index past the table", _set("scale", 1, 2),
-     "'records.scale' holds an index outside [0, 2)", True),
+     "'records.scale' holds an index outside [0, 2)"),
     ("negative annotation index", _set("sem", 0, -1),
-     "'records.sem' holds an index outside [0, 18)", True),
+     "'records.sem' holds an index outside [0, 18)"),
     # Each tag's record column indexes its own section: 18 semantics rows
     # and 1 category row.
     ("semantics index past its section", _set("sem", 0, 18),
-     "'records.sem' holds an index outside [0, 18)", True),
+     "'records.sem' holds an index outside [0, 18)"),
     ("category index past its section", _set("cat", 0, 1),
-     "'records.cat' holds an index outside [0, 1)", True),
+     "'records.cat' holds an index outside [0, 1)"),
     ("kind index past the table", _kind(3, 1),
-     "'tables.annotations' tag 'sem' field 0 holds an index outside [0, 1)",
-     True),
+     "'tables.annotations' tag 'sem' field 0 holds an index outside [0, 1)"),
     ("negative channel index", _set("chan", 0, -2),
-     "'records.chan' holds an index outside [0, 2)", True),
+     "'records.chan' holds an index outside [0, 2)"),
     ("dir index past the table", _set("dir", 1, 1),
-     "'records.dir' holds an index outside [0, 1)", True),
-    ("empty id", _set("id", 1, ""), "records[1]: empty id", True),
+     "'records.dir' holds an index outside [0, 1)"),
+    ("empty id", _set("id", 1, ""), "records[1]: empty id"),
     ("empty db name", _columns(lambda t, c: t["dbs"].__setitem__(0, "")),
-     "'tables.dbs' holds an empty name", True),
+     "'tables.dbs' holds an empty name"),
     # The sections are tagged `sem`, `cat`, `app`, `tend`, `sent`, in order.
     ("stray tag", _section("sem", lambda s: s.__setitem__(0, "bogus")),
-     "'tables.annotations' has sections tagged ['bogus', 'cat',", True),
+     "'tables.annotations' has sections tagged ['bogus', 'cat',"),
     ("tag rows not together", _columns(lambda t, c: t["annotations"].append(
         t["annotations"][0])),
      "has sections tagged ['sem', 'cat', 'app', 'tend', 'sent', 'sem'], "
-     "not ['sem', 'cat', 'app', 'tend', 'sent']", True),
+     "not ['sem', 'cat', 'app', 'tend', 'sent']"),
     ("missing annotation section", _columns(lambda t, c: t["annotations"].pop()),
-     "has sections tagged ['sem', 'cat', 'app', 'tend'], not", True),
+     "has sections tagged ['sem', 'cat', 'app', 'tend'], not"),
     ("empty annotation section", _columns(
         lambda t, c: t["annotations"].append([])),
-     "'tables.annotations' holds an empty section", True),
+     "'tables.annotations' holds an empty section"),
     # Appraisal sections keep one row per annotation.
     ("empty annotation row", _section("app", lambda s: s.append([])),
-     "tag 'app' is not a list of (name, value) pairs", True),
+     "tag 'app' is not a list of (name, value) pairs"),
     ("appraisal row not a list", _section("app", lambda s: s.append(
-        "pleasantness")), "tag 'app' holds a string", True),
+        "pleasantness")), "tag 'app' holds a string"),
     ("annotation row too short", _semantics(2, list.pop),
-     "tag 'sem' has a row without 3 fields", True),
+     "tag 'sem' has a row without 3 fields"),
     ("annotation section without a column", _section("cat", list.pop),
-     "tag 'cat' has 3 field columns, not 4", True),
+     "tag 'cat' has 3 field columns, not 4"),
     ("annotation column not a list", _section("cat", lambda s: s.__setitem__(
-        1, "BigSix")), "tag 'cat' field 0 has type str", True),
+        1, "BigSix")), "tag 'cat' field 0 has type str"),
     ("kind column not packed", _section("sem", lambda s: s.__setitem__(
         1, ["Object"] * 18)),
-     "tag 'sem' field 0 is not a [typecode, base64] pair", True),
+     "tag 'sem' field 0 is not a [typecode, base64] pair"),
     ("concept and keyword", _semantics(2, lambda items: items.__setitem__(
-        0, "crowd")), "tag 'sem' needs exactly one of concept and keyword",
-     True),
+        0, "crowd")), "tag 'sem' needs exactly one of concept and keyword"),
     ("no concept nor keyword", _semantics(1, lambda items: items.__setitem__(
-        0, "")), "tag 'sem' needs exactly one of concept and keyword", True),
+        0, "")), "tag 'sem' needs exactly one of concept and keyword"),
     # An empty concept or keyword item is null: an empty concept leaves
     # neither.
     ("empty concept", _semantics(1, lambda items: items.__setitem__(0, "")),
-     "tag 'sem' needs exactly one of concept and keyword", True),
+     "tag 'sem' needs exactly one of concept and keyword"),
     ("empty category term", _section("cat", lambda s: s[2].__setitem__(0, "")),
-     "tag 'cat' has an empty vocabulary or term", True),
+     "tag 'cat' has an empty vocabulary or term"),
     ("empty kind", _columns(lambda t, c: t["kinds"].__setitem__(0, "")),
-     "'tables.kinds' holds an empty name", True),
+     "'tables.kinds' holds an empty name"),
     ("kind not a string", _columns(lambda t, c: t["kinds"].__setitem__(0, 1)),
-     "'tables.kinds' holds an integer", True),
+     "'tables.kinds' holds an integer"),
     ("tab in a kind", _columns(lambda t, c: t["kinds"].__setitem__(0, "Obj\tect")),
-     "'tables.kinds' holds a tab or a line break", True),
+     "'tables.kinds' holds a tab or a line break"),
     ("context row too long", _columns(lambda t, c: t["contexts"][0].append(None)),
-     "'tables.contexts' has a row without 15 fields", True),
+     "'tables.contexts' has a row without 15 fields"),
     ("fractional context width", _columns(
         lambda t, c: t["contexts"][0].__setitem__(1, 1.5)),
-     "'tables.contexts' field 1 holds a number", True),
+     "'tables.contexts' field 1 holds a number"),
     # A record's dimensions are its scale, a row of `scales`, and per field
     # after it an index into `values` (`dim`, one column of the 4 records
     # per field) or `levels` (`level`), 0 for none.  Records 1-3 have a
     # scale and values, record 0 has none.
     ("dimensions without a scale", _set("scale", 1, 0),
-     "records[1]: dimensions without a scale", True),
+     "records[1]: dimensions without a scale"),
     # A level alone is dimensions too.
     ("empty dimension vector", _level(0),
-     "records[0]: dimensions without a scale", True),
+     "records[0]: dimensions without a scale"),
     ("scale without dimensions", _set("scale", 0, 1),
-     "records[0]: a scale without dimensions", True),
+     "records[0]: a scale without dimensions"),
     ("scale without its vector", _packed_edit(
         "dim", lambda v: v.__setitem__(slice(2, None, 4), [0] * 10)),
-     "records[2]: a scale without dimensions", True),
+     "records[2]: a scale without dimensions"),
     ("dimension vector too long", _packed_edit("dim", lambda v: v.append(0)),
-     "'records.dim' has 41 items, not 40", True),
+     "'records.dim' has 41 items, not 40"),
     ("dimension column of one record", _packed_edit(
         "dim", lambda v: v.__delitem__(slice(10, None))),
-     "'records.dim' has 10 items, not 40", True),
+     "'records.dim' has 10 items, not 40"),
     ("dimension value index past the table", _set("dim", 5, 7),
-     "'records.dim' holds an index outside [0, 7)", True),
+     "'records.dim' holds an index outside [0, 7)"),
     ("level index past the table", _set("level", 1, 1),
-     "'records.level' holds an index outside [0, 1)", True),
+     "'records.level' holds an index outside [0, 1)"),
     ("level not a string", _columns(lambda t, c: t["levels"].append(1)),
-     "'tables.levels' holds an integer", True),
+     "'tables.levels' holds an integer"),
     ("null dimension value", _columns(
         lambda t, c: t["values"].__setitem__(2, None)),
-     "'tables.values' holds a null", True),
+     "'tables.values' holds a null"),
     ("null scale", _columns(lambda t, c: t["scales"][0].__setitem__(0, None)),
-     "'tables.scales' field 0 holds a null", True),
+     "'tables.scales' field 0 holds a null"),
     ("scale row of three", _columns(lambda t, c: t["scales"][0].append(5.0)),
-     "'tables.scales' has a row without 2 fields", True),
+     "'tables.scales' has a row without 2 fields"),
     ("scale row of one", _columns(lambda t, c: t["scales"][0].pop()),
-     "'tables.scales' has a row without 2 fields", True),
+     "'tables.scales' has a row without 2 fields"),
     ("scale as text", _columns(lambda t, c: t["scales"][0].__setitem__(
-        1, "9")), "'tables.scales' field 1 holds a string", True),
+        1, "9")), "'tables.scales' field 1 holds a string"),
     ("scale row not a list", _columns(lambda t, c: t["scales"].__setitem__(
-        0, 1.0)), "'tables.scales' holds a number", True),
+        0, 1.0)), "'tables.scales' holds a number"),
     ("dimension as text", _columns(
         lambda t, c: t["values"].__setitem__(0, "7.14")),
-     "'tables.values' holds a string", True),
+     "'tables.values' holds a string"),
     ("tab in an id", _set("id", 1, "81\t63"),
-     "'records.id' holds a tab or a line break", True),
+     "'records.id' holds a tab or a line break"),
     ("tab in a db name", _columns(lambda t, c: t["dbs"].__setitem__(0, "IA\tDS")),
-     "'tables.dbs' holds a tab or a line break", True),
+     "'tables.dbs' holds a tab or a line break"),
     ("line break in a keyword", _semantics(2, lambda items: items.__setitem__(
-        6, "Winter\rStreet")), "tag 'sem' field 2 holds a tab or a line break",
-     True),
+        6, "Winter\rStreet")), "tag 'sem' field 2 holds a tab or a line break"),
     ("tab in a category term", _section("cat", lambda s: s[2].__setitem__(
-        0, "happi\tness")), "tag 'cat' field 1 holds a tab or a line break",
-     True),
+        0, "happi\tness")), "tag 'cat' field 1 holds a tab or a line break"),
     ("line break in a context field", _columns(
         lambda t, c: t["contexts"][0].__setitem__(0, "w\rav")),
-     "'tables.contexts' field 0 holds a tab or a line break", True),
+     "'tables.contexts' field 0 holds a tab or a line break"),
     ("tab in a dimension level", _columns(
         lambda t, c: t["levels"].append("a\tb")),
-     "'tables.levels' holds a tab or a line break", True),
+     "'tables.levels' holds a tab or a line break"),
     # A physiology path is stored as its dir, up to its last `/`, and the
     # name after it.
     ("space in a physiology path", _set("path", 0, "subject1 hr"),
-     "'records.path' holds a space or a ';'", True),
+     "'records.path' holds a space or a ';'"),
     ("';' in a physiology path", _set("path", 1, "subject1;hr"),
-     "'records.path' holds a space or a ';'", True),
+     "'records.path' holds a space or a ';'"),
     ("tab in a physiology path", _set("path", 1, "subject1\thr"),
-     "'records.path' holds a tab or a line break", True),
+     "'records.path' holds a tab or a line break"),
     ("line break in a physiology path", _set("path", 0, "subject1\rhr"),
-     "'records.path' holds a tab or a line break", True),
+     "'records.path' holds a tab or a line break"),
     ("space in a physiology dir", _columns(lambda t, c: t["dirs"].__setitem__(
-        0, "http://www.foo.com/a b/")), "'tables.dirs' holds a space or a ';'",
-     True),
+        0, "http://www.foo.com/a b/")), "'tables.dirs' holds a space or a ';'"),
     ("';' in a physiology dir", _columns(lambda t, c: t["dirs"].__setitem__(
-        0, "http://www.foo.com/a;b/")), "'tables.dirs' holds a space or a ';'",
-     True),
+        0, "http://www.foo.com/a;b/")), "'tables.dirs' holds a space or a ';'"),
     ("tab in a physiology dir", _columns(lambda t, c: t["dirs"].__setitem__(
         0, "http://www.foo.com/a\tb/")),
-     "'tables.dirs' holds a tab or a line break", True),
+     "'tables.dirs' holds a tab or a line break"),
     ("line break in a physiology dir", _columns(
         lambda t, c: t["dirs"].__setitem__(0, "http://www.foo.com/\r")),
-     "'tables.dirs' holds a tab or a line break", True),
+     "'tables.dirs' holds a tab or a line break"),
     ("dir not a string", _columns(lambda t, c: t["dirs"].__setitem__(0, None)),
-     "'tables.dirs' holds a null", True),
+     "'tables.dirs' holds a null"),
     ("empty channel", _columns(lambda t, c: t["channels"].__setitem__(0, "")),
-     "'tables.channels' holds an empty name or a ';'", True),
+     "'tables.channels' holds an empty name or a ';'"),
     ("';' in a channel", _columns(lambda t, c: t["channels"].__setitem__(1, "S;R")),
-     "'tables.channels' holds an empty name or a ';'", True),
+     "'tables.channels' holds an empty name or a ';'"),
     ("duplicate record", _set("id", 3, "5635"),
-     "records[3]: duplicate stimulus key IAPS/5635", True),
+     "records[3]: duplicate stimulus key IAPS/5635"),
     ("bad taxonomy", _doc(lambda doc: json.dumps(
-        {**doc, "taxonomy": "A\tB\nB\tA\n"})), "taxonomy is cyclic", True),
+        {**doc, "taxonomy": "A\tB\nB\tA\n"})), "taxonomy is cyclic"),
     ("invalid record", _record(1, semantics=(
         SemanticsAnnotation("Object", "NoSuch"),)),
-     "records[1]: record IAPS/8163: unknown concept 'NoSuch'", False),
+     "records[1]: record IAPS/8163: unknown concept 'NoSuch'"),
     ("no component", _record(1, semantics=(), categories=(), dimensions=None,
                              context=None, physiology=()),
-     "records[1]: record IAPS/8163: four-component axiom violated", False),
+     "records[1]: record IAPS/8163: four-component axiom violated"),
     ("NaN dimension SD", _record(
         1, dimensions=DIMENSIONS_8163._replace(arousalSD=NAN)),
-     "records[1]: record IAPS/8163: arousalSD=nan is not a number", False),
+     "records[1]: record IAPS/8163: arousalSD=nan is not a number"),
     ("NaN context length", _record(1, context=ContextRecord(length_seconds=NAN)),
-     "records[1]: record IAPS/8163: context length_seconds=nan is not a number",
-     False),
+     "records[1]: record IAPS/8163: context length_seconds=nan is not a number"),
     ("negative context length", _record(
         1, context=ContextRecord(length_seconds=-1.0)),
-     "records[1]: record IAPS/8163: context length_seconds=-1.0 is negative",
-     False),
+     "records[1]: record IAPS/8163: context length_seconds=-1.0 is negative"),
 ]
 
 
 @pytest.mark.parametrize(
-    "edit, message, structural", [c[1:] for c in BAD_SNAPSHOTS],
+    "edit, message", [c[1:] for c in BAD_SNAPSHOTS],
     ids=[c[0] for c in BAD_SNAPSHOTS],
 )
 def test_bad_snapshot_exits_3_naming_file(
-    edit, message, structural, tmp_path, paper_workspace, capsys
+    edit, message, tmp_path, paper_workspace, capsys
 ):
-    doc = _snapshot_doc(paper_workspace, tmp_path)
-    seal_line = (tmp_path / "good.json").read_bytes()[:SEAL_END + 2]
-    text = edit({k: v for k, v in doc.items() if k != "seal"},
+    text = edit(_snapshot_doc(paper_workspace, tmp_path),
                 list(paper_workspace.corpus))
     bad = tmp_path / "bad.json"
-    # The edited document, then the same one behind the good file's seal,
-    # then sealed as save_snapshot seals.
-    variants = [(text.encode(), True)]
-    if text.startswith("{"):
-        variants += [(seal_line + text.encode()[1:], True),
-                     (seal_text(text), structural)]
-    for data, fails in variants:
-        bad.write_bytes(data)
-        rc = main(["stats", "--snapshot", str(bad)])
-        err = capsys.readouterr().err
-        if not fails:
-            assert (rc, err) == (0, "")
-            continue
-        with pytest.raises(SnapshotError) as exc:
-            load_snapshot(bad)
-        assert str(exc.value).startswith(f"bad snapshot {bad}: ")
-        assert message in str(exc.value)
-        assert rc == 3
-        assert err.startswith(f"error: bad snapshot {bad}: ")
-        assert message in err
+    bad.write_text(text)
+    rc = main(["stats", "--snapshot", str(bad)])
+    err = capsys.readouterr().err
+    with pytest.raises(SnapshotError) as exc:
+        load_snapshot(bad)
+    assert str(exc.value).startswith(f"bad snapshot {bad}: ")
+    assert message in str(exc.value)
+    assert rc == 3
+    assert err.startswith(f"error: bad snapshot {bad}: ")
+    assert message in err
 
 
 def test_invalid_record_is_reported_before_a_later_repeat(
     tmp_path, paper_workspace
 ):
-    # Records are added again in order, sealed or not, since a key
-    # repeats: the first bad record is reported, as ingest would report it.
+    # Records are added again in order: the first bad record is reported,
+    # as ingest would report it.
     doc = _snapshot_doc(paper_workspace, tmp_path)
-    del doc["seal"]
     text = _record(3, id="5635", semantics=(
         SemanticsAnnotation("Object", "NoSuch"),))(doc, list(paper_workspace.corpus))
     snap = tmp_path / "snap.json"
-    for data, message in (
-        (text.encode(), "records[3]: record IAPS/5635: unknown concept 'NoSuch'"),
-        (seal_text(text),
-         "records[3]: record IAPS/5635: unknown concept 'NoSuch'"),
-    ):
-        snap.write_bytes(data)
-        with pytest.raises(SnapshotError) as exc:
-            load_snapshot(snap)
-        assert str(exc.value) == f"bad snapshot {snap}: {message}"
+    snap.write_text(text)
+    with pytest.raises(SnapshotError) as exc:
+        load_snapshot(snap)
+    assert str(exc.value) == (f"bad snapshot {snap}: records[3]: record "
+                              "IAPS/5635: unknown concept 'NoSuch'")
+
+
+def _dims(scale=(1.0, 9.0), **fields):
+    """The change that gives a record dimensions of `fields` on `scale`."""
+    return {"dimensions": DimensionAnnotation(*scale, **fields)}
+
+
+# One record's changes that break one rule each.
+RECORD_CHANGES = {
+    "value off its scale": _dims(valence=99.0),
+    "NaN SD": _dims(valence=5.0, arousalSD=NAN),
+    "negative SD": _dims(valence=5.0, dominanceSD=-0.5),
+    "no named dimension value": _dims(valenceSD=1.0),
+    "bad dimension level": _dims(valence=5.0, confidence_level="Meh"),
+    "bad dimension confidence": _dims(valence=5.0, confidence_value=2.0),
+    "scale of min = max": _dims((5.0, 5.0), valence=5.0),
+    "scale of min > max": _dims((9.0, 1.0), valence=5.0),
+    "NaN scale": _dims((NAN, 9.0), valence=5.0),
+    "unknown concept": {"semantics": (SemanticsAnnotation("Object", "NoSuch"),)},
+    "bad kind": {"semantics": (SemanticsAnnotation("Thing", keyword="x"),)},
+    "bad category term": {"categories": (CategoryAnnotation("BigSix", "joy"),)},
+    "bad category level": {"categories": (
+        CategoryAnnotation("BigSix", "fear", "Meh"),)},
+    "bad category confidence": {"categories": (
+        CategoryAnnotation("BigSix", "fear", None, 1.5),)},
+    "appraisal off [0, 1]": {"appraisals": (
+        AppraisalAnnotation((("pleasantness", 1.5),)),)},
+    "sentiment off [0, 1]": {"sentiments": (SentimentAnnotation(-0.5),)},
+    "negative context number": {"context": ContextRecord(width_px=-1)},
+    "NaN context number": {"context": ContextRecord(length_seconds=NAN)},
+    "empty physiology path": {"physiology": (PhysiologyRef("", "HR"),)},
+    "no component": StimulusRecord._field_defaults,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6),
+       st.sampled_from([None, "repeated key", "one value, two fields",
+                        *RECORD_CHANGES]),
+       st.sampled_from([-1.0, 0.5, 5.0]),
+       st.sampled_from(["arousal", "valenceSD", "confidence_value"]),
+       st.data())
+def test_table_checks_accept_exactly_what_the_oracle_accepts(
+    seed, mutation, v, field, data
+):
+    # A varied synthetic workspace with one mutation: the load's table
+    # checks accept it exactly when the oracle (validate_stimulus record by
+    # record, then a repeated key) does, never calling validate_stimulus
+    # then; a rejected one reports the oracle's first problem.  "One value,
+    # two fields" writes one `values` row that record a uses as its valence
+    # and record b under `field`.
+    ws = _varied_workspace(_synthetic_workspace(seed, 6, 8), seed)
+    records = list(ws.corpus)
+    a, b = data.draw(st.lists(st.integers(0, len(records) - 1),
+                              min_size=2, max_size=2, unique=True))
+    if mutation == "repeated key":
+        records[a] = records[a]._replace(db=records[b].db, id=records[b].id)
+    elif mutation == "one value, two fields":
+        records[a] = records[a]._replace(**_dims((-5.0, 5.0), valence=v))
+        records[b] = records[b]._replace(**_dims(valence=5.0, **{field: v}))
+    elif mutation is not None:
+        records[a] = records[a]._replace(**RECORD_CHANGES[mutation])
+    expected = oracle_first_problem(records, ws.graph, ws.corpus.vocabs)
+    with tempfile.TemporaryDirectory() as tmp:
+        snap = Path(tmp) / "snap.json"
+        save_snapshot(ws, snap)
+        doc = json.loads(snap.read_text())
+        doc["tables"], doc["records"] = _record_columns(records)
+        snap.write_text(json.dumps(doc))
+        with mock.patch.object(stimkb.corpus, "validate_stimulus",
+                               wraps=stimkb.corpus.validate_stimulus) as check:
+            if expected is None:
+                loaded = load_snapshot(snap)
+                assert check.call_count == 0
+                assert repr(list(loaded.corpus)) == repr(records)
+            else:
+                with pytest.raises(SnapshotError) as exc:
+                    load_snapshot(snap)
+                assert check.call_count > 0
+                assert str(exc.value) == f"bad snapshot {snap}: {expected}"
 
 
 def _synthetic_manifest(tmp_path):
@@ -1083,7 +1111,7 @@ def test_snapshot_stores_no_keyword_mapping(tmp_path, paper_workspace):
     snap = tmp_path / "snap.json"
     save_snapshot(paper_workspace, snap)
     doc = json.loads(snap.read_text())
-    assert sorted(doc) == sorted(["seal", *stimkb.snapshot._SNAPSHOT_KEYS])
+    assert sorted(doc) == sorted(stimkb.snapshot._SNAPSHOT_KEYS)
     assert "mapping" not in doc and "unmapped_keywords" not in doc
     loaded = load_snapshot(snap)
     assert (loaded.mapping, loaded.unmapped_keywords) == (None, ())
@@ -1258,31 +1286,21 @@ def test_threads_reading_a_loaded_workspace_share_each_build(
 
 @pytest.mark.parametrize("sealed", [False, True], ids=["unsealed", "sealed"])
 @pytest.mark.parametrize(
-    "edit, message, structural", [c[1:] for c in BAD_SNAPSHOTS],
+    "edit, message", [c[1:] for c in BAD_SNAPSHOTS],
     ids=[c[0] for c in BAD_SNAPSHOTS],
 )
 def test_a_bad_snapshot_fails_inside_load_snapshot(
-    edit, message, structural, sealed, tmp_path, paper_workspace
+    edit, message, sealed, tmp_path, paper_workspace
 ):
-    # Fields are built on first use, but no check waits for one: behind a
-    # matching seal a load builds nothing, so every fault of the layout,
-    # in a field that no query reads too, must fail load_snapshot itself.
-    doc = _snapshot_doc(paper_workspace, tmp_path)
-    text = edit({k: v for k, v in doc.items() if k != "seal"},
+    # Fields are built on first use, but no check waits for one: every
+    # fault, in a field that no query reads too, must fail load_snapshot
+    # itself, as written and in the layout written while snapshots were
+    # sealed.
+    text = edit(_snapshot_doc(paper_workspace, tmp_path),
                 list(paper_workspace.corpus))
     bad = tmp_path / "bad.json"
     sealable = sealed and text.startswith("{")
-    bad.write_bytes(seal_text(text) if sealable else text.encode())
-    if sealable and not structural:
-        # A record that only fails validation loads behind its seal, and
-        # then every field builds without raising.
-        ws = load_snapshot(bad)
-        assert _built(ws) == (set(), set())
-        records = list(ws.corpus)
-        assert [r.key for r in records] == ws.corpus.keys
-        assert len(records) == len(paper_workspace.corpus)
-        assert _built(ws)[0] == LAZY_CORPUS - {"positions", "concept_index"}
-        return
+    bad.write_bytes(sealed_layout(text.encode()) if sealable else text.encode())
     with pytest.raises(SnapshotError) as exc:
         load_snapshot(bad)
     assert str(exc.value).startswith(f"bad snapshot {bad}: ")
@@ -1412,7 +1430,7 @@ def test_loaded_records_share_contexts_by_their_text(tmp_path, paper_workspace):
 
 def _unloadable(doc):
     """The text of a snapshot document with a negative index."""
-    return _set("db", 0, -1)({k: v for k, v in doc.items() if k != "seal"}, [])
+    return _set("db", 0, -1)(doc, [])
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -1421,14 +1439,13 @@ def test_load_restores_the_collector_state(enabled, tmp_path, paper_workspace):
     # way out of a load, early or late, must restore it.
     doc = _snapshot_doc(paper_workspace, tmp_path)
     good = tmp_path / "good.json"
-    unsealed = {k: v for k, v in doc.items() if k != "seal"}
     bad_texts = {
         "not JSON": "not json {",
-        "bad taxonomy": json.dumps({**unsealed, "taxonomy": "A\tB\nB\tA\n"}),
-        "bad column": _unloadable(doc),
+        "bad taxonomy": json.dumps({**doc, "taxonomy": "A\tB\nB\tA\n"}),
+        "bad column": _unloadable(dict(doc)),
         "invalid record": _record(1, semantics=(
             SemanticsAnnotation("Object", "NoSuch"),))(
-                unsealed, list(paper_workspace.corpus)),
+                dict(doc), list(paper_workspace.corpus)),
     }
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
@@ -1486,7 +1503,6 @@ def test_a_column_that_inflates_far_past_its_length_is_never_held(
     # without the 64 MiB ever being held: the load's peak allocation stays
     # under 1 MiB.
     doc = _snapshot_doc(paper_workspace, tmp_path)
-    del doc["seal"]
     bad = tmp_path / "bomb.json"
     bad.write_text(_stream("ctx", _inflating_to_64_mib)(doc, ()))
     tracemalloc.start()
@@ -1505,7 +1521,6 @@ def test_a_text_column_that_inflates_past_its_length_is_never_held(
     # A text column declaring 11 bytes whose stream inflates to 64 MiB is
     # inflated to 12 bytes, and fails the load under a 1 MiB peak.
     doc = _snapshot_doc(paper_workspace, tmp_path)
-    del doc["seal"]
     bad = tmp_path / "bomb.json"
     bad.write_text(_text_stream("id", _inflating_to_64_mib, 11)(doc, ()))
     tracemalloc.start()
@@ -1625,9 +1640,10 @@ def test_dimension_tables_intern_by_repr(rows):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_dimensions(), min_size=1, max_size=12))
 def test_dimensions_round_trip(paper_workspace, dimensions):
-    # Records of every dimension layout: loaded sealed, unsealed, and added
-    # again through add_stimulus, each equals the ingested one (compared by
-    # repr, which tells -0.0 from 0.0 and 1 from 1.0).
+    # Records of every dimension layout: loaded as written, in the layout
+    # written while snapshots were sealed, and added again through
+    # add_stimulus, each equals the ingested one (compared by repr, which
+    # tells -0.0 from 0.0 and 1 from 1.0).
     graph, vocabs = paper_workspace.graph, paper_workspace.corpus.vocabs
     ingested = Corpus(graph, vocabs)
     for i, dims in enumerate(dimensions):
@@ -1639,14 +1655,14 @@ def test_dimensions_round_trip(paper_workspace, dimensions):
     with tempfile.TemporaryDirectory() as tmp:
         snap = Path(tmp) / "snap.json"
         save_snapshot(ws, snap)
-        sealed = load_snapshot(snap).corpus
-        assert repr(sealed.dimensions) == repr(ingested.dimensions)
+        loaded = load_snapshot(snap).corpus
+        assert repr(loaded.dimensions) == repr(ingested.dimensions)
         rebuilt = Corpus(graph, vocabs)
-        for rec in sealed:
+        for rec in loaded:
             rebuilt.add_stimulus(rec)
-        _strip_seal(snap)
-        unsealed = load_snapshot(snap).corpus
-    assert repr(list(sealed)) == repr(list(unsealed)) == expected
+        snap.write_bytes(sealed_layout(snap.read_bytes()))
+        sealed = load_snapshot(snap).corpus
+    assert repr(list(loaded)) == repr(list(sealed)) == expected
     assert repr(list(rebuilt)) == expected
 
 
