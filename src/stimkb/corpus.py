@@ -41,6 +41,7 @@ from .affect import (
     CategoryAnnotation,
     DimensionAnnotation,
     SentimentAnnotation,
+    confidence_problems,
     non_negative_problem,
     unit_interval_problem,
     validate_category,
@@ -136,8 +137,9 @@ def kind_problem(kind):
 
 
 def concept_problem(concept, concepts):
-    """The problem of concept `concept` (or None) not in `concepts`, or None."""
-    if concept is not None and concept not in concepts:
+    """The problem of concept `concept` not in `concepts`, or None; an
+    empty concept (None or "") is absent."""
+    if concept and concept not in concepts:
         return f"unknown concept {concept!r}"
 
 
@@ -165,7 +167,7 @@ def validate_stimulus(rec, graph, vocabs):
 
     for sem in rec.semantics:
         problems.append(kind_problem(sem.kind))
-        if sem.concept is None and sem.keyword is None:
+        if not sem.concept and not sem.keyword:
             problems.append("semantics annotation needs a concept or a keyword")
         problems.append(concept_problem(sem.concept, graph.concepts))
 
@@ -176,8 +178,13 @@ def validate_stimulus(rec, graph, vocabs):
     for app in rec.appraisals:
         problems += [unit_interval_problem(f"appraisal {name}", value)
                      for name, value in app.values]
+    for ten in rec.action_tendencies:
+        problems += confidence_problems(ten.confidence_level,
+                                        ten.confidence_value)
     for sen in rec.sentiments:
         problems.append(unit_interval_problem("sentiment", sen.value))
+        problems += confidence_problems(sen.confidence_level,
+                                        sen.confidence_value)
     for phy in rec.physiology:
         if not phy.path:
             problems.append("physiology reference with empty path")
@@ -221,12 +228,10 @@ class Corpus:
     `keys[i]`).  A field is built on first use, so a command reads only
     the fields its clauses need; `positions` (key -> its position) and
     `concept_index` are built on first use too.  Iterating the corpus
-    zips every field into the whole records.  Records get in two ways:
-    add_stimulus validates one record and appends it to every field,
-    building first any field not built yet (ingest, and a load whose
-    checks of the snapshot's tables failed), and index_all holds the
-    columns of a snapshot that its load has checked, building each field
-    from them on its first use.
+    zips every field into the whole records.  Ingest and every load put
+    records in through index_all, over the snapshot columns they have
+    checked; add_stimulus validates one record and appends it to every
+    field (building any not built yet), after a failed check or in code.
     """
 
     db = _field("db")
@@ -278,10 +283,9 @@ class Corpus:
 
     def index_all(self, keys, builders):
         """Hold the records whose keys are `keys`, in order, in this empty
-        corpus, as add_stimulus would one by one, but leaving the checks of
-        their rules and keys to the caller (load_snapshot): `builders` maps
-        each StimulusRecord field to a function, called on the field's
-        first use, that returns the field of every record, in order."""
+        corpus, leaving the checks of their rules and keys to the caller
+        (snapshot._records): `builders` maps each StimulusRecord field to a
+        function, called on its first use, that returns it for every record."""
         self.keys = keys
         self._builders = dict(builders)
 
@@ -597,6 +601,8 @@ def parse_legacy_table(text):
                 return None
             return _parse_number(v, float, name, lineno)
 
+        if not row["keyword"]:
+            raise ParseError("empty keyword", line=lineno)
         dims = {name: num(name) for name in LEGACY_HEADER[3:]}
         if all(v is None for n, v in dims.items() if not n.endswith("SD")):
             raise ParseError("row has no dimension value", line=lineno)

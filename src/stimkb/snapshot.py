@@ -203,6 +203,8 @@ class Workspace(namedtuple(
 
 
 def build_workspace(manifest):
+    """The workspace of the manifest's inputs, loaded by _workspace from the
+    document save_snapshot would write, as every snapshot is loaded."""
     graph = _parse(manifest, "taxonomy", parse_taxonomy)
     mapping = _parse(manifest, "mapping", parse_mapping, graph)
     vocabs = _parse(manifest, "vocabularies", load_vocabularies)
@@ -210,8 +212,6 @@ def build_workspace(manifest):
         vocabs = load_vocabularies("")
     closure = EquivalenceClosure(_parse(manifest, "axioms", parse_axioms) or [])
 
-    # Each record is validated once, by add_stimulus, after keyword
-    # expansion (whose concepts parse_mapping has checked).
     sources = [
         (key, _parse(manifest, key, parse) or [])
         for key, parse in (("records", parse_record_file),
@@ -222,58 +222,59 @@ def build_workspace(manifest):
     if mapping is not None:
         records, unmapped = expand_keywords(records, mapping)
 
-    corpus = Corpus(graph, vocabs)
-    try:
-        for rec in records:
-            corpus.add_stimulus(rec)
-    except ValidationError as e:
-        # The failed record is the len(corpus)-th: name its file and line.
-        key, lineno = [(k, n) for k, rows in sources
-                       for n, _ in rows][len(corpus)]
-        e.args = (f"{key} file {manifest.paths[key]} line {lineno}: {e}",)
-        raise
+    def failure(i, e):
+        key, lineno = [(k, n) for k, rows in sources for n, _ in rows][i]
+        return ValidationError(
+            f"{key} file {manifest.paths[key]} line {lineno}: {e}", e.problems)
 
-    return Workspace(graph, mapping, closure, corpus, unmapped, manifest.seed,
-                     manifest.limit)
+    text = _document(graph, vocabs, closure, dict(zip(
+        StimulusRecord._fields, zip(*records) if records else repeat(()))),
+        manifest.seed, manifest.limit)
+    try:
+        ws = _paused(lambda: _workspace(json.loads(text), failure))
+    except SnapshotError:  # a record that the snapshot cannot hold
+        _first_problem(records, Corpus(graph, vocabs), failure)
+        raise
+    return ws._replace(mapping=mapping, unmapped_keywords=unmapped)
 
 
 def save_snapshot(workspace, path):
-    """Persist the workspace as one line of compact, versioned JSON.
-
-    The taxonomy, vocabularies and axioms are stored in their input
-    formats and re-parsed at load; the taxonomy and the vocabularies are
-    the corpus's, which Corpus.add_stimulus validated every record against.
-    The keyword mapping and the unmapped keywords are not stored.  The
-    records are stored as the columns of _record_columns, which every load
-    checks against the validation rules (see load_snapshot).
-    """
+    """Persist the workspace as one line of compact, versioned JSON (see
+    _document), without its keyword mapping and unmapped keywords."""
     corpus = workspace.corpus
+    text = _document(corpus.graph, corpus.vocabs, workspace.closure, {
+        field: getattr(corpus, field) for field in StimulusRecord._fields},
+        workspace.seed, workspace.limit)
+    with open(path, "wb") as f:
+        f.write(text.encode())
+
+
+def _document(graph, vocabs, closure, fields, seed, limit):
+    """The snapshot's text, one line of compact JSON: `graph`, `vocabs` and
+    `closure`'s axioms as their input files, `fields` as _record_columns."""
     vocab_lines = [
         f"{vid}\t{term}"
-        for vid, vocab in sorted(corpus.vocabs.items())
+        for vid, vocab in sorted(vocabs.items())
         for term in sorted(vocab.terms)
     ]
     axiom_lines = [
         "\t".join(a.split(".", 1) + b.split(".", 1))
-        for cls in workspace.closure.classes()
+        for cls in closure.classes()
         for a, b in zip(cls, cls[1:])
     ]
     # Interning allocates in bulk, and the records hold no reference cycle.
-    tables, columns = _paused(partial(_record_columns, {
-        field: getattr(corpus, field) for field in StimulusRecord._fields}))
+    tables, columns = _paused(partial(_record_columns, fields))
     doc = {
         "version": SNAPSHOT_VERSION,
-        "seed": workspace.seed,
-        "limit": workspace.limit,
-        "taxonomy": corpus.graph.serialize(),
+        "seed": seed,
+        "limit": limit,
+        "taxonomy": graph.serialize(),
         "vocabularies": "\n".join(vocab_lines) + "\n",
         "axioms": "\n".join(axiom_lines) + "\n" if axiom_lines else None,
         "tables": tables,
         "records": columns,
     }
-    with open(path, "wb") as f:
-        f.write(json.dumps(doc, separators=(",", ":")).encode())
-        f.write(b"\n")
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def _interned(items, key=None):
@@ -806,10 +807,12 @@ def _valid_records(tables, columns, sections, fields, used, graph, vocabs):
             map(itemgetter(slice(1, None, 2)), sections["app"]))),
         (partial(unit_interval_problem, "sentiment"), sections["sent"][0]),
         (context_problems, map(ContextRecord._make, tables["contexts"])),
-        (partial(confidence_problems, value=None), tables["levels"]),
+        (partial(confidence_problems, value=None), chain(
+            tables["levels"], sections["tend"][1], sections["sent"][1])),
         (lambda row: scale_problem(*row), scales),
         (partial(non_negative_problem, "SD"), sds),
-        (partial(confidence_problems, None), confidences),
+        (partial(confidence_problems, None), chain(
+            confidences, sections["tend"][2], sections["sent"][2])),
     )
     if any(any(map(rule, rows)) for rule, rows in rules):
         return False
@@ -853,7 +856,8 @@ def load_snapshot(path):
             doc = json.loads(read_input(path, "snapshot"))
         except (ParseError, ValueError, RecursionError) as e:
             raise SnapshotError(f"not JSON: {e}") from e
-        return _workspace(doc)
+        return _workspace(
+            doc, lambda i, e: SnapshotError(f"records[{i}]: {e}"))
 
     try:
         return _paused(load, True)
@@ -861,19 +865,18 @@ def load_snapshot(path):
         raise SnapshotError(f"bad snapshot {path}: {e}") from e.__cause__
 
 
-def _workspace(doc):
+def _workspace(doc, failure):
     """The workspace that snapshot document `doc` stores.  Only if a record
     breaks a validation rule or a key repeats (see _records) are the
-    records added again, one by one, to a new corpus, so that the first
-    problem is reported as ingest reports it.  It raises SnapshotError."""
+    records added again, so that the first problem raises failure(i, e)
+    with add_stimulus's error (_first_problem); others raise SnapshotError."""
     problem = _snapshot_problem(doc)
     if problem is not None:
         raise SnapshotError(problem)
     try:
         graph = parse_taxonomy(doc["taxonomy"])
         vocabs = load_vocabularies(doc["vocabularies"])
-        axioms = parse_axioms(doc["axioms"] or "")
-        closure = EquivalenceClosure(axioms)
+        closure = EquivalenceClosure(parse_axioms(doc["axioms"] or ""))
     except StimKbError as e:
         raise SnapshotError(str(e)) from e
     corpus = Corpus(graph, vocabs)
@@ -881,11 +884,16 @@ def _workspace(doc):
                                      graph, vocabs)
     corpus.index_all(keys, builders)
     if not valid:
-        stored, corpus = corpus, Corpus(graph, vocabs)
-        try:
-            for rec in stored:
-                corpus.add_stimulus(rec)
-        except ValidationError as e:
-            raise SnapshotError(f"records[{len(corpus)}]: {e}") from e
+        _first_problem(corpus, Corpus(graph, vocabs), failure)
     return Workspace(graph, None, closure, corpus, (), doc["seed"],
                      doc["limit"])
+
+
+def _first_problem(records, corpus, failure):
+    """Raise failure(i, e) for the first ValidationError `e`, at record i,
+    of adding `records` in order to empty `corpus` through add_stimulus."""
+    try:
+        for rec in records:
+            corpus.add_stimulus(rec)
+    except ValidationError as e:
+        raise failure(len(corpus), e) from e

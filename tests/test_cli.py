@@ -483,6 +483,7 @@ def test_eval_parse_error_exits_2_naming_its_file(
     ("axioms", ".\tx\tBigSix\tanger", " line 5: malformed qualified term '..x'"),
     ("records", "db=IAPS\tid=666\tdb=X", " line 4: repeated record field 'db'"),
     ("legacy", "x\ty\tz", " line 4: expected 9 columns, got 3"),
+    ("legacy", "1\tIAPS\t\t5\tNA\tNA\tNA\tNA\tNA", " line 4: empty keyword"),
 ])
 def test_ingest_parse_error_names_its_file(name, line, message, workspace,
                                            capsys):
@@ -521,6 +522,17 @@ def test_unreadable_input_names_the_manifest(command, workspace, capsys):
      " line 2: record IAPS/5635: valence=99.0 outside scale [1.0, 9.0]"),
     ("records", "db=IADS\tid=311", "db=IAPS\tid=8163",
      " line 3: duplicate stimulus key IAPS/8163"),
+    ("records", "ctx.mediaFormat=jpg", "tendency=approach@level=Bogus",
+     " line 3: record IAPS/8163: confidenceLevel 'Bogus' not one of "
+     "('VeryHigh', 'High', 'Average', 'Low', 'VeryLow')"),
+    ("records", "ctx.mediaFormat=jpg", "sentiment=0.5@value=-3",
+     " line 3: record IAPS/8163: confidenceValue -3.0 outside [0, 1]"),
+    # Records a snapshot cannot hold: ingest reports add_stimulus's words.
+    ("legacy", "5635\tIAPS", "5635\t",
+     " line 2: record /5635: record key requires non-empty db and id"),
+    ("records", "sem=Object:concept:GroupOfPeople", "sem=:concept:Human",
+     " line 2: record IADS/311: semantics kind '' not in "
+     "('Object', 'Scene', 'Event')"),
 ])
 @pytest.mark.parametrize("command", ["ingest", "validate"])
 def test_ingest_validation_error_names_its_file(command, name, old, new,

@@ -104,6 +104,34 @@ def test_unknown_concept_rejected(paper_graph):
                for p in validate_stimulus(rec, paper_graph, BIG_SIX))
 
 
+def test_empty_concept_or_keyword_is_absent(paper_graph):
+    # As a load reads the `sem` section, where an empty item is null.
+    def problems(*semantics):
+        rec = StimulusRecord(db="IAPS", id="1", semantics=semantics)
+        return validate_stimulus(rec, paper_graph, BIG_SIX)
+
+    missing = ["semantics annotation needs a concept or a keyword"]
+    assert problems(SemanticsAnnotation("Object", keyword="")) == missing
+    assert problems(SemanticsAnnotation("Object", "", "")) == missing
+    assert problems(SemanticsAnnotation("Object", "", "crowd")) == []
+
+
+def test_tendency_and_sentiment_confidence_rejected(paper_graph):
+    rec = StimulusRecord(
+        db="IAPS", id="1",
+        action_tendencies=(
+            ActionTendencyAnnotation("approach", "Bogus", 7.0),),
+        sentiments=(SentimentAnnotation(0.5, "Nope", -3.0),),
+    )
+    levels = "('VeryHigh', 'High', 'Average', 'Low', 'VeryLow')"
+    assert validate_stimulus(rec, paper_graph, BIG_SIX) == [
+        f"confidenceLevel 'Bogus' not one of {levels}",
+        "confidenceValue 7.0 outside [0, 1]",
+        f"confidenceLevel 'Nope' not one of {levels}",
+        "confidenceValue -3.0 outside [0, 1]",
+    ]
+
+
 def test_parse_corpus_rejects_invalid(paper_graph):
     with pytest.raises(ValidationError, match="IAPS/9"):
         parse_corpus_records("db=IAPS\tid=9\tsem=Object:concept:NoSuch",
@@ -145,6 +173,9 @@ def test_parse_legacy_empty_and_errors():
         parse_legacy_table(header + "\n1\tIAPS\tx\n")
     with pytest.raises(ParseError, match="header"):
         parse_legacy_table("wrong\theader\n")
+    # The records file's `sem=Object:keyword:` is a parse error too.
+    with pytest.raises(ParseError, match="^line 2: empty keyword$"):
+        parse_legacy_table(header + "\n1\tIAPS\t\t5\tNA\t3\tNA\tNA\tNA\n")
 
 
 def test_parse_legacy_counts_every_line_and_skips_indented_comments():

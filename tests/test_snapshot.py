@@ -42,6 +42,7 @@ from stimkb.corpus import (
     PhysiologyRef,
     SemanticsAnnotation,
     StimulusRecord,
+    parse_record_file,
     parse_record_line,
 )
 from stimkb.errors import ParseError, SnapshotError, StimKbError, ValidationError
@@ -58,7 +59,6 @@ from stimkb.snapshot import (
 from stimkb.taxonomy import parse_taxonomy
 
 from conftest import (
-    PACKED_COLUMNS,
     PAPER_MANIFEST,
     TEXT_COLUMNS,
     many_layout_lines,
@@ -976,6 +976,13 @@ RECORD_CHANGES = {
     "appraisal off [0, 1]": {"appraisals": (
         AppraisalAnnotation((("pleasantness", 1.5),)),)},
     "sentiment off [0, 1]": {"sentiments": (SentimentAnnotation(-0.5),)},
+    "bad tendency level": {"action_tendencies": (
+        ActionTendencyAnnotation("approach", "Bogus", 0.7),)},
+    "bad tendency confidence": {"action_tendencies": (
+        ActionTendencyAnnotation("approach", None, 7.0),)},
+    "bad sentiment level": {"sentiments": (SentimentAnnotation(0.5, "Nope"),)},
+    "bad sentiment confidence": {"sentiments": (
+        SentimentAnnotation(0.5, None, -3.0),)},
     "negative context number": {"context": ContextRecord(width_px=-1)},
     "NaN context number": {"context": ContextRecord(length_seconds=NAN)},
     "empty physiology path": {"physiology": (PhysiologyRef("", "HR"),)},
@@ -1030,6 +1037,56 @@ def test_table_checks_accept_exactly_what_the_oracle_accepts(
                 assert str(exc.value) == f"bad snapshot {snap}: {expected}"
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6),
+       st.sampled_from([None, "repeated key", "scale alone", "empty kind",
+                        *RECORD_CHANGES]),
+       st.data())
+def test_ingest_accepts_exactly_what_the_oracle_accepts(seed, mutation, data):
+    # A synthetic manifest with one record changed: ingest accepts it
+    # exactly when the oracle does, and its snapshot then loads to the same
+    # records; a rejected one reports the oracle's first problem at the
+    # record's file and line.
+    ws = _varied_workspace(_synthetic_workspace(seed, 6, 8), seed)
+    records = list(ws.corpus)
+    a, b = data.draw(st.lists(st.integers(0, len(records) - 1),
+                              min_size=2, max_size=2, unique=True))
+    if mutation == "repeated key":
+        records[a] = records[a]._replace(db=records[b].db, id=records[b].id)
+    elif mutation == "scale alone":
+        records[a] = records[a]._replace(
+            dimensions=DimensionAnnotation(1.0, 9.0))
+    elif mutation == "empty kind":
+        records[a] = records[a]._replace(
+            semantics=(SemanticsAnnotation("", keyword="x"),))
+    elif mutation is not None:
+        records[a] = records[a]._replace(**RECORD_CHANGES[mutation])
+    text = "".join(serialize_record(r) + "\n" for r in records)
+    # The records as ingest parses them (an int dimension value is a float).
+    records = [rec for _, rec in parse_record_file(text)]
+    expected = oracle_first_problem(records, ws.graph, ws.corpus.vocabs)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "taxonomy.tsv").write_text(ws.graph.serialize())
+        path = tmp / "records.tsv"
+        path.write_text(text)
+        manifest = tmp / "manifest.txt"
+        manifest.write_text("taxonomy=taxonomy.tsv\nrecords=records.tsv\n")
+        if expected is None:
+            built = build_workspace(parse_manifest(manifest))
+            snap = tmp / "snap.json"
+            save_snapshot(built, snap)
+            assert repr(list(load_snapshot(snap).corpus)) == repr(records)
+            assert repr(list(built.corpus)) == repr(records)
+        else:
+            with pytest.raises(ValidationError) as exc:
+                build_workspace(parse_manifest(manifest))
+            assert type(exc.value) is ValidationError
+            i, problem = expected[len("records["):].split("]", 1)
+            assert str(exc.value) == (
+                f"records file {path} line {int(i) + 1}{problem}")
+
+
 def _synthetic_manifest(tmp_path):
     """A manifest workspace whose records file holds a `synthetic.generate`
     corpus, each record given one of a few BigSix categories."""
@@ -1052,12 +1109,63 @@ def _synthetic_manifest(tmp_path):
 
 
 @pytest.mark.parametrize("which", ["paper", "synthetic"])
-def test_ingest_validates_each_record_once(which, tmp_path, monkeypatch):
+def test_good_ingest_validates_and_adds_no_record(
+    which, tmp_path, monkeypatch
+):
+    # Ingest checks the snapshot it would write, as a load does: a good one
+    # sends no record through validate_stimulus or add_stimulus.
     manifest = PAPER_MANIFEST if which == "paper" else _synthetic_manifest(tmp_path)
     validated = _count_validations(monkeypatch)
+    added = _count_adds(monkeypatch)
     ws = build_workspace(parse_manifest(manifest))
-    assert sorted(validated) == sorted(r.key for r in ws.corpus)
-    assert len(validated) == len(set(validated))
+    assert len(ws.corpus) == (4 if which == "paper" else 300)
+    assert validated == added == []
+
+
+# Record-file lines that break a rule: (the line, its error after the
+# record's file and line).  A scale alone cannot even be stored, so ingest
+# adds the records it parsed, not those of its snapshot.
+BAD_LINES = {
+    "unknown concept": ("db=X\tid=1\tsem=Object:concept:NoSuch",
+                        "record X/1: unknown concept 'NoSuch'"),
+    "scale alone": ("db=X\tid=1\tdim.scale=1:9",
+                    "record X/1: no dimension value present"),
+    "bad tendency level": (
+        "db=X\tid=1\ttendency=approach@level=Bogus,value=0.7",
+        "record X/1: confidenceLevel 'Bogus' not one of "
+        "('VeryHigh', 'High', 'Average', 'Low', 'VeryLow')"),
+    "bad sentiment confidence": (
+        "db=X\tid=1\tsentiment=0.5@value=-3",
+        "record X/1: confidenceValue -3.0 outside [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("bad, k", [
+    *((bad, k) for bad in BAD_LINES for k in (0, 150, 299)),
+    ("repeated key", 1), ("repeated key", 299),
+])
+def test_ingest_validates_up_to_the_first_bad_record(
+    bad, k, tmp_path, monkeypatch
+):
+    # The first bad record is at position k: ingest validates records 0..k,
+    # once each, and reports record k at its line (the file's first line is
+    # a comment).
+    records = tmp_path / "records.tsv"
+    manifest = _synthetic_manifest(tmp_path)
+    lines = records.read_text().splitlines()
+    if bad == "repeated key":
+        db, rid, _ = lines[k].split("\t", 2)  # record k - 1's key
+        lines[k + 1] = f"{db}\t{rid}\tctx=1"
+        message = f"duplicate stimulus key {db[3:]}/{rid[3:]}"
+    else:
+        lines[k + 1], message = BAD_LINES[bad]
+    records.write_text("\n".join(lines) + "\n")
+    validated = _count_validations(monkeypatch)
+    with pytest.raises(ValidationError) as exc:
+        build_workspace(parse_manifest(manifest))
+    assert type(exc.value) is ValidationError
+    assert str(exc.value) == f"records file {records} line {k + 2}: {message}"
+    assert len(validated) == k + 1
 
 
 def test_ingest_invalid_record_names_its_line(tmp_path, paper_graph):
